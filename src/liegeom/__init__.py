@@ -18,12 +18,12 @@ from .constructions import (ConeExtension, DoubledAlgebra,
                             rescale_metric, solve_lambda)
 from .errors import (BadParameters, CurvatureMismatch, DegenerateMetric,
                      DimensionMismatch, DocumentSyntaxError, InputError,
-                     LieGeomError, MissingRadiant, NoRealSolution,
-                     NonPositiveScale, NonPositiveT, NotAlmostComplex,
-                     NotConical, NotHessian, NotStatistical, NotSymmetric,
-                     ShapeMismatch, UnderdeterminedCurvature, UnknownExample,
-                     UnsupportedDegree, ValidationError, VerdictError,
-                     ZeroCurvature, ZeroDenominator)
+                     LieGeomError, MissingPieces, MissingRadiant,
+                     NoRealSolution, NonPositiveScale, NonPositiveT,
+                     NotAlmostComplex, NotConical, NotHessian, NotStatistical,
+                     NotSymmetric, ShapeMismatch, UnderdeterminedCurvature,
+                     UnknownExample, UnsupportedDegree, ValidationError,
+                     VerdictError, ZeroCurvature, ZeroDenominator)
 from .forms import KForm, ce_d, dual_form, wedge
 from .geometry import (CodazziViolation, ComplexStructure, Connection,
                        CurvatureFit, Metric, StructureReport, Witness,

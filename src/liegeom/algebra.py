@@ -8,6 +8,7 @@ bracket can be built first and judged afterwards with jacobi_check.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -98,22 +99,23 @@ class JacobiViolation:
     residual: tuple
 
 
+def jacobi_residual(L, i, j, k):
+    """[[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j]."""
+    x, y, z = (L.basis_vector(m) for m in (i, j, k))
+    terms = (bracket(L, bracket(L, x, y), z),
+             bracket(L, bracket(L, y, z), x),
+             bracket(L, bracket(L, z, x), y))
+    return tuple(a + b + c for a, b, c in zip(*terms))
+
+
 def jacobi_check(L):
     """None when the Jacobi identity holds, else the first violation.
 
     Triples are scanned in lexicographic order over i < j < k, so the
     witness is deterministic.
     """
-    n = L.dim
-    basis = [L.basis_vector(i) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                term1 = bracket(L, bracket(L, basis[i], basis[j]), basis[k])
-                term2 = bracket(L, bracket(L, basis[j], basis[k]), basis[i])
-                term3 = bracket(L, bracket(L, basis[k], basis[i]), basis[j])
-                residual = tuple(a + b + c
-                                 for a, b, c in zip(term1, term2, term3))
-                if any(v != 0 for v in residual):
-                    return JacobiViolation(i, j, k, residual)
+    for i, j, k in itertools.combinations(range(L.dim), 3):
+        residual = jacobi_residual(L, i, j, k)
+        if any(residual):
+            return JacobiViolation(i, j, k, residual)
     return None

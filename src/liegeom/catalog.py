@@ -20,7 +20,7 @@ from fractions import Fraction
 from .algebra import LieAlgebra, jacobi_check
 from .constructions import double
 from .errors import BadParameters, UnknownExample
-from .geometry import (Connection, Metric, classify, nijenhuis)
+from .geometry import CLAIMS, FLAGS, Connection, Metric, classify, nijenhuis
 from .rationals import format_rational
 
 _KAHLER_CLAIM = ("the c = 1, t = 1 member of the family on the double "
@@ -277,7 +277,12 @@ def get_example(name, params=None):
 
 
 def run_check(entry, check):
-    """Re-derive one expected outcome string from the bundle itself."""
+    """Re-derive one expected outcome string from the bundle itself.
+
+    check is a report flag, a claim name standing for the flag it backs
+    (positive_definite for metric_positive), constant_curvature, or one
+    of the double_* checks.
+    """
     L = entry.algebra
     if check == "jacobi":
         return "pass" if jacobi_check(L) is None else "fail"
@@ -294,14 +299,7 @@ def run_check(entry, check):
         if fit.kind == "constant":
             return format_rational(fit.value)
         return fit.kind
-    flags = {
-        "torsion_free": report.is_torsion_free,
-        "flat": report.is_flat,
-        "codazzi": report.is_codazzi,
-        "positive_definite": report.is_metric_positive,
-        "statistical": report.is_statistical,
-        "hessian": report.is_hessian,
-    }
-    if check not in flags:
+    flag = CLAIMS[check].flag if check in CLAIMS else check
+    if flag not in FLAGS:
         raise UnknownExample(f"no check named {check!r}")
-    return "pass" if flags[check] else "fail"
+    return "pass" if report.flag(flag) else "fail"

@@ -26,22 +26,16 @@ from .catalog import get_example, list_examples
 from .constructions import (SurdPair, cone_extend, double,
                             kahler_form_from_hessian, lck_family,
                             solve_lambda)
-from .errors import (BadParameters, InputError, LieGeomError, NoRealSolution,
-                     ValidationError, VerdictError)
-from .geometry import classify
+from .errors import (BadParameters, InputError, LieGeomError, MissingPieces,
+                     NoRealSolution, ValidationError, VerdictError)
+from .geometry import CLAIMS, classify
 from .io import document_from, parse, serialize
 from .rationals import format_rational, parse_rational
 
-# claims whose witness indices point at basis elements; the rest count
-# minor orders or carry no position at all
-_LABELLED_CLAIMS = frozenset({
-    "jacobi", "torsion", "curvature", "codazzi", "constant_curvature",
-    "nijenhuis", "d_omega", "d_lee", "pairing_symmetry"})
-
-_FLAG_NAMES = (
-    "jacobi", "torsion_free", "flat", "codazzi", "metric_positive",
-    "statistical", "hessian", "integrable", "omega_closed",
-    "pairing_positive", "kahler", "lck", "lee_closed")
+# how --as names the pieces a verdict needs
+_PIECE_TEXT = {"connection": "a connection", "metric": "a metric",
+               "complex_structure": "a complex structure",
+               "omega": "a form named omega"}
 
 
 @dataclass(frozen=True)
@@ -59,22 +53,27 @@ class SourceBundle:
     notes: tuple
 
 
+def _catalog_params(pieces):
+    """{key: rational} from key=value strings."""
+    params = {}
+    for piece in pieces:
+        key, sep, value = piece.partition("=")
+        if not sep:
+            raise BadParameters(
+                f"catalog parameter {piece!r} is not key=value")
+        try:
+            params[key] = parse_rational(value)
+        except (ValueError, LieGeomError) as exc:
+            raise BadParameters(
+                f"bad value for catalog parameter {key}: {exc}")
+    return params
+
+
 def _load_source(source):
     if source.startswith("catalog:"):
         rest = source[len("catalog:"):]
         name, _, query = rest.partition("?")
-        params = {}
-        if query:
-            for piece in query.split("&"):
-                key, sep, value = piece.partition("=")
-                if not sep:
-                    raise BadParameters(
-                        f"catalog parameter {piece!r} is not key=value")
-                try:
-                    params[key] = parse_rational(value)
-                except (ValueError, LieGeomError) as exc:
-                    raise BadParameters(
-                        f"bad value for catalog parameter {key}: {exc}")
+        params = _catalog_params(query.split("&") if query else ())
         entry = get_example(name, params)
         return SourceBundle(source, entry.algebra, entry.connection,
                             entry.metric, None, None,
@@ -98,9 +97,10 @@ def _load_source(source):
 
 # -- rendering -------------------------------------------------------------
 
-def _combo_text(values, labels):
+def _terms_text(terms):
+    """Join (coefficient, name) pairs as 2*a - b + c, skipping zeros."""
     parts = []
-    for value, name in zip(values, labels):
+    for value, name in terms:
         if value == 0:
             continue
         if value == 1:
@@ -122,30 +122,14 @@ def _combo_text(values, labels):
 
 def form_text(form, labels):
     """Human rendering of a form, e.g. 4*u1^u2 + 2*v1^v2 - rho1."""
-    parts = []
-    for idx, value in form.components():
-        base = "^".join(labels[i] for i in idx)
-        if value == 1:
-            parts.append(base)
-        elif value == -1:
-            parts.append("-" + base)
-        else:
-            parts.append(f"{format_rational(value)}*{base}")
-    if not parts:
-        return "0"
-    out = parts[0]
-    for term in parts[1:]:
-        if term.startswith("-"):
-            out += " - " + term[1:]
-        else:
-            out += " + " + term
-    return out
+    return _terms_text((value, "^".join(labels[i] for i in idx))
+                       for idx, value in form.components())
 
 
 def _residual_text(residual, labels):
     if isinstance(residual, tuple):
         if len(residual) == len(labels):
-            return _combo_text(residual, labels)
+            return _terms_text(zip(residual, labels))
         return "(" + ", ".join(format_rational(v) for v in residual) + ")"
     return format_rational(residual)
 
@@ -157,7 +141,7 @@ def _residual_json(residual):
 
 
 def _witness_text(witness, labels):
-    if witness.claim in _LABELLED_CLAIMS:
+    if CLAIMS[witness.claim].labelled:
         where = ", ".join(labels[i] for i in witness.indices)
     else:
         where = ", ".join(str(i) for i in witness.indices)
@@ -180,20 +164,17 @@ def _note_json(notes):
 
 # -- verify ----------------------------------------------------------------
 
-def _mode_verdict(report, mode, bundle):
+def _mode_verdict(report, mode):
     if mode is None:
         return report.is_jacobi
-    if mode in ("statistical", "hessian"):
-        if bundle.connection is None or bundle.metric is None:
-            raise ValidationError(
-                f"--as {mode} needs a connection and a metric",
-                field="connection")
-    else:
-        if bundle.complex_structure is None or bundle.omega is None:
-            raise ValidationError(
-                f"--as {mode} needs a complex structure and a form "
-                f"named omega", field="forms")
-    return report.is_jacobi and report.flag(mode)
+    try:
+        holds = report.flag(mode)
+    except MissingPieces as exc:
+        raise ValidationError(
+            f"--as {mode} needs "
+            + " and ".join(_PIECE_TEXT[p] for p in exc.pieces),
+            field=exc.pieces[0])
+    return report.is_jacobi and holds
 
 
 def _cmd_verify(args):
@@ -202,16 +183,11 @@ def _cmd_verify(args):
                       metric=bundle.metric,
                       complex_structure=bundle.complex_structure,
                       omega=bundle.omega)
-    ok = _mode_verdict(report, args.mode, bundle)
+    ok = _mode_verdict(report, args.mode)
     labels = bundle.algebra.basis_labels
     verdict = "pass" if ok else "fail"
 
     if args.format == "json":
-        flags = {}
-        for name in _FLAG_NAMES:
-            value = getattr(report, "is_" + name)
-            if value is not None:
-                flags[name] = value
         fit = None
         if report.constant_curvature is not None:
             fit = {"kind": report.constant_curvature.kind,
@@ -226,7 +202,7 @@ def _cmd_verify(args):
             "mode": args.mode,
             "dim": bundle.algebra.dim,
             "basis": list(labels),
-            "flags": flags,
+            "flags": dict(report.computed_flags()),
             "constant_curvature": fit,
             "lee_form": lee,
             "witnesses": [
@@ -243,10 +219,8 @@ def _cmd_verify(args):
     print(f"source: {bundle.label}")
     print(f"dim: {bundle.algebra.dim}")
     print("basis: " + " ".join(labels))
-    for name in _FLAG_NAMES:
-        value = getattr(report, "is_" + name)
-        if value is not None:
-            print(f"{name}: {'pass' if value else 'fail'}")
+    for name, value in report.computed_flags():
+        print(f"{name}: {'pass' if value else 'fail'}")
     if report.constant_curvature is not None:
         fit = report.constant_curvature
         if fit.kind == "constant":
@@ -369,16 +343,7 @@ def _cmd_catalog_list(args):
 
 
 def _cmd_catalog_show(args):
-    params = {}
-    for piece in args.param:
-        key, sep, value = piece.partition("=")
-        if not sep:
-            raise BadParameters(f"--param {piece!r} is not key=value")
-        try:
-            params[key] = parse_rational(value)
-        except (ValueError, LieGeomError) as exc:
-            raise BadParameters(f"bad value for parameter {key}: {exc}")
-    entry = get_example(args.name, params)
+    entry = get_example(args.name, _catalog_params(args.param))
     doc = document_from(entry.algebra, connection=entry.connection,
                         metric=entry.metric, parameters=entry.parameters)
     text = serialize(doc)

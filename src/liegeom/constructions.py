@@ -19,6 +19,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -63,9 +64,7 @@ def double(L, connection):
     n = L.dim
     labels = tuple(x + "1" for x in L.basis_labels) + tuple(
         x + "2" for x in L.basis_labels)
-    entries = {}
-    for (i, j, k), value in L.c.nonzero_items():
-        entries[(i, j, k)] = value
+    entries = dict(L.c.nonzero_items())
     for (i, j, k), value in connection.gamma.nonzero_items():
         entries[(i, n + j, n + k)] = value
         entries[(n + j, i, n + k)] = -value
@@ -227,16 +226,12 @@ def cone_extend(L, connection, metric, c=None):
     n = L.dim
     r = n
     labels = L.basis_labels + (_fresh_label(set(L.basis_labels)),)
-    entries = {}
-    for (i, j, k), value in L.c.nonzero_items():
-        entries[(i, j, k)] = value
     algebra = LieAlgebra(
         n + 1, labels,
-        Tensor.from_entries((n + 1,) * 3, (DOWN, DOWN, UP), entries))
+        Tensor.from_entries((n + 1,) * 3, (DOWN, DOWN, UP),
+                            dict(L.c.nonzero_items())))
 
-    gamma = {}
-    for (i, j, k), value in connection.gamma.nonzero_items():
-        gamma[(i, j, k)] = value
+    gamma = dict(connection.gamma.nonzero_items())
     for i in range(n):
         for j in range(n):
             value = -c * metric.g[i, j]
@@ -344,16 +339,7 @@ def extract_statistical(algebra, nabla, base_metric, rho_index):
             raise MissingRadiant(f"nabla_{rho_label} {rho_label} is not {rho_label}")
 
     labels = tuple(algebra.basis_labels[i] for i in base)
-    n = len(base)
-    c_entries = {}
-    for a, i in enumerate(base):
-        for b, j in enumerate(base):
-            for d, k in enumerate(base):
-                value = algebra.c[i, j, k]
-                if value != 0:
-                    c_entries[(a, b, d)] = value
-    base_algebra = LieAlgebra(
-        n, labels, Tensor.from_entries((n, n, n), (DOWN, DOWN, UP), c_entries))
+    base_algebra = LieAlgebra(len(base), labels, _restrict(algebra.c, base))
     if base_metric.base != base_algebra:
         raise DimensionMismatch(
             "base metric is not bound to the base spanned by the non-rho "
@@ -377,17 +363,19 @@ def extract_statistical(algebra, nabla, base_metric, rho_index):
     if curvature_value is None:
         raise NotConical("a zero metric determines no curvature")
 
-    d_entries = {}
-    for a, i in enumerate(base):
-        for b, j in enumerate(base):
-            for e, k in enumerate(base):
-                value = gamma[i, j, k]
-                if value != 0:
-                    d_entries[(a, b, e)] = value
-    connection = Connection(
-        base_algebra,
-        Tensor.from_entries((n, n, n), (DOWN, DOWN, UP), d_entries))
+    connection = Connection(base_algebra, _restrict(gamma, base))
     return connection, curvature_value
+
+
+def _restrict(t, base):
+    """The ddu tensor t on the span of the basis positions in base."""
+    n = len(base)
+    entries = {}
+    for pos in itertools.product(range(n), repeat=3):
+        value = t[tuple(base[p] for p in pos)]
+        if value != 0:
+            entries[pos] = value
+    return Tensor.from_entries((n, n, n), (DOWN, DOWN, UP), entries)
 
 
 def rescale_metric(connection, metric, c, s):

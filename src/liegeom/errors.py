@@ -38,6 +38,17 @@ class DimensionMismatch(InputError):
     pass
 
 
+class MissingPieces(InputError):
+    """A verdict was asked for that the supplied pieces cannot decide.
+
+    pieces names what the verdict needs, e.g. ("connection", "metric").
+    """
+
+    def __init__(self, message, pieces=()):
+        super().__init__(message)
+        self.pieces = tuple(pieces)
+
+
 # -- Lie algebras and forms ------------------------------------------------
 
 class UnsupportedDegree(InputError):

@@ -144,17 +144,13 @@ def wedge(a, b):
         total = Fraction(0)
         for picked in itertools.combinations(range(degree), a.degree):
             rest = tuple(p for p in range(degree) if p not in picked)
-            sign = _shuffle_sign(picked, rest)
+            sign = _perm_sign(picked + rest)
             left = a.coefficients[tuple(idx[p] for p in picked)]
             right = b.coefficients[tuple(idx[p] for p in rest)]
             total += sign * left * right
         if total != 0:
             components[idx] = total
     return KForm.from_components(n, degree, components)
-
-
-def _shuffle_sign(picked, rest):
-    return _perm_sign(tuple(picked) + tuple(rest))
 
 
 def ce_d(L, form):

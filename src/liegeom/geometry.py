@@ -18,12 +18,14 @@ single report in which each negative answer carries an exact witness.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from types import SimpleNamespace
 
-from .algebra import LieAlgebra, as_vector, bracket, jacobi_check
-from .errors import (DegenerateMetric, DimensionMismatch, NotAlmostComplex,
-                     ShapeMismatch, UnsupportedDegree)
+from .algebra import (LieAlgebra, as_vector, bracket, jacobi_check,
+                      jacobi_residual)
+from .errors import (DegenerateMetric, DimensionMismatch, MissingPieces,
+                     NotAlmostComplex, ShapeMismatch, UnsupportedDegree)
 from .forms import KForm, ce_d
 from .tensors import (DOWN, UP, Infeasible, Tensor, det, leading_minors,
                       matrix_rows, null_vector, solve_linear, symmetric_rows)
@@ -95,17 +97,11 @@ class Metric:
     def value(self, x, y):
         x = as_vector(self.base, x)
         y = as_vector(self.base, y)
-        return _bilinear(self.g, x, y)
+        return sum((v * x[i] * y[j] for (i, j), v in self.g.nonzero_items()),
+                   Fraction(0))
 
     def is_positive_definite(self):
         return all(m > 0 for m in leading_minors(symmetric_rows(self.g)))
-
-
-def _bilinear(t, x, y):
-    total = Fraction(0)
-    for (i, j), value in t.nonzero_items():
-        total += value * x[i] * y[j]
-    return total
 
 
 @dataclass(frozen=True)
@@ -218,7 +214,7 @@ def codazzi_check(connection, metric):
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(n):
-                residual = ng[i, j, k] - ng[j, i, k]
+                residual = CLAIMS["codazzi"].residual(ng, (i, j, k), ())
                 if residual != 0:
                     return CodazziViolation(i, j, k, residual)
     return None
@@ -243,9 +239,10 @@ class Witness:
 class CurvatureFit:
     """Outcome of fitting R = c (g(Y, Z) X - g(X, Z) Y).
 
-    kind is "constant" (value holds c), "none", or "underdetermined"
-    when the comparison tensor vanishes identically, as on a
-    one-dimensional base.
+    kind is "constant" (value holds c), "none", "underdetermined" when
+    the comparison tensor vanishes identically, as on a one-dimensional
+    base, or "degenerate" when the metric is singular and no fit is
+    attempted.
     """
 
     kind: str
@@ -276,24 +273,24 @@ def constant_curvature(connection, metric):
     _same_base(connection.base, metric.base)
     if det(matrix_rows(metric.g)) == 0:
         raise DegenerateMetric("the metric is degenerate; no curvature fit")
-    r = curvature(connection)
-    k = comparison_tensor(metric)
+    return _curvature_fit(curvature(connection), comparison_tensor(metric))
+
+
+def _curvature_fit(r, k):
+    """Fit R = c K on computed tensors; c is read off K's first nonzero.
+
+    When K vanishes identically the trial constant is 0, so any nonzero
+    entry of R is the witness.
+    """
     first = k.first_nonzero()
-    if first is None:
-        if r.is_zero():
-            return CurvatureFit("underdetermined")
-        idx, value = r.first_nonzero()
-        return CurvatureFit(
-            "none", witness=Witness("constant_curvature", idx, value,
-                                    detail=(Fraction(0),)))
-    idx0, k0 = first
-    c = r[idx0] / k0
+    c = Fraction(0) if first is None else r[first[0]] / first[1]
     for idx in r.indices():
-        residual = r[idx] - c * k[idx]
+        residual = CLAIMS["constant_curvature"].residual((r, k), idx, (c,))
         if residual != 0:
-            return CurvatureFit(
-                "none", witness=Witness("constant_curvature", idx, residual,
-                                        detail=(c,)))
+            return CurvatureFit("none", witness=Witness(
+                "constant_curvature", idx, residual, (c,)))
+    if first is None:
+        return CurvatureFit("underdetermined")
     return CurvatureFit("constant", c)
 
 
@@ -360,10 +357,31 @@ def lee_form_system(L, omega):
 def closedness_rows(L):
     """Equations saying theta vanishes on every bracket, i.e. d(theta) = 0."""
     n = L.dim
-    rows = []
-    for i, j in itertools.combinations(range(n), 2):
-        rows.append([L.c[i, j, k] for k in range(n)])
-    return rows
+    return [[L.c[i, j, k] for k in range(n)]
+            for i, j in itertools.combinations(range(n), 2)]
+
+
+def _lee_system(L, omega, closed):
+    """(rows, rhs) of the Lee equation; closed appends d(theta) = 0."""
+    rows, rhs, _ = lee_form_system(L, omega)
+    if closed:
+        extra = closedness_rows(L)
+        rows = rows + extra
+        rhs = rhs + [Fraction(0)] * len(extra)
+    return rows, rhs
+
+
+def _lee_solve(L, system):
+    """(theta, None) for the canonical solution, (None, certificate) if none."""
+    rows, rhs = system
+    if not rows:
+        # no equations, as below three dimensions: theta = 0 solves them
+        return KForm.zero(L.dim, 1), None
+    solved = solve_linear(rows, rhs)
+    if isinstance(solved, Infeasible):
+        return None, solved
+    values = {(i,): v for i, v in enumerate(solved.values) if v != 0}
+    return KForm.from_components(L.dim, 1, values), None
 
 
 def lee_form_solve(L, omega):
@@ -373,41 +391,121 @@ def lee_form_solve(L, omega):
     order, so the answer is deterministic.  Returns None when the system
     is inconsistent.
     """
-    theta, _ = _lee_solve_certified(L, omega)
+    theta, _ = _lee_solve(L, _lee_system(L, omega, closed=False))
     return theta
 
 
-def _lee_solve_certified(L, omega):
-    rows, rhs, _ = lee_form_system(L, omega)
-    if not rows:
-        # fewer than three dimensions: d(omega) is identically zero
-        return KForm.zero(L.dim, 1), None
-    solved = solve_linear(rows, rhs)
-    if isinstance(solved, Infeasible):
-        return None, solved
-    return _theta_from_values(L.dim, solved.values), None
+# -- the claims ------------------------------------------------------------
+#
+# A witness names a claim, an index tuple and a detail.  Its residual is
+# read off one object (a tensor, a list of minors, a linear system) by
+# the claim's residual function.  classify applies that function to the
+# object it has just computed; witness_residual rebuilds the object from
+# the raw pieces with the claim's measure and applies the same function.
+
+def _slice(t, idx, detail):
+    """The last-axis vector of t at the leading indices idx."""
+    return tuple(t[idx + (m,)] for m in range(t.shape[-1]))
 
 
-def _closed_lee_solve(L, omega):
-    """Joint system: theta solves the Lee equation and is closed."""
-    rows, rhs, _ = lee_form_system(L, omega)
-    extra = closedness_rows(L)
-    rows = rows + extra
-    rhs = rhs + [Fraction(0)] * len(extra)
-    if not rows:
-        return KForm.zero(L.dim, 1), None
-    solved = solve_linear(rows, rhs)
-    if isinstance(solved, Infeasible):
-        return None, solved
-    return _theta_from_values(L.dim, solved.values), None
+def _entry(t, idx, detail):
+    return t[idx]
 
 
-def _theta_from_values(dim, values):
-    return KForm.from_components(
-        dim, 1, {(i,): v for i, v in enumerate(values) if v != 0})
+def _minor(minors, idx, detail):
+    return minors[idx[0] - 1]
+
+
+def _certificate(system, idx, detail):
+    """y . rhs for a combination y = detail with y . rows = 0."""
+    rows, rhs = system
+    if len(detail) != len(rows):
+        raise ShapeMismatch("combination length does not match the system")
+    for col in zip(*rows):
+        if sum((y * a for y, a in zip(detail, col)), Fraction(0)) != 0:
+            raise ShapeMismatch("combination is not a left null vector")
+    return sum((y * b for y, b in zip(detail, rhs)), Fraction(0))
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One claim: the report flag its witnesses refute (None for the
+    curvature fit), whether witness indices are basis positions, the
+    measure rebuilding its object from raw pieces, and the residual
+    function reading a witness off that object."""
+
+    name: str
+    flag: str | None
+    labelled: bool
+    measure: object
+    residual: object
+
+
+CLAIMS = {claim.name: claim for claim in (
+    Claim("jacobi", "jacobi", True, lambda p: p.algebra,
+          lambda L, idx, detail: jacobi_residual(L, *idx)),
+    Claim("torsion", "torsion_free", True,
+          lambda p: torsion(p.connection), _slice),
+    Claim("curvature", "flat", True,
+          lambda p: curvature(p.connection), _slice),
+    Claim("codazzi", "codazzi", True,
+          lambda p: nabla_g(p.connection, p.metric),
+          lambda ng, idx, detail: ng[idx] - ng[(idx[1], idx[0], idx[2])]),
+    Claim("positive_definite", "metric_positive", False,
+          lambda p: leading_minors(symmetric_rows(p.metric.g)), _minor),
+    Claim("constant_curvature", None, True,
+          lambda p: (curvature(p.connection), comparison_tensor(p.metric)),
+          lambda rk, idx, detail: rk[0][idx] - detail[0] * rk[1][idx]),
+    Claim("nijenhuis", "integrable", True,
+          lambda p: nijenhuis(p.algebra, p.complex_structure), _slice),
+    Claim("d_omega", "omega_closed", True,
+          lambda p: ce_d(p.algebra, p.omega).coefficients,
+          _entry),
+    Claim("lee_system", "lck", False,
+          lambda p: _lee_system(p.algebra, p.omega, closed=False),
+          _certificate),
+    Claim("d_lee", "lee_closed", True,
+          lambda p: ce_d(p.algebra, p.lee_form).coefficients,
+          _entry),
+    Claim("lee_closed_system", "lee_closed", False,
+          lambda p: _lee_system(p.algebra, p.omega, closed=True),
+          _certificate),
+    Claim("pairing_symmetry", "pairing_positive", True,
+          lambda p: pairing_rows(p.omega, p.complex_structure),
+          lambda rows, idx, detail: (rows[idx[0]][idx[1]]
+                                     - rows[idx[1]][idx[0]])),
+    Claim("pairing_positive", "pairing_positive", False,
+          lambda p: leading_minors(
+              pairing_rows(p.omega, p.complex_structure)), _minor),
+)}
+
+
+def _witness(claim, obj, indices, detail=()):
+    """A witness whose residual is read off the computed object obj."""
+    return Witness(claim, indices,
+                   CLAIMS[claim].residual(obj, indices, detail), detail)
+
+
+def _vanishes(witnesses, claim, t, lead):
+    """True for a zero tensor t; otherwise record a witness at the first
+    lead indices of its first nonzero entry."""
+    if t.is_zero():
+        return True
+    idx, _ = t.first_nonzero()
+    witnesses.append(_witness(claim, t, idx[:lead]))
+    return False
+
+
+def _first_nonpositive(minors):
+    return next((k for k, m in enumerate(minors) if m <= 0), None)
 
 
 # -- the combined report ---------------------------------------------------
+
+def _verdict(*needs):
+    """A report flag computed only when the named pieces are supplied."""
+    return field(default=None, metadata={"needs": needs})
+
 
 @dataclass(frozen=True)
 class StructureReport:
@@ -416,32 +514,44 @@ class StructureReport:
     Flags are None when the needed pieces were absent, otherwise exact
     booleans; each False flag is backed by at least one entry of
     witnesses.  lee_form prefers a closed solution of the Lee equation
-    when one exists, falling back to the canonical solution.
+    when one exists, falling back to the canonical solution; with no
+    solution at all, lee_closed stays None even though omega was given.
     """
 
-    is_jacobi: bool | None = None
-    is_torsion_free: bool | None = None
-    is_flat: bool | None = None
-    is_codazzi: bool | None = None
-    is_metric_positive: bool | None = None
-    is_statistical: bool | None = None
-    is_hessian: bool | None = None
-    is_integrable: bool | None = None
-    is_omega_closed: bool | None = None
-    is_pairing_positive: bool | None = None
-    is_kahler: bool | None = None
-    is_lck: bool | None = None
+    is_jacobi: bool | None = _verdict()
+    is_torsion_free: bool | None = _verdict("connection")
+    is_flat: bool | None = _verdict("connection")
+    is_codazzi: bool | None = _verdict("connection", "metric")
+    is_metric_positive: bool | None = _verdict("metric")
+    is_statistical: bool | None = _verdict("connection", "metric")
+    is_hessian: bool | None = _verdict("connection", "metric")
+    is_integrable: bool | None = _verdict("complex_structure")
+    is_omega_closed: bool | None = _verdict("omega")
+    is_pairing_positive: bool | None = _verdict("complex_structure", "omega")
+    is_kahler: bool | None = _verdict("complex_structure", "omega")
+    is_lck: bool | None = _verdict("complex_structure", "omega")
     constant_curvature: CurvatureFit | None = None
     lee_form: KForm | None = None
-    is_lee_closed: bool | None = None
+    is_lee_closed: bool | None = _verdict("omega")
     witnesses: tuple = ()
 
     def flag(self, name):
         value = getattr(self, "is_" + name)
         if value is None:
-            raise DimensionMismatch(
-                f"verdict {name} needs pieces that were not supplied")
+            needs = self.__dataclass_fields__["is_" + name].metadata["needs"]
+            raise MissingPieces(
+                f"verdict {name} was not computed; it needs "
+                f"{' and '.join(needs)}", pieces=needs)
         return value
+
+    def computed_flags(self):
+        """(flag, verdict) pairs in FLAGS order, skipping the None ones."""
+        flags = ((name, getattr(self, "is_" + name)) for name in FLAGS)
+        return [(name, value) for name, value in flags if value is not None]
+
+
+FLAGS = tuple(f.name[len("is_"):] for f in fields(StructureReport)
+              if "needs" in f.metadata)
 
 
 def classify(L, connection=None, metric=None, complex_structure=None,
@@ -459,33 +569,24 @@ def classify(L, connection=None, metric=None, complex_structure=None,
 
     if connection is not None:
         _same_base(L, connection.base)
-        t = torsion(connection)
-        report["is_torsion_free"] = t.is_zero()
-        if not report["is_torsion_free"]:
-            (i, j, _k), _ = t.first_nonzero()
-            report_torsion = tuple(t[i, j, k] for k in range(L.dim))
-            witnesses.append(Witness("torsion", (i, j), report_torsion))
+        report["is_torsion_free"] = _vanishes(
+            witnesses, "torsion", torsion(connection), 2)
         r = curvature(connection)
-        report["is_flat"] = r.is_zero()
-        if not report["is_flat"]:
-            (i, j, k, _l), _ = r.first_nonzero()
-            vec = tuple(r[i, j, k, l] for l in range(L.dim))
-            witnesses.append(Witness("curvature", (i, j, k), vec))
+        report["is_flat"] = _vanishes(witnesses, "curvature", r, 3)
 
     if metric is not None:
         _same_base(L, metric.base)
         rows = symmetric_rows(metric.g)
         minors = leading_minors(rows)
-        bad = next((k for k, m in enumerate(minors) if m <= 0), None)
+        bad = _first_nonpositive(minors)
         report["is_metric_positive"] = bad is None
         if bad is not None:
             detail = ()
             if minors[bad] == 0:
                 kernel = null_vector([row[: bad + 1] for row in rows[: bad + 1]])
-                if kernel is not None:
-                    detail = kernel + (Fraction(0),) * (L.dim - bad - 1)
-            witnesses.append(Witness(
-                "positive_definite", (bad + 1,), minors[bad], detail))
+                detail = kernel + (Fraction(0),) * (L.dim - bad - 1)
+            witnesses.append(_witness(
+                "positive_definite", minors, (bad + 1,), detail))
 
     if connection is not None and metric is not None:
         violation = codazzi_check(connection, metric)
@@ -494,7 +595,10 @@ def classify(L, connection=None, metric=None, complex_structure=None,
             witnesses.append(Witness(
                 "codazzi", (violation.i, violation.j, violation.k),
                 violation.residual))
-        fit = constant_curvature(connection, metric)
+        if minors and minors[-1] == 0:
+            fit = CurvatureFit("degenerate")
+        else:
+            fit = _curvature_fit(r, comparison_tensor(metric))
         report["constant_curvature"] = fit
         if fit.witness is not None:
             witnesses.append(fit.witness)
@@ -505,12 +609,8 @@ def classify(L, connection=None, metric=None, complex_structure=None,
 
     if complex_structure is not None:
         _same_base(L, complex_structure.base)
-        n_tensor = nijenhuis(L, complex_structure)
-        report["is_integrable"] = n_tensor.is_zero()
-        if not report["is_integrable"]:
-            (i, j, _k), _ = n_tensor.first_nonzero()
-            vec = tuple(n_tensor[i, j, k] for k in range(L.dim))
-            witnesses.append(Witness("nijenhuis", (i, j), vec))
+        report["is_integrable"] = _vanishes(
+            witnesses, "nijenhuis", nijenhuis(L, complex_structure), 2)
 
     lee_form = None
     if omega is not None:
@@ -518,29 +618,26 @@ def classify(L, connection=None, metric=None, complex_structure=None,
             raise UnsupportedDegree("classification expects a 2-form")
         if omega.dim != L.dim:
             raise DimensionMismatch("form and algebra dimensions differ")
-        d_omega = ce_d(L, omega)
-        report["is_omega_closed"] = d_omega.is_zero()
-        if not report["is_omega_closed"]:
-            idx, value = next(d_omega.components())
-            witnesses.append(Witness("d_omega", idx, value))
+        report["is_omega_closed"] = _vanishes(
+            witnesses, "d_omega", ce_d(L, omega).coefficients, 3)
 
-        theta, certificate = _lee_solve_certified(L, omega)
+        system = _lee_system(L, omega, closed=False)
+        theta, certificate = _lee_solve(L, system)
         theta_closed = None
         if theta is None:
-            witnesses.append(Witness(
-                "lee_system", (), certificate.residual,
-                certificate.combination))
+            witnesses.append(_witness(
+                "lee_system", system, (), certificate.combination))
         else:
-            d_theta = ce_d(L, theta)
+            d_theta = ce_d(L, theta).coefficients
             if d_theta.is_zero():
                 theta_closed = theta
             else:
-                theta_closed, joint_cert = _closed_lee_solve(L, omega)
+                joint = _lee_system(L, omega, closed=True)
+                theta_closed, joint_cert = _lee_solve(L, joint)
                 if theta_closed is None:
-                    idx, value = next(d_theta.components())
-                    witnesses.append(Witness("d_lee", idx, value))
-                    witnesses.append(Witness(
-                        "lee_closed_system", (), joint_cert.residual,
+                    _vanishes(witnesses, "d_lee", d_theta, 2)
+                    witnesses.append(_witness(
+                        "lee_closed_system", joint, (),
                         joint_cert.combination))
         lee_form = theta_closed if theta_closed is not None else theta
         report["lee_form"] = lee_form
@@ -549,22 +646,20 @@ def classify(L, connection=None, metric=None, complex_structure=None,
 
         if complex_structure is not None:
             rows = pairing_rows(omega, complex_structure)
-            positive = True
             n = L.dim
             asym = next(((i, j) for i in range(n) for j in range(i + 1, n)
-                         if rows[i][j] != rows[j][i]), None)
+                         if CLAIMS["pairing_symmetry"].residual(
+                             rows, (i, j), ()) != 0), None)
+            bad = None
             if asym is not None:
-                positive = False
-                i, j = asym
-                witnesses.append(Witness(
-                    "pairing_symmetry", (i, j), rows[i][j] - rows[j][i]))
+                witnesses.append(_witness("pairing_symmetry", rows, asym))
             else:
                 minors = leading_minors(rows)
-                bad = next((k for k, m in enumerate(minors) if m <= 0), None)
+                bad = _first_nonpositive(minors)
                 if bad is not None:
-                    positive = False
-                    witnesses.append(Witness(
-                        "pairing_positive", (bad + 1,), minors[bad]))
+                    witnesses.append(_witness(
+                        "pairing_positive", minors, (bad + 1,)))
+            positive = asym is None and bad is None
             report["is_pairing_positive"] = positive
             report["is_kahler"] = (report["is_integrable"]
                                    and report["is_omega_closed"]
@@ -587,66 +682,16 @@ def witness_residual(witness, *, algebra=None, connection=None, metric=None,
                      complex_structure=None, omega=None, lee_form=None):
     """Recompute the quantity a witness points at, from scratch.
 
-    The result equals the stored residual for a truthful report, and a
-    nonzero value demonstrates the failed claim.
+    The claim's object is rebuilt from the raw pieces and its residual
+    read off with the function classify used.  The result equals the
+    stored residual for a truthful report, and a nonzero value
+    demonstrates the failed claim.
     """
-    claim = witness.claim
-    idx = tuple(witness.indices)
-    if claim == "jacobi":
-        i, j, k = idx
-        b = [algebra.basis_vector(m) for m in range(algebra.dim)]
-        parts = (bracket(algebra, bracket(algebra, b[i], b[j]), b[k]),
-                 bracket(algebra, bracket(algebra, b[j], b[k]), b[i]),
-                 bracket(algebra, bracket(algebra, b[k], b[i]), b[j]))
-        return tuple(sum(col, Fraction(0)) for col in zip(*parts))
-    if claim == "torsion":
-        i, j = idx
-        t = torsion(connection)
-        return tuple(t[i, j, k] for k in range(connection.base.dim))
-    if claim == "curvature":
-        i, j, k = idx
-        r = curvature(connection)
-        return tuple(r[i, j, k, l] for l in range(connection.base.dim))
-    if claim == "codazzi":
-        i, j, k = idx
-        ng = nabla_g(connection, metric)
-        return ng[i, j, k] - ng[j, i, k]
-    if claim == "positive_definite":
-        (size,) = idx
-        return leading_minors(symmetric_rows(metric.g))[size - 1]
-    if claim == "constant_curvature":
-        c = witness.detail[0]
-        r = curvature(connection)
-        k = comparison_tensor(metric)
-        return r[idx] - c * k[idx]
-    if claim == "nijenhuis":
-        i, j = idx
-        n_tensor = nijenhuis(algebra, complex_structure)
-        return tuple(n_tensor[i, j, k] for k in range(algebra.dim))
-    if claim == "d_omega":
-        return ce_d(algebra, omega).coefficients[idx]
-    if claim == "d_lee":
-        return ce_d(algebra, lee_form).coefficients[idx]
-    if claim in ("lee_system", "lee_closed_system"):
-        rows, rhs, _ = lee_form_system(algebra, omega)
-        if claim == "lee_closed_system":
-            extra = closedness_rows(algebra)
-            rows = rows + extra
-            rhs = rhs + [Fraction(0)] * len(extra)
-        combo = witness.detail
-        if len(combo) != len(rows):
-            raise ShapeMismatch("combination length does not match the system")
-        for col in range(algebra.dim):
-            if sum((y * row[col] for y, row in zip(combo, rows)),
-                   Fraction(0)) != 0:
-                raise ShapeMismatch("combination is not a left null vector")
-        return sum((y * b for y, b in zip(combo, rhs)), Fraction(0))
-    if claim == "pairing_symmetry":
-        i, j = idx
-        rows = pairing_rows(omega, complex_structure)
-        return rows[i][j] - rows[j][i]
-    if claim == "pairing_positive":
-        (size,) = idx
-        rows = pairing_rows(omega, complex_structure)
-        return leading_minors(rows)[size - 1]
-    raise ShapeMismatch(f"unknown witness claim {claim!r}")
+    claim = CLAIMS.get(witness.claim)
+    if claim is None:
+        raise ShapeMismatch(f"unknown witness claim {witness.claim!r}")
+    pieces = SimpleNamespace(
+        algebra=algebra, connection=connection, metric=metric,
+        complex_structure=complex_structure, omega=omega, lee_form=lee_form)
+    return claim.residual(claim.measure(pieces), tuple(witness.indices),
+                          tuple(witness.detail))

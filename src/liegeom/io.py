@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import LieAlgebra
-from .errors import (DocumentSyntaxError, LieGeomError, ValidationError)
+from .errors import (DocumentSyntaxError, LieGeomError, NotAlmostComplex,
+                     ValidationError)
 from .forms import KForm
 from .geometry import ComplexStructure, Connection, Metric
 from .rationals import format_rational, parse_rational
@@ -83,8 +84,15 @@ class AlgebraDocument:
             return None
         entries = {idx: value for idx, value in self.complex_structure}
         n = self.dim
-        return ComplexStructure(
-            algebra, Tensor.from_entries((n, n), (UP, DOWN), entries))
+        try:
+            return ComplexStructure(
+                algebra, Tensor.from_entries((n, n), (UP, DOWN), entries))
+        except NotAlmostComplex as exc:
+            # a J that does not square to -1 is not a complex structure
+            # at all, so the document is unusable rather than refuted
+            raise ValidationError(
+                f"complex_structure does not square to -1: {exc}",
+                field="complex_structure") from exc
 
     def form_block(self, name):
         for block in self.forms:
@@ -209,6 +217,10 @@ def _entry_list(raw, name, arity, dim, ordered=None):
                 field=where)
         if ordered == "weak_pair" and not idx[0] <= idx[1]:
             raise ValidationError(f"{where} must have i <= j", field=where)
+        if ordered == "increasing" and any(
+                not a < b for a, b in zip(idx, idx[1:])):
+            raise ValidationError(
+                f"{where} must have strictly increasing indices", field=where)
         if idx in seen:
             raise ValidationError(f"duplicate index {idx} at {where}",
                                   field=where)
@@ -231,32 +243,9 @@ def _form_block(raw, pos, dim):
     if degree not in (1, 2, 3):
         raise ValidationError(f"form degree must be 1, 2 or 3 at {where}",
                               field=where)
-    if not isinstance(raw["entries"], list):
-        raise ValidationError(f"{where}.entries must be a list", field=where)
-    seen = {}
-    for epos, item in enumerate(raw["entries"]):
-        ewhere = f"{where}.entries[{epos}]"
-        if (not isinstance(item, list) or len(item) != degree + 1
-                or not all(isinstance(i, int) and not isinstance(i, bool)
-                           for i in item[:degree])):
-            raise ValidationError(
-                f"{ewhere} must be degree indices plus a coefficient",
-                field=ewhere)
-        idx = tuple(item[:degree])
-        if any(not 0 <= i < dim for i in idx):
-            raise ValidationError(f"index out of range at {ewhere}",
-                                  field=ewhere)
-        if any(not a < b for a, b in zip(idx, idx[1:])):
-            raise ValidationError(
-                f"{ewhere} must have strictly increasing indices",
-                field=ewhere)
-        if idx in seen:
-            raise ValidationError(f"duplicate index {idx} at {ewhere}",
-                                  field=ewhere)
-        value = _rational(item[degree], ewhere)
-        if value != 0:
-            seen[idx] = value
-    return FormBlock(name, degree, tuple(sorted(seen.items())))
+    entries = _entry_list(raw["entries"], f"{where}.entries", degree, dim,
+                          ordered="increasing")
+    return FormBlock(name, degree, entries)
 
 
 # -- serialisation ---------------------------------------------------------

@@ -6,14 +6,16 @@ tuple of Fractions.  Dimensions stay small (a few up to sixteen), so
 nothing here tries to be clever about storage.
 
 The module also carries the exact linear algebra the rest of the package
-leans on: determinants, Sylvester's positive-definiteness test and a
-row-reduction solver that either returns the canonical solution (free
-variables pinned to zero) or an explicit certificate of infeasibility.
+leans on: determinants, the leading principal minors behind Sylvester's
+positive-definiteness test and a row-reduction solver that either
+returns the canonical solution (free variables pinned to zero) or an
+explicit certificate of infeasibility.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -56,12 +58,9 @@ class Tensor:
             raise ShapeMismatch(f"shape {shape} vs variance {variance}")
         if any(v not in (UP, DOWN) for v in variance):
             raise ShapeMismatch(f"bad variance {variance}")
-        size = 1
-        for n in shape:
-            if n < 0:
-                raise ShapeMismatch(f"negative axis in {shape}")
-            size *= n
-        if len(entries) != size:
+        if any(n < 0 for n in shape):
+            raise ShapeMismatch(f"negative axis in {shape}")
+        if len(entries) != math.prod(shape):
             raise ShapeMismatch(f"{len(entries)} entries for shape {shape}")
         for a, b in self.sym + self.alt:
             if not (0 <= a < len(shape) and 0 <= b < len(shape)) or a == b:
@@ -85,15 +84,13 @@ class Tensor:
 
     @classmethod
     def zero(cls, shape, variance):
-        size = 1
-        for n in shape:
-            size *= n
-        return cls(tuple(shape), tuple(variance), (Fraction(0),) * size)
+        return cls(tuple(shape), tuple(variance),
+                   (Fraction(0),) * math.prod(shape))
 
     @classmethod
     def from_entries(cls, shape, variance, mapping, **tags):
         """Dense tensor from a sparse {index tuple: value} mapping."""
-        t = [Fraction(0)] * _size(shape)
+        t = [Fraction(0)] * math.prod(shape)
         strides = _strides(shape)
         for idx, value in mapping.items():
             t[_offset(idx, shape, strides)] = _as_q(value)
@@ -186,13 +183,6 @@ class Tensor:
                 f"{self.shape}/{self.variance} vs {other.shape}/{other.variance}")
 
 
-def _size(shape):
-    size = 1
-    for n in shape:
-        size *= n
-    return size
-
-
 def _strides(shape):
     strides = []
     acc = 1
@@ -212,55 +202,6 @@ def _offset(idx, shape, strides):
             raise ShapeMismatch(f"index {idx} out of range for shape {shape}")
         off += i * s
     return off
-
-
-def contract(a, b, axes):
-    """Sum-of-products contraction of paired axes.
-
-    axes is a sequence of (axis of a, axis of b) pairs.  Paired axes
-    must agree in length and carry opposite variance.  The result keeps
-    the uncontracted axes of a, in order, then those of b.
-    """
-    pairs = [(int(i), int(j)) for i, j in axes]
-    seen_a = set()
-    seen_b = set()
-    for i, j in pairs:
-        if not (0 <= i < a.rank and 0 <= j < b.rank):
-            raise ShapeMismatch(f"contraction axes ({i}, {j}) out of range")
-        if i in seen_a or j in seen_b:
-            raise ShapeMismatch("axis contracted twice")
-        seen_a.add(i)
-        seen_b.add(j)
-        if a.shape[i] != b.shape[j]:
-            raise ShapeMismatch(
-                f"axis length {a.shape[i]} vs {b.shape[j]} in contraction")
-        if a.variance[i] == b.variance[j]:
-            raise ShapeMismatch(
-                "contracted axes must pair one up with one down index")
-    free_a = [i for i in range(a.rank) if i not in seen_a]
-    free_b = [j for j in range(b.rank) if j not in seen_b]
-    shape = tuple(a.shape[i] for i in free_a) + tuple(b.shape[j] for j in free_b)
-    variance = (tuple(a.variance[i] for i in free_a)
-                + tuple(b.variance[j] for j in free_b))
-    summed = [a.shape[i] for i, _ in pairs]
-    out = []
-    for free in itertools.product(*(range(n) for n in shape)):
-        fa = free[:len(free_a)]
-        fb = free[len(free_a):]
-        total = Fraction(0)
-        for ks in itertools.product(*(range(n) for n in summed)):
-            ia = [0] * a.rank
-            ib = [0] * b.rank
-            for pos, i in enumerate(free_a):
-                ia[i] = fa[pos]
-            for pos, j in enumerate(free_b):
-                ib[j] = fb[pos]
-            for (i, j), k in zip(pairs, ks):
-                ia[i] = k
-                ib[j] = k
-            total += a[tuple(ia)] * b[tuple(ib)]
-        out.append(total)
-    return Tensor(shape, variance, tuple(out))
 
 
 # -- exact matrix routines (rows are lists of Fractions) -------------------
@@ -301,17 +242,12 @@ def leading_minors(rows):
     return [det([r[: k + 1] for r in rows[: k + 1]]) for k in range(len(rows))]
 
 
-def is_positive_definite(m):
-    """Sylvester's criterion on a symmetric covariant matrix.
+def symmetric_rows(m):
+    """Row lists of a square covariant matrix, checked to be symmetric.
 
     Raises ShapeMismatch unless m is square, rank 2 and fully covariant,
     and NotSymmetric when the entries are not symmetric.
     """
-    rows = symmetric_rows(m)
-    return all(minor > 0 for minor in leading_minors(rows))
-
-
-def symmetric_rows(m):
     if m.rank != 2 or m.shape[0] != m.shape[1]:
         raise ShapeMismatch(f"expected a square matrix, got shape {m.shape}")
     if m.variance != (DOWN, DOWN):
@@ -349,35 +285,18 @@ class Infeasible:
 
 
 def null_vector(rows):
-    """A nonzero kernel vector of A, or None when A has full column rank."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    solved = solve_linear(rows, [Fraction(0)] * nrows)
-    if not solved.free_columns:
+    """A nonzero kernel vector of A, or None when A has full column rank.
+
+    With f the first free column, e_f plus the canonical solution of
+    A x = -A e_f lies in the kernel.
+    """
+    free = solve_linear(rows, [Fraction(0)] * len(rows)).free_columns
+    if not free:
         return None
-    # re-reduce to read the pivot-column coefficients of the first free column
-    a = [[_as_q(x) for x in row] for row in rows]
-    rank = 0
-    pivots = []
-    for col in range(ncols):
-        pivot_row = next((r for r in range(rank, nrows) if a[r][col] != 0), None)
-        if pivot_row is None:
-            continue
-        a[rank], a[pivot_row] = a[pivot_row], a[rank]
-        pivot = a[rank][col]
-        a[rank] = [x / pivot for x in a[rank]]
-        for r in range(nrows):
-            if r != rank and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[rank])]
-        pivots.append(col)
-        rank += 1
-    free = solved.free_columns[0]
-    out = [Fraction(0)] * ncols
-    out[free] = Fraction(1)
-    for k, col in enumerate(pivots):
-        out[col] = -a[k][free]
-    return tuple(out)
+    f = free[0]
+    shifted = solve_linear(rows, [-_as_q(row[f]) for row in rows]).values
+    return tuple(Fraction(1) if col == f else value
+                 for col, value in enumerate(shifted))
 
 
 def solve_linear(rows, rhs):

@@ -2,7 +2,8 @@ import io
 import json
 from fractions import Fraction
 
-from liegeom import document_from, get_example, parse, serialize
+from liegeom import (Connection, LieAlgebra, Metric, Witness, document_from,
+                     get_example, parse, serialize, witness_residual)
 from liegeom.cli import run_command
 
 Q = Fraction
@@ -124,6 +125,44 @@ def test_verify_json_payload():
                                              "value": "1"}
     assert payload["verdict"] == "pass"
     assert len(payload["notes"]) == 3
+
+
+def test_verify_degenerate_metric_reports_instead_of_aborting(tmp_path):
+    L = LieAlgebra.abelian(("x", "y"))
+    connection = Connection.zero(L)
+    metric = Metric.from_rows(L, [[1, 0], [0, 0]])
+    path = tmp_path / "degenerate.json"
+    path.write_text(serialize(document_from(L, connection=connection,
+                                            metric=metric)))
+    code, out, err = run(["verify", str(path)])
+    assert (code, err) == (0, "")
+    assert "metric_positive: fail" in out
+    assert "constant_curvature: degenerate" in out
+    assert "witness: positive_definite at (2): 0" in out
+    code, out, err = run(["verify", "--as", "statistical", str(path)])
+    assert code == 1
+    assert "verdict: fail" in out
+    code, out, err = run(["verify", "--format", "json", str(path)])
+    payload = json.loads(out)
+    assert payload["constant_curvature"] == {"kind": "degenerate",
+                                             "value": None}
+    (w,) = payload["witnesses"]
+    witness = Witness(w["claim"], tuple(w["indices"]), Q(w["residual"]),
+                      tuple(Q(v) for v in w["detail"]))
+    assert witness.detail == (Q(0), Q(1))
+    assert witness_residual(witness, metric=metric) == witness.residual
+
+
+def test_verify_rejects_a_complex_structure_that_does_not_square_to_minus_one(
+        tmp_path):
+    L = LieAlgebra.abelian(("x", "y"))
+    doc = json.loads(serialize(document_from(L)))
+    doc["complex_structure"] = [[0, 0, "1"], [1, 1, "1"]]
+    path = tmp_path / "not-complex.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(["verify", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: complex_structure does not square to -1")
 
 
 def test_verify_missing_file():

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from liegeom import (ComplexStructure, Connection, DegenerateMetric,
-                     DimensionMismatch, KForm, LieAlgebra, Metric,
-                     NotAlmostComplex, ShapeMismatch, Tensor,
+                     DimensionMismatch, InputError, KForm, LieAlgebra, Metric,
+                     MissingPieces, NotAlmostComplex, ShapeMismatch, Tensor,
                      classify, codazzi_check, cone_extend, constant_curvature,
                      curvature, double, get_example, nabla, nabla_g,
                      nijenhuis, torsion, witness_residual)
@@ -271,8 +271,10 @@ def test_classify_flags_none_without_inputs():
     assert report.is_jacobi is True
     assert report.is_torsion_free is None
     assert report.is_kahler is None
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(MissingPieces) as caught:
         report.flag("kahler")
+    assert caught.value.pieces == ("complex_structure", "omega")
+    assert isinstance(caught.value, InputError)
     assert report.flag("jacobi") is True
 
 
@@ -290,6 +292,20 @@ def test_classify_statistical_composites():
     assert report.constant_curvature.value == Q(-1)
     claims = [w.claim for w in report.witnesses]
     assert claims == ["curvature"]
+
+
+def test_classify_reports_a_degenerate_metric():
+    L = LieAlgebra.abelian(("x", "y"))
+    g = Metric.from_rows(L, [[1, 0], [0, 0]])
+    report = classify(L, connection=Connection.zero(L), metric=g)
+    assert report.is_metric_positive is False
+    assert report.is_statistical is False
+    assert report.constant_curvature.kind == "degenerate"
+    assert report.constant_curvature.value is None
+    (witness,) = report.witnesses
+    assert (witness.claim, witness.indices, witness.residual,
+            witness.detail) == ("positive_definite", (2,), Q(0), (Q(0), Q(1)))
+    assert witness_residual(witness, metric=g) == 0
 
 
 def test_classify_kahler_on_abelian_plane():

@@ -5,9 +5,8 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from liegeom import (ComplexStructure, Connection, KForm, LieAlgebra, Metric,
-                     Tensor, bracket, ce_d, constant_curvature, curvature,
-                     get_example, make_rational, rescale_metric, solve_lambda,
-                     wedge)
+                     bracket, ce_d, constant_curvature, curvature, get_example,
+                     make_rational, rescale_metric, solve_lambda, wedge)
 
 Q = Fraction
 
@@ -47,22 +46,6 @@ def test_make_rational_respects_field_structure(a, b, c, d):
 
 
 # -- tensor laws -----------------------------------------------------------
-
-@given(x=vector(2), y=vector(2), s=rationals)
-def test_contraction_is_bilinear(x, y, s):
-    from liegeom.tensors import contract
-    entry = get_example("clan-triangular")
-    gamma = entry.connection.gamma
-
-    def lift(v):
-        return Tensor((2,), ("u",), tuple(v))
-
-    combined = contract(gamma, lift(tuple(
-        a + s * b for a, b in zip(x, y))), ((0, 0),))
-    left = contract(gamma, lift(x), ((0, 0),))
-    right = contract(gamma, lift(y), ((0, 0),))
-    assert combined == left + right.scale(s)
-
 
 @given(rows=st.lists(st.tuples(small_ints, small_ints, small_ints),
                      min_size=3, max_size=3))
