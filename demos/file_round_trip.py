@@ -17,23 +17,24 @@ def main():
     entry = get_example("su2")
     doc = document_from(entry.algebra, connection=entry.connection,
                         metric=entry.metric)
-    workdir = Path(tempfile.mkdtemp(prefix="liegeom-demo-"))
-    source = workdir / "su2.json"
-    source.write_text(serialize(doc))
-    print("wrote", source)
+    with tempfile.TemporaryDirectory(prefix="liegeom-demo-") as tmp:
+        workdir = Path(tmp)
+        source = workdir / "su2.json"
+        source.write_text(serialize(doc))
+        print("wrote", source)
 
-    member = workdir / "member.json"
-    code = run_command(["construct", "lck", str(source),
-                        "--c", "1", "--t", "1", "-o", str(member)])
-    print("construct exit:", code)
+        member = workdir / "member.json"
+        code = run_command(["construct", "lck", str(source),
+                            "--c", "1", "--t", "1", "-o", str(member)])
+        print("construct exit:", code)
 
-    code = run_command(["verify", "--as", "kahler", str(member)])
-    print("verify --as kahler exit:", code, "(1 means the claim fails)")
+        code = run_command(["verify", "--as", "kahler", str(member)])
+        print("verify --as kahler exit:", code, "(1 means the claim fails)")
 
-    back = parse(member.read_text())
-    print("member dim:", back.dim)
-    print("stored forms:", ", ".join(f.name for f in back.forms))
-    print("lee form block:", back.form_block("lee_form").entries)
+        back = parse(member.read_text())
+        print("member dim:", back.dim)
+        print("stored forms:", ", ".join(f.name for f in back.forms))
+        print("lee form block:", back.form_block("lee_form").entries)
     return 0
 
 

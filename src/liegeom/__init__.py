@@ -19,9 +19,9 @@ from .constructions import (ConeExtension, DoubledAlgebra,
 from .errors import (BadParameters, CurvatureMismatch, DegenerateMetric,
                      DimensionMismatch, DocumentSyntaxError, InputError,
                      LieGeomError, MissingPieces, MissingRadiant,
-                     NoRealSolution, NonPositiveScale, NonPositiveT,
-                     NotAlmostComplex, NotConical, NotHessian, NotStatistical,
-                     NotSymmetric, ShapeMismatch, UnderdeterminedCurvature,
+                     NoLeeForm, NoRealSolution, NonPositiveScale,
+                     NonPositiveT, NotAlmostComplex, NotConical, NotHessian,
+                     NotStatistical, ShapeMismatch, UnderdeterminedCurvature,
                      UnknownExample, UnsupportedDegree, ValidationError,
                      VerdictError, ZeroCurvature, ZeroDenominator)
 from .forms import KForm, ce_d, dual_form, wedge

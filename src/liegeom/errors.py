@@ -30,10 +30,6 @@ class ShapeMismatch(InputError):
     pass
 
 
-class NotSymmetric(VerdictError):
-    pass
-
-
 class DimensionMismatch(InputError):
     pass
 
@@ -57,6 +53,10 @@ class UnsupportedDegree(InputError):
 
 class NotAlmostComplex(VerdictError):
     """The square of the candidate complex structure is not minus the identity."""
+
+
+class NoLeeForm(VerdictError):
+    """d(omega) = theta ^ omega has no solution theta."""
 
 
 class DegenerateMetric(VerdictError):

@@ -25,10 +25,11 @@ from types import SimpleNamespace
 from .algebra import (LieAlgebra, as_vector, bracket, jacobi_check,
                       jacobi_residual)
 from .errors import (DegenerateMetric, DimensionMismatch, MissingPieces,
-                     NotAlmostComplex, ShapeMismatch, UnsupportedDegree)
+                     NoLeeForm, NotAlmostComplex, ShapeMismatch,
+                     UnsupportedDegree)
 from .forms import KForm, ce_d
-from .tensors import (DOWN, UP, Infeasible, Tensor, det, leading_minors,
-                      matrix_rows, null_vector, solve_linear, symmetric_rows)
+from .tensors import (DOWN, UP, Infeasible, Tensor, _eliminate, det,
+                      leading_minors, matrix_rows, null_vector, solve_linear)
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,7 @@ class Metric:
                    Fraction(0))
 
     def is_positive_definite(self):
-        return all(m > 0 for m in leading_minors(symmetric_rows(self.g)))
+        return all(m > 0 for m in leading_minors(matrix_rows(self.g)))
 
 
 @dataclass(frozen=True)
@@ -373,11 +374,7 @@ def _lee_system(L, omega, closed):
 
 def _lee_solve(L, system):
     """(theta, None) for the canonical solution, (None, certificate) if none."""
-    rows, rhs = system
-    if not rows:
-        # no equations, as below three dimensions: theta = 0 solves them
-        return KForm.zero(L.dim, 1), None
-    solved = solve_linear(rows, rhs)
+    solved = solve_linear(*system)
     if isinstance(solved, Infeasible):
         return None, solved
     values = {(i,): v for i, v in enumerate(solved.values) if v != 0}
@@ -412,8 +409,25 @@ def _entry(t, idx, detail):
     return t[idx]
 
 
-def _minor(minors, idx, detail):
-    return minors[idx[0] - 1]
+def _definiteness(rows):
+    """A square matrix with its one elimination: minors, det and kernel."""
+    return rows, _eliminate(rows)
+
+
+def _minor(definiteness, idx, detail):
+    """Leading minor idx[0]; a nonempty detail must be a kernel vector of
+    the leading block of that size, padded with zeros."""
+    rows, reduced = definiteness
+    k = idx[0] if len(idx) == 1 else 0
+    if not 1 <= k <= len(reduced.minors):
+        raise ShapeMismatch(f"no leading minor {idx} up to the first zero one")
+    if detail and (len(detail) != len(rows) or any(detail[k:])
+                   or not any(detail) or any(
+                       sum(a * x for a, x in zip(row, detail)) != 0
+                       for row in rows[:k])):
+        raise ShapeMismatch(
+            f"detail is no zero-padded kernel vector of the {k}x{k} block")
+    return reduced.minors[k - 1]
 
 
 def _certificate(system, idx, detail):
@@ -452,7 +466,7 @@ CLAIMS = {claim.name: claim for claim in (
           lambda p: nabla_g(p.connection, p.metric),
           lambda ng, idx, detail: ng[idx] - ng[(idx[1], idx[0], idx[2])]),
     Claim("positive_definite", "metric_positive", False,
-          lambda p: leading_minors(symmetric_rows(p.metric.g)), _minor),
+          lambda p: _definiteness(matrix_rows(p.metric.g)), _minor),
     Claim("constant_curvature", None, True,
           lambda p: (curvature(p.connection), comparison_tensor(p.metric)),
           lambda rk, idx, detail: rk[0][idx] - detail[0] * rk[1][idx]),
@@ -475,7 +489,7 @@ CLAIMS = {claim.name: claim for claim in (
           lambda rows, idx, detail: (rows[idx[0]][idx[1]]
                                      - rows[idx[1]][idx[0]])),
     Claim("pairing_positive", "pairing_positive", False,
-          lambda p: leading_minors(
+          lambda p: _definiteness(
               pairing_rows(p.omega, p.complex_structure)), _minor),
 )}
 
@@ -496,7 +510,8 @@ def _vanishes(witnesses, claim, t, lead):
     return False
 
 
-def _first_nonpositive(minors):
+def _first_nonpositive(definiteness):
+    minors = definiteness[1].minors
     return next((k for k, m in enumerate(minors) if m <= 0), None)
 
 
@@ -515,7 +530,8 @@ class StructureReport:
     booleans; each False flag is backed by at least one entry of
     witnesses.  lee_form prefers a closed solution of the Lee equation
     when one exists, falling back to the canonical solution; with no
-    solution at all, lee_closed stays None even though omega was given.
+    solution at all, lee_closed stays None even though omega was given,
+    and flag("lee_closed") raises NoLeeForm.
     """
 
     is_jacobi: bool | None = _verdict()
@@ -538,6 +554,9 @@ class StructureReport:
     def flag(self, name):
         value = getattr(self, "is_" + name)
         if value is None:
+            if name == "lee_closed" and self.is_omega_closed is not None:
+                raise NoLeeForm("verdict lee_closed is undefined: the Lee "
+                                "equation has no solution theta")
             needs = self.__dataclass_fields__["is_" + name].metadata["needs"]
             raise MissingPieces(
                 f"verdict {name} was not computed; it needs "
@@ -576,17 +595,17 @@ def classify(L, connection=None, metric=None, complex_structure=None,
 
     if metric is not None:
         _same_base(L, metric.base)
-        rows = symmetric_rows(metric.g)
-        minors = leading_minors(rows)
-        bad = _first_nonpositive(minors)
+        definiteness = _definiteness(matrix_rows(metric.g))
+        rows, reduced = definiteness
+        bad = _first_nonpositive(definiteness)
         report["is_metric_positive"] = bad is None
         if bad is not None:
             detail = ()
-            if minors[bad] == 0:
+            if reduced.minors[bad] == 0:
                 kernel = null_vector([row[: bad + 1] for row in rows[: bad + 1]])
                 detail = kernel + (Fraction(0),) * (L.dim - bad - 1)
             witnesses.append(_witness(
-                "positive_definite", minors, (bad + 1,), detail))
+                "positive_definite", definiteness, (bad + 1,), detail))
 
     if connection is not None and metric is not None:
         violation = codazzi_check(connection, metric)
@@ -595,7 +614,7 @@ def classify(L, connection=None, metric=None, complex_structure=None,
             witnesses.append(Witness(
                 "codazzi", (violation.i, violation.j, violation.k),
                 violation.residual))
-        if minors and minors[-1] == 0:
+        if reduced.det == 0:
             fit = CurvatureFit("degenerate")
         else:
             fit = _curvature_fit(r, comparison_tensor(metric))
@@ -654,11 +673,11 @@ def classify(L, connection=None, metric=None, complex_structure=None,
             if asym is not None:
                 witnesses.append(_witness("pairing_symmetry", rows, asym))
             else:
-                minors = leading_minors(rows)
-                bad = _first_nonpositive(minors)
+                definiteness = _definiteness(rows)
+                bad = _first_nonpositive(definiteness)
                 if bad is not None:
                     witnesses.append(_witness(
-                        "pairing_positive", minors, (bad + 1,)))
+                        "pairing_positive", definiteness, (bad + 1,)))
             positive = asym is None and bad is None
             report["is_pairing_positive"] = positive
             report["is_kahler"] = (report["is_integrable"]

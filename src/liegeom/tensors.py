@@ -1,25 +1,26 @@
-"""Dense multi-indexed arrays of exact rationals.
+"""Dense multi-indexed arrays of exact rationals, and exact linear algebra.
 
 A Tensor is immutable: a shape, one variance character per axis ("u" for
 a contravariant axis, "d" for a covariant one) and a flat row-major
 tuple of Fractions.  Dimensions stay small (a few up to sixteen), so
 nothing here tries to be clever about storage.
 
-The module also carries the exact linear algebra the rest of the package
-leans on: determinants, the leading principal minors behind Sylvester's
-positive-definiteness test and a row-reduction solver that either
-returns the canonical solution (free variables pinned to zero) or an
-explicit certificate of infeasibility.
+det, leading_minors, solve_linear and null_vector read their answers off
+one integer-preserving elimination (Bareiss 1968): the determinant, the
+leading principal minors behind Sylvester's test up to the first zero
+one (past it the pass swaps rows), the canonical solution with free
+variables zero or a certificate of infeasibility, and a kernel vector.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import NotSymmetric, ShapeMismatch
+from .errors import ShapeMismatch
 
 UP = "u"
 DOWN = "d"
@@ -213,54 +214,6 @@ def matrix_rows(t):
     return [[t[i, j] for j in range(t.shape[1])] for i in range(t.shape[0])]
 
 
-def det(rows):
-    """Exact determinant by fraction-free-enough Gaussian elimination."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ShapeMismatch("determinant of a non-square matrix")
-    m = [[_as_q(x) for x in r] for r in rows]
-    sign = 1
-    result = Fraction(1)
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != col:
-            m[col], m[pivot_row] = m[pivot_row], m[col]
-            sign = -sign
-        pivot = m[col][col]
-        result *= pivot
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                factor = m[r][col] / pivot
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return sign * result
-
-
-def leading_minors(rows):
-    """Leading principal minors, sizes 1 through n."""
-    return [det([r[: k + 1] for r in rows[: k + 1]]) for k in range(len(rows))]
-
-
-def symmetric_rows(m):
-    """Row lists of a square covariant matrix, checked to be symmetric.
-
-    Raises ShapeMismatch unless m is square, rank 2 and fully covariant,
-    and NotSymmetric when the entries are not symmetric.
-    """
-    if m.rank != 2 or m.shape[0] != m.shape[1]:
-        raise ShapeMismatch(f"expected a square matrix, got shape {m.shape}")
-    if m.variance != (DOWN, DOWN):
-        raise ShapeMismatch("definiteness applies to covariant matrices")
-    rows = matrix_rows(m)
-    n = len(rows)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rows[i][j] != rows[j][i]:
-                raise NotSymmetric(f"entries ({i}, {j}) and ({j}, {i}) differ")
-    return rows
-
-
 # -- exact linear systems --------------------------------------------------
 
 @dataclass(frozen=True)
@@ -284,65 +237,121 @@ class Infeasible:
     residual: Fraction
 
 
+# One pass over A x = b yields a LinearSolution or Infeasible, det (None
+# unless A is square), the minors up to the first zero one and a kernel.
+_Elimination = namedtuple("_Elimination", "outcome det minors kernel")
+
+
+def _eliminate(rows, rhs=None):
+    """One fraction-free pass over A x = b, b = 0 if rhs is None.
+
+    Each row of [A | b] is cleared of its denominators once, by its own s,
+    and with an rhs carries s times its identity row to track it as a
+    combination of the rows of A.  Left to right, the pivot is the first
+    nonzero entry at or below the current row, and every other row r
+    becomes (p a_r - a_rc a_pivot) / (previous pivot), exact on ints.
+    Pivot rows so end reduced with the last pivot d on the diagonal, and
+    the other rows are the Gauss-Jordan ones times d s.  Until the first
+    zero, the leading minor k + 1 is the entry at (k, k) as column k opens.
+    """
+    nrows, ncols = len(rows), (len(rows[0]) if rows else 0)
+    if any(len(row) != ncols for row in rows):
+        raise ShapeMismatch("ragged coefficient matrix")
+    certify = rhs is not None
+    rhs = rhs if certify else [0] * nrows
+    if len(rhs) != nrows:
+        raise ShapeMismatch("right-hand side length mismatch")
+    a, scales = [], []
+    for i, row in enumerate(rows):
+        q = [_as_q(x) for x in row] + [_as_q(rhs[i])]
+        s = math.lcm(*(x.denominator for x in q))
+        scales.append(s)
+        a.append([x.numerator * (s // x.denominator) for x in q]
+                 + [s * (i == j) for j in range(nrows) if certify])
+    order = list(range(nrows))
+    pivots, minors = [], []
+    sign = prev = 1
+    for col in range(ncols):
+        rank = len(pivots)
+        if col < nrows and (not minors or minors[-1]):
+            minors.append(Fraction(a[col][col], math.prod(scales[:col + 1])))
+        pivot_row = next((r for r in range(rank, nrows) if a[r][col]), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != rank:
+            a[rank], a[pivot_row] = a[pivot_row], a[rank]
+            order[rank], order[pivot_row] = order[pivot_row], order[rank]
+            sign = -sign
+        top = a[rank]
+        p = top[col]
+        for r, row in enumerate(a):
+            f = row[col]
+            if r != rank and (f or p != prev):
+                a[r] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
+        pivots.append(col)
+
+    def column(j):  # pivot variables read off column j of the reduced rows
+        x = [Fraction(0)] * ncols
+        for k, col in enumerate(pivots):
+            x[col] = Fraction(a[k][j], prev)
+        return x
+
+    rank = len(pivots)
+    free = tuple(c for c in range(ncols) if c not in pivots)
+    bad = next((r for r in range(rank, nrows) if a[r][ncols]), None)
+    if bad is None:
+        outcome = LinearSolution(tuple(column(ncols)), tuple(pivots), free)
+    else:
+        row = a[bad]
+        own = row[ncols + 1 + order[bad]]
+        outcome = Infeasible(tuple(Fraction(y, own) for y in row[ncols + 1:]),
+                             Fraction(row[ncols], own))
+    kernel = None
+    if free:
+        kernel = tuple(Fraction(c == free[0]) - x
+                       for c, x in enumerate(column(free[0])))
+    determinant = None
+    if nrows == ncols:
+        determinant = Fraction(sign * prev if rank == ncols else 0,
+                               math.prod(scales))
+    return _Elimination(outcome, determinant, tuple(minors), kernel)
+
+
+def det(rows):
+    """Exact determinant of a square matrix."""
+    if any(len(r) != len(rows) for r in rows):
+        raise ShapeMismatch("determinant of a non-square matrix")
+    return _eliminate(rows).det
+
+
+def leading_minors(rows):
+    """Leading principal minors, from size 1 up to the first zero one.
+
+    A symmetric matrix is positive definite exactly when all the listed
+    minors are positive (Sylvester).  Past a zero minor the elimination
+    swaps rows, so the later minors cannot be read off it.
+    """
+    n = len(rows)
+    if any(len(r) < n for r in rows):
+        raise ShapeMismatch("leading minors of a matrix with too few columns")
+    return list(_eliminate([r[:n] for r in rows]).minors)
+
+
 def null_vector(rows):
     """A nonzero kernel vector of A, or None when A has full column rank.
 
     With f the first free column, e_f plus the canonical solution of
     A x = -A e_f lies in the kernel.
     """
-    free = solve_linear(rows, [Fraction(0)] * len(rows)).free_columns
-    if not free:
-        return None
-    f = free[0]
-    shifted = solve_linear(rows, [-_as_q(row[f]) for row in rows]).values
-    return tuple(Fraction(1) if col == f else value
-                 for col, value in enumerate(shifted))
+    return _eliminate(rows).kernel
 
 
 def solve_linear(rows, rhs):
-    """Solve A x = b exactly.
+    """Solve A x = b exactly: the canonical solution or an Infeasible.
 
     Reduction runs left to right with the first nonzero entry as pivot,
     so the returned solution is deterministic: pivot columns are as
     early as possible and every free variable is zero.
     """
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    a = [[_as_q(x) for x in row] for row in rows]
-    if any(len(row) != ncols for row in a):
-        raise ShapeMismatch("ragged coefficient matrix")
-    if len(rhs) != nrows:
-        raise ShapeMismatch("right-hand side length mismatch")
-    b = [_as_q(x) for x in rhs]
-    trace = [[Fraction(1 if i == j else 0) for j in range(nrows)]
-             for i in range(nrows)]
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        pivot_row = next((r for r in range(rank, nrows) if a[r][col] != 0), None)
-        if pivot_row is None:
-            continue
-        a[rank], a[pivot_row] = a[pivot_row], a[rank]
-        b[rank], b[pivot_row] = b[pivot_row], b[rank]
-        trace[rank], trace[pivot_row] = trace[pivot_row], trace[rank]
-        pivot = a[rank][col]
-        a[rank] = [x / pivot for x in a[rank]]
-        b[rank] = b[rank] / pivot
-        trace[rank] = [x / pivot for x in trace[rank]]
-        for r in range(nrows):
-            if r != rank and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[rank])]
-                b[r] = b[r] - factor * b[rank]
-                trace[r] = [x - factor * y
-                            for x, y in zip(trace[r], trace[rank])]
-        pivots.append(col)
-        rank += 1
-    for r in range(rank, nrows):
-        if b[r] != 0:
-            return Infeasible(tuple(trace[r]), b[r])
-    values = [Fraction(0)] * ncols
-    for k, col in enumerate(pivots):
-        values[col] = b[k]
-    free = tuple(c for c in range(ncols) if c not in pivots)
-    return LinearSolution(tuple(values), tuple(pivots), free)
+    return _eliminate(rows, rhs).outcome

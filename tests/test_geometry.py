@@ -4,7 +4,8 @@ import pytest
 
 from liegeom import (ComplexStructure, Connection, DegenerateMetric,
                      DimensionMismatch, InputError, KForm, LieAlgebra, Metric,
-                     MissingPieces, NotAlmostComplex, ShapeMismatch, Tensor,
+                     MissingPieces, NoLeeForm, NotAlmostComplex,
+                     ShapeMismatch, Tensor, VerdictError, Witness,
                      classify, codazzi_check, cone_extend, constant_curvature,
                      curvature, double, get_example, nabla, nabla_g,
                      nijenhuis, torsion, witness_residual)
@@ -308,6 +309,48 @@ def test_classify_reports_a_degenerate_metric():
     assert witness_residual(witness, metric=g) == 0
 
 
+def test_positive_definite_witness_rechecks_its_kernel():
+    L = LieAlgebra.abelian(("x", "y"))
+    g = Metric.from_rows(L, [[1, 0], [0, 0]])
+    for detail in [(Q(1), Q(1)),            # not in the kernel
+                   (Q(0), Q(0)),            # zero
+                   (Q(0), Q(1), Q(0)),      # wrong length
+                   ]:
+        with pytest.raises(ShapeMismatch):
+            witness_residual(Witness("positive_definite", (2,), Q(0), detail),
+                             metric=g)
+    # a kernel vector of the leading 1x1 block [[1]] does not exist, and
+    # entries past the witness index are refused
+    h = Metric.from_rows(L, [[0, 0], [0, 1]])
+    assert witness_residual(
+        Witness("positive_definite", (1,), Q(0), (Q(1), Q(0))), metric=h) == 0
+    with pytest.raises(ShapeMismatch):
+        witness_residual(Witness("positive_definite", (1,), Q(0),
+                                 (Q(1), Q(1))), metric=h)
+
+
+def test_positive_definite_witness_index_out_of_range():
+    L = LieAlgebra.abelian(("x", "y"))
+    g = Metric.from_rows(L, [[1, 0], [0, -1]])
+    for idx in [(0,), (3,), (), (1, 2)]:
+        with pytest.raises(ShapeMismatch):
+            witness_residual(Witness("positive_definite", idx, Q(0)),
+                             metric=g)
+
+
+def test_degeneracy_is_read_from_the_determinant():
+    # the leading minors stop at the zero 1x1 one, yet g is invertible,
+    # so the curvature fit still runs
+    L = LieAlgebra.abelian(("x", "y"))
+    g = Metric.from_rows(L, [[0, 1], [1, 0]])
+    report = classify(L, connection=Connection.zero(L), metric=g)
+    assert report.is_metric_positive is False
+    assert report.constant_curvature.kind == "constant"
+    (witness,) = report.witnesses
+    assert (witness.indices, witness.detail) == ((1,), (Q(1), Q(0)))
+    assert witness_residual(witness, metric=g) == 0
+
+
 def test_classify_kahler_on_abelian_plane():
     L = LieAlgebra.abelian(("x", "y"))
     J = ComplexStructure.from_rows(L, [[0, -1], [1, 0]])
@@ -375,6 +418,21 @@ def test_classify_lee_system_infeasible():
     (witness,) = [w for w in report.witnesses if w.claim == "lee_system"]
     assert witness.indices == ()
     assert witness.residual != 0
+
+
+def test_flag_lee_closed_without_a_lee_form():
+    # omega is supplied, so lee_closed is not missing a piece: the Lee
+    # equation has no solution, and the computed flags leave it out
+    L = LieAlgebra.from_brackets(("e1", "e2", "e3", "e4"), {(0, 1): {2: 1}})
+    omega = KForm.from_components(4, 2, {(2, 3): Q(1)})
+    report = classify(L, omega=omega)
+    assert dict(report.computed_flags()) == {"jacobi": True,
+                                             "omega_closed": False}
+    with pytest.raises(NoLeeForm, match="the Lee equation has no solution"):
+        report.flag("lee_closed")
+    assert issubclass(NoLeeForm, VerdictError)
+    with pytest.raises(MissingPieces):
+        classify(L).flag("lee_closed")
 
 
 def test_classify_rejects_mismatched_pieces():

@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+from hypothesis import example, given, settings, strategies as st
+
+import reference
 from liegeom import (DOWN, UP, Infeasible, LieAlgebra, LinearSolution,
-                     Metric, NotSymmetric, ShapeMismatch, Tensor, solve_linear)
-from liegeom.tensors import (det, leading_minors, matrix_rows, null_vector,
-                             symmetric_rows)
+                     Metric, ShapeMismatch, Tensor, solve_linear)
+from liegeom.tensors import det, leading_minors, matrix_rows, null_vector
 
 Q = Fraction
 
@@ -82,17 +84,21 @@ def test_positive_definite_examples():
     assert positive([[1]])
 
 
+def plane():
+    return LieAlgebra.abelian(("x", "y"))
+
+
 def test_positive_definite_rejects_asymmetric():
-    # Sylvester's test reads its rows through symmetric_rows
-    with pytest.raises(NotSymmetric):
-        symmetric_rows(cov([[1, 2], [0, 1]]))
+    # the metric's symmetry is checked once, when it is built
+    with pytest.raises(ShapeMismatch):
+        Metric(plane(), cov([[1, 2], [0, 1]]))
 
 
 def test_positive_definite_needs_covariant_square():
     with pytest.raises(ShapeMismatch):
-        symmetric_rows(matrix([[1, 0], [0, 1]]))
+        Metric(plane(), matrix([[1, 0], [0, 1]]))
     with pytest.raises(ShapeMismatch):
-        symmetric_rows(Tensor.zero((2,), (DOWN,)))
+        Metric(plane(), Tensor.zero((2,), (DOWN,)))
 
 
 def test_det_and_minors():
@@ -100,13 +106,23 @@ def test_det_and_minors():
     assert det(rows) == -3
     assert leading_minors(rows) == [Q(1), Q(-3)]
     assert det([]) == 1
+    assert leading_minors([]) == []
+
+
+def test_leading_minors_stop_at_the_first_zero():
+    # past a zero minor the elimination swaps rows; det still comes out
+    rows = [[Q(0), Q(1)], [Q(1), Q(0)]]
+    assert leading_minors(rows) == [Q(0)]
+    assert det(rows) == -1
+    assert leading_minors([[Q(2), Q(1), Q(0)], [Q(4), Q(2), Q(1)],
+                           [Q(0), Q(1), Q(1)]]) == [Q(2), Q(0)]
 
 
 def test_symmetric_rows_checks():
-    rows = symmetric_rows(cov([[2, 1], [1, 2]]))
-    assert rows[0][1] == 1
-    with pytest.raises(NotSymmetric):
-        symmetric_rows(cov([[0, 1], [2, 0]]))
+    g = Metric(plane(), cov([[2, 1], [1, 2]]))
+    assert matrix_rows(g.g)[0][1] == 1
+    with pytest.raises(ShapeMismatch):
+        Metric(plane(), cov([[0, 1], [2, 0]]))
 
 
 def test_solve_linear_unique():
@@ -142,3 +158,83 @@ def test_null_vector():
     assert kernel[0] + kernel[1] == 0
     assert any(x != 0 for x in kernel)
     assert null_vector([[Q(1), Q(0)], [Q(0), Q(1)]]) is None
+
+
+# -- the one elimination against independent oracles -----------------------
+
+entries = st.one_of(st.just(Q(0)),
+                    st.fractions(min_value=-9, max_value=9, max_denominator=6))
+
+
+@st.composite
+def systems(draw):
+    """(rows, rhs): a rational A, often of deficient rank, and a b that
+    is as often out of its column space as in it."""
+    nrows = draw(st.integers(0, 6))
+    ncols = draw(st.integers(0, 6))
+    rows = [[draw(entries) for _ in range(ncols)] for _ in range(nrows)]
+    for _ in range(draw(st.integers(0, 2)) if nrows > 1 else 0):
+        # row i becomes a multiple of row j
+        i, j = draw(st.integers(0, nrows - 1)), draw(st.integers(0, nrows - 1))
+        c = draw(entries)
+        rows[i] = [c * y for y in rows[j]]
+    if draw(st.booleans()):
+        x = [draw(entries) for _ in range(ncols)]
+        rhs = [sum((a * v for a, v in zip(row, x)), Q(0)) for row in rows]
+    else:
+        rhs = [draw(entries) for _ in range(nrows)]
+    return rows, rhs
+
+
+def square(system):
+    rows, rhs = system
+    n = min(len(rows), len(rows[0]) if rows else 0)
+    return [row[:n] for row in rows[:n]], rhs[:n]
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except ShapeMismatch:
+        return ShapeMismatch
+
+
+def reference_minors(rows):
+    minors = outcome(reference.leading_minors, rows)
+    if minors is ShapeMismatch:
+        return minors
+    zero = next((k for k, m in enumerate(minors) if m == 0), None)
+    return minors if zero is None else minors[: zero + 1]
+
+
+ORACLE = settings(deadline=None, max_examples=150, derandomize=True)
+
+
+@ORACLE
+@given(systems())
+@example(([], []))                          # no equations, no unknowns
+@example(([[], [], []], [Q(0), Q(0), Q(0)]))  # zero columns, feasible
+@example(([[], []], [Q(0), Q(3)]))            # zero columns, infeasible
+@example(([[Q(1), Q(1)], [Q(2), Q(2)]], [Q(1), Q(3)]))
+@example(([[Q(0), Q(1)], [Q(1), Q(0)]], [Q(0), Q(0)]))
+def test_elimination_matches_the_reference(system):
+    rows, rhs = system
+    assert solve_linear(rows, rhs) == reference.solve_linear(rows, rhs)
+    assert null_vector(rows) == reference.null_vector(rows)
+    assert outcome(det, rows) == outcome(reference.det, rows)
+    assert outcome(leading_minors, rows) == reference_minors(rows)
+    rows, rhs = square(system)
+    assert det(rows) == reference.det(rows)
+    assert leading_minors(rows) == reference_minors(rows)
+    assert solve_linear(rows, rhs) == reference.solve_linear(rows, rhs)
+
+
+def test_elimination_shape_errors():
+    with pytest.raises(ShapeMismatch):
+        solve_linear([[Q(1)], [Q(1), Q(2)]], [Q(0), Q(0)])
+    with pytest.raises(ShapeMismatch):
+        solve_linear([[Q(1)]], [])
+    with pytest.raises(ShapeMismatch):
+        det([[Q(1), Q(2)]])
+    with pytest.raises(ShapeMismatch):
+        leading_minors([[Q(1)], [Q(2)]])
