@@ -8,12 +8,11 @@ bracket can be built first and judged afterwards with jacobi_check.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatch, ShapeMismatch
-from .tensors import DOWN, UP, Tensor
+from .tensors import DOWN, UP, Tensor, by_axis
 
 
 @dataclass(frozen=True)
@@ -34,7 +33,7 @@ class LieAlgebra:
             raise ShapeMismatch(
                 f"structure constants need shape {(n, n, n)} with variance ddu")
         # antisymmetry of the bracket is structural, not a verdict
-        Tensor(self.c.shape, self.c.variance, self.c.entries, alt=((0, 1),))
+        self.c.require_pair(0, 1, -1)
 
     @classmethod
     def from_brackets(cls, labels, brackets):
@@ -83,7 +82,7 @@ def bracket(L, x, y):
     y = as_vector(L, y)
     n = L.dim
     out = [Fraction(0)] * n
-    for (i, j, k), value in L.c.nonzero_items():
+    for (i, j, k), value in L.c.entries:
         if x[i] and y[j]:
             out[k] += value * x[i] * y[j]
     return tuple(out)
@@ -108,14 +107,39 @@ def jacobi_residual(L, i, j, k):
     return tuple(a + b + c for a, b, c in zip(*terms))
 
 
+def cyclic_sum(L, t):
+    """The nonzero values of t([e_i, e_j], e_k, ...) + t([e_j, e_k], e_i, ...)
+    + t([e_k, e_i], e_j, ...) as {(i, j, k, ...): value} over i < j < k.
+
+    t([e_x, e_y], e_z, ...) is the sum over m of c[x, y, m] t[m, z, ...],
+    so only the nonzeros of c and of t are walked.  As c is antisymmetric
+    in x, y, the terms with x < y suffice: one with z between x and y is
+    minus the cyclic term at (z, x, y), and one with z equal to x or y
+    belongs to no triple.
+    """
+    groups = by_axis(t, 0)
+    out = {}
+    for (x, y, m), a in L.c.entries:
+        if x > y:
+            continue
+        for idx, b in groups.get(m, ()):
+            z = idx[0]
+            if z == x or z == y:
+                continue
+            key = tuple(sorted((x, y, z))) + idx[1:]
+            term = a * b if z < x or z > y else -a * b
+            out[key] = out.get(key, 0) + term
+    return {key: value for key, value in out.items() if value}
+
+
 def jacobi_check(L):
     """None when the Jacobi identity holds, else the first violation.
 
-    Triples are scanned in lexicographic order over i < j < k, so the
-    witness is deterministic.
+    The witness is the lexicographically first triple i < j < k whose
+    cyclic bracket sum fails to vanish, so it is deterministic.
     """
-    for i, j, k in itertools.combinations(range(L.dim), 3):
-        residual = jacobi_residual(L, i, j, k)
-        if any(residual):
-            return JacobiViolation(i, j, k, residual)
-    return None
+    failing = cyclic_sum(L, L.c)
+    if not failing:
+        return None
+    i, j, k, _ = min(failing)
+    return JacobiViolation(i, j, k, jacobi_residual(L, i, j, k))

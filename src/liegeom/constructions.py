@@ -19,7 +19,6 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -64,8 +63,8 @@ def double(L, connection):
     n = L.dim
     labels = tuple(x + "1" for x in L.basis_labels) + tuple(
         x + "2" for x in L.basis_labels)
-    entries = dict(L.c.nonzero_items())
-    for (i, j, k), value in connection.gamma.nonzero_items():
+    entries = dict(L.c.entries)
+    for (i, j, k), value in connection.gamma.entries:
         entries[(i, n + j, n + k)] = value
         entries[(n + j, i, n + k)] = -value
     c = Tensor.from_entries((2 * n,) * 3, (DOWN, DOWN, UP), entries)
@@ -102,12 +101,7 @@ def kahler_form_from_hessian(L, connection, metric):
             raise NotHessian(f"not a Hessian structure: {name} fails")
     dbl = double(L, connection)
     n = L.dim
-    components = {}
-    for i in range(n):
-        for j in range(n):
-            value = metric.g[i, j]
-            if value != 0:
-                components[(i, n + j)] = value
+    components = {(i, n + j): value for (i, j), value in metric.g.entries}
     omega = KForm.from_components(2 * n, 2, components)
     report = classify(dbl.algebra, complex_structure=dbl.complex_structure,
                       omega=omega)
@@ -179,9 +173,7 @@ class ConeExtension:
         """g extended by t on the rho direction (zero across)."""
         n = self.algebra.dim
         r = self.rho_index
-        entries = {}
-        for (i, j), value in self.base_metric.g.nonzero_items():
-            entries[(i, j)] = value
+        entries = dict(self.base_metric.g.entries)
         entries[(r, r)] = Fraction(t)
         return Metric(self.algebra,
                       Tensor.from_entries((n, n), (DOWN, DOWN), entries))
@@ -229,14 +221,12 @@ def cone_extend(L, connection, metric, c=None):
     algebra = LieAlgebra(
         n + 1, labels,
         Tensor.from_entries((n + 1,) * 3, (DOWN, DOWN, UP),
-                            dict(L.c.nonzero_items())))
+                            dict(L.c.entries)))
 
-    gamma = dict(connection.gamma.nonzero_items())
+    gamma = dict(connection.gamma.entries)
+    for (i, j), value in metric.g.entries:
+        gamma[(i, j, r)] = -c * value
     for i in range(n):
-        for j in range(n):
-            value = -c * metric.g[i, j]
-            if value != 0:
-                gamma[(i, j, r)] = value
         gamma[(i, r, i)] = Fraction(1)
         gamma[(r, i, i)] = Fraction(1)
     gamma[(r, r, r)] = Fraction(1)
@@ -280,9 +270,7 @@ def lck_family(L, connection, metric, c, t):
     dbl = double(cone.algebra, cone.nabla)
     n1 = cone.algebra.dim
     r = cone.rho_index
-    components = {}
-    for (i, j), value in metric.g.nonzero_items():
-        components[(i, n1 + j)] = components.get((i, n1 + j), Fraction(0)) + value
+    components = {(i, n1 + j): value for (i, j), value in metric.g.entries}
     components[(r, n1 + r)] = t
     omega = KForm.from_components(2 * n1, 2, components)
     lee = dual_form(dbl.algebra, r).scale(-(1 + c * t))
@@ -310,17 +298,14 @@ def extract_statistical(algebra, nabla, base_metric, rho_index):
     base = [i for i in range(n1) if i != r]
     rho_label = algebra.basis_labels[r]
 
-    for i in range(n1):
-        for k in range(n1):
-            if algebra.c[r, i, k] != 0:
-                raise NotConical(
-                    f"[{rho_label}, {algebra.basis_labels[i]}] is nonzero")
-    for i in base:
-        for j in base:
-            if algebra.c[i, j, r] != 0:
-                raise NotConical(
-                    "a base bracket leaves the base subspace at "
-                    f"({algebra.basis_labels[i]}, {algebra.basis_labels[j]})")
+    names = algebra.basis_labels
+    for (i, j, k), _ in algebra.c.entries:
+        if i == r:
+            raise NotConical(f"[{rho_label}, {names[j]}] is nonzero")
+    for (i, j, k), _ in algebra.c.entries:
+        if k == r and r not in (i, j):
+            raise NotConical("a base bracket leaves the base subspace at "
+                             f"({names[i]}, {names[j]})")
 
     gamma = nabla.gamma
     for i in base:
@@ -370,11 +355,9 @@ def extract_statistical(algebra, nabla, base_metric, rho_index):
 def _restrict(t, base):
     """The ddu tensor t on the span of the basis positions in base."""
     n = len(base)
-    entries = {}
-    for pos in itertools.product(range(n), repeat=3):
-        value = t[tuple(base[p] for p in pos)]
-        if value != 0:
-            entries[pos] = value
+    position = {b: p for p, b in enumerate(base)}
+    entries = {tuple(position[i] for i in idx): value
+               for idx, value in t.entries if all(i in position for i in idx)}
     return Tensor.from_entries((n, n, n), (DOWN, DOWN, UP), entries)
 
 

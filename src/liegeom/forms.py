@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import as_vector
+from .algebra import cyclic_sum
 from .errors import DimensionMismatch, ShapeMismatch, UnsupportedDegree
 from .tensors import DOWN, Tensor
 
@@ -43,8 +43,8 @@ class KForm:
                 f"degree {k} form needs a rank {k} covariant tensor")
         if len(set(t.shape)) > 1:
             raise ShapeMismatch(f"uneven axis lengths {t.shape}")
-        alt = tuple((a, a + 1) for a in range(k - 1))
-        Tensor(t.shape, t.variance, t.entries, alt=alt)
+        for a in range(k - 1):
+            t.require_pair(a, a + 1, -1)
 
     @property
     def dim(self):
@@ -81,7 +81,7 @@ class KForm:
         if any(len(c) != self.dim for c in coords):
             raise DimensionMismatch("vector length does not match the form")
         total = Fraction(0)
-        for idx, value in self.coefficients.nonzero_items():
+        for idx, value in self.coefficients.entries:
             term = value
             for slot, i in enumerate(idx):
                 term *= coords[slot][i]
@@ -90,7 +90,7 @@ class KForm:
 
     def components(self):
         """Yield (increasing index tuple, value) for the nonzero entries."""
-        for idx, value in self.coefficients.nonzero_items():
+        for idx, value in self.coefficients.entries:
             if all(a < b for a, b in zip(idx, idx[1:])):
                 yield idx, value
 
@@ -138,19 +138,15 @@ def wedge(a, b):
     if degree > MAX_DEGREE:
         raise UnsupportedDegree(
             f"wedge of degrees {a.degree} and {b.degree} exceeds {MAX_DEGREE}")
-    n = a.dim
     components = {}
-    for idx in itertools.combinations(range(n), degree):
-        total = Fraction(0)
-        for picked in itertools.combinations(range(degree), a.degree):
-            rest = tuple(p for p in range(degree) if p not in picked)
-            sign = _perm_sign(picked + rest)
-            left = a.coefficients[tuple(idx[p] for p in picked)]
-            right = b.coefficients[tuple(idx[p] for p in rest)]
-            total += sign * left * right
-        if total != 0:
-            components[idx] = total
-    return KForm.from_components(n, degree, components)
+    for left, x in a.components():
+        for right, y in b.components():
+            if set(left) & set(right):
+                continue
+            idx = tuple(sorted(left + right))
+            value = _perm_sign(left + right) * x * y
+            components[idx] = components.get(idx, 0) + value
+    return KForm.from_components(a.dim, degree, components)
 
 
 def ce_d(L, form):
@@ -161,27 +157,18 @@ def ce_d(L, form):
     """
     if form.dim != L.dim:
         raise DimensionMismatch("form and algebra dimensions differ")
-    n = L.dim
     if form.degree == 1:
+        a = form.coefficients
         components = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                value = -sum((L.c[i, j, k] * form.coefficients[(k,)]
-                              for k in range(n)), Fraction(0))
-                if value != 0:
-                    components[(i, j)] = value
-        return KForm.from_components(n, 2, components)
+        for (i, j, k), value in L.c.entries:
+            if i < j:
+                components[(i, j)] = (components.get((i, j), 0)
+                                      - value * a[k])
+        return KForm.from_components(L.dim, 2, components)
     if form.degree == 2:
-        w = form.coefficients
-        components = {}
-        for i, j, k in itertools.combinations(range(n), 3):
-            value = Fraction(0)
-            for m in range(n):
-                value += (-L.c[i, j, m] * w[m, k]
-                          + L.c[i, k, m] * w[m, j]
-                          - L.c[j, k, m] * w[m, i])
-            if value != 0:
-                components[(i, j, k)] = value
-        return KForm.from_components(n, 3, components)
+        # (d w)(X, Y, Z) = -(w([X, Y], Z) + w([Y, Z], X) + w([Z, X], Y))
+        cyclic = cyclic_sum(L, form.coefficients)
+        return KForm.from_components(
+            L.dim, 3, {idx: -value for idx, value in cyclic.items()})
     raise UnsupportedDegree(
         f"differential of degree {form.degree} exceeds degree {MAX_DEGREE}")

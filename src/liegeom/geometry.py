@@ -22,13 +22,13 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from types import SimpleNamespace
 
-from .algebra import (LieAlgebra, as_vector, bracket, jacobi_check,
+from .algebra import (LieAlgebra, as_vector, jacobi_check,
                       jacobi_residual)
 from .errors import (DegenerateMetric, DimensionMismatch, MissingPieces,
                      NoLeeForm, NotAlmostComplex, ShapeMismatch,
                      UnsupportedDegree)
 from .forms import KForm, ce_d
-from .tensors import (DOWN, UP, Infeasible, Tensor, _eliminate, det,
+from .tensors import (DOWN, UP, Infeasible, Tensor, by_axis, det,
                       leading_minors, matrix_rows, null_vector, solve_linear)
 
 
@@ -66,7 +66,7 @@ def nabla(connection, x, y):
     x = as_vector(L, x)
     y = as_vector(L, y)
     out = [Fraction(0)] * L.dim
-    for (i, j, k), value in connection.gamma.nonzero_items():
+    for (i, j, k), value in connection.gamma.entries:
         if x[i] and y[j]:
             out[k] += value * x[i] * y[j]
     return tuple(out)
@@ -83,7 +83,7 @@ class Metric:
         n = self.base.dim
         if self.g.shape != (n, n) or self.g.variance != (DOWN, DOWN):
             raise ShapeMismatch(f"metric needs shape {(n, n)}, variance dd")
-        Tensor(self.g.shape, self.g.variance, self.g.entries, sym=((0, 1),))
+        self.g.require_pair(0, 1, 1)
 
     @classmethod
     def from_rows(cls, base, rows):
@@ -98,7 +98,7 @@ class Metric:
     def value(self, x, y):
         x = as_vector(self.base, x)
         y = as_vector(self.base, y)
-        return sum((v * x[i] * y[j] for (i, j), v in self.g.nonzero_items()),
+        return sum((v * x[i] * y[j] for (i, j), v in self.g.entries),
                    Fraction(0))
 
     def is_positive_definite(self):
@@ -119,14 +119,14 @@ class ComplexStructure:
         n = self.base.dim
         if self.j.shape != (n, n) or self.j.variance != (UP, DOWN):
             raise ShapeMismatch(f"complex structure needs shape {(n, n)}, ud")
-        for i in range(n):
-            for k in range(n):
-                square = sum((self.j[i, m] * self.j[m, k] for m in range(n)),
-                             Fraction(0))
-                expected = Fraction(-1 if i == k else 0)
-                if square != expected:
-                    raise NotAlmostComplex(
-                        f"(J*J)[{i}, {k}] = {square}, expected {expected}")
+        identity = Tensor.from_entries(
+            (n, n), (UP, DOWN), {(i, i): 1 for i in range(n)})
+        excess = _map_axis(self.j, by_axis(self.j, 0), 1) + identity
+        if not excess.is_zero():
+            (i, k), value = excess.entries[0]
+            expected = -1 if i == k else 0
+            raise NotAlmostComplex(
+                f"(J*J)[{i}, {k}] = {value + expected}, expected {expected}")
 
     @classmethod
     def from_rows(cls, base, rows):
@@ -134,9 +134,10 @@ class ComplexStructure:
 
     def apply(self, x):
         x = as_vector(self.base, x)
-        n = self.base.dim
-        return tuple(sum((self.j[i, k] * x[k] for k in range(n)), Fraction(0))
-                     for i in range(n))
+        out = [Fraction(0)] * self.base.dim
+        for (i, k), value in self.j.entries:
+            out[i] += value * x[k]
+        return tuple(out)
 
 
 # -- verdict computations --------------------------------------------------
@@ -145,52 +146,54 @@ def torsion(connection):
     """T as a (1, 2) tensor: T[i, j, k] is the e_k part of T(e_i, e_j)."""
     L = connection.base
     n = L.dim
-    gamma = connection.gamma
     entries = {}
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                value = gamma[i, j, k] - gamma[j, i, k] - L.c[i, j, k]
-                if value != 0:
-                    entries[(i, j, k)] = value
+    for (i, j, k), value in connection.gamma.entries:
+        entries[i, j, k] = entries.get((i, j, k), 0) + value
+        entries[j, i, k] = entries.get((j, i, k), 0) - value
+    for idx, value in L.c.entries:
+        entries[idx] = entries.get(idx, 0) - value
     return Tensor.from_entries((n, n, n), (DOWN, DOWN, UP), entries)
 
 
 def curvature(connection):
-    """R as a (1, 3) tensor: R[i, j, k, l] is the e_l part of R(e_i, e_j) e_k."""
+    """R as a (1, 3) tensor: R[i, j, k, l] is the e_l part of R(e_i, e_j) e_k.
+
+    R[i, j, k, l] = sum over m of gamma[j, k, m] gamma[i, m, l]
+    - gamma[i, k, m] gamma[j, m, l] - c[i, j, m] gamma[m, k, l], and the
+    second term is the first with i and j swapped.
+    """
     L = connection.base
     n = L.dim
-    g = connection.gamma.to_nested()
-    c = L.c.to_nested()
-    out = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    value = Fraction(0)
-                    for m in range(n):
-                        value += g[j][k][m] * g[i][m][l]
-                        value -= g[i][k][m] * g[j][m][l]
-                        value -= c[i][j][m] * g[m][k][l]
-                    out.append(value)
-    return Tensor((n, n, n, n), (DOWN, DOWN, DOWN, UP), tuple(out))
+    gamma = connection.gamma
+    by_second = by_axis(gamma, 1)
+    by_first = by_axis(gamma, 0)
+    entries = {}
+    for (j, k, m), a in gamma.entries:
+        for (i, l), b in by_second.get(m, ()):
+            term = a * b
+            entries[i, j, k, l] = entries.get((i, j, k, l), 0) + term
+            entries[j, i, k, l] = entries.get((j, i, k, l), 0) - term
+    for (i, j, m), a in L.c.entries:
+        for (k, l), b in by_first.get(m, ()):
+            entries[i, j, k, l] = entries.get((i, j, k, l), 0) - a * b
+    return Tensor.from_entries((n, n, n, n), (DOWN, DOWN, DOWN, UP), entries)
 
 
 def nabla_g(connection, metric):
-    """(nabla_{e_i} g)(e_j, e_k) under the invariant-data convention."""
+    """(nabla_{e_i} g)(e_j, e_k) under the invariant-data convention.
+
+    The sum over m of -gamma[i, j, m] g[m, k] - gamma[i, k, m] g[j, m];
+    as g is symmetric, each product fills (i, j, k) and (i, k, j).
+    """
     n = connection.base.dim
-    gamma = connection.gamma.to_nested()
-    g = metric.g.to_nested()
-    out = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                value = Fraction(0)
-                for m in range(n):
-                    value -= gamma[i][j][m] * g[m][k]
-                    value -= gamma[i][k][m] * g[j][m]
-                out.append(value)
-    return Tensor((n, n, n), (DOWN, DOWN, DOWN), tuple(out))
+    rows = by_axis(metric.g, 0)
+    entries = {}
+    for (i, j, m), a in connection.gamma.entries:
+        for (k,), b in rows.get(m, ()):
+            term = a * b
+            entries[i, j, k] = entries.get((i, j, k), 0) - term
+            entries[i, k, j] = entries.get((i, k, j), 0) - term
+    return Tensor.from_entries((n, n, n), (DOWN, DOWN, DOWN), entries)
 
 
 @dataclass(frozen=True)
@@ -211,13 +214,13 @@ def codazzi_check(connection, metric):
     """
     _same_base(connection.base, metric.base)
     ng = nabla_g(connection, metric)
-    n = connection.base.dim
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                residual = CLAIMS["codazzi"].residual(ng, (i, j, k), ())
-                if residual != 0:
-                    return CodazziViolation(i, j, k, residual)
+    # the residual ng[i, j, k] - ng[j, i, k] is zero where both entries are
+    candidates = {(min(i, j), max(i, j), k) for (i, j, k), _ in ng.entries
+                  if i != j}
+    for idx in sorted(candidates):
+        residual = CLAIMS["codazzi"].residual(ng, idx, ())
+        if residual != 0:
+            return CodazziViolation(*idx, residual)
     return None
 
 
@@ -252,21 +255,15 @@ class CurvatureFit:
 
 
 def comparison_tensor(metric):
-    """K[i, j, k, l] for the constant-curvature shape, from g alone."""
+    """K[i, j, k, l] = g[j, k] [l == i] - g[i, k] [l == j], from g alone."""
     n = metric.base.dim
-    g = metric.g.to_nested()
-    out = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    value = Fraction(0)
-                    if l == i:
-                        value += g[j][k]
-                    if l == j:
-                        value -= g[i][k]
-                    out.append(value)
-    return Tensor((n, n, n, n), (DOWN, DOWN, DOWN, UP), tuple(out))
+    entries = {}
+    for (a, k), value in metric.g.entries:
+        for b in range(n):
+            if a != b:
+                entries[b, a, k, b] = value
+                entries[a, b, k, b] = -value
+    return Tensor.from_entries((n, n, n, n), (DOWN, DOWN, DOWN, UP), entries)
 
 
 def constant_curvature(connection, metric):
@@ -281,49 +278,49 @@ def _curvature_fit(r, k):
     """Fit R = c K on computed tensors; c is read off K's first nonzero.
 
     When K vanishes identically the trial constant is 0, so any nonzero
-    entry of R is the witness.
+    entry of R is the witness.  Only where R or K is nonzero can the
+    residual be, so the scan runs over the union of their supports.
     """
-    first = k.first_nonzero()
-    c = Fraction(0) if first is None else r[first[0]] / first[1]
-    for idx in r.indices():
+    c = Fraction(0) if k.is_zero() else r[k.entries[0][0]] / k.entries[0][1]
+    for idx in sorted({idx for idx, _ in r.entries + k.entries}):
         residual = CLAIMS["constant_curvature"].residual((r, k), idx, (c,))
         if residual != 0:
             return CurvatureFit("none", witness=Witness(
                 "constant_curvature", idx, residual, (c,)))
-    if first is None:
+    if k.is_zero():
         return CurvatureFit("underdetermined")
     return CurvatureFit("constant", c)
 
 
-def nijenhuis(L, J):
-    """N(X, Y) = [X, Y] + J([JX, Y] + [X, JY]) - [JX, JY] on basis pairs."""
-    _same_base(L, J.base)
-    n = L.dim
-    basis = [L.basis_vector(i) for i in range(n)]
-    jbasis = [J.apply(v) for v in basis]
+def _map_axis(t, groups, axis):
+    """t with a matrix A applied along axis, where groups is by_axis(A, 0)
+    for t times A (the sum over m of t[..., m, ...] A[m, i] at i) or
+    by_axis(A, 1) for A times t (the sum of A[i, m] t[..., m, ...])."""
     entries = {}
-    for i in range(n):
-        for j in range(n):
-            inner = tuple(a + b for a, b in zip(
-                bracket(L, jbasis[i], basis[j]),
-                bracket(L, basis[i], jbasis[j])))
-            total = tuple(
-                p + q - r for p, q, r in zip(
-                    bracket(L, basis[i], basis[j]),
-                    J.apply(inner),
-                    bracket(L, jbasis[i], jbasis[j])))
-            for k, value in enumerate(total):
-                if value != 0:
-                    entries[(i, j, k)] = value
-    return Tensor.from_entries((n, n, n), (DOWN, DOWN, UP), entries)
+    for idx, value in t.entries:
+        for (i,), weight in groups.get(idx[axis], ()):
+            key = idx[:axis] + (i,) + idx[axis + 1:]
+            entries[key] = entries.get(key, 0) + weight * value
+    return Tensor.from_entries(t.shape, t.variance, entries)
+
+
+def nijenhuis(L, J):
+    """N(X, Y) = [X, Y] + J([JX, Y] + [X, JY]) - [JX, JY] on basis pairs.
+
+    J e_i is the sum over a of J[a, i] e_a, so [J e_i, e_j] is c times J
+    along axis 0, and J v is J times v along the output axis.
+    """
+    _same_base(L, J.base)
+    c = L.c
+    rows, columns = by_axis(J.j, 0), by_axis(J.j, 1)
+    inner = _map_axis(c, rows, 0) + _map_axis(c, rows, 1)
+    return (c + _map_axis(inner, columns, 2)
+            - _map_axis(_map_axis(c, rows, 0), rows, 1))
 
 
 def pairing_rows(omega, J):
     """Matrix of omega(e_i, J e_j) as row lists."""
-    n = omega.dim
-    w = omega.coefficients
-    return [[sum((w[i, k] * J.j[k, j] for k in range(n)), Fraction(0))
-             for j in range(n)] for i in range(n)]
+    return matrix_rows(_map_axis(omega.coefficients, by_axis(J.j, 0), 1))
 
 
 # -- the Lee form equation -------------------------------------------------
@@ -395,7 +392,7 @@ def lee_form_solve(L, omega):
 # -- the claims ------------------------------------------------------------
 #
 # A witness names a claim, an index tuple and a detail.  Its residual is
-# read off one object (a tensor, a list of minors, a linear system) by
+# read off one object (a tensor, a matrix, a linear system) by
 # the claim's residual function.  classify applies that function to the
 # object it has just computed; witness_residual rebuilds the object from
 # the raw pieces with the claim's measure and applies the same function.
@@ -409,17 +406,20 @@ def _entry(t, idx, detail):
     return t[idx]
 
 
-def _definiteness(rows):
-    """A square matrix with its one elimination: minors, det and kernel."""
-    return rows, _eliminate(rows)
+def _basis_indices(idx, arity, dim):
+    """idx as arity basis positions below dim, else ShapeMismatch."""
+    if len(idx) != arity or not all(0 <= i < dim for i in idx):
+        raise ShapeMismatch(
+            f"witness indices {idx} are not {arity} positions below {dim}")
+    return idx
 
 
-def _minor(definiteness, idx, detail):
-    """Leading minor idx[0]; a nonempty detail must be a kernel vector of
-    the leading block of that size, padded with zeros."""
-    rows, reduced = definiteness
+def _minor(rows, idx, detail):
+    """Leading minor idx[0] of rows; a nonempty detail must be a kernel
+    vector of the leading block of that size, padded with zeros."""
+    minors = leading_minors(rows)
     k = idx[0] if len(idx) == 1 else 0
-    if not 1 <= k <= len(reduced.minors):
+    if not 1 <= k <= len(minors):
         raise ShapeMismatch(f"no leading minor {idx} up to the first zero one")
     if detail and (len(detail) != len(rows) or any(detail[k:])
                    or not any(detail) or any(
@@ -427,7 +427,19 @@ def _minor(definiteness, idx, detail):
                        for row in rows[:k])):
         raise ShapeMismatch(
             f"detail is no zero-padded kernel vector of the {k}x{k} block")
-    return reduced.minors[k - 1]
+    return minors[k - 1]
+
+
+def _fitted(detail):
+    """The fitted constant a constant_curvature witness carries."""
+    if len(detail) != 1:
+        raise ShapeMismatch("a curvature fit witness carries one constant")
+    return detail[0]
+
+
+def _antisymmetric_part(rows, idx):
+    i, j = _basis_indices(idx, 2, len(rows))
+    return rows[i][j] - rows[j][i]
 
 
 def _certificate(system, idx, detail):
@@ -457,7 +469,8 @@ class Claim:
 
 CLAIMS = {claim.name: claim for claim in (
     Claim("jacobi", "jacobi", True, lambda p: p.algebra,
-          lambda L, idx, detail: jacobi_residual(L, *idx)),
+          lambda L, idx, detail: jacobi_residual(
+              L, *_basis_indices(idx, 3, L.dim))),
     Claim("torsion", "torsion_free", True,
           lambda p: torsion(p.connection), _slice),
     Claim("curvature", "flat", True,
@@ -466,10 +479,10 @@ CLAIMS = {claim.name: claim for claim in (
           lambda p: nabla_g(p.connection, p.metric),
           lambda ng, idx, detail: ng[idx] - ng[(idx[1], idx[0], idx[2])]),
     Claim("positive_definite", "metric_positive", False,
-          lambda p: _definiteness(matrix_rows(p.metric.g)), _minor),
+          lambda p: matrix_rows(p.metric.g), _minor),
     Claim("constant_curvature", None, True,
           lambda p: (curvature(p.connection), comparison_tensor(p.metric)),
-          lambda rk, idx, detail: rk[0][idx] - detail[0] * rk[1][idx]),
+          lambda rk, idx, detail: rk[0][idx] - _fitted(detail) * rk[1][idx]),
     Claim("nijenhuis", "integrable", True,
           lambda p: nijenhuis(p.algebra, p.complex_structure), _slice),
     Claim("d_omega", "omega_closed", True,
@@ -486,11 +499,9 @@ CLAIMS = {claim.name: claim for claim in (
           _certificate),
     Claim("pairing_symmetry", "pairing_positive", True,
           lambda p: pairing_rows(p.omega, p.complex_structure),
-          lambda rows, idx, detail: (rows[idx[0]][idx[1]]
-                                     - rows[idx[1]][idx[0]])),
+          lambda rows, idx, detail: _antisymmetric_part(rows, idx)),
     Claim("pairing_positive", "pairing_positive", False,
-          lambda p: _definiteness(
-              pairing_rows(p.omega, p.complex_structure)), _minor),
+          lambda p: pairing_rows(p.omega, p.complex_structure), _minor),
 )}
 
 
@@ -505,13 +516,12 @@ def _vanishes(witnesses, claim, t, lead):
     lead indices of its first nonzero entry."""
     if t.is_zero():
         return True
-    idx, _ = t.first_nonzero()
+    idx, _ = t.entries[0]
     witnesses.append(_witness(claim, t, idx[:lead]))
     return False
 
 
-def _first_nonpositive(definiteness):
-    minors = definiteness[1].minors
+def _first_nonpositive(minors):
     return next((k for k, m in enumerate(minors) if m <= 0), None)
 
 
@@ -595,17 +605,18 @@ def classify(L, connection=None, metric=None, complex_structure=None,
 
     if metric is not None:
         _same_base(L, metric.base)
-        definiteness = _definiteness(matrix_rows(metric.g))
-        rows, reduced = definiteness
-        bad = _first_nonpositive(definiteness)
+        g_rows = matrix_rows(metric.g)
+        minors = leading_minors(g_rows)
+        bad = _first_nonpositive(minors)
         report["is_metric_positive"] = bad is None
         if bad is not None:
             detail = ()
-            if reduced.minors[bad] == 0:
-                kernel = null_vector([row[: bad + 1] for row in rows[: bad + 1]])
+            if minors[bad] == 0:
+                kernel = null_vector([row[: bad + 1]
+                                      for row in g_rows[: bad + 1]])
                 detail = kernel + (Fraction(0),) * (L.dim - bad - 1)
             witnesses.append(_witness(
-                "positive_definite", definiteness, (bad + 1,), detail))
+                "positive_definite", g_rows, (bad + 1,), detail))
 
     if connection is not None and metric is not None:
         violation = codazzi_check(connection, metric)
@@ -614,7 +625,7 @@ def classify(L, connection=None, metric=None, complex_structure=None,
             witnesses.append(Witness(
                 "codazzi", (violation.i, violation.j, violation.k),
                 violation.residual))
-        if reduced.det == 0:
+        if det(g_rows) == 0:
             fit = CurvatureFit("degenerate")
         else:
             fit = _curvature_fit(r, comparison_tensor(metric))
@@ -673,11 +684,10 @@ def classify(L, connection=None, metric=None, complex_structure=None,
             if asym is not None:
                 witnesses.append(_witness("pairing_symmetry", rows, asym))
             else:
-                definiteness = _definiteness(rows)
-                bad = _first_nonpositive(definiteness)
+                bad = _first_nonpositive(leading_minors(rows))
                 if bad is not None:
                     witnesses.append(_witness(
-                        "pairing_positive", definiteness, (bad + 1,)))
+                        "pairing_positive", rows, (bad + 1,)))
             positive = asym is None and bad is None
             report["is_pairing_positive"] = positive
             report["is_kahler"] = (report["is_integrable"]

@@ -63,10 +63,9 @@ class AlgebraDocument:
     def to_connection(self, algebra):
         if self.connection is None:
             return None
-        entries = {idx: value for idx, value in self.connection}
         n = self.dim
         return Connection(
-            algebra, Tensor.from_entries((n, n, n), (DOWN, DOWN, UP), entries))
+            algebra, Tensor((n, n, n), (DOWN, DOWN, UP), self.connection))
 
     def to_metric(self, algebra):
         if self.metric is None:
@@ -82,11 +81,10 @@ class AlgebraDocument:
     def to_complex_structure(self, algebra):
         if self.complex_structure is None:
             return None
-        entries = {idx: value for idx, value in self.complex_structure}
         n = self.dim
         try:
             return ComplexStructure(
-                algebra, Tensor.from_entries((n, n), (UP, DOWN), entries))
+                algebra, Tensor((n, n), (UP, DOWN), self.complex_structure))
         except NotAlmostComplex as exc:
             # a J that does not square to -1 is not a complex structure
             # at all, so the document is unusable rather than refuted
@@ -311,20 +309,17 @@ def document_from(algebra, connection=None, metric=None,
     forms is a sequence of (name, KForm) pairs; parameters a sequence of
     (name, rational) pairs.
     """
-    brackets = tuple(sorted(
-        (idx, value) for idx, value in algebra.c.nonzero_items()
-        if idx[0] < idx[1]))
+    # tensor entries are the sorted nonzero pairs a document lists
+    brackets = tuple(e for e in algebra.c.entries if e[0][0] < e[0][1])
     conn = None
     if connection is not None:
-        conn = tuple(sorted(connection.gamma.nonzero_items()))
+        conn = connection.gamma.entries
     met = None
     if metric is not None:
-        met = tuple(sorted((idx, value)
-                           for idx, value in metric.g.nonzero_items()
-                           if idx[0] <= idx[1]))
+        met = tuple(e for e in metric.g.entries if e[0][0] <= e[0][1])
     cx = None
     if complex_structure is not None:
-        cx = tuple(sorted(complex_structure.j.nonzero_items()))
+        cx = complex_structure.j.entries
     blocks = []
     for name, form in forms:
         blocks.append(FormBlock(name, form.degree,

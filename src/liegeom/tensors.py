@@ -1,9 +1,11 @@
-"""Dense multi-indexed arrays of exact rationals, and exact linear algebra.
+"""Sparse multi-indexed arrays of exact rationals, and exact linear algebra.
 
 A Tensor is immutable: a shape, one variance character per axis ("u" for
-a contravariant axis, "d" for a covariant one) and a flat row-major
-tuple of Fractions.  Dimensions stay small (a few up to sixteen), so
-nothing here tries to be clever about storage.
+a contravariant axis, "d" for a covariant one) and its nonzero entries,
+stored once as the row-major tuple of (index tuple, Fraction) pairs that
+a document lists.  Structure constants, connections and forms are almost
+all zero, so every contraction walks these pairs (by_axis groups them by
+one axis) and reading an entry is a dictionary lookup, built on first use.
 
 det, leading_minors, solve_linear and null_vector read their answers off
 one integer-preserving elimination (Bareiss 1968): the determinant, the
@@ -14,16 +16,18 @@ variables zero or a certificate of infeasibility, and a kernel vector.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import ShapeMismatch
 
 UP = "u"
 DOWN = "d"
+
+_ZERO = Fraction(0)
 
 
 def _as_q(value):
@@ -32,52 +36,61 @@ def _as_q(value):
 
 @dataclass(frozen=True)
 class Tensor:
-    """Immutable dense tensor with per-axis variance tags.
+    """Immutable sparse tensor with per-axis variance tags.
 
-    sym and alt list index pairs the entries are promised to be
-    symmetric or antisymmetric in; they are validated at construction
-    and excluded from equality, so two tensors with identical entries
-    compare equal regardless of how they were built.
+    entries is the sorted tuple of (index tuple, Fraction) pairs with a
+    nonzero value; the constructor takes the pairs in any order, rejects
+    an index twice or out of range, and drops zero values, so equal
+    tensors have equal entries.
     """
 
     shape: tuple
     variance: tuple
     entries: tuple
-    sym: tuple = field(default=(), compare=False)
-    alt: tuple = field(default=(), compare=False)
 
     def __post_init__(self):
         shape = tuple(int(n) for n in self.shape)
         variance = tuple(self.variance)
-        entries = tuple(_as_q(e) for e in self.entries)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "variance", variance)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "sym", tuple(tuple(p) for p in self.sym))
-        object.__setattr__(self, "alt", tuple(tuple(p) for p in self.alt))
         if len(shape) != len(variance):
             raise ShapeMismatch(f"shape {shape} vs variance {variance}")
         if any(v not in (UP, DOWN) for v in variance):
             raise ShapeMismatch(f"bad variance {variance}")
         if any(n < 0 for n in shape):
             raise ShapeMismatch(f"negative axis in {shape}")
-        if len(entries) != math.prod(shape):
-            raise ShapeMismatch(f"{len(entries)} entries for shape {shape}")
-        for a, b in self.sym + self.alt:
-            if not (0 <= a < len(shape) and 0 <= b < len(shape)) or a == b:
-                raise ShapeMismatch(f"bad axis pair ({a}, {b})")
-            if shape[a] != shape[b]:
-                raise ShapeMismatch(f"axes {a} and {b} differ in length")
-        for a, b in self.sym:
-            self._check_pair(a, b, Fraction(1), "symmetric")
-        for a, b in self.alt:
-            self._check_pair(a, b, Fraction(-1), "antisymmetric")
+        values = {}
+        for idx, value in self.entries:
+            idx = tuple(idx)
+            self._check_index(idx)
+            if idx in values:
+                raise ShapeMismatch(f"index {idx} given twice")
+            values[idx] = _as_q(value)
+        object.__setattr__(self, "entries", tuple(sorted(
+            (idx, value) for idx, value in values.items() if value)))
 
-    def _check_pair(self, a, b, sign, word):
-        for idx in self.indices():
+    def _check_index(self, idx):
+        if len(idx) != len(self.shape):
+            raise ShapeMismatch(f"index {idx} for shape {self.shape}")
+        if not all(0 <= i < n for i, n in zip(idx, self.shape)):
+            raise ShapeMismatch(
+                f"index {idx} out of range for shape {self.shape}")
+
+    def require_pair(self, a, b, sign):
+        """Raise ShapeMismatch unless swapping axes a and b multiplies
+        every entry by sign: 1 for symmetric, -1 for antisymmetric."""
+        if not (0 <= a < self.rank and 0 <= b < self.rank) or a == b:
+            raise ShapeMismatch(f"bad axis pair ({a}, {b})")
+        if self.shape[a] != self.shape[b]:
+            raise ShapeMismatch(f"axes {a} and {b} differ in length")
+        # not the cached _lookup: the metrics and forms checked here are
+        # mostly walked, not indexed, and a cached dict would hold memory
+        lookup = dict(self.entries)
+        for idx, value in self.entries:
             swapped = list(idx)
             swapped[a], swapped[b] = swapped[b], swapped[a]
-            if self[idx] != sign * self[tuple(swapped)]:
+            if lookup.get(tuple(swapped), 0) != sign * value:
+                word = "symmetric" if sign == 1 else "antisymmetric"
                 raise ShapeMismatch(
                     f"entries not {word} in axes ({a}, {b}) at {idx}")
 
@@ -85,38 +98,33 @@ class Tensor:
 
     @classmethod
     def zero(cls, shape, variance):
-        return cls(tuple(shape), tuple(variance),
-                   (Fraction(0),) * math.prod(shape))
+        return cls(tuple(shape), tuple(variance), ())
 
     @classmethod
-    def from_entries(cls, shape, variance, mapping, **tags):
-        """Dense tensor from a sparse {index tuple: value} mapping."""
-        t = [Fraction(0)] * math.prod(shape)
-        strides = _strides(shape)
-        for idx, value in mapping.items():
-            t[_offset(idx, shape, strides)] = _as_q(value)
-        return cls(tuple(shape), tuple(variance), tuple(t), **tags)
+    def from_entries(cls, shape, variance, mapping):
+        """Tensor from a {index tuple: value} mapping; zeros may be listed."""
+        return cls(tuple(shape), tuple(variance), tuple(mapping.items()))
 
     @classmethod
-    def from_nested(cls, nested, variance, **tags):
+    def from_nested(cls, nested, variance):
         shape = []
         probe = nested
         for _ in variance:
             shape.append(len(probe))
             probe = probe[0] if len(probe) else []
-        flat = []
+        pairs = []
 
-        def walk(node, depth):
-            if depth == len(shape):
-                flat.append(_as_q(node))
+        def walk(node, prefix):
+            if len(prefix) == len(shape):
+                pairs.append((prefix, node))
                 return
-            if len(node) != shape[depth]:
+            if len(node) != shape[len(prefix)]:
                 raise ShapeMismatch("ragged nested input")
-            for child in node:
-                walk(child, depth + 1)
+            for i, child in enumerate(node):
+                walk(child, prefix + (i,))
 
-        walk(nested, 0)
-        return cls(tuple(shape), tuple(variance), tuple(flat), **tags)
+        walk(nested, ())
+        return cls(tuple(shape), tuple(variance), tuple(pairs))
 
     # -- access ------------------------------------------------------------
 
@@ -124,57 +132,39 @@ class Tensor:
     def rank(self):
         return len(self.shape)
 
-    def indices(self):
-        return itertools.product(*(range(n) for n in self.shape))
+    @cached_property
+    def _lookup(self):
+        return dict(self.entries)
 
     def __getitem__(self, idx):
-        if isinstance(idx, int):
-            idx = (idx,)
-        return self.entries[_offset(idx, self.shape, _strides(self.shape))]
-
-    def to_nested(self):
-        def build(prefix, depth):
-            if depth == self.rank:
-                return self[tuple(prefix)]
-            return [build(prefix + [i], depth + 1)
-                    for i in range(self.shape[depth])]
-
-        return build([], 0)
+        idx = (idx,) if isinstance(idx, int) else tuple(idx)
+        self._check_index(idx)
+        return self._lookup.get(idx, _ZERO)
 
     def is_zero(self):
-        return all(e == 0 for e in self.entries)
-
-    def nonzero_items(self):
-        """Yield (index tuple, value) in row-major order."""
-        for idx in self.indices():
-            v = self[idx]
-            if v != 0:
-                yield idx, v
-
-    def first_nonzero(self):
-        for item in self.nonzero_items():
-            return item
-        return None
+        return not self.entries
 
     # -- arithmetic --------------------------------------------------------
 
-    def _like(self, entries):
-        return Tensor(self.shape, self.variance, tuple(entries))
+    def _like(self, pairs):
+        return Tensor(self.shape, self.variance, tuple(pairs))
 
     def __add__(self, other):
         self._require_same(other)
-        return self._like(a + b for a, b in zip(self.entries, other.entries))
+        total = dict(self.entries)
+        for idx, value in other.entries:
+            total[idx] = total.get(idx, 0) + value
+        return self._like(total.items())
 
     def __sub__(self, other):
-        self._require_same(other)
-        return self._like(a - b for a, b in zip(self.entries, other.entries))
+        return self + (-other)
 
     def __neg__(self):
-        return self._like(-a for a in self.entries)
+        return self._like((idx, -value) for idx, value in self.entries)
 
     def scale(self, factor):
         q = _as_q(factor)
-        return self._like(q * a for a in self.entries)
+        return self._like((idx, q * value) for idx, value in self.entries)
 
     def _require_same(self, other):
         if not isinstance(other, Tensor):
@@ -184,25 +174,14 @@ class Tensor:
                 f"{self.shape}/{self.variance} vs {other.shape}/{other.variance}")
 
 
-def _strides(shape):
-    strides = []
-    acc = 1
-    for n in reversed(shape):
-        strides.append(acc)
-        acc *= n
-    return tuple(reversed(strides))
-
-
-def _offset(idx, shape, strides):
-    idx = tuple(idx)
-    if len(idx) != len(shape):
-        raise ShapeMismatch(f"index {idx} for shape {shape}")
-    off = 0
-    for i, n, s in zip(idx, shape, strides):
-        if not 0 <= i < n:
-            raise ShapeMismatch(f"index {idx} out of range for shape {shape}")
-        off += i * s
-    return off
+def by_axis(t, axis):
+    """{i: [(index without axis, value), ...]} over the nonzeros of t
+    whose index at axis is i, each list in row-major order."""
+    groups = {}
+    for idx, value in t.entries:
+        groups.setdefault(idx[axis], []).append(
+            (idx[:axis] + idx[axis + 1:], value))
+    return groups
 
 
 # -- exact matrix routines (rows are lists of Fractions) -------------------
@@ -211,7 +190,10 @@ def matrix_rows(t):
     """Rank-2 tensor as a list of row lists."""
     if t.rank != 2:
         raise ShapeMismatch(f"expected a matrix, got rank {t.rank}")
-    return [[t[i, j] for j in range(t.shape[1])] for i in range(t.shape[0])]
+    rows = [[_ZERO] * t.shape[1] for _ in range(t.shape[0])]
+    for (i, j), value in t.entries:
+        rows[i][j] = value
+    return rows
 
 
 # -- exact linear systems --------------------------------------------------
@@ -246,13 +228,14 @@ def _eliminate(rows, rhs=None):
     """One fraction-free pass over A x = b, b = 0 if rhs is None.
 
     Each row of [A | b] is cleared of its denominators once, by its own s,
-    and with an rhs carries s times its identity row to track it as a
-    combination of the rows of A.  Left to right, the pivot is the first
-    nonzero entry at or below the current row, and every other row r
-    becomes (p a_r - a_rc a_pivot) / (previous pivot), exact on ints.
-    Pivot rows so end reduced with the last pivot d on the diagonal, and
-    the other rows are the Gauss-Jordan ones times d s.  Until the first
-    zero, the leading minor k + 1 is the entry at (k, k) as column k opens.
+    and with an rhs carries the combination of the rows of A it stands
+    for, as a dict of nonzero coefficients, starting from {row: s}.
+    Left to right, the pivot is the first nonzero entry at or below the
+    current row, and every other row r becomes
+    (p a_r - a_rc a_pivot) / (previous pivot), exact on ints.  Pivot rows
+    so end reduced with the last pivot d on the diagonal, and the other
+    rows are the Gauss-Jordan ones times d s.  Until the first zero, the
+    leading minor k + 1 is the entry at (k, k) as column k opens.
     """
     nrows, ncols = len(rows), (len(rows[0]) if rows else 0)
     if any(len(row) != ncols for row in rows):
@@ -266,8 +249,9 @@ def _eliminate(rows, rhs=None):
         q = [_as_q(x) for x in row] + [_as_q(rhs[i])]
         s = math.lcm(*(x.denominator for x in q))
         scales.append(s)
-        a.append([x.numerator * (s // x.denominator) for x in q]
-                 + [s * (i == j) for j in range(nrows) if certify])
+        a.append([x.numerator * (s // x.denominator) for x in q])
+    combos = ([{i: s} for i, s in enumerate(scales)] if certify
+              else [None] * nrows)
     order = list(range(nrows))
     pivots, minors = [], []
     sign = prev = 1
@@ -279,8 +263,8 @@ def _eliminate(rows, rhs=None):
         if pivot_row is None:
             continue
         if pivot_row != rank:
-            a[rank], a[pivot_row] = a[pivot_row], a[rank]
-            order[rank], order[pivot_row] = order[pivot_row], order[rank]
+            for seq in (a, order, combos):
+                seq[rank], seq[pivot_row] = seq[pivot_row], seq[rank]
             sign = -sign
         top = a[rank]
         p = top[col]
@@ -288,6 +272,8 @@ def _eliminate(rows, rhs=None):
             f = row[col]
             if r != rank and (f or p != prev):
                 a[r] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+                if certify:
+                    combos[r] = _combine(p, combos[r], f, combos[rank], prev)
         prev = p
         pivots.append(col)
 
@@ -303,10 +289,11 @@ def _eliminate(rows, rhs=None):
     if bad is None:
         outcome = LinearSolution(tuple(column(ncols)), tuple(pivots), free)
     else:
-        row = a[bad]
-        own = row[ncols + 1 + order[bad]]
-        outcome = Infeasible(tuple(Fraction(y, own) for y in row[ncols + 1:]),
-                             Fraction(row[ncols], own))
+        combo = combos[bad]
+        own = combo[order[bad]]
+        outcome = Infeasible(
+            tuple(Fraction(combo.get(i, 0), own) for i in range(nrows)),
+            Fraction(a[bad][ncols], own))
     kernel = None
     if free:
         kernel = tuple(Fraction(c == free[0]) - x
@@ -316,6 +303,15 @@ def _eliminate(rows, rhs=None):
         determinant = Fraction(sign * prev if rank == ncols else 0,
                                math.prod(scales))
     return _Elimination(outcome, determinant, tuple(minors), kernel)
+
+
+def _combine(p, x, f, y, prev):
+    """(p x - f y) / prev on sparse combinations, zeros dropped."""
+    out = {i: p * v for i, v in x.items()}
+    if f:
+        for i, v in y.items():
+            out[i] = out.get(i, 0) - f * v
+    return {i: v // prev for i, v in out.items() if v}
 
 
 def det(rows):

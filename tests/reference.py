@@ -1,14 +1,21 @@
-"""The Fraction row reductions liegeom used before its single elimination.
+"""Dense routines liegeom used before it walked only the nonzeros.
 
-det, leading_minors, solve_linear and null_vector are copied verbatim
-from the last version that had them as separate routines.  They serve
-only as a differential oracle for liegeom.tensors in the test suite.
+det, leading_minors, solve_linear and null_vector are the Fraction row
+reductions used before the single elimination, copied verbatim.  The
+tensor routines below them loop over every index position, as liegeom
+did when it stored its tensors densely; they read entries through
+Tensor.__getitem__ and return their results through Tensor.from_entries.
+All of them serve only as a differential oracle in the test suite.
 """
 
+import itertools
 from fractions import Fraction
 
-from liegeom.errors import ShapeMismatch
-from liegeom.tensors import Infeasible, LinearSolution
+from liegeom.algebra import JacobiViolation, bracket, jacobi_residual
+from liegeom.errors import ShapeMismatch, UnsupportedDegree
+from liegeom.forms import KForm, _perm_sign
+from liegeom.geometry import CLAIMS, CodazziViolation, CurvatureFit, Witness
+from liegeom.tensors import DOWN, UP, Infeasible, LinearSolution, Tensor
 
 
 def _as_q(value):
@@ -106,3 +113,198 @@ def solve_linear(rows, rhs):
         values[col] = b[k]
     free = tuple(c for c in range(ncols) if c not in pivots)
     return LinearSolution(tuple(values), tuple(pivots), free)
+
+
+# -- dense tensor routines -------------------------------------------------
+
+def _nonzero(positions, value_at):
+    """{index: value} over the positions where value_at is nonzero."""
+    values = {idx: value_at(*idx) for idx in positions}
+    return {idx: value for idx, value in values.items() if value != 0}
+
+
+def _cube(n, rank):
+    return itertools.product(range(n), repeat=rank)
+
+
+def torsion(connection):
+    L = connection.base
+    n = L.dim
+    gamma = connection.gamma
+    entries = _nonzero(_cube(n, 3), lambda i, j, k: (
+        gamma[i, j, k] - gamma[j, i, k] - L.c[i, j, k]))
+    return Tensor.from_entries((n, n, n), (DOWN, DOWN, UP), entries)
+
+
+def to_nested(t):
+    """The entries of t as nested lists, zeros included."""
+    def build(prefix, depth):
+        if depth == t.rank:
+            return t[tuple(prefix)]
+        return [build(prefix + [i], depth + 1) for i in range(t.shape[depth])]
+
+    return build([], 0)
+
+
+def curvature(connection):
+    L = connection.base
+    n = L.dim
+    g = to_nested(connection.gamma)
+    c = to_nested(L.c)
+
+    def value(i, j, k, l):
+        total = Fraction(0)
+        for m in range(n):
+            total += g[j][k][m] * g[i][m][l]
+            total -= g[i][k][m] * g[j][m][l]
+            total -= c[i][j][m] * g[m][k][l]
+        return total
+
+    return Tensor.from_entries((n, n, n, n), (DOWN, DOWN, DOWN, UP),
+                               _nonzero(_cube(n, 4), value))
+
+
+def nabla_g(connection, metric):
+    n = connection.base.dim
+    gamma = to_nested(connection.gamma)
+    g = to_nested(metric.g)
+
+    def value(i, j, k):
+        total = Fraction(0)
+        for m in range(n):
+            total -= gamma[i][j][m] * g[m][k]
+            total -= gamma[i][k][m] * g[j][m]
+        return total
+
+    return Tensor.from_entries((n, n, n), (DOWN, DOWN, DOWN),
+                               _nonzero(_cube(n, 3), value))
+
+
+def codazzi_check(connection, metric):
+    ng = nabla_g(connection, metric)
+    n = connection.base.dim
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                residual = ng[i, j, k] - ng[j, i, k]
+                if residual != 0:
+                    return CodazziViolation(i, j, k, residual)
+    return None
+
+
+def comparison_tensor(metric):
+    n = metric.base.dim
+    g = metric.g
+
+    def value(i, j, k, l):
+        total = Fraction(0)
+        if l == i:
+            total += g[j, k]
+        if l == j:
+            total -= g[i, k]
+        return total
+
+    return Tensor.from_entries((n, n, n, n), (DOWN, DOWN, DOWN, UP),
+                               _nonzero(_cube(n, 4), value))
+
+
+def curvature_fit(r, k):
+    """The fit of R = c K by a scan over every index position."""
+    first = k.entries[0] if k.entries else None
+    c = Fraction(0) if first is None else r[first[0]] / first[1]
+    for idx in _cube(r.shape[0], 4):
+        residual = CLAIMS["constant_curvature"].residual((r, k), idx, (c,))
+        if residual != 0:
+            return CurvatureFit("none", witness=Witness(
+                "constant_curvature", idx, residual, (c,)))
+    if first is None:
+        return CurvatureFit("underdetermined")
+    return CurvatureFit("constant", c)
+
+
+def jacobi_check(L):
+    for i, j, k in itertools.combinations(range(L.dim), 3):
+        residual = jacobi_residual(L, i, j, k)
+        if any(residual):
+            return JacobiViolation(i, j, k, residual)
+    return None
+
+
+def ce_d(L, form):
+    n = L.dim
+    if form.degree == 1:
+        components = {}
+        for i in range(n):
+            for j in range(i + 1, n):
+                value = -sum((L.c[i, j, k] * form.coefficients[(k,)]
+                              for k in range(n)), Fraction(0))
+                if value != 0:
+                    components[(i, j)] = value
+        return KForm.from_components(n, 2, components)
+    if form.degree == 2:
+        w = form.coefficients
+        components = {}
+        for i, j, k in itertools.combinations(range(n), 3):
+            value = Fraction(0)
+            for m in range(n):
+                value += (-L.c[i, j, m] * w[m, k]
+                          + L.c[i, k, m] * w[m, j]
+                          - L.c[j, k, m] * w[m, i])
+            if value != 0:
+                components[(i, j, k)] = value
+        return KForm.from_components(n, 3, components)
+    raise UnsupportedDegree(f"differential of degree {form.degree}")
+
+
+def wedge(a, b):
+    n = a.dim
+    degree = a.degree + b.degree
+    components = {}
+    for idx in itertools.combinations(range(n), degree):
+        total = Fraction(0)
+        for picked in itertools.combinations(range(degree), a.degree):
+            rest = tuple(p for p in range(degree) if p not in picked)
+            sign = _perm_sign(picked + rest)
+            left = a.coefficients[tuple(idx[p] for p in picked)]
+            right = b.coefficients[tuple(idx[p] for p in rest)]
+            total += sign * left * right
+        if total != 0:
+            components[idx] = total
+    return KForm.from_components(n, degree, components)
+
+
+def apply(J, x):
+    """ComplexStructure.apply: J x in coordinates."""
+    n = J.base.dim
+    x = tuple(Fraction(v) for v in x)
+    return tuple(sum((J.j[i, k] * x[k] for k in range(n)), Fraction(0))
+                 for i in range(n))
+
+
+def nijenhuis(L, J):
+    n = L.dim
+    basis = [L.basis_vector(i) for i in range(n)]
+    jbasis = [apply(J, v) for v in basis]
+    entries = {}
+    for i in range(n):
+        for j in range(n):
+            inner = tuple(a + b for a, b in zip(
+                bracket(L, jbasis[i], basis[j]),
+                bracket(L, basis[i], jbasis[j])))
+            total = tuple(
+                p + q - r for p, q, r in zip(
+                    bracket(L, basis[i], basis[j]),
+                    apply(J, inner),
+                    bracket(L, jbasis[i], jbasis[j])))
+            for k, value in enumerate(total):
+                if value != 0:
+                    entries[(i, j, k)] = value
+    return Tensor.from_entries((n, n, n), (DOWN, DOWN, UP), entries)
+
+
+def pairing_rows(omega, J):
+    n = omega.dim
+    w = omega.coefficients
+    return [[sum((w[i, k] * J.j[k, j] for k in range(n)), Fraction(0))
+             for j in range(n)] for i in range(n)]
+

@@ -307,6 +307,21 @@ def test_lck_family_lee_form_tracks_t():
     assert fam.double.algebra.basis_labels == ("v1", "rho1", "v2", "rho2")
 
 
+def test_lck_family_at_the_catalog_maximum():
+    # abelian-n at n = 16 is the largest catalog entry: the double of its
+    # cone has dimension 34 and its Lee system 5984 equations
+    entry = get_example("abelian-n", {"n": 16})
+    fam = lck_family(entry.algebra, entry.connection, entry.metric, None,
+                     Q(3, 2))
+    assert fam.double.algebra.dim == 34
+    assert fam.c == 0
+    lee = [((fam.cone.rho_index,), -(1 + fam.c * fam.t))]
+    assert list(fam.lee_form.components()) == lee
+    assert list(fam.report.lee_form.components()) == lee
+    assert fam.report.is_lck is True
+    assert fam.report.is_kahler is False
+
+
 def test_lck_family_requires_positive_t():
     entry = clan()
     for t in (0, -1, Q(-1, 2)):
@@ -332,7 +347,7 @@ def test_extraction_inverts_the_cone(name, c_arg):
 
 def test_extraction_rejects_inconsistent_rho_component():
     entry, ext = clan_cone()
-    table = dict(ext.nabla.gamma.nonzero_items())
+    table = dict(ext.nabla.gamma.entries)
     table[(0, 0, 2)] = Q(5)
     bad = Connection(ext.algebra,
                      Tensor.from_entries((3, 3, 3), ("d", "d", "u"), table))
@@ -342,7 +357,7 @@ def test_extraction_rejects_inconsistent_rho_component():
 
 def test_extraction_rejects_rho_part_over_zero_metric_slot():
     entry, ext = clan_cone()
-    table = dict(ext.nabla.gamma.nonzero_items())
+    table = dict(ext.nabla.gamma.entries)
     table[(0, 1, 2)] = Q(1)
     bad = Connection(ext.algebra,
                      Tensor.from_entries((3, 3, 3), ("d", "d", "u"), table))
@@ -352,7 +367,7 @@ def test_extraction_rejects_rho_part_over_zero_metric_slot():
 
 def test_extraction_rejects_broken_radiant_row():
     entry, ext = clan_cone()
-    table = dict(ext.nabla.gamma.nonzero_items())
+    table = dict(ext.nabla.gamma.entries)
     table[(2, 2, 2)] = Q(0)
     bad = Connection(ext.algebra,
                      Tensor.from_entries((3, 3, 3), ("d", "d", "u"), table))
@@ -364,8 +379,12 @@ def test_extraction_rejects_noncentral_rho():
     entry, ext = clan_cone()
     noisy = LieAlgebra.from_brackets(ext.algebra.basis_labels,
                                      {(0, 2): {0: 1}})
-    with pytest.raises(NotConical):
+    with pytest.raises(NotConical, match="is nonzero"):
         extract_statistical(noisy, ext.nabla, entry.metric, 2)
+    leaky = LieAlgebra.from_brackets(ext.algebra.basis_labels,
+                                     {(0, 1): {2: 1}})
+    with pytest.raises(NotConical, match="leaves the base subspace"):
+        extract_statistical(leaky, ext.nabla, entry.metric, 2)
 
 
 def test_extraction_rejects_zero_base_metric():

@@ -7,8 +7,8 @@ from liegeom import (ComplexStructure, Connection, DegenerateMetric,
                      MissingPieces, NoLeeForm, NotAlmostComplex,
                      ShapeMismatch, Tensor, VerdictError, Witness,
                      classify, codazzi_check, cone_extend, constant_curvature,
-                     curvature, double, get_example, nabla, nabla_g,
-                     nijenhuis, torsion, witness_residual)
+                     curvature, double, get_example, lck_family, nabla,
+                     nabla_g, nijenhuis, torsion, witness_residual)
 from liegeom.geometry import lee_form_solve, pairing_rows
 
 Q = Fraction
@@ -62,13 +62,13 @@ def test_torsion_vanishes_for_clan_and_su2():
 def test_torsionful_fixture_has_unit_torsion():
     entry = get_example("flat-torsionful-fixture")
     t = torsion(entry.connection)
-    assert dict(t.nonzero_items()) == {(0, 1, 1): Q(1), (1, 0, 1): Q(-1)}
+    assert dict(t.entries) == {(0, 1, 1): Q(1), (1, 0, 1): Q(-1)}
 
 
 def test_zero_connection_torsion_is_minus_bracket():
     entry = clan()
     t = torsion(Connection.zero(entry.algebra))
-    assert dict(t.nonzero_items()) == {(0, 1, 1): Q(-2), (1, 0, 1): Q(2)}
+    assert dict(t.entries) == {(0, 1, 1): Q(-2), (1, 0, 1): Q(2)}
 
 
 # -- curvature -------------------------------------------------------------
@@ -81,7 +81,7 @@ def test_zero_connection_on_abelian_is_flat():
 def test_clan_curvature_components():
     # R(u, v)u = 4v and R(u, v)v = -2u, plus the i <-> j mirror images
     r = curvature(clan().connection)
-    assert dict(r.nonzero_items()) == {
+    assert dict(r.entries) == {
         (0, 1, 0, 1): Q(4),
         (0, 1, 1, 0): Q(-2),
         (1, 0, 0, 1): Q(-4),
@@ -133,7 +133,7 @@ def test_nabla_g_detects_perturbation():
     entry = clan()
     g = Metric.from_rows(entry.algebra, [[4, 0], [0, 3]])
     ng = nabla_g(entry.connection, g)
-    assert dict(ng.nonzero_items()) == {
+    assert dict(ng.entries) == {
         (1, 0, 1): Q(2), (1, 1, 0): Q(2)}
 
 
@@ -537,3 +537,27 @@ def test_witness_residual_rejects_stale_certificate():
     other = KForm.from_components(4, 2, {(0, 1): Q(1)})
     with pytest.raises(ShapeMismatch):
         witness_residual(witness, algebra=L, omega=other)
+
+
+@pytest.mark.parametrize("claim, indices, detail", [
+    ("jacobi", (0, 1), ()),
+    ("constant_curvature", (0, 1, 0, 1), ()),
+    ("pairing_symmetry", (-1, 0), ()),
+    ("pairing_symmetry", (0, 99), ()),
+    ("pairing_symmetry", (0,), ()),
+], ids=["jacobi-two-indices", "fit-without-constant",
+        "pairing-negative-index", "pairing-index-out-of-range",
+        "pairing-one-index"])
+def test_malformed_witness_is_refused(claim, indices, detail):
+    # witnesses read from a file may be malformed; a negative index must
+    # not wrap around, and nothing may escape as TypeError or IndexError
+    entry = su2()
+    member = lck_family(entry.algebra, entry.connection, entry.metric,
+                        c=None, t=1)
+    pieces = {"algebra": entry.algebra, "connection": entry.connection,
+              "metric": entry.metric}
+    if claim == "pairing_symmetry":
+        pieces = {"algebra": member.double.algebra, "omega": member.omega,
+                  "complex_structure": member.double.complex_structure}
+    with pytest.raises(ShapeMismatch):
+        witness_residual(Witness(claim, indices, Q(0), detail), **pieces)

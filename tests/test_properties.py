@@ -2,17 +2,13 @@
 
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from liegeom import (ComplexStructure, Connection, KForm, LieAlgebra, Metric,
                      bracket, ce_d, constant_curvature, curvature, get_example,
                      make_rational, rescale_metric, solve_lambda, wedge)
 
 Q = Fraction
-
-settings.register_profile("suite", deadline=None, max_examples=60,
-                          derandomize=True)
-settings.load_profile("suite")
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 small_ints = st.integers(min_value=-9, max_value=9)
