@@ -29,7 +29,7 @@ from .errors import (DegenerateMetric, DimensionMismatch, MissingPieces,
                      UnsupportedDegree)
 from .forms import KForm, ce_d
 from .tensors import (DOWN, UP, Infeasible, Tensor, by_axis, det,
-                      leading_minors, matrix_rows, null_vector, solve_linear)
+                      leading_minors, null_vector, solve_linear)
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,7 @@ class Metric:
                    Fraction(0))
 
     def is_positive_definite(self):
-        return all(m > 0 for m in leading_minors(matrix_rows(self.g)))
+        return all(m > 0 for m in leading_minors(self.g))
 
 
 @dataclass(frozen=True)
@@ -214,14 +214,9 @@ def codazzi_check(connection, metric):
     """
     _same_base(connection.base, metric.base)
     ng = nabla_g(connection, metric)
-    # the residual ng[i, j, k] - ng[j, i, k] is zero where both entries are
-    candidates = {(min(i, j), max(i, j), k) for (i, j, k), _ in ng.entries
-                  if i != j}
-    for idx in sorted(candidates):
-        residual = CLAIMS["codazzi"].residual(ng, idx, ())
-        if residual != 0:
-            return CodazziViolation(*idx, residual)
-    return None
+    idx = _first_asymmetry(ng)
+    return None if idx is None else CodazziViolation(
+        *idx, _swap_residual(ng, idx, ()))
 
 
 @dataclass(frozen=True)
@@ -269,7 +264,7 @@ def comparison_tensor(metric):
 def constant_curvature(connection, metric):
     """Fit a single exact c with R = c K, or report why none exists."""
     _same_base(connection.base, metric.base)
-    if det(matrix_rows(metric.g)) == 0:
+    if det(metric.g) == 0:
         raise DegenerateMetric("the metric is degenerate; no curvature fit")
     return _curvature_fit(curvature(connection), comparison_tensor(metric))
 
@@ -319,8 +314,8 @@ def nijenhuis(L, J):
 
 
 def pairing_rows(omega, J):
-    """Matrix of omega(e_i, J e_j) as row lists."""
-    return matrix_rows(_map_axis(omega.coefficients, by_axis(J.j, 0), 1))
+    """The matrix omega(e_i, J e_j), as a rank-2 Tensor."""
+    return _map_axis(omega.coefficients, by_axis(J.j, 0), 1)
 
 
 # -- the Lee form equation -------------------------------------------------
@@ -328,50 +323,46 @@ def pairing_rows(omega, J):
 def lee_form_system(L, omega):
     """Linear system for theta with d(omega) = theta wedge omega.
 
-    Returns (rows, rhs, triples): one equation per basis triple i < j < k
-    in lexicographic order, one column per dual basis covector.
+    Returns (matrix, rhs, triples): one equation per basis triple
+    i < j < k in lexicographic order, one column per dual basis covector.
     """
+    return _lee_system(L, omega, closed=False)
+
+
+def _lee_system(L, omega, closed):
+    """lee_form_system, with one row theta([e_i, e_j]) = 0 per pair i < j,
+    i.e. d(theta) = 0, appended when closed.  The row of i < j < k is
+    w[j, k] theta_i - w[i, k] theta_j + w[i, j] theta_k, so a component
+    w[a, b] lands at column m of the row of {a, b, m}, negated when
+    a < m < b."""
     if omega.degree != 2:
         raise UnsupportedDegree("the Lee equation needs a 2-form")
     if omega.dim != L.dim:
         raise DimensionMismatch("form and algebra dimensions differ")
     n = L.dim
-    d = ce_d(L, omega).coefficients
-    w = omega.coefficients
-    rows = []
-    rhs = []
-    triples = []
-    for i, j, k in itertools.combinations(range(n), 3):
-        row = [Fraction(0)] * n
-        row[i] += w[j, k]
-        row[j] -= w[i, k]
-        row[k] += w[i, j]
-        rows.append(row)
-        rhs.append(d[i, j, k])
-        triples.append((i, j, k))
-    return rows, rhs, triples
-
-
-def closedness_rows(L):
-    """Equations saying theta vanishes on every bracket, i.e. d(theta) = 0."""
-    n = L.dim
-    return [[L.c[i, j, k] for k in range(n)]
-            for i, j in itertools.combinations(range(n), 2)]
-
-
-def _lee_system(L, omega, closed):
-    """(rows, rhs) of the Lee equation; closed appends d(theta) = 0."""
-    rows, rhs, _ = lee_form_system(L, omega)
+    triples = list(itertools.combinations(range(n), 3))
+    row_of = {t: r for r, t in enumerate(triples)}
+    entries = {}
+    for (a, b), value in omega.components():
+        for m in set(range(n)) - {a, b}:
+            entries[row_of[tuple(sorted((a, b, m)))], m] = (
+                -value if a < m < b else value)
+    rhs = [Fraction(0)] * len(triples)
+    for idx, value in ce_d(L, omega).components():
+        rhs[row_of[idx]] = value
     if closed:
-        extra = closedness_rows(L)
-        rows = rows + extra
-        rhs = rhs + [Fraction(0)] * len(extra)
-    return rows, rhs
+        pairs = {p: r for r, p in enumerate(
+            itertools.combinations(range(n), 2), len(rhs))}
+        entries.update(((pairs[i, j], k), value)
+                       for (i, j, k), value in L.c.entries if i < j)
+        rhs += [Fraction(0)] * len(pairs)
+    matrix = Tensor.from_entries((len(rhs), n), (DOWN, DOWN), entries)
+    return matrix, rhs, triples
 
 
 def _lee_solve(L, system):
     """(theta, None) for the canonical solution, (None, certificate) if none."""
-    solved = solve_linear(*system)
+    solved = solve_linear(*system[:2])
     if isinstance(solved, Infeasible):
         return None, solved
     values = {(i,): v for i, v in enumerate(solved.values) if v != 0}
@@ -397,6 +388,21 @@ def lee_form_solve(L, omega):
 # object it has just computed; witness_residual rebuilds the object from
 # the raw pieces with the claim's measure and applies the same function.
 
+def _swap_residual(t, idx, detail):
+    """t at idx minus t with the first two indices of idx swapped."""
+    return t[idx] - t[(idx[1], idx[0]) + idx[2:]]
+
+
+def _first_asymmetry(t):
+    """The lexicographically first index with i < j in its first two
+    places at which _swap_residual is nonzero, else None; only where an
+    entry is set can it be."""
+    candidates = {(min(idx[:2]), max(idx[:2])) + idx[2:]
+                  for idx, _ in t.entries if idx[0] != idx[1]}
+    return next((idx for idx in sorted(candidates)
+                 if _swap_residual(t, idx, ())), None)
+
+
 def _slice(t, idx, detail):
     """The last-axis vector of t at the leading indices idx."""
     return tuple(t[idx + (m,)] for m in range(t.shape[-1]))
@@ -414,20 +420,27 @@ def _basis_indices(idx, arity, dim):
     return idx
 
 
-def _minor(rows, idx, detail):
-    """Leading minor idx[0] of rows; a nonempty detail must be a kernel
+def _minor(matrix, idx, detail):
+    """Leading minor idx[0] of matrix; a nonempty detail must be a kernel
     vector of the leading block of that size, padded with zeros."""
-    minors = leading_minors(rows)
+    minors = leading_minors(matrix)
     k = idx[0] if len(idx) == 1 else 0
     if not 1 <= k <= len(minors):
         raise ShapeMismatch(f"no leading minor {idx} up to the first zero one")
-    if detail and (len(detail) != len(rows) or any(detail[k:])
-                   or not any(detail) or any(
-                       sum(a * x for a, x in zip(row, detail)) != 0
-                       for row in rows[:k])):
+    if detail and (len(detail) != matrix.shape[1] or any(detail[k:])
+                   or not any(detail)
+                   or any(_times(matrix, detail, 1)[:k])):
         raise ShapeMismatch(
             f"detail is no zero-padded kernel vector of the {k}x{k} block")
     return minors[k - 1]
+
+
+def _times(matrix, x, axis):
+    """x summed against one axis of matrix: A x for axis 1, x A for 0."""
+    out = [Fraction(0)] * matrix.shape[1 - axis]
+    for idx, value in matrix.entries:
+        out[idx[1 - axis]] += value * x[idx[axis]]
+    return out
 
 
 def _fitted(detail):
@@ -437,19 +450,13 @@ def _fitted(detail):
     return detail[0]
 
 
-def _antisymmetric_part(rows, idx):
-    i, j = _basis_indices(idx, 2, len(rows))
-    return rows[i][j] - rows[j][i]
-
-
 def _certificate(system, idx, detail):
-    """y . rhs for a combination y = detail with y . rows = 0."""
-    rows, rhs = system
-    if len(detail) != len(rows):
+    """y . rhs for a combination y = detail with y . matrix = 0."""
+    matrix, rhs, _ = system
+    if len(detail) != matrix.shape[0]:
         raise ShapeMismatch("combination length does not match the system")
-    for col in zip(*rows):
-        if sum((y * a for y, a in zip(detail, col)), Fraction(0)) != 0:
-            raise ShapeMismatch("combination is not a left null vector")
+    if any(_times(matrix, detail, 0)):
+        raise ShapeMismatch("combination is not a left null vector")
     return sum((y * b for y, b in zip(detail, rhs)), Fraction(0))
 
 
@@ -477,9 +484,9 @@ CLAIMS = {claim.name: claim for claim in (
           lambda p: curvature(p.connection), _slice),
     Claim("codazzi", "codazzi", True,
           lambda p: nabla_g(p.connection, p.metric),
-          lambda ng, idx, detail: ng[idx] - ng[(idx[1], idx[0], idx[2])]),
+          _swap_residual),
     Claim("positive_definite", "metric_positive", False,
-          lambda p: matrix_rows(p.metric.g), _minor),
+          lambda p: p.metric.g, _minor),
     Claim("constant_curvature", None, True,
           lambda p: (curvature(p.connection), comparison_tensor(p.metric)),
           lambda rk, idx, detail: rk[0][idx] - _fitted(detail) * rk[1][idx]),
@@ -499,7 +506,7 @@ CLAIMS = {claim.name: claim for claim in (
           _certificate),
     Claim("pairing_symmetry", "pairing_positive", True,
           lambda p: pairing_rows(p.omega, p.complex_structure),
-          lambda rows, idx, detail: _antisymmetric_part(rows, idx)),
+          _swap_residual),
     Claim("pairing_positive", "pairing_positive", False,
           lambda p: pairing_rows(p.omega, p.complex_structure), _minor),
 )}
@@ -605,18 +612,19 @@ def classify(L, connection=None, metric=None, complex_structure=None,
 
     if metric is not None:
         _same_base(L, metric.base)
-        g_rows = matrix_rows(metric.g)
-        minors = leading_minors(g_rows)
+        g = metric.g
+        minors = leading_minors(g)
         bad = _first_nonpositive(minors)
         report["is_metric_positive"] = bad is None
         if bad is not None:
             detail = ()
             if minors[bad] == 0:
-                kernel = null_vector([row[: bad + 1]
-                                      for row in g_rows[: bad + 1]])
-                detail = kernel + (Fraction(0),) * (L.dim - bad - 1)
+                k = bad + 1
+                block = Tensor.from_entries((k, k), g.variance, {
+                    idx: v for idx, v in g.entries if max(idx) < k})
+                detail = null_vector(block) + (Fraction(0),) * (L.dim - k)
             witnesses.append(_witness(
-                "positive_definite", g_rows, (bad + 1,), detail))
+                "positive_definite", g, (bad + 1,), detail))
 
     if connection is not None and metric is not None:
         violation = codazzi_check(connection, metric)
@@ -625,7 +633,7 @@ def classify(L, connection=None, metric=None, complex_structure=None,
             witnesses.append(Witness(
                 "codazzi", (violation.i, violation.j, violation.k),
                 violation.residual))
-        if det(g_rows) == 0:
+        if det(g) == 0:
             fit = CurvatureFit("degenerate")
         else:
             fit = _curvature_fit(r, comparison_tensor(metric))
@@ -675,19 +683,16 @@ def classify(L, connection=None, metric=None, complex_structure=None,
             report["is_lee_closed"] = theta_closed is not None
 
         if complex_structure is not None:
-            rows = pairing_rows(omega, complex_structure)
-            n = L.dim
-            asym = next(((i, j) for i in range(n) for j in range(i + 1, n)
-                         if CLAIMS["pairing_symmetry"].residual(
-                             rows, (i, j), ()) != 0), None)
+            pairing = pairing_rows(omega, complex_structure)
+            asym = _first_asymmetry(pairing)
             bad = None
             if asym is not None:
-                witnesses.append(_witness("pairing_symmetry", rows, asym))
+                witnesses.append(_witness("pairing_symmetry", pairing, asym))
             else:
-                bad = _first_nonpositive(leading_minors(rows))
+                bad = _first_nonpositive(leading_minors(pairing))
                 if bad is not None:
                     witnesses.append(_witness(
-                        "pairing_positive", rows, (bad + 1,)))
+                        "pairing_positive", pairing, (bad + 1,)))
             positive = asym is None and bad is None
             report["is_pairing_positive"] = positive
             report["is_kahler"] = (report["is_integrable"]

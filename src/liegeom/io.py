@@ -222,10 +222,9 @@ def _entry_list(raw, name, arity, dim, ordered=None):
         if idx in seen:
             raise ValidationError(f"duplicate index {idx} at {where}",
                                   field=where)
-        value = _rational(item[arity], where)
-        if value != 0:
-            seen[idx] = value
-    return tuple(sorted(seen.items()))
+        # a zero is recorded too, so a duplicate is caught in either order
+        seen[idx] = _rational(item[arity], where)
+    return tuple(sorted((idx, v) for idx, v in seen.items() if v))
 
 
 def _form_block(raw, pos, dim):
@@ -238,9 +237,11 @@ def _form_block(raw, pos, dim):
     if not isinstance(name, str) or not _LABEL_RE.match(name):
         raise ValidationError(f"bad form name at {where}", field=where)
     degree = raw["degree"]
-    if degree not in (1, 2, 3):
-        raise ValidationError(f"form degree must be 1, 2 or 3 at {where}",
-                              field=where)
+    if not isinstance(degree, int) or isinstance(degree, bool) or not (
+            1 <= degree <= 3):
+        raise ValidationError(
+            f"form degree must be an integer in 1..3 at {where}, "
+            f"got {degree!r}", field=where)
     entries = _entry_list(raw["entries"], f"{where}.entries", degree, dim,
                           ordered="increasing")
     return FormBlock(name, degree, entries)

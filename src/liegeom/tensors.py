@@ -7,11 +7,12 @@ a document lists.  Structure constants, connections and forms are almost
 all zero, so every contraction walks these pairs (by_axis groups them by
 one axis) and reading an entry is a dictionary lookup, built on first use.
 
-det, leading_minors, solve_linear and null_vector read their answers off
-one integer-preserving elimination (Bareiss 1968): the determinant, the
-leading principal minors behind Sylvester's test up to the first zero
-one (past it the pass swaps rows), the canonical solution with free
-variables zero or a certificate of infeasibility, and a kernel vector.
+A matrix is a rank-2 Tensor too.  det, leading_minors, solve_linear and
+null_vector read their answers off one integer-preserving elimination
+(Bareiss 1968) over its nonzero entries: the determinant, the leading
+principal minors behind Sylvester's test up to the first zero one (past
+it the pass swaps rows), the canonical solution with free variables zero
+or a certificate of infeasibility, and a kernel vector.
 """
 
 from __future__ import annotations
@@ -184,18 +185,6 @@ def by_axis(t, axis):
     return groups
 
 
-# -- exact matrix routines (rows are lists of Fractions) -------------------
-
-def matrix_rows(t):
-    """Rank-2 tensor as a list of row lists."""
-    if t.rank != 2:
-        raise ShapeMismatch(f"expected a matrix, got rank {t.rank}")
-    rows = [[_ZERO] * t.shape[1] for _ in range(t.shape[0])]
-    for (i, j), value in t.entries:
-        rows[i][j] = value
-    return rows
-
-
 # -- exact linear systems --------------------------------------------------
 
 @dataclass(frozen=True)
@@ -224,89 +213,88 @@ class Infeasible:
 _Elimination = namedtuple("_Elimination", "outcome det minors kernel")
 
 
-def _eliminate(rows, rhs=None):
+def _eliminate(matrix, rhs=None):
     """One fraction-free pass over A x = b, b = 0 if rhs is None.
 
-    Each row of [A | b] is cleared of its denominators once, by its own s,
-    and with an rhs carries the combination of the rows of A it stands
-    for, as a dict of nonzero coefficients, starting from {row: s}.
-    Left to right, the pivot is the first nonzero entry at or below the
-    current row, and every other row r becomes
-    (p a_r - a_rc a_pivot) / (previous pivot), exact on ints.  Pivot rows
-    so end reduced with the last pivot d on the diagonal, and the other
-    rows are the Gauss-Jordan ones times d s.  Until the first zero, the
-    leading minor k + 1 is the entry at (k, k) as column k opens.
+    Row i of [A | b], read off the nonzero entries of the Tensor A, is
+    cleared of its denominators by its own s and kept as one dict of
+    nonzero ints; with an rhs it carries its certificate y too, the
+    combination of the rows of A it stands for, at columns ncols + 1 + i,
+    starting from {ncols + 1 + i: s}.  A row zero in [A | b] can be
+    neither a pivot nor the infeasible row: it gets no y and is never
+    touched.  Left to right, the pivot is the first row at or below the
+    current position with the column set, and every other row r becomes
+    (p a_r - a_rc a_pivot) / (previous pivot), y included, exact on ints.
+    Pivot rows so end reduced with the last pivot d on the diagonal, the
+    others are the Gauss-Jordan rows times d s, and until the first zero
+    the leading minor k + 1 is the entry at (k, k) as column k opens.
     """
-    nrows, ncols = len(rows), (len(rows[0]) if rows else 0)
-    if any(len(row) != ncols for row in rows):
-        raise ShapeMismatch("ragged coefficient matrix")
-    certify = rhs is not None
-    rhs = rhs if certify else [0] * nrows
-    if len(rhs) != nrows:
+    if not isinstance(matrix, Tensor) or matrix.rank != 2:
+        raise ShapeMismatch("expected a matrix: a rank-2 Tensor")
+    nrows, ncols = matrix.shape
+    b = [_ZERO] * nrows if rhs is None else [_as_q(x) for x in rhs]
+    if len(b) != nrows:
         raise ShapeMismatch("right-hand side length mismatch")
-    a, scales = [], []
-    for i, row in enumerate(rows):
-        q = [_as_q(x) for x in row] + [_as_q(rhs[i])]
-        s = math.lcm(*(x.denominator for x in q))
-        scales.append(s)
-        a.append([x.numerator * (s // x.denominator) for x in q])
-    combos = ([{i: s} for i, s in enumerate(scales)] if certify
-              else [None] * nrows)
-    order = list(range(nrows))
+    rows = [{ncols: x} if x else {} for x in b]
+    for (i, j), value in matrix.entries:
+        rows[i][j] = value
+    scales = [math.lcm(*(x.denominator for x in row.values()))
+              for row in rows]
+    for i, s in enumerate(scales):
+        rows[i] = {j: x.numerator * (s // x.denominator)
+                   for j, x in rows[i].items()}
+        if rows[i] and rhs is not None:
+            rows[i][ncols + 1 + i] = s
+    live = [i for i, row in enumerate(rows) if row]
+    order = list(range(nrows))      # order[position] = row
     pivots, minors = [], []
     sign = prev = 1
     for col in range(ncols):
         rank = len(pivots)
         if col < nrows and (not minors or minors[-1]):
-            minors.append(Fraction(a[col][col], math.prod(scales[:col + 1])))
-        pivot_row = next((r for r in range(rank, nrows) if a[r][col]), None)
-        if pivot_row is None:
+            minors.append(Fraction(rows[order[col]].get(col, 0),
+                                   math.prod(scales[:col + 1])))
+        at = next((k for k in range(rank, nrows) if col in rows[order[k]]),
+                  None)
+        if at is None:
             continue
-        if pivot_row != rank:
-            for seq in (a, order, combos):
-                seq[rank], seq[pivot_row] = seq[pivot_row], seq[rank]
+        if at != rank:
+            order[rank], order[at] = order[at], order[rank]
             sign = -sign
-        top = a[rank]
+        top = rows[order[rank]]
         p = top[col]
-        for r, row in enumerate(a):
-            f = row[col]
-            if r != rank and (f or p != prev):
-                a[r] = [(p * x - f * y) // prev for x, y in zip(row, top)]
-                if certify:
-                    combos[r] = _combine(p, combos[r], f, combos[rank], prev)
+        for r in live:
+            f = rows[r].get(col, 0)
+            if rows[r] is not top and (f or p != prev):
+                rows[r] = _combine(p, rows[r], f, top, prev)
         prev = p
         pivots.append(col)
 
     def column(j):  # pivot variables read off column j of the reduced rows
-        x = [Fraction(0)] * ncols
+        x = [_ZERO] * ncols
         for k, col in enumerate(pivots):
-            x[col] = Fraction(a[k][j], prev)
+            x[col] = Fraction(rows[order[k]].get(j, 0), prev)
         return x
 
     rank = len(pivots)
     free = tuple(c for c in range(ncols) if c not in pivots)
-    bad = next((r for r in range(rank, nrows) if a[r][ncols]), None)
+    bad = next((order[k] for k in range(rank, nrows)
+                if ncols in rows[order[k]]), None)
     if bad is None:
         outcome = LinearSolution(tuple(column(ncols)), tuple(pivots), free)
-    else:
-        combo = combos[bad]
-        own = combo[order[bad]]
-        outcome = Infeasible(
-            tuple(Fraction(combo.get(i, 0), own) for i in range(nrows)),
-            Fraction(a[bad][ncols], own))
-    kernel = None
-    if free:
-        kernel = tuple(Fraction(c == free[0]) - x
-                       for c, x in enumerate(column(free[0])))
-    determinant = None
-    if nrows == ncols:
-        determinant = Fraction(sign * prev if rank == ncols else 0,
-                               math.prod(scales))
+    else:   # y normalised so that its own coefficient is 1
+        y = [rows[bad].get(ncols + 1 + i, 0) for i in range(nrows)]
+        outcome = Infeasible(tuple(Fraction(v, y[bad]) for v in y),
+                             Fraction(rows[bad][ncols], y[bad]))
+    kernel = tuple(Fraction(c == free[0]) - x for c, x in
+                   enumerate(column(free[0]))) if free else None
+    determinant = Fraction(sign * prev if rank == ncols else 0,
+                           math.prod(scales)) if nrows == ncols else None
     return _Elimination(outcome, determinant, tuple(minors), kernel)
 
 
 def _combine(p, x, f, y, prev):
-    """(p x - f y) / prev on sparse combinations, zeros dropped."""
+    """(p x - f y) / prev on sparse rows, zeros dropped."""
     out = {i: p * v for i, v in x.items()}
     if f:
         for i, v in y.items():
@@ -314,40 +302,43 @@ def _combine(p, x, f, y, prev):
     return {i: v // prev for i, v in out.items() if v}
 
 
-def det(rows):
+def _square(done):
+    if done.det is None:    # the elimination of a non-square matrix
+        raise ShapeMismatch("expected a square matrix")
+    return done
+
+
+def det(matrix):
     """Exact determinant of a square matrix."""
-    if any(len(r) != len(rows) for r in rows):
-        raise ShapeMismatch("determinant of a non-square matrix")
-    return _eliminate(rows).det
+    return _square(_eliminate(matrix)).det
 
 
-def leading_minors(rows):
-    """Leading principal minors, from size 1 up to the first zero one.
+def leading_minors(matrix):
+    """Leading principal minors of a square matrix, from size 1 up to
+    the first zero one.
 
     A symmetric matrix is positive definite exactly when all the listed
     minors are positive (Sylvester).  Past a zero minor the elimination
     swaps rows, so the later minors cannot be read off it.
     """
-    n = len(rows)
-    if any(len(r) < n for r in rows):
-        raise ShapeMismatch("leading minors of a matrix with too few columns")
-    return list(_eliminate([r[:n] for r in rows]).minors)
+    return list(_square(_eliminate(matrix)).minors)
 
 
-def null_vector(rows):
+def null_vector(matrix):
     """A nonzero kernel vector of A, or None when A has full column rank.
 
     With f the first free column, e_f plus the canonical solution of
     A x = -A e_f lies in the kernel.
     """
-    return _eliminate(rows).kernel
+    return _eliminate(matrix).kernel
 
 
-def solve_linear(rows, rhs):
+def solve_linear(matrix, rhs):
     """Solve A x = b exactly: the canonical solution or an Infeasible.
 
+    A is a rank-2 Tensor and b a sequence of rationals, one per row.
     Reduction runs left to right with the first nonzero entry as pivot,
     so the returned solution is deterministic: pivot columns are as
     early as possible and every free variable is zero.
     """
-    return _eliminate(rows, rhs).outcome
+    return _eliminate(matrix, rhs).outcome

@@ -1,18 +1,22 @@
 """Dense routines liegeom used before it walked only the nonzeros.
 
 det, leading_minors, solve_linear and null_vector are the Fraction row
-reductions used before the single elimination, copied verbatim.  The
-tensor routines below them loop over every index position, as liegeom
-did when it stored its tensors densely; they read entries through
-Tensor.__getitem__ and return their results through Tensor.from_entries.
-All of them serve only as a differential oracle in the test suite.
+reductions used before the single elimination, copied verbatim; they
+take a matrix as a list of row lists, where the library takes a rank-2
+Tensor (Tensor.from_nested converts).  The tensor routines below them
+loop over every index position, as liegeom did when it stored its
+tensors densely; they read entries through Tensor.__getitem__ and return
+their results through Tensor.from_entries, except pairing_rows,
+lee_form_system and closedness_rows, which return row lists.  All of
+them serve only as a differential oracle in the test suite.
 """
 
 import itertools
 from fractions import Fraction
 
 from liegeom.algebra import JacobiViolation, bracket, jacobi_residual
-from liegeom.errors import ShapeMismatch, UnsupportedDegree
+from liegeom.errors import (DimensionMismatch, ShapeMismatch,
+                            UnsupportedDegree)
 from liegeom.forms import KForm, _perm_sign
 from liegeom.geometry import CLAIMS, CodazziViolation, CurvatureFit, Witness
 from liegeom.tensors import DOWN, UP, Infeasible, LinearSolution, Tensor
@@ -308,3 +312,33 @@ def pairing_rows(omega, J):
     return [[sum((w[i, k] * J.j[k, j] for k in range(n)), Fraction(0))
              for j in range(n)] for i in range(n)]
 
+
+def lee_form_system(L, omega):
+    """(rows, rhs, triples) of d(omega) = theta wedge omega, one row per
+    triple i < j < k, filled through Tensor.__getitem__."""
+    if omega.degree != 2:
+        raise UnsupportedDegree("the Lee equation needs a 2-form")
+    if omega.dim != L.dim:
+        raise DimensionMismatch("form and algebra dimensions differ")
+    n = L.dim
+    d = ce_d(L, omega).coefficients
+    w = omega.coefficients
+    rows = []
+    rhs = []
+    triples = []
+    for i, j, k in itertools.combinations(range(n), 3):
+        row = [Fraction(0)] * n
+        row[i] += w[j, k]
+        row[j] -= w[i, k]
+        row[k] += w[i, j]
+        rows.append(row)
+        rhs.append(d[i, j, k])
+        triples.append((i, j, k))
+    return rows, rhs, triples
+
+
+def closedness_rows(L):
+    """Equations saying theta vanishes on every bracket, i.e. d(theta) = 0."""
+    n = L.dim
+    return [[L.c[i, j, k] for k in range(n)]
+            for i, j in itertools.combinations(range(n), 2)]

@@ -3,8 +3,10 @@ import json
 from fractions import Fraction
 
 from liegeom import (Connection, LieAlgebra, Metric, Witness, document_from,
-                     get_example, parse, serialize, witness_residual)
+                     get_example, lck_family, parse, serialize,
+                     witness_residual)
 from liegeom.cli import run_command
+from liegeom.io import MAX_DIM
 
 Q = Fraction
 
@@ -163,6 +165,39 @@ def test_verify_rejects_a_complex_structure_that_does_not_square_to_minus_one(
     code, out, err = run(["verify", str(path)])
     assert (code, out) == (2, "")
     assert err.startswith("error: complex_structure does not square to -1")
+
+
+def test_verify_rejects_a_form_degree_that_is_not_an_integer(tmp_path):
+    L = LieAlgebra.abelian(("x", "y"))
+    doc = json.loads(serialize(document_from(L)))
+    for degree in (2.0, True):
+        doc["forms"] = [{"name": "omega", "degree": degree,
+                         "entries": [[0, 1, "1"]]}]
+        path = tmp_path / "degree.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(["verify", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: form degree must be an integer")
+
+
+def test_verify_lck_at_the_largest_document_dimension(tmp_path):
+    # abelian n = 31: its cone has dimension 32 and the double MAX_DIM,
+    # and the Lee system C(64, 3) = 41664 equations, almost all zero
+    n = MAX_DIM // 2 - 1
+    L = LieAlgebra.abelian(tuple(f"e{i + 1}" for i in range(n)))
+    fam = lck_family(L, Connection.zero(L), Metric.identity(L), None, 2)
+    assert fam.double.algebra.dim == MAX_DIM
+    lee = [((fam.cone.rho_index,), -(1 + fam.c * fam.t))]
+    assert list(fam.lee_form.components()) == lee == [((n,), Q(-1))]
+    assert fam.report.is_lck is True
+    path = tmp_path / "lck64.json"
+    path.write_text(serialize(document_from(
+        fam.double.algebra, complex_structure=fam.double.complex_structure,
+        forms=[("omega", fam.omega)])))
+    code, out, err = run(["verify", "--as", "lck", str(path)])
+    assert (code, err) == (0, "")
+    assert "lee_form: -rho1\n" in out
+    assert "lck: pass" in out
 
 
 def test_verify_missing_file():

@@ -3,7 +3,9 @@
 reference.py keeps the dense loops over every index position; on random
 algebras (some failing Jacobi), connections, metrics (some degenerate or
 indefinite), complex structures and 2-forms both must give equal
-tensors, equal witnesses and equal classify reports.
+tensors, equal witnesses and equal classify reports.  The Lee system,
+built from the nonzero components of omega and c, must equal the dense
+one row for row, and both must solve to the same theta or certificate.
 """
 
 import itertools
@@ -13,11 +15,12 @@ from unittest import mock
 from hypothesis import given, settings, strategies as st
 
 import reference
-from liegeom import (ComplexStructure, Connection, Infeasible, KForm,
-                     LieAlgebra, Metric, ce_d, classify, curvature, geometry,
-                     jacobi_check, nabla_g, nijenhuis, solve_linear, torsion,
-                     wedge)
-from liegeom.geometry import codazzi_check, comparison_tensor, pairing_rows
+from liegeom import (DOWN, ComplexStructure, Connection, Infeasible, KForm,
+                     LieAlgebra, Metric, Tensor, ce_d, classify, curvature,
+                     geometry, jacobi_check, nabla_g, nijenhuis, solve_linear,
+                     torsion, wedge)
+from liegeom.geometry import (codazzi_check, comparison_tensor,
+                              lee_form_system, pairing_rows)
 
 Q = Fraction
 
@@ -25,9 +28,14 @@ Q = Fraction
 values = st.sampled_from([Q(0)] * 5 + [Q(1), Q(-1), Q(2), Q(1, 2), Q(-3, 2)])
 
 
+def as_matrix(rows):
+    """Dense rows as the rank-2 Tensor the library's linear algebra takes."""
+    return Tensor.from_nested(rows, (DOWN, DOWN))
+
+
 @st.composite
-def algebras(draw):
-    n = draw(st.integers(2, 4))
+def algebras(draw, low=2, high=4):
+    n = draw(st.integers(low, high))
     labels = tuple(f"e{i}" for i in range(n))
     if draw(st.booleans()):
         # e0 acting on the abelian ideal spanned by the rest: Jacobi holds
@@ -100,7 +108,8 @@ REFERENCE = dict(
     comparison_tensor=reference.comparison_tensor,
     _curvature_fit=reference.curvature_fit,
     jacobi_check=reference.jacobi_check, ce_d=reference.ce_d,
-    nijenhuis=reference.nijenhuis, pairing_rows=reference.pairing_rows)
+    nijenhuis=reference.nijenhuis,
+    pairing_rows=lambda omega, J: as_matrix(reference.pairing_rows(omega, J)))
 
 
 def reference_classify(*args, **kwargs):
@@ -126,7 +135,8 @@ def test_sparse_routines_match_the_dense_reference(p):
         x = tuple(Q(i + 1, 2) - i * i for i in range(L.dim))
         assert J.apply(x) == reference.apply(J, x)
         assert nijenhuis(L, J) == reference.nijenhuis(L, J)
-        assert pairing_rows(omega, J) == reference.pairing_rows(omega, J)
+        assert pairing_rows(omega, J) == as_matrix(
+            reference.pairing_rows(omega, J))
     kwargs = dict(connection=D, metric=g, complex_structure=J, omega=omega)
     assert classify(L, **kwargs) == reference_classify(L, **kwargs)
 
@@ -147,10 +157,44 @@ def tall_systems(draw):
 @given(tall_systems())
 def test_tall_certificates_match_the_reference(system):
     rows, rhs = system
-    outcome = solve_linear(rows, rhs)
+    outcome = solve_linear(as_matrix(rows), rhs)
     assert outcome == reference.solve_linear(rows, rhs)
     if isinstance(outcome, Infeasible):
         y = outcome.combination
         assert all(sum(a * b for a, b in zip(y, col)) == 0
                    for col in zip(*rows))
         assert sum(a * b for a, b in zip(y, rhs)) == outcome.residual != 0
+
+
+@st.composite
+def lee_inputs(draw):
+    """(L, omega): a random 2-form, mostly without a Lee form, or
+    omega = d(beta) - theta wedge beta with theta closed, which solves
+    d(omega) = theta wedge omega.  Dimension 3 and up, so that the
+    system has rows for the dense reference to size its columns by."""
+    L = draw(algebras(3, 6))
+    n = L.dim
+    if draw(st.booleans()):
+        return L, draw(forms(n, 2))
+    # theta = e^0 kills every bracket of e0 acting on an abelian ideal
+    closed = all(k != 0 for (_, _, k), _ in L.c.entries)
+    theta = KForm.from_components(n, 1, {(0,): draw(values)} if closed else {})
+    beta = draw(forms(n, 1))
+    return L, ce_d(L, beta) - wedge(theta, beta)
+
+
+@settings(max_examples=60)
+@given(lee_inputs())
+def test_lee_system_matches_the_dense_reference(p):
+    L, omega = p
+    matrix, rhs, triples = lee_form_system(L, omega)
+    rows, ref_rhs, ref_triples = reference.lee_form_system(L, omega)
+    assert (reference.to_nested(matrix), rhs, triples) == (
+        rows, ref_rhs, ref_triples)
+    assert solve_linear(matrix, rhs) == reference.solve_linear(rows, ref_rhs)
+    closed = geometry._lee_system(L, omega, closed=True)
+    extra = reference.closedness_rows(L)
+    assert reference.to_nested(closed[0]) == rows + extra
+    assert closed[1] == ref_rhs + [Q(0)] * len(extra)
+    assert solve_linear(*closed[:2]) == reference.solve_linear(
+        rows + extra, closed[1])

@@ -5,10 +5,11 @@ import pytest
 from liegeom import (ComplexStructure, Connection, DegenerateMetric,
                      DimensionMismatch, InputError, KForm, LieAlgebra, Metric,
                      MissingPieces, NoLeeForm, NotAlmostComplex,
-                     ShapeMismatch, Tensor, VerdictError, Witness,
-                     classify, codazzi_check, cone_extend, constant_curvature,
-                     curvature, double, get_example, lck_family, nabla,
-                     nabla_g, nijenhuis, torsion, witness_residual)
+                     ShapeMismatch, Tensor, UnsupportedDegree, VerdictError,
+                     Witness, classify, codazzi_check, cone_extend,
+                     constant_curvature, curvature, double, get_example,
+                     lck_family, nabla, nabla_g, nijenhuis, torsion,
+                     witness_residual)
 from liegeom.geometry import lee_form_solve, pairing_rows
 
 Q = Fraction
@@ -390,8 +391,8 @@ def test_classify_asymmetric_pairing():
                   if w.claim == "pairing_symmetry"]
     assert witness.indices == (0, 3)
     assert witness.residual == Q(-1)
-    rows = pairing_rows(omega, J)
-    assert rows[0][3] - rows[3][0] == Q(-1)
+    pairing = pairing_rows(omega, J)
+    assert pairing[0, 3] - pairing[3, 0] == Q(-1)
 
 
 def test_classify_nonclosed_lee_form():
@@ -537,6 +538,21 @@ def test_witness_residual_rejects_stale_certificate():
     other = KForm.from_components(4, 2, {(0, 1): Q(1)})
     with pytest.raises(ShapeMismatch):
         witness_residual(witness, algebra=L, omega=other)
+
+
+def test_witness_residual_checks_the_lee_form_degree_and_dimension():
+    # the Lee system is rebuilt from the pieces, so a 1-form omega or one
+    # on another algebra is refused before any row is built
+    L = LieAlgebra.from_brackets(("e1", "e2", "e3", "e4"), {(0, 1): {2: 1}})
+    omega = KForm.from_components(4, 2, {(2, 3): Q(1)})
+    (witness,) = [w for w in classify(L, omega=omega).witnesses
+                  if w.claim == "lee_system"]
+    with pytest.raises(UnsupportedDegree):
+        witness_residual(witness, algebra=L,
+                         omega=KForm.from_components(4, 1, {(0,): Q(1)}))
+    with pytest.raises(DimensionMismatch):
+        witness_residual(witness, algebra=L,
+                         omega=KForm.from_components(3, 2, {(0, 1): Q(1)}))
 
 
 @pytest.mark.parametrize("claim, indices, detail", [

@@ -174,8 +174,9 @@ def test_form_block_errors():
     assert field_of(wrap(forms=[{"name": "w", "degree": 2}])) == "forms[0]"
     assert field_of(wrap(forms=[
         {"name": "2w", "degree": 2, "entries": []}])) == "forms[0]"
-    assert field_of(wrap(forms=[
-        {"name": "w", "degree": 4, "entries": []}])) == "forms[0]"
+    for degree in (0, 4, 2.0, True, "2", None):    # an int in 1..3 only
+        assert field_of(wrap(forms=[
+            {"name": "w", "degree": degree, "entries": []}])) == "forms[0]"
     assert field_of(wrap(forms=[
         {"name": "w", "degree": 2,
          "entries": [[1, 0, "1"]]}])) == "forms[0].entries[0]"
@@ -185,6 +186,23 @@ def test_form_block_errors():
     assert field_of(wrap(forms=[
         {"name": "w", "degree": 1, "entries": []},
         {"name": "w", "degree": 2, "entries": []}])) == "forms"
+
+
+@pytest.mark.parametrize("block, entry, zero_first, other", [
+    ("connection", [0, 0, 0], True, "2"),
+    ("connection", [0, 0, 0], False, "2"),
+    ("metric", [0, 1], True, "3"),
+    ("metric", [0, 1], False, "3"),
+    ("brackets", [0, 1, 1], True, "1/2"),
+    ("brackets", [0, 1, 1], False, "1/2"),
+])
+def test_duplicate_index_refused_in_either_order(block, entry, zero_first,
+                                                 other):
+    # a zero coefficient still claims its index
+    pair = [entry + ["0"], entry + [other]]
+    if not zero_first:
+        pair.reverse()
+    assert field_of(wrap(**{block: pair})) == f"{block}[1]"
 
 
 def test_parameter_errors():

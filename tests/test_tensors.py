@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 import reference
 from liegeom import (DOWN, UP, Infeasible, LieAlgebra, LinearSolution,
                      Metric, ShapeMismatch, Tensor, solve_linear)
-from liegeom.tensors import det, leading_minors, matrix_rows, null_vector
+from liegeom.tensors import det, leading_minors, null_vector
 
 Q = Fraction
 
@@ -140,38 +140,39 @@ def test_positive_definite_needs_covariant_square():
 
 
 def test_det_and_minors():
-    rows = matrix_rows(cov([[1, 2], [2, 1]]))
-    assert det(rows) == -3
-    assert leading_minors(rows) == [Q(1), Q(-3)]
-    assert det([]) == 1
-    assert leading_minors([]) == []
+    a = cov([[1, 2], [2, 1]])
+    assert det(a) == -3
+    assert leading_minors(a) == [Q(1), Q(-3)]
+    empty = Tensor.zero((0, 0), (DOWN, DOWN))
+    assert det(empty) == 1
+    assert leading_minors(empty) == []
 
 
 def test_leading_minors_stop_at_the_first_zero():
     # past a zero minor the elimination swaps rows; det still comes out
-    rows = [[Q(0), Q(1)], [Q(1), Q(0)]]
-    assert leading_minors(rows) == [Q(0)]
-    assert det(rows) == -1
-    assert leading_minors([[Q(2), Q(1), Q(0)], [Q(4), Q(2), Q(1)],
-                           [Q(0), Q(1), Q(1)]]) == [Q(2), Q(0)]
+    a = matrix([[0, 1], [1, 0]])
+    assert leading_minors(a) == [Q(0)]
+    assert det(a) == -1
+    assert leading_minors(matrix([[2, 1, 0], [4, 2, 1],
+                                  [0, 1, 1]])) == [Q(2), Q(0)]
 
 
 def test_symmetric_rows_checks():
     g = Metric(plane(), cov([[2, 1], [1, 2]]))
-    assert matrix_rows(g.g)[0][1] == 1
+    assert g.g[0, 1] == 1
     with pytest.raises(ShapeMismatch):
         Metric(plane(), cov([[0, 1], [2, 0]]))
 
 
 def test_solve_linear_unique():
-    solution = solve_linear([[Q(2), Q(0)], [Q(0), Q(3)]], [Q(4), Q(6)])
+    solution = solve_linear(matrix([[2, 0], [0, 3]]), [Q(4), Q(6)])
     assert isinstance(solution, LinearSolution)
     assert solution.values == (Q(2), Q(2))
     assert solution.free_columns == ()
 
 
 def test_solve_linear_underdetermined_zeroes_free_variables():
-    solution = solve_linear([[Q(1), Q(1)]], [Q(5)])
+    solution = solve_linear(matrix([[1, 1]]), [Q(5)])
     assert solution.values == (Q(5), Q(0))
     assert solution.pivot_columns == (0,)
     assert solution.free_columns == (1,)
@@ -180,7 +181,7 @@ def test_solve_linear_underdetermined_zeroes_free_variables():
 def test_solve_linear_infeasible_certificate():
     rows = [[Q(1), Q(1)], [Q(2), Q(2)]]
     rhs = [Q(1), Q(3)]
-    outcome = solve_linear(rows, rhs)
+    outcome = solve_linear(matrix(rows), rhs)
     assert isinstance(outcome, Infeasible)
     combo = outcome.combination
     # y.A = 0 and y.b equals the stored nonzero residual
@@ -191,11 +192,11 @@ def test_solve_linear_infeasible_certificate():
 
 
 def test_null_vector():
-    kernel = null_vector([[Q(1), Q(1)], [Q(2), Q(2)]])
+    kernel = null_vector(matrix([[1, 1], [2, 2]]))
     assert kernel is not None
     assert kernel[0] + kernel[1] == 0
     assert any(x != 0 for x in kernel)
-    assert null_vector([[Q(1), Q(0)], [Q(0), Q(1)]]) is None
+    assert null_vector(matrix([[1, 0], [0, 1]])) is None
 
 
 # -- the one elimination against independent oracles -----------------------
@@ -256,23 +257,31 @@ ORACLE = settings(max_examples=150)
 @example(([[Q(1), Q(1)], [Q(2), Q(2)]], [Q(1), Q(3)]))
 @example(([[Q(0), Q(1)], [Q(1), Q(0)]], [Q(0), Q(0)]))
 def test_elimination_matches_the_reference(system):
+    # the reference keeps dense rows; the library reads the same matrix
+    # as a sparse Tensor
     rows, rhs = system
-    assert solve_linear(rows, rhs) == reference.solve_linear(rows, rhs)
-    assert null_vector(rows) == reference.null_vector(rows)
-    assert outcome(det, rows) == outcome(reference.det, rows)
-    assert outcome(leading_minors, rows) == reference_minors(rows)
+    a = cov(rows)
+    assert solve_linear(a, rhs) == reference.solve_linear(rows, rhs)
+    assert null_vector(a) == reference.null_vector(rows)
+    assert outcome(det, a) == outcome(reference.det, rows)
     rows, rhs = square(system)
-    assert det(rows) == reference.det(rows)
-    assert leading_minors(rows) == reference_minors(rows)
-    assert solve_linear(rows, rhs) == reference.solve_linear(rows, rhs)
+    a = cov(rows)
+    assert det(a) == reference.det(rows)
+    assert leading_minors(a) == reference_minors(rows)
+    assert solve_linear(a, rhs) == reference.solve_linear(rows, rhs)
 
 
 def test_elimination_shape_errors():
+    # the routines take a rank-2 Tensor, and minors a square one
     with pytest.raises(ShapeMismatch):
-        solve_linear([[Q(1)], [Q(1), Q(2)]], [Q(0), Q(0)])
+        solve_linear([[Q(1)], [Q(2)]], [Q(0), Q(0)])
     with pytest.raises(ShapeMismatch):
-        solve_linear([[Q(1)]], [])
+        null_vector(vec(1, 2))
     with pytest.raises(ShapeMismatch):
-        det([[Q(1), Q(2)]])
+        solve_linear(matrix([[1]]), [])
     with pytest.raises(ShapeMismatch):
-        leading_minors([[Q(1)], [Q(2)]])
+        det(matrix([[1, 2]]))
+    with pytest.raises(ShapeMismatch):
+        leading_minors(matrix([[1], [2]]))
+    with pytest.raises(ShapeMismatch):
+        leading_minors(matrix([[1, 2]]))
