@@ -7,8 +7,7 @@ failed check comes with a finite witness that re-evaluates to its
 stored residual.
 """
 
-from .algebra import (JacobiViolation, LieAlgebra, as_vector, bracket,
-                      jacobi_check)
+from .algebra import LieAlgebra, as_vector, bracket, jacobi_check
 from .catalog import (CatalogEntry, CatalogNote, ExpectedOutcome,
                       get_example, list_examples, run_check)
 from .constructions import (ConeExtension, DoubledAlgebra,
@@ -16,20 +15,19 @@ from .constructions import (ConeExtension, DoubledAlgebra,
                             cone_extend, double, extract_statistical,
                             kahler_form_from_hessian, lck_family,
                             rescale_metric, solve_lambda)
-from .errors import (BadParameters, CurvatureMismatch, DegenerateMetric,
-                     DimensionMismatch, DocumentSyntaxError, InputError,
-                     LieGeomError, MissingPieces, MissingRadiant,
-                     NoLeeForm, NoRealSolution, NonPositiveScale,
-                     NonPositiveT, NotAlmostComplex, NotConical, NotHessian,
+from .errors import (BadParameters, CurvatureMismatch, DimensionMismatch,
+                     DocumentSyntaxError, InputError, LieGeomError,
+                     MissingPieces, MissingRadiant, NoLeeForm,
+                     NoRealSolution, NonPositiveScale, NonPositiveT,
+                     NotAlmostComplex, NotConical, NotHessian,
                      NotStatistical, ShapeMismatch, UnderdeterminedCurvature,
                      UnknownExample, UnsupportedDegree, ValidationError,
                      VerdictError, ZeroCurvature, ZeroDenominator)
 from .forms import KForm, ce_d, dual_form, wedge
-from .geometry import (CodazziViolation, ComplexStructure, Connection,
-                       CurvatureFit, Metric, StructureReport, Witness,
-                       classify, codazzi_check, constant_curvature,
-                       curvature, lee_form_solve, nabla, nabla_g, nijenhuis,
-                       torsion, witness_residual)
+from .geometry import (ComplexStructure, Connection, CurvatureFit, Metric,
+                       StructureReport, Witness, classify, codazzi_check,
+                       constant_curvature, curvature, lee_form_solve, nabla,
+                       nabla_g, nijenhuis, torsion, witness_residual)
 from .io import AlgebraDocument, FormBlock, document_from, parse, serialize
 from .rationals import Q, format_rational, make_rational, parse_rational
 from .tensors import (DOWN, UP, Infeasible, LinearSolution, Tensor,

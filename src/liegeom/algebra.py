@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatch, ShapeMismatch
-from .tensors import DOWN, UP, Tensor, by_axis
+from .tensors import DOWN, UP, Tensor, accumulate, contract
 
 
 @dataclass(frozen=True)
@@ -89,13 +89,18 @@ def bracket(L, x, y):
 
 
 @dataclass(frozen=True)
-class JacobiViolation:
-    """First basis triple whose cyclic bracket sum fails to vanish."""
+class Witness:
+    """An exact counterexample: claim name, index tuple and residual.
 
-    i: int
-    j: int
-    k: int
-    residual: tuple
+    detail carries auxiliary rational data (a fitted constant, an
+    infeasibility combination, a kernel vector) when the residual alone
+    does not reproduce the computation.
+    """
+
+    claim: str
+    indices: tuple
+    residual: object
+    detail: tuple = ()
 
 
 def jacobi_residual(L, i, j, k):
@@ -111,35 +116,29 @@ def cyclic_sum(L, t):
     """The nonzero values of t([e_i, e_j], e_k, ...) + t([e_j, e_k], e_i, ...)
     + t([e_k, e_i], e_j, ...) as {(i, j, k, ...): value} over i < j < k.
 
-    t([e_x, e_y], e_z, ...) is the sum over m of c[x, y, m] t[m, z, ...],
-    so only the nonzeros of c and of t are walked.  As c is antisymmetric
-    in x, y, the terms with x < y suffice: one with z between x and y is
-    minus the cyclic term at (z, x, y), and one with z equal to x or y
-    belongs to no triple.
+    t([e_x, e_y], e_z, ...) is the contraction of c's last axis with t's
+    first.  As c is antisymmetric in x, y, its entries with x < y suffice:
+    a term with z between x and y is minus the cyclic term at (z, x, y),
+    and one with z equal to x or y belongs to no triple.
     """
-    groups = by_axis(t, 0)
+    upper = Tensor(L.c.shape, L.c.variance, tuple(
+        (idx, v) for idx, v in L.c.entries if idx[0] < idx[1]))
     out = {}
-    for (x, y, m), a in L.c.entries:
-        if x > y:
-            continue
-        for idx, b in groups.get(m, ()):
-            z = idx[0]
-            if z == x or z == y:
-                continue
-            key = tuple(sorted((x, y, z))) + idx[1:]
-            term = a * b if z < x or z > y else -a * b
-            out[key] = out.get(key, 0) + term
+    for (x, y, z, *rest), value in contract(upper, 2, t, 0).items():
+        if z != x and z != y:
+            accumulate(out, tuple(sorted((x, y, z)) + rest),
+                       value if z < x or z > y else -value)
     return {key: value for key, value in out.items() if value}
 
 
 def jacobi_check(L):
-    """None when the Jacobi identity holds, else the first violation.
+    """None when the Jacobi identity holds, else a "jacobi" Witness.
 
-    The witness is the lexicographically first triple i < j < k whose
+    Its indices are the lexicographically first triple i < j < k whose
     cyclic bracket sum fails to vanish, so it is deterministic.
     """
     failing = cyclic_sum(L, L.c)
     if not failing:
         return None
     i, j, k, _ = min(failing)
-    return JacobiViolation(i, j, k, jacobi_residual(L, i, j, k))
+    return Witness("jacobi", (i, j, k), jacobi_residual(L, i, j, k))

@@ -216,27 +216,26 @@ def _cmd_verify(args):
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0 if ok else 1
 
-    print(f"source: {bundle.label}")
-    print(f"dim: {bundle.algebra.dim}")
-    print("basis: " + " ".join(labels))
-    for name, value in report.computed_flags():
-        print(f"{name}: {'pass' if value else 'fail'}")
+    # all lines first: a value too large to print leaves stdout empty
+    lines = [f"source: {bundle.label}", f"dim: {bundle.algebra.dim}",
+             "basis: " + " ".join(labels)]
+    lines += [f"{name}: {'pass' if value else 'fail'}"
+              for name, value in report.computed_flags()]
     if report.constant_curvature is not None:
         fit = report.constant_curvature
         if fit.kind == "constant":
-            print(f"constant_curvature: {format_rational(fit.value)}")
+            lines.append(f"constant_curvature: {format_rational(fit.value)}")
         else:
-            print(f"constant_curvature: {fit.kind}")
+            lines.append(f"constant_curvature: {fit.kind}")
     if bundle.omega is not None:
         if report.lee_form is None:
-            print("lee_form: none")
+            lines.append("lee_form: none")
         else:
-            print(f"lee_form: {form_text(report.lee_form, labels)}")
-    for witness in report.witnesses:
-        print(_witness_text(witness, labels))
-    for line in _note_lines(bundle.notes):
-        print(line)
-    print(f"verdict: {verdict}")
+            lines.append(f"lee_form: {form_text(report.lee_form, labels)}")
+    lines += [_witness_text(witness, labels) for witness in report.witnesses]
+    lines += _note_lines(bundle.notes)
+    lines.append(f"verdict: {verdict}")
+    print("\n".join(lines))
     return 0 if ok else 1
 
 
@@ -262,10 +261,9 @@ def _cmd_construct(args):
         if built.jacobi is None:
             pairs.append(("jacobi", "pass"))
         else:
-            v = built.jacobi
+            where = ", ".join(labels[i] for i in built.jacobi.indices)
             pairs.append(("jacobi", "fail"))
-            pairs.append(("jacobi_violation",
-                          f"({labels[v.i]}, {labels[v.j]}, {labels[v.k]})"))
+            pairs.append(("jacobi_violation", f"({where})"))
             status = 1
     elif args.kind == "kahler":
         result = kahler_form_from_hessian(bundle.algebra, bundle.connection,

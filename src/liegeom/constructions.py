@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import JacobiViolation, LieAlgebra, jacobi_check
+from .algebra import LieAlgebra, Witness, jacobi_check
 from .errors import (CurvatureMismatch, DimensionMismatch, MissingRadiant,
                      NonPositiveScale, NonPositiveT, NoRealSolution,
                      NotConical, NotHessian, NotStatistical,
@@ -49,7 +49,7 @@ class DoubledAlgebra:
     block: int
     origin_algebra: LieAlgebra
     origin_connection: Connection
-    jacobi: JacobiViolation | None
+    jacobi: Witness | None
 
     @property
     def j(self):

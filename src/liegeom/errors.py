@@ -59,10 +59,6 @@ class NoLeeForm(VerdictError):
     """d(omega) = theta ^ omega has no solution theta."""
 
 
-class DegenerateMetric(VerdictError):
-    pass
-
-
 # -- constructions ---------------------------------------------------------
 
 class NotHessian(VerdictError):

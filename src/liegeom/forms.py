@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .algebra import cyclic_sum
 from .errors import DimensionMismatch, ShapeMismatch, UnsupportedDegree
-from .tensors import DOWN, Tensor
+from .tensors import DOWN, Tensor, contract
 
 MAX_DEGREE = 3
 
@@ -158,13 +158,9 @@ def ce_d(L, form):
     if form.dim != L.dim:
         raise DimensionMismatch("form and algebra dimensions differ")
     if form.degree == 1:
-        a = form.coefficients
-        components = {}
-        for (i, j, k), value in L.c.entries:
-            if i < j:
-                components[(i, j)] = (components.get((i, j), 0)
-                                      - value * a[k])
-        return KForm.from_components(L.dim, 2, components)
+        return KForm.from_components(L.dim, 2, {
+            (i, j): -value for (i, j), value in
+            contract(L.c, 2, form.coefficients, 0).items() if i < j})
     if form.degree == 2:
         # (d w)(X, Y, Z) = -(w([X, Y], Z) + w([Y, Z], X) + w([Z, X], Y))
         cyclic = cyclic_sum(L, form.coefficients)

@@ -22,14 +22,13 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from types import SimpleNamespace
 
-from .algebra import (LieAlgebra, as_vector, jacobi_check,
+from .algebra import (LieAlgebra, Witness, as_vector, jacobi_check,
                       jacobi_residual)
-from .errors import (DegenerateMetric, DimensionMismatch, MissingPieces,
-                     NoLeeForm, NotAlmostComplex, ShapeMismatch,
-                     UnsupportedDegree)
+from .errors import (DimensionMismatch, MissingPieces, NoLeeForm,
+                     NotAlmostComplex, ShapeMismatch, UnsupportedDegree)
 from .forms import KForm, ce_d
-from .tensors import (DOWN, UP, Infeasible, Tensor, by_axis, det,
-                      leading_minors, null_vector, solve_linear)
+from .tensors import (DOWN, UP, Infeasible, Tensor, accumulate, contract,
+                      det, leading_minors, null_vector, solve_linear)
 
 
 @dataclass(frozen=True)
@@ -121,7 +120,7 @@ class ComplexStructure:
             raise ShapeMismatch(f"complex structure needs shape {(n, n)}, ud")
         identity = Tensor.from_entries(
             (n, n), (UP, DOWN), {(i, i): 1 for i in range(n)})
-        excess = _map_axis(self.j, by_axis(self.j, 0), 1) + identity
+        excess = _map_axis(self.j, 1, self.j, 0) + identity
         if not excess.is_zero():
             (i, k), value = excess.entries[0]
             expected = -1 if i == k else 0
@@ -159,23 +158,19 @@ def curvature(connection):
     """R as a (1, 3) tensor: R[i, j, k, l] is the e_l part of R(e_i, e_j) e_k.
 
     R[i, j, k, l] = sum over m of gamma[j, k, m] gamma[i, m, l]
-    - gamma[i, k, m] gamma[j, m, l] - c[i, j, m] gamma[m, k, l], and the
-    second term is the first with i and j swapped.
+    - gamma[i, k, m] gamma[j, m, l] - c[i, j, m] gamma[m, k, l]; the
+    second term is the first with i and j swapped, so one contraction of
+    gamma with itself fills both.
     """
     L = connection.base
     n = L.dim
     gamma = connection.gamma
-    by_second = by_axis(gamma, 1)
-    by_first = by_axis(gamma, 0)
     entries = {}
-    for (j, k, m), a in gamma.entries:
-        for (i, l), b in by_second.get(m, ()):
-            term = a * b
-            entries[i, j, k, l] = entries.get((i, j, k, l), 0) + term
-            entries[j, i, k, l] = entries.get((j, i, k, l), 0) - term
-    for (i, j, m), a in L.c.entries:
-        for (k, l), b in by_first.get(m, ()):
-            entries[i, j, k, l] = entries.get((i, j, k, l), 0) - a * b
+    for (j, k, i, l), value in contract(gamma, 2, gamma, 1).items():
+        accumulate(entries, (i, j, k, l), value)
+        accumulate(entries, (j, i, k, l), -value)
+    for idx, value in contract(L.c, 2, gamma, 0).items():
+        accumulate(entries, idx, -value)
     return Tensor.from_entries((n, n, n, n), (DOWN, DOWN, DOWN, UP), entries)
 
 
@@ -183,31 +178,20 @@ def nabla_g(connection, metric):
     """(nabla_{e_i} g)(e_j, e_k) under the invariant-data convention.
 
     The sum over m of -gamma[i, j, m] g[m, k] - gamma[i, k, m] g[j, m];
-    as g is symmetric, each product fills (i, j, k) and (i, k, j).
+    as g is symmetric, the contraction of gamma with g at (i, j, k) fills
+    both (i, j, k) and (i, k, j).
     """
     n = connection.base.dim
-    rows = by_axis(metric.g, 0)
     entries = {}
-    for (i, j, m), a in connection.gamma.entries:
-        for (k,), b in rows.get(m, ()):
-            term = a * b
-            entries[i, j, k] = entries.get((i, j, k), 0) - term
-            entries[i, k, j] = entries.get((i, k, j), 0) - term
+    for (i, j, k), value in contract(connection.gamma, 2, metric.g, 0).items():
+        accumulate(entries, (i, j, k), -value)
+        accumulate(entries, (i, k, j), -value)
     return Tensor.from_entries((n, n, n), (DOWN, DOWN, DOWN), entries)
 
 
-@dataclass(frozen=True)
-class CodazziViolation:
-    """First (i, j, k) where nabla g loses symmetry in its first two slots."""
-
-    i: int
-    j: int
-    k: int
-    residual: Fraction
-
-
 def codazzi_check(connection, metric):
-    """None when nabla g is totally symmetric, else the first violation.
+    """None when nabla g is totally symmetric, else a "codazzi" Witness
+    at the first (i, j, k) where it loses symmetry in its first two slots.
 
     Symmetry in the last two slots is automatic for a symmetric metric,
     so only the (i, j) swap is scanned, in lexicographic order.
@@ -215,23 +199,7 @@ def codazzi_check(connection, metric):
     _same_base(connection.base, metric.base)
     ng = nabla_g(connection, metric)
     idx = _first_asymmetry(ng)
-    return None if idx is None else CodazziViolation(
-        *idx, _swap_residual(ng, idx, ()))
-
-
-@dataclass(frozen=True)
-class Witness:
-    """An exact counterexample: claim name, index tuple and residual.
-
-    detail carries auxiliary rational data (a fitted constant, an
-    infeasibility combination, a kernel vector) when the residual alone
-    does not reproduce the computation.
-    """
-
-    claim: str
-    indices: tuple
-    residual: object
-    detail: tuple = ()
+    return None if idx is None else _witness("codazzi", ng, idx)
 
 
 @dataclass(frozen=True)
@@ -262,10 +230,10 @@ def comparison_tensor(metric):
 
 
 def constant_curvature(connection, metric):
-    """Fit a single exact c with R = c K, or report why none exists."""
+    """Fit one exact c with R = c K, "degenerate" on a singular metric."""
     _same_base(connection.base, metric.base)
     if det(metric.g) == 0:
-        raise DegenerateMetric("the metric is degenerate; no curvature fit")
+        return CurvatureFit("degenerate")
     return _curvature_fit(curvature(connection), comparison_tensor(metric))
 
 
@@ -287,15 +255,13 @@ def _curvature_fit(r, k):
     return CurvatureFit("constant", c)
 
 
-def _map_axis(t, groups, axis):
-    """t with a matrix A applied along axis, where groups is by_axis(A, 0)
-    for t times A (the sum over m of t[..., m, ...] A[m, i] at i) or
-    by_axis(A, 1) for A times t (the sum of A[i, m] t[..., m, ...])."""
-    entries = {}
-    for idx, value in t.entries:
-        for (i,), weight in groups.get(idx[axis], ()):
-            key = idx[:axis] + (i,) + idx[axis + 1:]
-            entries[key] = entries.get(key, 0) + weight * value
+def _map_axis(t, axis, A, a_axis):
+    """t with the matrix A applied along axis: the contraction of t's
+    axis with A's a_axis, its index i put back at axis.  a_axis 0 gives
+    t times A (the sum over m of t[..., m, ...] A[m, i] at i), a_axis 1
+    gives A times t (the sum of A[i, m] t[..., m, ...])."""
+    entries = {key[:axis] + key[-1:] + key[axis:-1]: value
+               for key, value in contract(t, axis, A, a_axis).items()}
     return Tensor.from_entries(t.shape, t.variance, entries)
 
 
@@ -306,16 +272,15 @@ def nijenhuis(L, J):
     along axis 0, and J v is J times v along the output axis.
     """
     _same_base(L, J.base)
-    c = L.c
-    rows, columns = by_axis(J.j, 0), by_axis(J.j, 1)
-    inner = _map_axis(c, rows, 0) + _map_axis(c, rows, 1)
-    return (c + _map_axis(inner, columns, 2)
-            - _map_axis(_map_axis(c, rows, 0), rows, 1))
+    c, j = L.c, J.j
+    left = _map_axis(c, 0, j, 0)
+    inner = left + _map_axis(c, 1, j, 0)
+    return c + _map_axis(inner, 2, j, 1) - _map_axis(left, 1, j, 0)
 
 
 def pairing_rows(omega, J):
     """The matrix omega(e_i, J e_j), as a rank-2 Tensor."""
-    return _map_axis(omega.coefficients, by_axis(J.j, 0), 1)
+    return _map_axis(omega.coefficients, 1, J.j, 0)
 
 
 # -- the Lee form equation -------------------------------------------------
@@ -429,18 +394,17 @@ def _minor(matrix, idx, detail):
         raise ShapeMismatch(f"no leading minor {idx} up to the first zero one")
     if detail and (len(detail) != matrix.shape[1] or any(detail[k:])
                    or not any(detail)
-                   or any(_times(matrix, detail, 1)[:k])):
+                   or any(i < k for i, in _image(matrix, detail, 1))):
         raise ShapeMismatch(
             f"detail is no zero-padded kernel vector of the {k}x{k} block")
     return minors[k - 1]
 
 
-def _times(matrix, x, axis):
-    """x summed against one axis of matrix: A x for axis 1, x A for 0."""
-    out = [Fraction(0)] * matrix.shape[1 - axis]
-    for idx, value in matrix.entries:
-        out[idx[1 - axis]] += value * x[idx[axis]]
-    return out
+def _image(matrix, x, axis):
+    """The nonzeros of the sequence x contracted with one axis of matrix,
+    as {(i,): value}: A x for axis 1, x A for axis 0."""
+    return contract(matrix, axis, Tensor.from_entries(
+        (len(x),), (DOWN,), {(i,): v for i, v in enumerate(x)}), 0)
 
 
 def _fitted(detail):
@@ -455,7 +419,7 @@ def _certificate(system, idx, detail):
     matrix, rhs, _ = system
     if len(detail) != matrix.shape[0]:
         raise ShapeMismatch("combination length does not match the system")
-    if any(_times(matrix, detail, 0)):
+    if _image(matrix, detail, 0):
         raise ShapeMismatch("combination is not a left null vector")
     return sum((y * b for y, b in zip(detail, rhs)), Fraction(0))
 
@@ -596,12 +560,10 @@ def classify(L, connection=None, metric=None, complex_structure=None,
     witnesses = []
     report = {}
 
-    violation = jacobi_check(L)
-    report["is_jacobi"] = violation is None
-    if violation is not None:
-        witnesses.append(Witness(
-            "jacobi", (violation.i, violation.j, violation.k),
-            violation.residual))
+    witness = jacobi_check(L)
+    report["is_jacobi"] = witness is None
+    if witness is not None:
+        witnesses.append(witness)
 
     if connection is not None:
         _same_base(L, connection.base)
@@ -627,13 +589,14 @@ def classify(L, connection=None, metric=None, complex_structure=None,
                 "positive_definite", g, (bad + 1,), detail))
 
     if connection is not None and metric is not None:
-        violation = codazzi_check(connection, metric)
-        report["is_codazzi"] = violation is None
-        if violation is not None:
-            witnesses.append(Witness(
-                "codazzi", (violation.i, violation.j, violation.k),
-                violation.residual))
-        if det(g) == 0:
+        witness = codazzi_check(connection, metric)
+        report["is_codazzi"] = witness is None
+        if witness is not None:
+            witnesses.append(witness)
+        # the leading minors end in det g unless they stop short of it
+        # at a zero one; only then is g eliminated a second time
+        full = minors and len(minors) == L.dim
+        if (minors[-1] if full else det(g)) == 0:
             fit = CurvatureFit("degenerate")
         else:
             fit = _curvature_fit(r, comparison_tensor(metric))

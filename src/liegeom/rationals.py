@@ -8,10 +8,12 @@ used by documents and reports.
 
 from __future__ import annotations
 
+import math
 import re
+import sys
 from fractions import Fraction
 
-from .errors import ZeroDenominator
+from .errors import InputError, ZeroDenominator
 
 Q = Fraction
 
@@ -42,8 +44,17 @@ def parse_rational(text):
 
 
 def format_rational(value):
-    """Canonical string form: "p" for integers, "p/q" otherwise."""
+    """Canonical string form: "p" for integers, "p/q" otherwise; an int
+    past the interpreter's digit limit for printing raises InputError."""
     q = Fraction(value)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        if q.denominator == 1:
+            return str(q.numerator)
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        n = max(abs(q.numerator), q.denominator)
+        d = int(math.log10(n)) + 1
+        d += (n >= 10 ** d) - (n < 10 ** (d - 1))   # the float may be off
+        raise InputError(
+            f"a computed value has {d} digits, past the interpreter's limit "
+            f"of {sys.get_int_max_str_digits()} on printing an int") from None

@@ -4,8 +4,11 @@ A Tensor is immutable: a shape, one variance character per axis ("u" for
 a contravariant axis, "d" for a covariant one) and its nonzero entries,
 stored once as the row-major tuple of (index tuple, Fraction) pairs that
 a document lists.  Structure constants, connections and forms are almost
-all zero, so every contraction walks these pairs (by_axis groups them by
-one axis) and reading an entry is a dictionary lookup, built on first use.
+all zero, so reading an entry is a dictionary lookup, built on first use,
+and contract walks only these pairs.  contract is the one place a sum of
+two tensors over a shared axis is written: curvature, nabla g, Jacobi,
+the differential, Nijenhuis, J squared, the pairing and the witness
+rechecks call it and only rearrange the indices of what it returns.
 
 A matrix is a rank-2 Tensor too.  det, leading_minors, solve_linear and
 null_vector read their answers off one integer-preserving elimination
@@ -154,7 +157,7 @@ class Tensor:
         self._require_same(other)
         total = dict(self.entries)
         for idx, value in other.entries:
-            total[idx] = total.get(idx, 0) + value
+            accumulate(total, idx, value)
         return self._like(total.items())
 
     def __sub__(self, other):
@@ -175,14 +178,49 @@ class Tensor:
                 f"{self.shape}/{self.variance} vs {other.shape}/{other.variance}")
 
 
-def by_axis(t, axis):
-    """{i: [(index without axis, value), ...]} over the nonzeros of t
-    whose index at axis is i, each list in row-major order."""
-    groups = {}
-    for idx, value in t.entries:
-        groups.setdefault(idx[axis], []).append(
-            (idx[:axis] + idx[axis + 1:], value))
-    return groups
+def accumulate(entries, key, value):
+    """entries[key] += value, sparing the costly 0 + Fraction sum."""
+    entries[key] = entries[key] + value if key in entries else value
+
+
+def _numerators(t):
+    """(D, [(index, int)]): t's entries over D, their denominators' lcm."""
+    d = math.lcm(*(value.denominator for _, value in t.entries))
+    return d, [(idx, value.numerator * (d // value.denominator))
+               for idx, value in t.entries]
+
+
+def contract(a, axis_a, b, axis_b):
+    """The sum over m of a[..., m, ...] b[..., m, ...], with m at axis_a
+    of a and at axis_b of b, as {a's index without axis_a + b's index
+    without axis_b: Fraction} over its nonzero values.
+
+    b is grouped by axis_b and a's nonzeros walked against the groups;
+    the products run on int numerators over each tensor's common
+    denominator, so each result is divided once, as in _eliminate.
+    """
+    (da, xs), (db, ys) = _numerators(a), _numerators(b)
+    ids, groups = {}, {}    # ids numbers b's indices without axis_b
+    for idx, y in ys:
+        t = ids.setdefault(idx[:axis_b] + idx[axis_b + 1:], len(ids))
+        groups.setdefault(idx[axis_b], []).append((t, y))
+    tails = list(ids)
+    rows = {}     # a's entries by their index without axis_a
+    for idx, x in xs:
+        if idx[axis_a] in groups:
+            rows.setdefault(idx[:axis_a] + idx[axis_a + 1:], []).append(
+                (x, groups[idx[axis_a]]))
+    d = da * db
+    out = {}
+    for head, terms in rows.items():
+        sums = {}   # by position in tails: an int key hashes fastest
+        for x, group in terms:
+            for t, y in group:
+                sums[t] = sums.get(t, 0) + x * y
+        for t, v in sums.items():
+            if v:
+                out[head + tails[t]] = Fraction(v, d)
+    return out
 
 
 # -- exact linear systems --------------------------------------------------

@@ -6,19 +6,20 @@ take a matrix as a list of row lists, where the library takes a rank-2
 Tensor (Tensor.from_nested converts).  The tensor routines below them
 loop over every index position, as liegeom did when it stored its
 tensors densely; they read entries through Tensor.__getitem__ and return
-their results through Tensor.from_entries, except pairing_rows,
-lee_form_system and closedness_rows, which return row lists.  All of
-them serve only as a differential oracle in the test suite.
+their results through Tensor.from_entries, except contract, which
+returns a dict as the library's does, and pairing_rows, lee_form_system
+and closedness_rows, which return row lists.  All of them serve only as
+a differential oracle in the test suite.
 """
 
 import itertools
 from fractions import Fraction
 
-from liegeom.algebra import JacobiViolation, bracket, jacobi_residual
+from liegeom.algebra import bracket, jacobi_residual
 from liegeom.errors import (DimensionMismatch, ShapeMismatch,
                             UnsupportedDegree)
 from liegeom.forms import KForm, _perm_sign
-from liegeom.geometry import CLAIMS, CodazziViolation, CurvatureFit, Witness
+from liegeom.geometry import CLAIMS, CurvatureFit, Witness
 from liegeom.tensors import DOWN, UP, Infeasible, LinearSolution, Tensor
 
 
@@ -131,6 +132,25 @@ def _cube(n, rank):
     return itertools.product(range(n), repeat=rank)
 
 
+def contract(a, axis_a, b, axis_b):
+    """{a's index without axis_a + b's index without axis_b: the sum over
+    m of a[..., m, ...] b[..., m, ...]} at every position, zeros dropped."""
+    def drop(t, axis):
+        return [range(n) for i, n in enumerate(t.shape) if i != axis]
+
+    def put(idx, axis, m):
+        return idx[:axis] + (m,) + idx[axis:]
+
+    entries = {}
+    for head in itertools.product(*drop(a, axis_a)):
+        for tail in itertools.product(*drop(b, axis_b)):
+            total = sum((a[put(head, axis_a, m)] * b[put(tail, axis_b, m)]
+                         for m in range(a.shape[axis_a])), Fraction(0))
+            if total != 0:
+                entries[head + tail] = total
+    return entries
+
+
 def torsion(connection):
     L = connection.base
     n = L.dim
@@ -192,7 +212,7 @@ def codazzi_check(connection, metric):
             for k in range(n):
                 residual = ng[i, j, k] - ng[j, i, k]
                 if residual != 0:
-                    return CodazziViolation(i, j, k, residual)
+                    return Witness("codazzi", (i, j, k), residual)
     return None
 
 
@@ -230,7 +250,7 @@ def jacobi_check(L):
     for i, j, k in itertools.combinations(range(L.dim), 3):
         residual = jacobi_residual(L, i, j, k)
         if any(residual):
-            return JacobiViolation(i, j, k, residual)
+            return Witness("jacobi", (i, j, k), residual)
     return None
 
 

@@ -15,7 +15,7 @@ from liegeom import (KForm, LieAlgebra, Metric, NoRealSolution, ce_d,
                      extract_statistical, get_example, kahler_form_from_hessian,
                      lck_family, list_examples, nijenhuis, rescale_metric,
                      run_check, solve_lambda, torsion, wedge, witness_residual,
-                     document_from, serialize)
+                     Witness, document_from, serialize)
 from liegeom.cli import run_command
 
 Q = Fraction
@@ -141,9 +141,8 @@ def test_criterion_4_integrability_both_directions():
         # not flat: the naive double breaks Jacobi, with an exact witness
         nonflat = get_example("nonflat-fixture")
         dbln = double(nonflat.algebra, nonflat.connection)
-        violation = dbln.jacobi
-        assert (violation.i, violation.j, violation.k) == (0, 1, 2)
-        assert violation.residual == (Q(0), Q(0), Q(0), Q(-4))
+        assert dbln.jacobi == Witness("jacobi", (0, 1, 2),
+                                      (Q(0), Q(0), Q(0), Q(-4)))
 
 
 def test_criterion_5_extraction_round_trip():

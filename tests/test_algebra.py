@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from liegeom import (DimensionMismatch, LieAlgebra, as_vector, bracket,
-                     jacobi_check)
+from liegeom import (DimensionMismatch, LieAlgebra, Witness, as_vector,
+                     bracket, jacobi_check)
 
 Q = Fraction
 
@@ -80,15 +80,11 @@ def test_jacobi_violation_witness():
     # [e1,e2]=e1 and [e1,e3]=e3 break the cyclic identity on (e1,e2,e3)
     L = LieAlgebra.from_brackets(
         ("e1", "e2", "e3"), {(0, 1): {0: 1}, (0, 2): {2: 1}})
-    violation = jacobi_check(L)
-    assert violation is not None
-    assert (violation.i, violation.j, violation.k) == (0, 1, 2)
-    assert violation.residual == (Q(0), Q(0), Q(1))
+    assert jacobi_check(L) == Witness("jacobi", (0, 1, 2), (Q(0), Q(0), Q(1)))
 
 
 def test_jacobi_reports_first_triple():
     L = LieAlgebra.from_brackets(
         ("a", "b", "c", "d"),
         {(1, 2): {1: 1}, (1, 3): {3: 1}})
-    violation = jacobi_check(L)
-    assert (violation.i, violation.j, violation.k) == (1, 2, 3)
+    assert jacobi_check(L).indices == (1, 2, 3)

@@ -358,3 +358,32 @@ def test_output_is_deterministic(tmp_path):
         first = run(argv)
         second = run(argv)
         assert first == second
+
+
+def big_bracket_document(tmp_path, digits):
+    """Three brackets with a coefficient of the given digit count that
+    break Jacobi; the residual has about twice as many digits."""
+    value = str(10 ** (digits - 1) + 7)
+    L = LieAlgebra.abelian(("a", "b", "c"))
+    doc = json.loads(serialize(document_from(L)))
+    doc["brackets"] = [[0, 1, 0, value], [0, 2, 2, value], [1, 2, 1, value]]
+    path = tmp_path / f"big{digits}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_verify_prints_a_witness_below_the_digit_limit(tmp_path):
+    code, out, err = run(["verify", big_bracket_document(tmp_path, 2100)])
+    assert (code, err) == (1, "")
+    assert "jacobi: fail\n" in out
+    assert "witness: jacobi at (a, b, c): " in out
+
+
+def test_verify_refuses_a_value_too_large_to_print(tmp_path):
+    # the Jacobi residual has 4399 digits, past the interpreter's 4300
+    path = big_bracket_document(tmp_path, 2200)
+    for fmt in ("text", "json"):
+        code, out, err = run(["verify", "--format", fmt, path])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: a computed value has 4399 digits")
+        assert err.count("\n") == 1

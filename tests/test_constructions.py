@@ -6,10 +6,10 @@ from liegeom import (Connection, CurvatureMismatch, DimensionMismatch,
                      LieAlgebra, Metric, MissingRadiant, NonPositiveScale,
                      NonPositiveT, NoRealSolution, NotConical, NotHessian,
                      NotStatistical, SurdPair, Tensor, UnderdeterminedCurvature,
-                     ZeroCurvature, ce_d, classify, cone_extend, double,
-                     extract_statistical, get_example, kahler_form_from_hessian,
-                     lck_family, nijenhuis, rescale_metric, solve_lambda,
-                     wedge)
+                     Witness, ZeroCurvature, ce_d, classify, cone_extend,
+                     double, extract_statistical, get_example,
+                     kahler_form_from_hessian, lck_family, nijenhuis,
+                     rescale_metric, solve_lambda, wedge)
 
 Q = Fraction
 
@@ -71,9 +71,8 @@ def test_double_of_clan_cone_bracket_table():
 def test_double_jacobi_fails_exactly_when_not_flat():
     nonflat = get_example("nonflat-fixture")
     dbl = double(nonflat.algebra, nonflat.connection)
-    violation = dbl.jacobi
-    assert (violation.i, violation.j, violation.k) == (0, 1, 2)
-    assert violation.residual == (Q(0), Q(0), Q(0), Q(-4))
+    assert dbl.jacobi == Witness("jacobi", (0, 1, 2),
+                                 (Q(0), Q(0), Q(0), Q(-4)))
 
     torsionful = get_example("flat-torsionful-fixture")
     dbl2 = double(torsionful.algebra, torsionful.connection)

@@ -12,7 +12,7 @@ import itertools
 from fractions import Fraction
 from unittest import mock
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reference
 from liegeom import (DOWN, ComplexStructure, Connection, Infeasible, KForm,
@@ -21,11 +21,14 @@ from liegeom import (DOWN, ComplexStructure, Connection, Infeasible, KForm,
                      torsion, wedge)
 from liegeom.geometry import (codazzi_check, comparison_tensor,
                               lee_form_system, pairing_rows)
+from liegeom.tensors import contract
 
 Q = Fraction
 
-# mostly zero, as structure constants and connections are
-values = st.sampled_from([Q(0)] * 5 + [Q(1), Q(-1), Q(2), Q(1, 2), Q(-3, 2)])
+# mostly zero, as structure constants and connections are; the coprime
+# denominators make the common denominators of the integer kernels grow
+values = st.sampled_from([Q(0)] * 5 + [Q(1), Q(-1), Q(2), Q(1, 2), Q(-3, 2),
+                                       Q(2, 3), Q(-5, 7), Q(1, 11)])
 
 
 def as_matrix(rows):
@@ -139,6 +142,46 @@ def test_sparse_routines_match_the_dense_reference(p):
             reference.pairing_rows(omega, J))
     kwargs = dict(connection=D, metric=g, complex_structure=J, omega=omega)
     assert classify(L, **kwargs) == reference_classify(L, **kwargs)
+
+
+@st.composite
+def tensors(draw, rank, n):
+    """A sparse tensor of the given rank with every axis of length n;
+    empty when no entry is drawn."""
+    positions = list(itertools.product(range(n), repeat=rank))
+    picked = draw(st.lists(st.sampled_from(positions), max_size=8,
+                           unique=True))
+    return Tensor.from_entries((n,) * rank, (DOWN,) * rank,
+                               {idx: draw(values) for idx in picked})
+
+
+@st.composite
+def contractions(draw):
+    n = draw(st.integers(1, 3))
+    a = draw(tensors(draw(st.integers(1, 3)), n))
+    b = draw(tensors(draw(st.integers(1, 3)), n))
+    return a, draw(st.integers(0, a.rank - 1)), b, draw(
+        st.integers(0, b.rank - 1))
+
+
+def vector(n, values):
+    return Tensor.from_entries((n,), (DOWN,), {
+        (i,): v for i, v in enumerate(values)})
+
+
+@settings(max_examples=200)
+@given(contractions())
+@example((vector(2, [1, 1]), 0, vector(2, [1, -1]), 0))          # cancels
+@example((vector(2, []), 0, vector(2, [1, 2]), 0))               # empty
+@example((vector(3, [Q(2, 3), Q(-5, 7), Q(1, 11)]), 0,
+          Tensor.from_entries((3, 2), (DOWN, DOWN), {
+              (0, 0): Q(3, 2), (1, 0): Q(7, 5), (0, 1): Q(1, 3)}),
+          0))                                             # 0 at 0, 2/9 at 1
+def test_contract_matches_the_dense_reference(p):
+    a, axis_a, b, axis_b = p
+    got = contract(a, axis_a, b, axis_b)
+    assert got == reference.contract(a, axis_a, b, axis_b)
+    assert all(type(v) is Q and v != 0 for v in got.values())
 
 
 @st.composite

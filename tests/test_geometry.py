@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from liegeom import (ComplexStructure, Connection, DegenerateMetric,
+from liegeom import (ComplexStructure, Connection, CurvatureFit,
                      DimensionMismatch, InputError, KForm, LieAlgebra, Metric,
                      MissingPieces, NoLeeForm, NotAlmostComplex,
                      ShapeMismatch, Tensor, UnsupportedDegree, VerdictError,
@@ -10,7 +10,9 @@ from liegeom import (ComplexStructure, Connection, DegenerateMetric,
                      constant_curvature, curvature, double, get_example,
                      lck_family, nabla, nabla_g, nijenhuis, torsion,
                      witness_residual)
+from liegeom import geometry
 from liegeom.geometry import lee_form_solve, pairing_rows
+from liegeom.tensors import det
 
 Q = Fraction
 
@@ -148,9 +150,8 @@ def test_codazzi_holds_on_catalog_pairs():
 def test_codazzi_violation_location_and_residual():
     entry = clan()
     g = Metric.from_rows(entry.algebra, [[4, 0], [0, 3]])
-    violation = codazzi_check(entry.connection, g)
-    assert (violation.i, violation.j, violation.k) == (0, 1, 1)
-    assert violation.residual == Q(-2)
+    assert codazzi_check(entry.connection, g) == Witness(
+        "codazzi", (0, 1, 1), Q(-2))
 
 
 # -- constant curvature fit ------------------------------------------------
@@ -188,8 +189,8 @@ def test_constant_curvature_mismatch_reports_witness():
 def test_constant_curvature_rejects_degenerate_metric():
     entry = clan()
     g = Metric.from_rows(entry.algebra, [[1, 0], [0, 0]])
-    with pytest.raises(DegenerateMetric):
-        constant_curvature(entry.connection, g)
+    assert constant_curvature(entry.connection, g) == CurvatureFit(
+        "degenerate")
 
 
 # -- complex structures ----------------------------------------------------
@@ -350,6 +351,27 @@ def test_degeneracy_is_read_from_the_determinant():
     (witness,) = report.witnesses
     assert (witness.indices, witness.detail) == ((1,), (Q(1), Q(0)))
     assert witness_residual(witness, metric=g) == 0
+
+
+def test_classify_reads_det_off_a_full_list_of_leading_minors(monkeypatch):
+    # the last of n leading minors is det g, so no second elimination runs
+    calls = []
+
+    def counted(matrix):
+        calls.append(matrix)
+        return det(matrix)
+
+    monkeypatch.setattr(geometry, "det", counted)
+    entry = clan()
+    report = classify(entry.algebra, connection=entry.connection,
+                      metric=entry.metric)
+    assert report.is_metric_positive is True
+    assert report.constant_curvature == CurvatureFit("constant", Q(-1))
+    singular = Metric.from_rows(entry.algebra, [[1, 0], [0, 0]])
+    report = classify(entry.algebra, connection=entry.connection,
+                      metric=singular)
+    assert report.constant_curvature.kind == "degenerate"
+    assert calls == []
 
 
 def test_classify_kahler_on_abelian_plane():
