@@ -7,7 +7,8 @@ whose pairing form at t = 1 is closed and positive.  Everything is a
 rational number, so every printed identity is exact.
 """
 
-from liegeom import (ce_d, cone_extend, get_example, lck_family, nijenhuis)
+from liegeom import (ce_d, cone_extend, get_example, jacobi_check, lck_family,
+                     nijenhuis)
 
 
 def main():
@@ -24,7 +25,7 @@ def main():
                      c=-1, t=1)
     dbl = fam.double
     print("double basis:", ", ".join(dbl.algebra.basis_labels))
-    print("jacobi violation:", dbl.jacobi)
+    print("jacobi violation:", jacobi_check(dbl.algebra))
     print("nijenhuis zero:",
           nijenhuis(dbl.algebra, dbl.complex_structure).is_zero())
 

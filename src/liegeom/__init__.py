@@ -13,20 +13,18 @@ from .catalog import (CatalogEntry, CatalogNote, ExpectedOutcome,
 from .constructions import (ConeExtension, DoubledAlgebra,
                             HessianKahlerResult, LckFamily, SurdPair,
                             cone_extend, double, extract_statistical,
-                            kahler_form_from_hessian, lck_family,
-                            rescale_metric, solve_lambda)
+                            kahler_form_from_hessian, lck_family, solve_lambda)
 from .errors import (BadParameters, CurvatureMismatch, DimensionMismatch,
                      DocumentSyntaxError, InputError, LieGeomError,
-                     MissingPieces, MissingRadiant, NoLeeForm,
-                     NoRealSolution, NonPositiveScale, NonPositiveT,
-                     NotAlmostComplex, NotConical, NotHessian,
+                     MissingPieces, MissingRadiant, NoLeeForm, NoRealSolution,
+                     NonPositiveT, NotAlmostComplex, NotConical, NotHessian,
                      NotStatistical, ShapeMismatch, UnderdeterminedCurvature,
                      UnknownExample, UnsupportedDegree, ValidationError,
                      VerdictError, ZeroCurvature, ZeroDenominator)
 from .forms import KForm, ce_d, dual_form, wedge
 from .geometry import (ComplexStructure, Connection, CurvatureFit, Metric,
                        StructureReport, Witness, classify, codazzi_check,
-                       constant_curvature, curvature, lee_form_solve, nabla,
+                       constant_curvature, curvature, lee_form_solve,
                        nabla_g, nijenhuis, torsion, witness_residual)
 from .io import AlgebraDocument, FormBlock, document_from, parse, serialize
 from .rationals import Q, format_rational, make_rational, parse_rational

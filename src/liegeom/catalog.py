@@ -288,7 +288,7 @@ def run_check(entry, check):
         return "pass" if jacobi_check(L) is None else "fail"
     if check == "double_jacobi":
         dbl = double(L, entry.connection)
-        return "pass" if dbl.jacobi is None else "fail"
+        return "pass" if jacobi_check(dbl.algebra) is None else "fail"
     if check == "double_integrable":
         dbl = double(L, entry.connection)
         n = nijenhuis(dbl.algebra, dbl.complex_structure)

@@ -22,6 +22,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .algebra import jacobi_check
 from .catalog import get_example, list_examples
 from .constructions import (SurdPair, cone_extend, double,
                             kahler_form_from_hessian, lck_family,
@@ -54,13 +55,15 @@ class SourceBundle:
 
 
 def _catalog_params(pieces):
-    """{key: rational} from key=value strings."""
+    """{key: rational} from key=value strings, each key given once."""
     params = {}
     for piece in pieces:
         key, sep, value = piece.partition("=")
         if not sep:
             raise BadParameters(
                 f"catalog parameter {piece!r} is not key=value")
+        if key in params:
+            raise BadParameters(f"catalog parameter {key} is given twice")
         try:
             params[key] = parse_rational(value)
         except (ValueError, LieGeomError) as exc:
@@ -258,10 +261,11 @@ def _cmd_construct(args):
         doc = document_from(built.algebra,
                             complex_structure=built.complex_structure)
         labels = built.algebra.basis_labels
-        if built.jacobi is None:
+        witness = jacobi_check(built.algebra)
+        if witness is None:
             pairs.append(("jacobi", "pass"))
         else:
-            where = ", ".join(labels[i] for i in built.jacobi.indices)
+            where = ", ".join(labels[i] for i in witness.indices)
             pairs.append(("jacobi", "fail"))
             pairs.append(("jacobi_violation", f"({where})"))
             status = 1

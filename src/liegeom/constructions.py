@@ -2,15 +2,16 @@
 
   * double: the semidirect sum of an algebra with a second copy of
     itself acted on through a connection, carrying the standard complex
-    structure that swaps the copies.
+    structure that swaps the copies; whether its bracket satisfies
+    Jacobi is left to jacobi_check or classify.
   * kahler_form_from_hessian: the closed positive pairing form the
     double of a flat statistical (Hessian) structure carries.
   * cone_extend: the one-dimension-higher algebra with a radiant vector
     rho, whose connection absorbs constant curvature c into the rho
     direction and comes out flat and torsion free.
   * lck_family: the one-parameter family omega_t on the double of a
-    cone, with Lee form -(1 + c t) rho^1; the t where 1 + c t = 0 is the
-    Kahler member.
+    cone, with Lee form -(1 + c t) rho^1 as classify solves it; the t
+    where 1 + c t = 0 is the Kahler member.
   * solve_lambda: exact roots of c L^2 - 2 L + 1 = 0, rational when the
     discriminant is a rational square and an explicit surd pair
     otherwise.
@@ -23,12 +24,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import LieAlgebra, Witness, jacobi_check
+from .algebra import LieAlgebra
 from .errors import (CurvatureMismatch, DimensionMismatch, MissingRadiant,
-                     NonPositiveScale, NonPositiveT, NoRealSolution,
-                     NotConical, NotHessian, NotStatistical,
-                     UnderdeterminedCurvature, ZeroCurvature)
-from .forms import KForm, ce_d, dual_form, wedge
+                     NonPositiveT, NoRealSolution, NotConical, NotHessian,
+                     NotStatistical, UnderdeterminedCurvature, ZeroCurvature)
+from .forms import KForm, dual_form
 from .geometry import (ComplexStructure, Connection, Metric, StructureReport,
                        classify)
 from .tensors import DOWN, UP, Tensor
@@ -40,20 +40,12 @@ class DoubledAlgebra:
 
     Basis order is the first copy then the second, labels suffixed 1
     and 2.  The candidate bracket satisfies Jacobi exactly when the
-    connection is flat, so the verdict rides along instead of being
-    assumed.
+    connection is flat; nothing here assumes or records that verdict,
+    which classify or jacobi_check on algebra decides.
     """
 
     algebra: LieAlgebra
     complex_structure: ComplexStructure
-    block: int
-    origin_algebra: LieAlgebra
-    origin_connection: Connection
-    jacobi: Witness | None
-
-    @property
-    def j(self):
-        return self.complex_structure
 
 
 def double(L, connection):
@@ -75,7 +67,7 @@ def double(L, connection):
         j_entries[(i, n + i)] = Fraction(-1)
     j = ComplexStructure(
         algebra, Tensor.from_entries((2 * n, 2 * n), (UP, DOWN), j_entries))
-    return DoubledAlgebra(algebra, j, n, L, connection, jacobi_check(algebra))
+    return DoubledAlgebra(algebra, j)
 
 
 @dataclass(frozen=True)
@@ -161,20 +153,18 @@ class ConeExtension:
     nabla: Connection
     rho_index: int
     c: Fraction
-    base_algebra: LieAlgebra
-    base_connection: Connection
     base_metric: Metric
     report: StructureReport
 
-    def rho(self):
-        return self.algebra.basis_vector(self.rho_index)
-
     def metric(self, t):
-        """g extended by t on the rho direction (zero across)."""
+        """g extended by t > 0 on the rho direction (zero across)."""
+        t = Fraction(t)
+        if t <= 0:
+            raise NonPositiveT(f"the cone metric needs t > 0, got {t}")
         n = self.algebra.dim
         r = self.rho_index
         entries = dict(self.base_metric.g.entries)
-        entries[(r, r)] = Fraction(t)
+        entries[(r, r)] = t
         return Metric(self.algebra,
                       Tensor.from_entries((n, n), (DOWN, DOWN), entries))
 
@@ -237,8 +227,7 @@ def cone_extend(L, connection, metric, c=None):
     report = classify(algebra, connection=cone_nabla)
     if not (report.is_jacobi and report.is_torsion_free and report.is_flat):
         raise RuntimeError("cone construction lost flatness; this is a bug")
-    return ConeExtension(algebra, cone_nabla, r, c, L, connection, metric,
-                         report)
+    return ConeExtension(algebra, cone_nabla, r, c, metric, report)
 
 
 # -- the locally conformally Kahler family ---------------------------------
@@ -260,7 +249,11 @@ def lck_family(L, connection, metric, c, t):
     """Build omega_t = omega + t rho^1 ^ rho^2 on the double of the cone.
 
     t must be positive.  The verified Lee form is -(1 + c t) rho^1, so
-    the member is Kahler exactly when 1 + c t = 0.
+    the member is Kahler exactly when 1 + c t = 0.  As g is positive
+    definite and t > 0, omega_t is nondegenerate on a double of
+    dimension at least 4, so the Lee equation has one solution and the
+    report's Lee form is -(1 + c t) rho^1 exactly when the identity
+    holds.
     """
     t = Fraction(t)
     if t <= 0:
@@ -274,10 +267,10 @@ def lck_family(L, connection, metric, c, t):
     components[(r, n1 + r)] = t
     omega = KForm.from_components(2 * n1, 2, components)
     lee = dual_form(dbl.algebra, r).scale(-(1 + c * t))
-    if ce_d(dbl.algebra, omega) != wedge(lee, omega):
-        raise RuntimeError("Lee identity failed on the double; this is a bug")
     report = classify(dbl.algebra, complex_structure=dbl.complex_structure,
                       omega=omega)
+    if report.lee_form != lee:
+        raise RuntimeError("Lee identity failed on the double; this is a bug")
     return LckFamily(dbl, omega, lee, report, cone, c, t)
 
 
@@ -359,12 +352,3 @@ def _restrict(t, base):
     entries = {tuple(position[i] for i in idx): value
                for idx, value in t.entries if all(i in position for i in idx)}
     return Tensor.from_entries((n, n, n), (DOWN, DOWN, UP), entries)
-
-
-def rescale_metric(connection, metric, c, s):
-    """Scale the metric by s > 0; constant curvature scales by 1/s."""
-    s = Fraction(s)
-    if s <= 0:
-        raise NonPositiveScale(f"scale must be positive, got {s}")
-    scaled = Metric(metric.base, metric.g.scale(s))
-    return connection, scaled, Fraction(c) / s

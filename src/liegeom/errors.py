@@ -89,10 +89,6 @@ class NonPositiveT(InputError):
     pass
 
 
-class NonPositiveScale(InputError):
-    pass
-
-
 class NotConical(VerdictError):
     pass
 

@@ -73,21 +73,6 @@ class KForm:
         t = Tensor.from_entries((dim,) * degree, (DOWN,) * degree, entries)
         return cls(degree, t)
 
-    def __call__(self, *vectors):
-        if len(vectors) != self.degree:
-            raise DimensionMismatch(
-                f"degree {self.degree} form applied to {len(vectors)} vectors")
-        coords = [tuple(Fraction(v) for v in vec) for vec in vectors]
-        if any(len(c) != self.dim for c in coords):
-            raise DimensionMismatch("vector length does not match the form")
-        total = Fraction(0)
-        for idx, value in self.coefficients.entries:
-            term = value
-            for slot, i in enumerate(idx):
-                term *= coords[slot][i]
-            total += term
-        return total
-
     def components(self):
         """Yield (increasing index tuple, value) for the nonzero entries."""
         for idx, value in self.coefficients.entries:

@@ -22,8 +22,7 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from types import SimpleNamespace
 
-from .algebra import (LieAlgebra, Witness, as_vector, jacobi_check,
-                      jacobi_residual)
+from .algebra import LieAlgebra, Witness, jacobi_check, jacobi_residual
 from .errors import (DimensionMismatch, MissingPieces, NoLeeForm,
                      NotAlmostComplex, ShapeMismatch, UnsupportedDegree)
 from .forms import KForm, ce_d
@@ -59,18 +58,6 @@ class Connection:
         return cls(base, Tensor.zero((n, n, n), (DOWN, DOWN, UP)))
 
 
-def nabla(connection, x, y):
-    """nabla_x y in coordinates, bilinear over the rationals."""
-    L = connection.base
-    x = as_vector(L, x)
-    y = as_vector(L, y)
-    out = [Fraction(0)] * L.dim
-    for (i, j, k), value in connection.gamma.entries:
-        if x[i] and y[j]:
-            out[k] += value * x[i] * y[j]
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class Metric:
     """Symmetric bilinear form.  Definiteness is a verdict, not an axiom."""
@@ -93,12 +80,6 @@ class Metric:
         n = base.dim
         return cls.from_rows(base, [[1 if i == j else 0 for j in range(n)]
                                     for i in range(n)])
-
-    def value(self, x, y):
-        x = as_vector(self.base, x)
-        y = as_vector(self.base, y)
-        return sum((v * x[i] * y[j] for (i, j), v in self.g.entries),
-                   Fraction(0))
 
     def is_positive_definite(self):
         return all(m > 0 for m in leading_minors(self.g))
@@ -130,13 +111,6 @@ class ComplexStructure:
     @classmethod
     def from_rows(cls, base, rows):
         return cls(base, Tensor.from_nested(rows, (UP, DOWN)))
-
-    def apply(self, x):
-        x = as_vector(self.base, x)
-        out = [Fraction(0)] * self.base.dim
-        for (i, k), value in self.j.entries:
-            out[i] += value * x[k]
-        return tuple(out)
 
 
 # -- verdict computations --------------------------------------------------

@@ -297,18 +297,15 @@ def wedge(a, b):
     return KForm.from_components(n, degree, components)
 
 
-def apply(J, x):
-    """ComplexStructure.apply: J x in coordinates."""
-    n = J.base.dim
-    x = tuple(Fraction(v) for v in x)
-    return tuple(sum((J.j[i, k] * x[k] for k in range(n)), Fraction(0))
-                 for i in range(n))
-
-
 def nijenhuis(L, J):
     n = L.dim
+
+    def apply(x):
+        return tuple(sum((J.j[i, k] * x[k] for k in range(n)), Fraction(0))
+                     for i in range(n))
+
     basis = [L.basis_vector(i) for i in range(n)]
-    jbasis = [apply(J, v) for v in basis]
+    jbasis = [apply(v) for v in basis]
     entries = {}
     for i in range(n):
         for j in range(n):
@@ -318,7 +315,7 @@ def nijenhuis(L, J):
             total = tuple(
                 p + q - r for p, q, r in zip(
                     bracket(L, basis[i], basis[j]),
-                    apply(J, inner),
+                    apply(inner),
                     bracket(L, jbasis[i], jbasis[j])))
             for k, value in enumerate(total):
                 if value != 0:

@@ -11,11 +11,12 @@ from fractions import Fraction
 import pytest
 
 from liegeom import (KForm, LieAlgebra, Metric, NoRealSolution, ce_d,
-                     classify, codazzi_check, cone_extend, double, dual_form,
-                     extract_statistical, get_example, kahler_form_from_hessian,
-                     lck_family, list_examples, nijenhuis, rescale_metric,
-                     run_check, solve_lambda, torsion, wedge, witness_residual,
-                     Witness, document_from, serialize)
+                     classify, codazzi_check, cone_extend, constant_curvature,
+                     double, dual_form, extract_statistical, get_example,
+                     jacobi_check, kahler_form_from_hessian, lck_family,
+                     list_examples, nijenhuis, run_check, solve_lambda,
+                     torsion, wedge, witness_residual, Witness, document_from,
+                     serialize)
 from liegeom.cli import run_command
 
 Q = Fraction
@@ -51,7 +52,7 @@ def test_criterion_1_clan_kahler_pipeline():
         assert fam.report.is_pairing_positive is True
         assert fam.report.is_kahler is True
         assert fam.double.algebra.dim == 6
-        assert fam.double.jacobi is None
+        assert fam.report.is_jacobi is True
         assert nijenhuis(fam.double.algebra,
                          fam.double.complex_structure).is_zero()
 
@@ -95,10 +96,10 @@ def test_criterion_3_family_identity_sweep():
         for _ in range(20):
             tau = Q(rng.randint(1, 50), rng.randint(1, 10))
             t = Q(rng.randint(1, 100), 10)
-            conn, g, c = rescale_metric(su2.connection, su2.metric, 1,
-                                        1 / tau)
-            assert c == tau
-            family_identity_holds(su2.algebra, conn, g, tau, t)
+            g = Metric(su2.algebra, su2.metric.g.scale(1 / tau))
+            fit = constant_curvature(su2.connection, g)
+            assert (fit.kind, fit.value) == ("constant", tau)
+            family_identity_holds(su2.algebra, su2.connection, g, tau, t)
 
         so2 = get_example("so2")
         for _ in range(20):
@@ -122,18 +123,18 @@ def test_criterion_4_integrability_both_directions():
         for name in ("abelian-n", "so2"):
             entry = get_example(name)
             dbl = double(entry.algebra, entry.connection)
-            assert dbl.jacobi is None
+            assert jacobi_check(dbl.algebra) is None
             assert nijenhuis(dbl.algebra, dbl.complex_structure).is_zero()
         clan = get_example("clan-triangular")
         ext = cone_extend(clan.algebra, clan.connection, clan.metric)
         dbl = double(ext.algebra, ext.nabla)
-        assert dbl.jacobi is None
+        assert jacobi_check(dbl.algebra) is None
         assert nijenhuis(dbl.algebra, dbl.complex_structure).is_zero()
 
         # flat with torsion: Jacobi still holds but N(u1, v1) = -v1
         torsionful = get_example("flat-torsionful-fixture")
         dblt = double(torsionful.algebra, torsionful.connection)
-        assert dblt.jacobi is None
+        assert jacobi_check(dblt.algebra) is None
         n = nijenhuis(dblt.algebra, dblt.complex_structure)
         assert tuple(n[0, 1, k] for k in range(4)) == \
             (Q(0), Q(-1), Q(0), Q(0))
@@ -141,8 +142,8 @@ def test_criterion_4_integrability_both_directions():
         # not flat: the naive double breaks Jacobi, with an exact witness
         nonflat = get_example("nonflat-fixture")
         dbln = double(nonflat.algebra, nonflat.connection)
-        assert dbln.jacobi == Witness("jacobi", (0, 1, 2),
-                                      (Q(0), Q(0), Q(0), Q(-4)))
+        assert jacobi_check(dbln.algebra) == Witness(
+            "jacobi", (0, 1, 2), (Q(0), Q(0), Q(0), Q(-4)))
 
 
 def test_criterion_5_extraction_round_trip():

@@ -71,6 +71,15 @@ def test_catalog_show_rejects_bad_parameters():
     assert code == 2
 
 
+def test_catalog_refuses_a_repeated_parameter():
+    for argv in (["verify", "catalog:clan-triangular?c=1&c=2"],
+                 ["catalog", "show", "clan-triangular",
+                  "--param", "c=1", "--param", "c=3"]):
+        code, out, err = run(argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "parameter c" in err
+
+
 # -- verify ----------------------------------------------------------------
 
 def test_verify_catalog_source_passes():
@@ -228,6 +237,14 @@ def test_construct_cone_without_t_has_no_metric():
     doc = parse(out)
     assert doc.metric is None
     assert doc.parameter("t") is None
+
+
+def test_construct_cone_refuses_a_non_positive_t():
+    for t in ("--t=0", "--t=-1"):
+        for kind in ("cone", "lck"):
+            code, out, err = run(["construct", kind, "catalog:su2", t])
+            assert code == 2 and out == ""
+            assert err.startswith("error:") and "t > 0" in err
 
 
 def test_construct_lck_and_verify_round_trip(tmp_path):

@@ -2,14 +2,16 @@ from fractions import Fraction
 
 import pytest
 
+import liegeom.constructions as constructions
+import liegeom.geometry as geometry
 from liegeom import (Connection, CurvatureMismatch, DimensionMismatch,
-                     LieAlgebra, Metric, MissingRadiant, NonPositiveScale,
-                     NonPositiveT, NoRealSolution, NotConical, NotHessian,
-                     NotStatistical, SurdPair, Tensor, UnderdeterminedCurvature,
-                     Witness, ZeroCurvature, ce_d, classify, cone_extend,
-                     double, extract_statistical, get_example,
-                     kahler_form_from_hessian, lck_family, nijenhuis,
-                     rescale_metric, solve_lambda, wedge)
+                     LieAlgebra, Metric, MissingRadiant, NonPositiveT,
+                     NoRealSolution, NotConical, NotHessian, NotStatistical,
+                     SurdPair, Tensor, UnderdeterminedCurvature, Witness,
+                     ZeroCurvature, ce_d, classify, cone_extend,
+                     constant_curvature, double, extract_statistical,
+                     get_example, jacobi_check, kahler_form_from_hessian,
+                     lck_family, nijenhuis, solve_lambda, wedge)
 
 Q = Fraction
 
@@ -30,18 +32,16 @@ def test_double_of_abelian_zero_connection_is_abelian():
     dbl = double(A, Connection.zero(A))
     assert dbl.algebra.basis_labels == ("x1", "y1", "x2", "y2")
     assert dbl.algebra.c.is_zero()
-    assert dbl.jacobi is None
-    assert dbl.block == 2
+    assert jacobi_check(dbl.algebra) is None
 
 
 def test_double_complex_structure_swaps_copies():
     A = LieAlgebra.abelian(("x", "y"))
     dbl = double(A, Connection.zero(A))
     J = dbl.complex_structure
-    assert dbl.j is J
-    assert J.apply(dbl.algebra.basis_vector(0)) == \
-        dbl.algebra.basis_vector(2)
-    assert J.apply(dbl.algebra.basis_vector(2)) == \
+    # column k of J.j holds the coordinates of J e_k
+    assert tuple(J.j[i, 0] for i in range(4)) == dbl.algebra.basis_vector(2)
+    assert tuple(J.j[i, 2] for i in range(4)) == \
         tuple(-x for x in dbl.algebra.basis_vector(0))
 
 
@@ -65,18 +65,18 @@ def test_double_of_clan_cone_bracket_table():
     assert b(v(1), v(4)) == tuple(a + Q(2) * c
                                   for a, c in zip(v(3), v(5)))
     assert b(v(2), v(5)) == v(5)
-    assert dbl.jacobi is None
+    assert jacobi_check(dbl.algebra) is None
 
 
 def test_double_jacobi_fails_exactly_when_not_flat():
     nonflat = get_example("nonflat-fixture")
     dbl = double(nonflat.algebra, nonflat.connection)
-    assert dbl.jacobi == Witness("jacobi", (0, 1, 2),
-                                 (Q(0), Q(0), Q(0), Q(-4)))
+    assert jacobi_check(dbl.algebra) == Witness(
+        "jacobi", (0, 1, 2), (Q(0), Q(0), Q(0), Q(-4)))
 
     torsionful = get_example("flat-torsionful-fixture")
     dbl2 = double(torsionful.algebra, torsionful.connection)
-    assert dbl2.jacobi is None
+    assert jacobi_check(dbl2.algebra) is None
     assert not nijenhuis(dbl2.algebra, dbl2.complex_structure).is_zero()
 
 
@@ -246,12 +246,20 @@ def test_cone_extend_requires_statistical_base():
 
 def test_cone_metric_and_rho():
     entry, ext = clan_cone()
-    assert ext.rho() == (Q(0), Q(0), Q(1))
+    assert ext.rho_index == 2
+    assert ext.algebra.label(ext.rho_index) == "rho"
     g_t = ext.metric(Q(1, 2))
     assert g_t.g[2, 2] == Q(1, 2)
     assert g_t.g[0, 0] == Q(4)
     assert g_t.g[0, 2] == Q(0)
     assert g_t.is_positive_definite()
+
+
+def test_cone_metric_requires_positive_t():
+    entry, ext = clan_cone()
+    for t in (0, -1, Q(-1, 2)):
+        with pytest.raises(NonPositiveT):
+            ext.metric(t)
 
 
 def test_cone_label_collision_gets_fresh_name():
@@ -319,6 +327,37 @@ def test_lck_family_at_the_catalog_maximum():
     assert list(fam.report.lee_form.components()) == lee
     assert fam.report.is_lck is True
     assert fam.report.is_kahler is False
+
+
+def test_lck_family_refuses_a_lee_form_the_report_does_not_confirm(
+        monkeypatch):
+    dual_form = constructions.dual_form
+    monkeypatch.setattr(constructions, "dual_form",
+                        lambda L, i: dual_form(L, i).scale(2))
+    su2 = get_example("su2")
+    with pytest.raises(RuntimeError, match="Lee identity"):
+        lck_family(su2.algebra, su2.connection, su2.metric, 1, 1)
+
+
+def test_the_chain_checks_each_algebra_for_jacobi_once(monkeypatch):
+    checked = []
+    jacobi = geometry.jacobi_check
+
+    def counted(L):
+        checked.append((L.basis_labels, L.c.entries))
+        return jacobi(L)
+
+    monkeypatch.setattr(geometry, "jacobi_check", counted)
+    monkeypatch.setattr(constructions, "jacobi_check", counted,
+                        raising=False)
+    su2 = get_example("su2")
+    lck_family(su2.algebra, su2.connection, su2.metric, 1, 1)
+    abelian = get_example("abelian-n", {"n": 3})
+    kahler_form_from_hessian(abelian.algebra, abelian.connection,
+                             abelian.metric)
+    assert len(set(checked)) == len(checked)
+    # su2, its cone, the cone's double, abelian-n and its double
+    assert len(checked) == 5
 
 
 def test_lck_family_requires_positive_t():
@@ -407,29 +446,22 @@ def test_extraction_checks_binding_and_range():
 
 # -- metric rescaling ------------------------------------------------------
 
+def scaled(metric, s):
+    return Metric(metric.base, metric.g.scale(s))
+
+
 def test_rescale_metric_scales_curvature_inversely():
     su2 = get_example("su2")
-    conn, scaled, c = rescale_metric(su2.connection, su2.metric, 1, 2)
-    assert conn is su2.connection
-    assert scaled.g[0, 0] == Q(2)
-    assert c == Q(1, 2)
-    from liegeom import constant_curvature
-    fit = constant_curvature(conn, scaled)
+    g = scaled(su2.metric, 2)
+    assert g.g[0, 0] == Q(2)
+    fit = constant_curvature(su2.connection, g)
     assert (fit.kind, fit.value) == ("constant", Q(1, 2))
 
 
 def test_rescale_metric_identity_and_composition():
     entry = clan({"c": "2"})
-    conn, scaled, c = rescale_metric(entry.connection, entry.metric, -2, 1)
-    assert scaled == entry.metric and c == Q(-2)
-    conn, scaled, c = rescale_metric(entry.connection, entry.metric, -2, 2)
-    assert c == Q(-1)
-    from liegeom import constant_curvature
-    assert constant_curvature(conn, scaled).value == Q(-1)
-
-
-def test_rescale_metric_requires_positive_scale():
-    su2 = get_example("su2")
-    for s in (0, -1):
-        with pytest.raises(NonPositiveScale):
-            rescale_metric(su2.connection, su2.metric, 1, s)
+    assert scaled(entry.metric, 1) == entry.metric
+    assert constant_curvature(entry.connection, entry.metric).value == Q(-2)
+    g = scaled(entry.metric, 2)
+    assert constant_curvature(entry.connection, g).value == Q(-1)
+    assert scaled(g, Q(1, 2)) == entry.metric

@@ -8,7 +8,7 @@ from liegeom import (ComplexStructure, Connection, CurvatureFit,
                      ShapeMismatch, Tensor, UnsupportedDegree, VerdictError,
                      Witness, classify, codazzi_check, cone_extend,
                      constant_curvature, curvature, double, get_example,
-                     lck_family, nabla, nabla_g, nijenhuis, torsion,
+                     lck_family, nabla_g, nijenhuis, torsion,
                      witness_residual)
 from liegeom import geometry
 from liegeom.geometry import lee_form_solve, pairing_rows
@@ -41,18 +41,12 @@ def test_connection_shape_guard():
 
 
 def test_nabla_values_and_linearity():
-    entry = clan()
-    u = entry.algebra.basis_vector(0)
-    v = entry.algebra.basis_vector(1)
-    # nabla_v u = -2v, nabla_v v = u, nabla_u anything = 0
-    assert nabla(entry.connection, v, u) == (Q(0), Q(-2))
-    assert nabla(entry.connection, v, v) == (Q(1), Q(0))
-    assert nabla(entry.connection, u, v) == (Q(0), Q(0))
-    combo = tuple(Q(3) * a + Q(-1, 2) * b for a, b in zip(u, v))
-    expect = tuple(Q(3) * a + Q(-1, 2) * b
-                   for a, b in zip(nabla(entry.connection, u, v),
-                                   nabla(entry.connection, v, v)))
-    assert nabla(entry.connection, combo, v) == expect
+    gamma = clan().connection.gamma
+    # gamma[i, j, k] is the e_k part of nabla_{e_i} e_j with e_0 = u,
+    # e_1 = v: nabla_v u = -2v, nabla_v v = u, nabla_u anything = 0
+    assert (gamma[1, 0, 0], gamma[1, 0, 1]) == (Q(0), Q(-2))
+    assert (gamma[1, 1, 0], gamma[1, 1, 1]) == (Q(1), Q(0))
+    assert all(gamma[0, j, k] == 0 for j in range(2) for k in range(2))
 
 
 # -- torsion ---------------------------------------------------------------
@@ -118,10 +112,8 @@ def test_metric_requires_symmetry():
 
 def test_metric_value_and_positivity():
     entry = clan()
-    u = entry.algebra.basis_vector(0)
-    v = entry.algebra.basis_vector(1)
-    assert entry.metric.value(u, u) == 4
-    assert entry.metric.value(u, v) == 0
+    assert entry.metric.g[0, 0] == 4
+    assert entry.metric.g[0, 1] == 0
     assert entry.metric.is_positive_definite()
     indefinite = Metric.from_rows(entry.algebra, [[1, 2], [2, 1]])
     assert not indefinite.is_positive_definite()
@@ -212,9 +204,9 @@ def test_complex_structure_shape_check():
 def test_complex_structure_apply():
     L = LieAlgebra.abelian(("x", "y"))
     J = ComplexStructure.from_rows(L, [[0, -1], [1, 0]])
-    assert J.apply(L.basis_vector(0)) == (Q(0), Q(1))
-    assert J.apply(L.basis_vector(1)) == (Q(-1), Q(0))
-    assert J.apply((Q(2), Q(3))) == (Q(-3), Q(2))
+    # J.j[i, k] is the e_i coefficient of J e_k: J x = -y, J y = x
+    assert (J.j[0, 0], J.j[1, 0]) == (Q(0), Q(1))
+    assert (J.j[0, 1], J.j[1, 1]) == (Q(-1), Q(0))
 
 
 # -- nijenhuis tensor ------------------------------------------------------
