@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatch, ShapeMismatch
-from .tensors import DOWN, UP, Tensor, accumulate, contract
+from .tensors import DOWN, UP, Tensor, contract
 
 
 @dataclass(frozen=True)
@@ -121,14 +121,14 @@ def cyclic_sum(L, t):
     a term with z between x and y is minus the cyclic term at (z, x, y),
     and one with z equal to x or y belongs to no triple.
     """
-    upper = Tensor(L.c.shape, L.c.variance, tuple(
-        (idx, v) for idx, v in L.c.entries if idx[0] < idx[1]))
+    d, sums = contract([(idx, v) for idx, v in L.c.entries if idx[0] < idx[1]],
+                       2, t.entries, 0)
     out = {}
-    for (x, y, z, *rest), value in contract(upper, 2, t, 0).items():
+    for (x, y, z, *rest), v in sums.items():
         if z != x and z != y:
-            accumulate(out, tuple(sorted((x, y, z)) + rest),
-                       value if z < x or z > y else -value)
-    return {key: value for key, value in out.items() if value}
+            key = tuple(sorted((x, y, z)) + rest)
+            out[key] = out.get(key, 0) + (v if z < x or z > y else -v)
+    return {key: Fraction(v, d) for key, v in out.items() if v}
 
 
 def jacobi_check(L):

@@ -143,9 +143,9 @@ def ce_d(L, form):
     if form.dim != L.dim:
         raise DimensionMismatch("form and algebra dimensions differ")
     if form.degree == 1:
+        d, sums = contract(L.c.entries, 2, form.coefficients.entries, 0)
         return KForm.from_components(L.dim, 2, {
-            (i, j): -value for (i, j), value in
-            contract(L.c, 2, form.coefficients, 0).items() if i < j})
+            (i, j): Fraction(-v, d) for (i, j), v in sums.items() if i < j})
     if form.degree == 2:
         # (d w)(X, Y, Z) = -(w([X, Y], Z) + w([Y, Z], X) + w([Z, X], Y))
         cyclic = cyclic_sum(L, form.coefficients)

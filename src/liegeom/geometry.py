@@ -18,6 +18,7 @@ single report in which each negative answer carries an exact witness.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from types import SimpleNamespace
@@ -26,8 +27,8 @@ from .algebra import LieAlgebra, Witness, jacobi_check, jacobi_residual
 from .errors import (DimensionMismatch, MissingPieces, NoLeeForm,
                      NotAlmostComplex, ShapeMismatch, UnsupportedDegree)
 from .forms import KForm, ce_d
-from .tensors import (DOWN, UP, Infeasible, Tensor, accumulate, contract,
-                      det, leading_minors, null_vector, solve_linear)
+from .tensors import (DOWN, UP, Infeasible, Tensor, contract, det,
+                      leading_minors, null_vector, solve_linear)
 
 
 @dataclass(frozen=True)
@@ -138,14 +139,20 @@ def curvature(connection):
     """
     L = connection.base
     n = L.dim
-    gamma = connection.gamma
+    gamma = connection.gamma.entries
+    d1, squares = contract(gamma, 2, gamma, 1)
+    d2, brackets = contract(L.c.entries, 2, gamma, 0)
+    d = math.lcm(d1, d2)    # both sums as ints over one denominator
+    s1, s2 = d // d1, d // d2
     entries = {}
-    for (j, k, i, l), value in contract(gamma, 2, gamma, 1).items():
-        accumulate(entries, (i, j, k, l), value)
-        accumulate(entries, (j, i, k, l), -value)
-    for idx, value in contract(L.c, 2, gamma, 0).items():
-        accumulate(entries, idx, -value)
-    return Tensor.from_entries((n, n, n, n), (DOWN, DOWN, DOWN, UP), entries)
+    for (j, k, i, l), v in squares.items():
+        v *= s1
+        entries[i, j, k, l] = entries.get((i, j, k, l), 0) + v
+        entries[j, i, k, l] = entries.get((j, i, k, l), 0) - v
+    for idx, v in brackets.items():
+        entries[idx] = entries.get(idx, 0) - v * s2
+    return Tensor.from_entries((n, n, n, n), (DOWN, DOWN, DOWN, UP), {
+        idx: Fraction(v, d) for idx, v in entries.items() if v})
 
 
 def nabla_g(connection, metric):
@@ -156,11 +163,13 @@ def nabla_g(connection, metric):
     both (i, j, k) and (i, k, j).
     """
     n = connection.base.dim
+    d, sums = contract(connection.gamma.entries, 2, metric.g.entries, 0)
     entries = {}
-    for (i, j, k), value in contract(connection.gamma, 2, metric.g, 0).items():
-        accumulate(entries, (i, j, k), -value)
-        accumulate(entries, (i, k, j), -value)
-    return Tensor.from_entries((n, n, n), (DOWN, DOWN, DOWN), entries)
+    for (i, j, k), v in sums.items():
+        entries[i, j, k] = entries.get((i, j, k), 0) - v
+        entries[i, k, j] = entries.get((i, k, j), 0) - v
+    return Tensor.from_entries((n, n, n), (DOWN, DOWN, DOWN), {
+        idx: Fraction(v, d) for idx, v in entries.items() if v})
 
 
 def codazzi_check(connection, metric):
@@ -234,9 +243,10 @@ def _map_axis(t, axis, A, a_axis):
     axis with A's a_axis, its index i put back at axis.  a_axis 0 gives
     t times A (the sum over m of t[..., m, ...] A[m, i] at i), a_axis 1
     gives A times t (the sum of A[i, m] t[..., m, ...])."""
-    entries = {key[:axis] + key[-1:] + key[axis:-1]: value
-               for key, value in contract(t, axis, A, a_axis).items()}
-    return Tensor.from_entries(t.shape, t.variance, entries)
+    d, sums = contract(t.entries, axis, A.entries, a_axis)
+    return Tensor.from_entries(t.shape, t.variance, {
+        key[:axis] + key[-1:] + key[axis:-1]: Fraction(v, d)
+        for key, v in sums.items()})
 
 
 def nijenhuis(L, J):
@@ -375,10 +385,10 @@ def _minor(matrix, idx, detail):
 
 
 def _image(matrix, x, axis):
-    """The nonzeros of the sequence x contracted with one axis of matrix,
-    as {(i,): value}: A x for axis 1, x A for axis 0."""
-    return contract(matrix, axis, Tensor.from_entries(
-        (len(x),), (DOWN,), {(i,): v for i, v in enumerate(x)}), 0)
+    """The support of the sequence x contracted with one axis of matrix,
+    as the keys (i,) of A x for axis 1, of x A for axis 0."""
+    return contract(matrix.entries, axis, Tensor.from_entries(
+        (len(x),), (DOWN,), {(i,): v for i, v in enumerate(x)}).entries, 0)[1]
 
 
 def _fitted(detail):

@@ -8,7 +8,9 @@ all zero, so reading an entry is a dictionary lookup, built on first use,
 and contract walks only these pairs.  contract is the one place a sum of
 two tensors over a shared axis is written: curvature, nabla g, Jacobi,
 the differential, Nijenhuis, J squared, the pairing and the witness
-rechecks call it and only rearrange the indices of what it returns.
+rechecks call it.  It returns int numerators over one common
+denominator; each caller adds them up as it rearranges their indices
+and divides once per entry of its result.
 
 A matrix is a rank-2 Tensor too.  det, leading_minors, solve_linear and
 null_vector read their answers off one integer-preserving elimination
@@ -25,6 +27,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 
 from .errors import ShapeMismatch
 
@@ -63,15 +66,24 @@ class Tensor:
             raise ShapeMismatch(f"bad variance {variance}")
         if any(n < 0 for n in shape):
             raise ShapeMismatch(f"negative axis in {shape}")
-        values = {}
-        for idx, value in self.entries:
-            idx = tuple(idx)
-            self._check_index(idx)
-            if idx in values:
-                raise ShapeMismatch(f"index {idx} given twice")
-            values[idx] = _as_q(value)
-        object.__setattr__(self, "entries", tuple(sorted(
-            (idx, value) for idx, value in values.items() if value)))
+        pairs = tuple(self.entries)
+        values = {tuple(idx): value for idx, value in pairs}
+        # arity, range and repeats column by column; the scan per pair,
+        # values included, runs only to raise the first fault in order
+        if len(values) < len(pairs) or not (
+                set(map(len, values)) <= {len(shape)} and all(
+                    0 <= min(col) and max(col) < n
+                    for col, n in zip(zip(*values), shape))):
+            seen = set()
+            for idx, value in pairs:
+                idx = tuple(idx)
+                self._check_index(idx)
+                if idx in seen:
+                    raise ShapeMismatch(f"index {idx} given twice")
+                seen.add(idx)
+                _as_q(value)
+        object.__setattr__(self, "entries", tuple(sorted(filter(
+            itemgetter(1), zip(values, map(_as_q, values.values()))))))
 
     def _check_index(self, idx):
         if len(idx) != len(self.shape):
@@ -156,8 +168,8 @@ class Tensor:
     def __add__(self, other):
         self._require_same(other)
         total = dict(self.entries)
-        for idx, value in other.entries:
-            accumulate(total, idx, value)
+        for idx, value in other.entries:    # spares a 0 + Fraction sum
+            total[idx] = total[idx] + value if idx in total else value
         return self._like(total.items())
 
     def __sub__(self, other):
@@ -178,26 +190,23 @@ class Tensor:
                 f"{self.shape}/{self.variance} vs {other.shape}/{other.variance}")
 
 
-def accumulate(entries, key, value):
-    """entries[key] += value, sparing the costly 0 + Fraction sum."""
-    entries[key] = entries[key] + value if key in entries else value
-
-
-def _numerators(t):
-    """(D, [(index, int)]): t's entries over D, their denominators' lcm."""
-    d = math.lcm(*(value.denominator for _, value in t.entries))
+def _numerators(pairs):
+    """(D, [(index, int)]): the values over D, their denominators' lcm."""
+    d = math.lcm(*(value.denominator for _, value in pairs))
     return d, [(idx, value.numerator * (d // value.denominator))
-               for idx, value in t.entries]
+               for idx, value in pairs]
 
 
 def contract(a, axis_a, b, axis_b):
     """The sum over m of a[..., m, ...] b[..., m, ...], with m at axis_a
-    of a and at axis_b of b, as {a's index without axis_a + b's index
-    without axis_b: Fraction} over its nonzero values.
+    of a and at axis_b of b, as (d, {a's index without axis_a + b's
+    index without axis_b: the sum times d}) over its nonzero sums.
 
-    b is grouped by axis_b and a's nonzeros walked against the groups;
-    the products run on int numerators over each tensor's common
-    denominator, so each result is divided once, as in _eliminate.
+    a and b are sequences of (index, rational) pairs, as Tensor.entries.
+    b is grouped by axis_b and a's pairs walked against the groups; the
+    products run on int numerators over each side's lcm denominator, and
+    d is their product: the caller adds the ints up as it scatters them
+    and divides once per entry of its result, as _eliminate does.
     """
     (da, xs), (db, ys) = _numerators(a), _numerators(b)
     ids, groups = {}, {}    # ids numbers b's indices without axis_b
@@ -210,7 +219,6 @@ def contract(a, axis_a, b, axis_b):
         if idx[axis_a] in groups:
             rows.setdefault(idx[:axis_a] + idx[axis_a + 1:], []).append(
                 (x, groups[idx[axis_a]]))
-    d = da * db
     out = {}
     for head, terms in rows.items():
         sums = {}   # by position in tails: an int key hashes fastest
@@ -219,8 +227,8 @@ def contract(a, axis_a, b, axis_b):
                 sums[t] = sums.get(t, 0) + x * y
         for t, v in sums.items():
             if v:
-                out[head + tails[t]] = Fraction(v, d)
-    return out
+                out[head + tails[t]] = v
+    return da * db, out
 
 
 # -- exact linear systems --------------------------------------------------

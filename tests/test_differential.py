@@ -10,6 +10,7 @@ one row for row, and both must solve to the same theta or certificate.
 
 import itertools
 from fractions import Fraction
+from math import lcm
 from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
@@ -142,6 +143,74 @@ def test_sparse_routines_match_the_dense_reference(p):
     assert classify(L, **kwargs) == reference_classify(L, **kwargs)
 
 
+# every entry nonzero, as in a dense document; the denominators of c
+# (powers of 3) are prime to those of gamma, so the two contractions
+# summed in curvature come over different common denominators
+dense_c = st.sampled_from([Q(1, 3), Q(-2, 3), Q(4, 9), Q(-1), Q(2)])
+dense_gamma = st.sampled_from([Q(1, 2), Q(-3, 5), Q(2, 7), Q(-1), Q(3)])
+dense_values = st.sampled_from([Q(1, 11), Q(-4, 13), Q(2), Q(-1)])
+
+
+def inverse(rows):
+    n = len(rows)
+    columns = [reference.solve_linear(rows, [Q(i == k) for i in range(n)])
+               for k in range(n)]
+    return [[columns[k].values[i] for k in range(n)] for i in range(n)]
+
+
+def product(a, b):
+    return [[sum((x * y for x, y in zip(row, col)), Q(0)) for col in zip(*b)]
+            for row in a]
+
+
+@st.composite
+def dense_pieces(draw):
+    """Dense pieces of dimension 5 or 6, with J = S J0 S^-1 for S a
+    product of a lower and an upper unitriangular matrix (in dimension 6)."""
+    n = draw(st.sampled_from([5, 6]))
+    L = LieAlgebra.from_brackets(
+        tuple(f"e{i}" for i in range(n)),
+        {(i, j): {k: draw(dense_c) for k in range(n)}
+         for i in range(n) for j in range(i + 1, n)})
+    D = Connection.from_table(L, {(i, j): {k: draw(dense_gamma)
+                                           for k in range(n)}
+                                  for i in range(n) for j in range(n)})
+    rows = [[Q(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = draw(dense_values)
+    J = None
+    if n == 6:
+        lower, upper = ([[Q(1) if i == j else draw(dense_values)
+                          if (i > j) == below else Q(0) for j in range(n)]
+                         for i in range(n)] for below in (True, False))
+        s = product(lower, upper)
+        j0 = [[Q(-1 if j == i + 3 else i == j + 3) for j in range(n)]
+              for i in range(n)]
+        J = ComplexStructure.from_rows(L, product(product(s, j0), inverse(s)))
+    forms = [KForm.from_components(n, k, {
+        idx: draw(dense_values) for idx in itertools.combinations(range(n), k)})
+        for k in (1, 2)]
+    return L, D, Metric.from_rows(L, rows), J, forms
+
+
+@settings(max_examples=6)
+@given(dense_pieces())
+def test_dense_routines_match_the_reference_at_the_document_sizes(p):
+    L, D, g, J, forms = p
+    gamma = D.gamma.entries
+    assert (contract(gamma, 2, gamma, 1)[0]
+            != contract(L.c.entries, 2, gamma, 0)[0])
+    assert curvature(D) == reference.curvature(D)
+    assert nabla_g(D, g) == reference.nabla_g(D, g)
+    for form in forms:
+        assert ce_d(L, form) == reference.ce_d(L, form)
+    if J is not None:
+        assert nijenhuis(L, J) == reference.nijenhuis(L, J)
+        assert pairing_rows(forms[1], J) == as_matrix(
+            reference.pairing_rows(forms[1], J))
+
+
 @st.composite
 def tensors(draw, rank, n):
     """A sparse tensor of the given rank with every axis of length n;
@@ -177,9 +246,12 @@ def vector(n, values):
           0))                                             # 0 at 0, 2/9 at 1
 def test_contract_matches_the_dense_reference(p):
     a, axis_a, b, axis_b = p
-    got = contract(a, axis_a, b, axis_b)
-    assert got == reference.contract(a, axis_a, b, axis_b)
-    assert all(type(v) is Q and v != 0 for v in got.values())
+    d, sums = contract(a.entries, axis_a, b.entries, axis_b)
+    assert d == lcm(*(v.denominator for _, v in a.entries)) * lcm(
+        *(v.denominator for _, v in b.entries))
+    assert all(type(v) is int and v != 0 for v in sums.values())
+    assert {idx: Q(v, d) for idx, v in sums.items()} == reference.contract(
+        a, axis_a, b, axis_b)
 
 
 @st.composite

@@ -48,6 +48,22 @@ def test_entries_are_checked_and_canonical():
         t[0]
 
 
+@pytest.mark.parametrize("indices, message", [
+    ([(0,), (1, 1), (1, 1)], "index (0,) for shape (2, 2)"),
+    ([(1, 1), (1, 1), (2, 0)], "index (1, 1) given twice"),
+    ([(0, 0), (2, 0), (1, 1), (1, 1)],
+     "index (2, 0) out of range for shape (2, 2)"),
+    ([(1, 0), (0, -1)], "index (0, -1) out of range for shape (2, 2)"),
+], ids=["arity-then-repeat", "repeat-then-range", "range-then-repeat",
+        "negative"])
+def test_first_fault_in_input_order_is_reported(indices, message):
+    # two faults: the error names the first pair that has one, with an
+    # index checked for arity and range before it counts as a repeat
+    with pytest.raises(ShapeMismatch) as caught:
+        Tensor((2, 2), (DOWN, DOWN), [(idx, Q(1)) for idx in indices])
+    assert str(caught.value) == message
+
+
 def test_variance_length_checked():
     with pytest.raises(ShapeMismatch):
         Tensor((2,), (UP, DOWN), (Q(0), Q(0)))
