@@ -28,8 +28,7 @@ from .geometry import (ComplexStructure, Connection, CurvatureFit, Metric,
                        nabla_g, nijenhuis, torsion, witness_residual)
 from .io import AlgebraDocument, FormBlock, document_from, parse, serialize
 from .rationals import Q, format_rational, make_rational, parse_rational
-from .tensors import (DOWN, UP, Infeasible, LinearSolution, Tensor,
-                      solve_linear)
+from .tensors import Infeasible, LinearSolution, Tensor, solve_linear
 
 __version__ = "0.1.0"
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatch, ShapeMismatch
-from .tensors import DOWN, UP, Tensor, contract
+from .tensors import Tensor, contract
 
 
 @dataclass(frozen=True)
@@ -29,9 +29,8 @@ class LieAlgebra:
                 f"{len(self.basis_labels)} labels for dimension {n}")
         if len(set(self.basis_labels)) != n:
             raise DimensionMismatch("basis labels must be distinct")
-        if self.c.shape != (n, n, n) or self.c.variance != (DOWN, DOWN, UP):
-            raise ShapeMismatch(
-                f"structure constants need shape {(n, n, n)} with variance ddu")
+        if self.c.shape != (n, n, n):
+            raise ShapeMismatch(f"structure constants need shape {(n, n, n)}")
         # antisymmetry of the bracket is structural, not a verdict
         self.c.require_pair(0, 1, -1)
 
@@ -51,13 +50,13 @@ class LieAlgebra:
             for k, value in component.items():
                 entries[(i, j, k)] = Fraction(value)
                 entries[(j, i, k)] = -Fraction(value)
-        c = Tensor.from_entries((n, n, n), (DOWN, DOWN, UP), entries)
+        c = Tensor.from_entries((n, n, n), entries)
         return cls(n, labels, c)
 
     @classmethod
     def abelian(cls, labels):
         n = len(tuple(labels))
-        return cls(n, tuple(labels), Tensor.zero((n, n, n), (DOWN, DOWN, UP)))
+        return cls(n, tuple(labels), Tensor.zero((n, n, n)))
 
     def label(self, i):
         return self.basis_labels[i]

@@ -131,9 +131,7 @@ def form_text(form, labels):
 
 def _residual_text(residual, labels):
     if isinstance(residual, tuple):
-        if len(residual) == len(labels):
-            return _terms_text(zip(residual, labels))
-        return "(" + ", ".join(format_rational(v) for v in residual) + ")"
+        return _terms_text(zip(residual, labels))
     return format_rational(residual)
 
 

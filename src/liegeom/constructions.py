@@ -31,7 +31,7 @@ from .errors import (CurvatureMismatch, DimensionMismatch, MissingRadiant,
 from .forms import KForm, dual_form
 from .geometry import (ComplexStructure, Connection, Metric, StructureReport,
                        classify)
-from .tensors import DOWN, UP, Tensor
+from .tensors import Tensor
 
 
 @dataclass(frozen=True)
@@ -59,14 +59,14 @@ def double(L, connection):
     for (i, j, k), value in connection.gamma.entries:
         entries[(i, n + j, n + k)] = value
         entries[(n + j, i, n + k)] = -value
-    c = Tensor.from_entries((2 * n,) * 3, (DOWN, DOWN, UP), entries)
+    c = Tensor.from_entries((2 * n,) * 3, entries)
     algebra = LieAlgebra(2 * n, labels, c)
     j_entries = {}
     for i in range(n):
         j_entries[(n + i, i)] = Fraction(1)
         j_entries[(i, n + i)] = Fraction(-1)
     j = ComplexStructure(
-        algebra, Tensor.from_entries((2 * n, 2 * n), (UP, DOWN), j_entries))
+        algebra, Tensor.from_entries((2 * n, 2 * n), j_entries))
     return DoubledAlgebra(algebra, j)
 
 
@@ -165,8 +165,7 @@ class ConeExtension:
         r = self.rho_index
         entries = dict(self.base_metric.g.entries)
         entries[(r, r)] = t
-        return Metric(self.algebra,
-                      Tensor.from_entries((n, n), (DOWN, DOWN), entries))
+        return Metric(self.algebra, Tensor.from_entries((n, n), entries))
 
 
 def _fresh_label(taken, stem="rho"):
@@ -209,9 +208,7 @@ def cone_extend(L, connection, metric, c=None):
     r = n
     labels = L.basis_labels + (_fresh_label(set(L.basis_labels)),)
     algebra = LieAlgebra(
-        n + 1, labels,
-        Tensor.from_entries((n + 1,) * 3, (DOWN, DOWN, UP),
-                            dict(L.c.entries)))
+        n + 1, labels, Tensor.from_entries((n + 1,) * 3, dict(L.c.entries)))
 
     gamma = dict(connection.gamma.entries)
     for (i, j), value in metric.g.entries:
@@ -220,9 +217,7 @@ def cone_extend(L, connection, metric, c=None):
         gamma[(i, r, i)] = Fraction(1)
         gamma[(r, i, i)] = Fraction(1)
     gamma[(r, r, r)] = Fraction(1)
-    cone_nabla = Connection(
-        algebra,
-        Tensor.from_entries((n + 1,) * 3, (DOWN, DOWN, UP), gamma))
+    cone_nabla = Connection(algebra, Tensor.from_entries((n + 1,) * 3, gamma))
 
     report = classify(algebra, connection=cone_nabla)
     if not (report.is_jacobi and report.is_torsion_free and report.is_flat):
@@ -346,9 +341,9 @@ def extract_statistical(algebra, nabla, base_metric, rho_index):
 
 
 def _restrict(t, base):
-    """The ddu tensor t on the span of the basis positions in base."""
+    """The rank-3 tensor t on the span of the basis positions in base."""
     n = len(base)
     position = {b: p for p, b in enumerate(base)}
     entries = {tuple(position[i] for i in idx): value
                for idx, value in t.entries if all(i in position for i in idx)}
-    return Tensor.from_entries((n, n, n), (DOWN, DOWN, UP), entries)
+    return Tensor.from_entries((n, n, n), entries)

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .algebra import cyclic_sum
 from .errors import DimensionMismatch, ShapeMismatch, UnsupportedDegree
-from .tensors import DOWN, Tensor, contract
+from .tensors import Tensor, contract
 
 MAX_DEGREE = 3
 
@@ -38,9 +38,8 @@ class KForm:
         if not 1 <= k <= MAX_DEGREE:
             raise UnsupportedDegree(f"degree {k} is outside 1..{MAX_DEGREE}")
         t = self.coefficients
-        if t.rank != k or t.variance != (DOWN,) * k:
-            raise ShapeMismatch(
-                f"degree {k} form needs a rank {k} covariant tensor")
+        if t.rank != k:
+            raise ShapeMismatch(f"degree {k} form needs a rank {k} tensor")
         if len(set(t.shape)) > 1:
             raise ShapeMismatch(f"uneven axis lengths {t.shape}")
         for a in range(k - 1):
@@ -52,7 +51,7 @@ class KForm:
 
     @classmethod
     def zero(cls, dim, degree):
-        return cls(degree, Tensor.zero((dim,) * degree, (DOWN,) * degree))
+        return cls(degree, Tensor.zero((dim,) * degree))
 
     @classmethod
     def from_components(cls, dim, degree, components):
@@ -70,7 +69,7 @@ class KForm:
             for perm in itertools.permutations(range(degree)):
                 entries[tuple(idx[p] for p in perm)] = (
                     _perm_sign(perm) * Fraction(value))
-        t = Tensor.from_entries((dim,) * degree, (DOWN,) * degree, entries)
+        t = Tensor.from_entries((dim,) * degree, entries)
         return cls(degree, t)
 
     def components(self):

@@ -27,8 +27,8 @@ from .algebra import LieAlgebra, Witness, jacobi_check, jacobi_residual
 from .errors import (DimensionMismatch, MissingPieces, NoLeeForm,
                      NotAlmostComplex, ShapeMismatch, UnsupportedDegree)
 from .forms import KForm, ce_d
-from .tensors import (DOWN, UP, Infeasible, Tensor, contract, det,
-                      leading_minors, null_vector, solve_linear)
+from .tensors import (Infeasible, Tensor, contract, det, leading_minors,
+                      null_vector, solve_linear)
 
 
 @dataclass(frozen=True)
@@ -38,9 +38,9 @@ class Connection:
 
     def __post_init__(self):
         n = self.base.dim
-        if self.gamma.shape != (n, n, n) or self.gamma.variance != (DOWN, DOWN, UP):
+        if self.gamma.shape != (n, n, n):
             raise ShapeMismatch(
-                f"connection coefficients need shape {(n, n, n)}, variance ddu")
+                f"connection coefficients need shape {(n, n, n)}")
 
     @classmethod
     def from_table(cls, base, table):
@@ -50,13 +50,13 @@ class Connection:
             for k, value in component.items():
                 entries[(i, j, k)] = value
         n = base.dim
-        gamma = Tensor.from_entries((n, n, n), (DOWN, DOWN, UP), entries)
+        gamma = Tensor.from_entries((n, n, n), entries)
         return cls(base, gamma)
 
     @classmethod
     def zero(cls, base):
         n = base.dim
-        return cls(base, Tensor.zero((n, n, n), (DOWN, DOWN, UP)))
+        return cls(base, Tensor.zero((n, n, n)))
 
 
 @dataclass(frozen=True)
@@ -68,13 +68,13 @@ class Metric:
 
     def __post_init__(self):
         n = self.base.dim
-        if self.g.shape != (n, n) or self.g.variance != (DOWN, DOWN):
-            raise ShapeMismatch(f"metric needs shape {(n, n)}, variance dd")
+        if self.g.shape != (n, n):
+            raise ShapeMismatch(f"metric needs shape {(n, n)}")
         self.g.require_pair(0, 1, 1)
 
     @classmethod
     def from_rows(cls, base, rows):
-        return cls(base, Tensor.from_nested(rows, (DOWN, DOWN)))
+        return cls(base, Tensor.from_nested(rows, 2))
 
     @classmethod
     def identity(cls, base):
@@ -98,10 +98,9 @@ class ComplexStructure:
 
     def __post_init__(self):
         n = self.base.dim
-        if self.j.shape != (n, n) or self.j.variance != (UP, DOWN):
-            raise ShapeMismatch(f"complex structure needs shape {(n, n)}, ud")
-        identity = Tensor.from_entries(
-            (n, n), (UP, DOWN), {(i, i): 1 for i in range(n)})
+        if self.j.shape != (n, n):
+            raise ShapeMismatch(f"complex structure needs shape {(n, n)}")
+        identity = Tensor.from_entries((n, n), {(i, i): 1 for i in range(n)})
         excess = _map_axis(self.j, 1, self.j, 0) + identity
         if not excess.is_zero():
             (i, k), value = excess.entries[0]
@@ -111,7 +110,7 @@ class ComplexStructure:
 
     @classmethod
     def from_rows(cls, base, rows):
-        return cls(base, Tensor.from_nested(rows, (UP, DOWN)))
+        return cls(base, Tensor.from_nested(rows, 2))
 
 
 # -- verdict computations --------------------------------------------------
@@ -126,7 +125,7 @@ def torsion(connection):
         entries[j, i, k] = entries.get((j, i, k), 0) - value
     for idx, value in L.c.entries:
         entries[idx] = entries.get(idx, 0) - value
-    return Tensor.from_entries((n, n, n), (DOWN, DOWN, UP), entries)
+    return Tensor.from_entries((n, n, n), entries)
 
 
 def curvature(connection):
@@ -151,7 +150,7 @@ def curvature(connection):
         entries[j, i, k, l] = entries.get((j, i, k, l), 0) - v
     for idx, v in brackets.items():
         entries[idx] = entries.get(idx, 0) - v * s2
-    return Tensor.from_entries((n, n, n, n), (DOWN, DOWN, DOWN, UP), {
+    return Tensor.from_entries((n, n, n, n), {
         idx: Fraction(v, d) for idx, v in entries.items() if v})
 
 
@@ -168,7 +167,7 @@ def nabla_g(connection, metric):
     for (i, j, k), v in sums.items():
         entries[i, j, k] = entries.get((i, j, k), 0) - v
         entries[i, k, j] = entries.get((i, k, j), 0) - v
-    return Tensor.from_entries((n, n, n), (DOWN, DOWN, DOWN), {
+    return Tensor.from_entries((n, n, n), {
         idx: Fraction(v, d) for idx, v in entries.items() if v})
 
 
@@ -209,7 +208,7 @@ def comparison_tensor(metric):
             if a != b:
                 entries[b, a, k, b] = value
                 entries[a, b, k, b] = -value
-    return Tensor.from_entries((n, n, n, n), (DOWN, DOWN, DOWN, UP), entries)
+    return Tensor.from_entries((n, n, n, n), entries)
 
 
 def constant_curvature(connection, metric):
@@ -244,7 +243,7 @@ def _map_axis(t, axis, A, a_axis):
     t times A (the sum over m of t[..., m, ...] A[m, i] at i), a_axis 1
     gives A times t (the sum of A[i, m] t[..., m, ...])."""
     d, sums = contract(t.entries, axis, A.entries, a_axis)
-    return Tensor.from_entries(t.shape, t.variance, {
+    return Tensor.from_entries(t.shape, {
         key[:axis] + key[-1:] + key[axis:-1]: Fraction(v, d)
         for key, v in sums.items()})
 
@@ -305,7 +304,7 @@ def _lee_system(L, omega, closed):
         entries.update(((pairs[i, j], k), value)
                        for (i, j, k), value in L.c.entries if i < j)
         rhs += [Fraction(0)] * len(pairs)
-    matrix = Tensor.from_entries((len(rhs), n), (DOWN, DOWN), entries)
+    matrix = Tensor.from_entries((len(rhs), n), entries)
     return matrix, rhs, triples
 
 
@@ -388,7 +387,7 @@ def _image(matrix, x, axis):
     """The support of the sequence x contracted with one axis of matrix,
     as the keys (i,) of A x for axis 1, of x A for axis 0."""
     return contract(matrix.entries, axis, Tensor.from_entries(
-        (len(x),), (DOWN,), {(i,): v for i, v in enumerate(x)}).entries, 0)[1]
+        (len(x),), {(i,): v for i, v in enumerate(x)}).entries, 0)[1]
 
 
 def _fitted(detail):
@@ -566,7 +565,7 @@ def classify(L, connection=None, metric=None, complex_structure=None,
             detail = ()
             if minors[bad] == 0:
                 k = bad + 1
-                block = Tensor.from_entries((k, k), g.variance, {
+                block = Tensor.from_entries((k, k), {
                     idx: v for idx, v in g.entries if max(idx) < k})
                 detail = null_vector(block) + (Fraction(0),) * (L.dim - k)
             witnesses.append(_witness(

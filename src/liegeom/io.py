@@ -21,7 +21,7 @@ from .errors import (DocumentSyntaxError, LieGeomError, NotAlmostComplex,
 from .forms import KForm
 from .geometry import ComplexStructure, Connection, Metric
 from .rationals import format_rational, parse_rational
-from .tensors import DOWN, UP, Tensor
+from .tensors import Tensor
 
 FORMAT_VERSION = 1
 MAX_DIM = 64
@@ -64,8 +64,7 @@ class AlgebraDocument:
         if self.connection is None:
             return None
         n = self.dim
-        return Connection(
-            algebra, Tensor((n, n, n), (DOWN, DOWN, UP), self.connection))
+        return Connection(algebra, Tensor((n, n, n), self.connection))
 
     def to_metric(self, algebra):
         if self.metric is None:
@@ -75,8 +74,7 @@ class AlgebraDocument:
             entries[(i, j)] = value
             entries[(j, i)] = value
         n = self.dim
-        return Metric(
-            algebra, Tensor.from_entries((n, n), (DOWN, DOWN), entries))
+        return Metric(algebra, Tensor.from_entries((n, n), entries))
 
     def to_complex_structure(self, algebra):
         if self.complex_structure is None:
@@ -84,7 +82,7 @@ class AlgebraDocument:
         n = self.dim
         try:
             return ComplexStructure(
-                algebra, Tensor((n, n), (UP, DOWN), self.complex_structure))
+                algebra, Tensor((n, n), self.complex_structure))
         except NotAlmostComplex as exc:
             # a J that does not square to -1 is not a complex structure
             # at all, so the document is unusable rather than refuted

@@ -1,11 +1,13 @@
 """Sparse multi-indexed arrays of exact rationals, and exact linear algebra.
 
-A Tensor is immutable: a shape, one variance character per axis ("u" for
-a contravariant axis, "d" for a covariant one) and its nonzero entries,
-stored once as the row-major tuple of (index tuple, Fraction) pairs that
-a document lists.  Structure constants, connections and forms are almost
-all zero, so reading an entry is a dictionary lookup, built on first use,
-and contract walks only these pairs.  contract is the one place a sum of
+A Tensor is immutable: a shape and its nonzero entries, stored once as
+the row-major tuple of (index tuple, Fraction) pairs that a document
+lists.  Which axes are vectors and which covectors is fixed by the
+holder a tensor sits in (LieAlgebra, Connection, Metric,
+ComplexStructure, KForm), and stated where that holder is defined.
+Structure constants, connections and forms are almost all zero, so
+reading an entry is a dictionary lookup, built on first use, and
+contract walks only these pairs.  contract is the one place a sum of
 two tensors over a shared axis is written: curvature, nabla g, Jacobi,
 the differential, Nijenhuis, J squared, the pairing and the witness
 rechecks call it.  It returns int numerators over one common
@@ -31,9 +33,6 @@ from operator import itemgetter
 
 from .errors import ShapeMismatch
 
-UP = "u"
-DOWN = "d"
-
 _ZERO = Fraction(0)
 
 
@@ -43,7 +42,7 @@ def _as_q(value):
 
 @dataclass(frozen=True)
 class Tensor:
-    """Immutable sparse tensor with per-axis variance tags.
+    """Immutable sparse tensor: a shape and its nonzero entries.
 
     entries is the sorted tuple of (index tuple, Fraction) pairs with a
     nonzero value; the constructor takes the pairs in any order, rejects
@@ -52,18 +51,11 @@ class Tensor:
     """
 
     shape: tuple
-    variance: tuple
     entries: tuple
 
     def __post_init__(self):
         shape = tuple(int(n) for n in self.shape)
-        variance = tuple(self.variance)
         object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "variance", variance)
-        if len(shape) != len(variance):
-            raise ShapeMismatch(f"shape {shape} vs variance {variance}")
-        if any(v not in (UP, DOWN) for v in variance):
-            raise ShapeMismatch(f"bad variance {variance}")
         if any(n < 0 for n in shape):
             raise ShapeMismatch(f"negative axis in {shape}")
         pairs = tuple(self.entries)
@@ -113,19 +105,20 @@ class Tensor:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def zero(cls, shape, variance):
-        return cls(tuple(shape), tuple(variance), ())
+    def zero(cls, shape):
+        return cls(tuple(shape), ())
 
     @classmethod
-    def from_entries(cls, shape, variance, mapping):
+    def from_entries(cls, shape, mapping):
         """Tensor from a {index tuple: value} mapping; zeros may be listed."""
-        return cls(tuple(shape), tuple(variance), tuple(mapping.items()))
+        return cls(tuple(shape), tuple(mapping.items()))
 
     @classmethod
-    def from_nested(cls, nested, variance):
+    def from_nested(cls, nested, rank):
+        """Tensor from rank levels of nested sequences, row-major."""
         shape = []
         probe = nested
-        for _ in variance:
+        for _ in range(rank):
             shape.append(len(probe))
             probe = probe[0] if len(probe) else []
         pairs = []
@@ -140,7 +133,7 @@ class Tensor:
                 walk(child, prefix + (i,))
 
         walk(nested, ())
-        return cls(tuple(shape), tuple(variance), tuple(pairs))
+        return cls(tuple(shape), tuple(pairs))
 
     # -- access ------------------------------------------------------------
 
@@ -163,7 +156,7 @@ class Tensor:
     # -- arithmetic --------------------------------------------------------
 
     def _like(self, pairs):
-        return Tensor(self.shape, self.variance, tuple(pairs))
+        return Tensor(self.shape, tuple(pairs))
 
     def __add__(self, other):
         self._require_same(other)
@@ -185,9 +178,8 @@ class Tensor:
     def _require_same(self, other):
         if not isinstance(other, Tensor):
             raise ShapeMismatch("tensor arithmetic needs two tensors")
-        if self.shape != other.shape or self.variance != other.variance:
-            raise ShapeMismatch(
-                f"{self.shape}/{self.variance} vs {other.shape}/{other.variance}")
+        if self.shape != other.shape:
+            raise ShapeMismatch(f"shape {self.shape} vs {other.shape}")
 
 
 def _numerators(pairs):

@@ -15,12 +15,12 @@ a differential oracle in the test suite.
 import itertools
 from fractions import Fraction
 
-from liegeom.algebra import bracket, jacobi_residual
+from liegeom.algebra import bracket
 from liegeom.errors import (DimensionMismatch, ShapeMismatch,
                             UnsupportedDegree)
 from liegeom.forms import KForm, _perm_sign
 from liegeom.geometry import CLAIMS, CurvatureFit, Witness
-from liegeom.tensors import DOWN, UP, Infeasible, LinearSolution, Tensor
+from liegeom.tensors import Infeasible, LinearSolution, Tensor
 
 
 def _as_q(value):
@@ -157,7 +157,7 @@ def torsion(connection):
     gamma = connection.gamma
     entries = _nonzero(_cube(n, 3), lambda i, j, k: (
         gamma[i, j, k] - gamma[j, i, k] - L.c[i, j, k]))
-    return Tensor.from_entries((n, n, n), (DOWN, DOWN, UP), entries)
+    return Tensor.from_entries((n, n, n), entries)
 
 
 def to_nested(t):
@@ -184,8 +184,7 @@ def curvature(connection):
             total -= c[i][j][m] * g[m][k][l]
         return total
 
-    return Tensor.from_entries((n, n, n, n), (DOWN, DOWN, DOWN, UP),
-                               _nonzero(_cube(n, 4), value))
+    return Tensor.from_entries((n, n, n, n), _nonzero(_cube(n, 4), value))
 
 
 def nabla_g(connection, metric):
@@ -200,8 +199,7 @@ def nabla_g(connection, metric):
             total -= gamma[i][k][m] * g[j][m]
         return total
 
-    return Tensor.from_entries((n, n, n), (DOWN, DOWN, DOWN),
-                               _nonzero(_cube(n, 3), value))
+    return Tensor.from_entries((n, n, n), _nonzero(_cube(n, 3), value))
 
 
 def codazzi_check(connection, metric):
@@ -228,8 +226,7 @@ def comparison_tensor(metric):
             total -= g[i, k]
         return total
 
-    return Tensor.from_entries((n, n, n, n), (DOWN, DOWN, DOWN, UP),
-                               _nonzero(_cube(n, 4), value))
+    return Tensor.from_entries((n, n, n, n), _nonzero(_cube(n, 4), value))
 
 
 def curvature_fit(r, k):
@@ -247,8 +244,12 @@ def curvature_fit(r, k):
 
 
 def jacobi_check(L):
-    for i, j, k in itertools.combinations(range(L.dim), 3):
-        residual = jacobi_residual(L, i, j, k)
+    n, c = L.dim, L.c
+    for i, j, k in itertools.combinations(range(n), 3):
+        residual = tuple(
+            sum((c[i, j, m] * c[m, k, l] + c[j, k, m] * c[m, i, l]
+                 + c[k, i, m] * c[m, j, l] for m in range(n)), Fraction(0))
+            for l in range(n))
         if any(residual):
             return Witness("jacobi", (i, j, k), residual)
     return None
@@ -320,7 +321,7 @@ def nijenhuis(L, J):
             for k, value in enumerate(total):
                 if value != 0:
                     entries[(i, j, k)] = value
-    return Tensor.from_entries((n, n, n), (DOWN, DOWN, UP), entries)
+    return Tensor.from_entries((n, n, n), entries)
 
 
 def pairing_rows(omega, J):

@@ -61,6 +61,11 @@ def test_catalog_show_writes_file(tmp_path):
     doc = parse(target.read_text())
     assert doc.dim == 2
     assert doc.to_algebra().basis_labels == ("u", "v")
+    code, out, err = run(["catalog", "show", "su2", "-o", str(target),
+                          "--format", "json"])
+    assert code == 0 and err == ""
+    assert json.loads(out)["output"] == str(target)
+    assert parse(target.read_text()).dim == 3
 
 
 def test_catalog_show_rejects_bad_parameters():
@@ -78,6 +83,15 @@ def test_catalog_refuses_a_repeated_parameter():
         code, out, err = run(argv)
         assert code == 2 and out == ""
         assert err.startswith("error:") and "parameter c" in err
+
+
+def test_catalog_source_refuses_a_malformed_parameter():
+    for query, message in (
+            ("c", "catalog parameter 'c' is not key=value"),
+            ("c=x", "bad value for catalog parameter c: ")):
+        code, out, err = run(["verify", f"catalog:clan-triangular?{query}"])
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {message}")
 
 
 # -- verify ----------------------------------------------------------------
@@ -308,6 +322,31 @@ def test_construct_kahler_rejects_non_hessian():
     assert "flat" in err
 
 
+def test_construct_refuses_a_document_without_its_pieces(tmp_path):
+    entry = get_example("su2")
+    bare = tmp_path / "bare.json"
+    bare.write_text(serialize(document_from(entry.algebra)))
+    flat = tmp_path / "no_metric.json"
+    flat.write_text(serialize(document_from(
+        entry.algebra, connection=entry.connection)))
+    for kind, path, piece in (("kahler", bare, "connection"),
+                              ("cone", flat, "metric")):
+        code, out, err = run(["construct", kind, str(path)])
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: construct {kind} needs a {piece}")
+
+
+def test_construct_lck_json_names_its_output(tmp_path):
+    target = tmp_path / "lck.json"
+    code, out, err = run(["construct", "lck", "catalog:su2", "-o",
+                          str(target), "--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["output"] == str(target)
+    assert payload["info"]["lee_form"] == "-2*rho1"
+    assert parse(target.read_text()).form_block("omega") is not None
+
+
 def test_construct_cone_underdetermined_needs_c():
     code, out, err = run(["construct", "cone", "catalog:flat-torsionful-fixture"])
     assert code == 1
@@ -320,6 +359,10 @@ def test_lambda_rational_roots():
     code, out, err = run(["lambda", "--c", "-3"])
     assert code == 0
     assert out.splitlines() == ["lambda = -1", "lambda = 1/3"]
+    code, out, err = run(["lambda", "--c", "3/4", "--format", "json"])
+    assert code == 0
+    assert json.loads(out) == {"c": "3/4", "kind": "rational",
+                               "roots": ["2/3", "2"]}
 
 
 def test_lambda_surd_roots():
@@ -327,6 +370,10 @@ def test_lambda_surd_roots():
     assert code == 0
     assert out.splitlines() == ["lambda = 2 + sqrt(2)",
                                 "lambda = 2 - sqrt(2)"]
+    code, out, err = run(["lambda", "--c", "2/3"])
+    assert code == 0
+    assert out.splitlines() == ["lambda = (3 + sqrt(3))/2",
+                                "lambda = (3 - sqrt(3))/2"]
     code, out, err = run(["lambda", "--c", "2/3", "--format", "json"])
     payload = json.loads(out)
     assert payload == {"c": "2/3", "kind": "surd", "p": 3, "d": 3, "q": 2}

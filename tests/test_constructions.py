@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -237,6 +238,23 @@ def test_cone_extend_c_resolution():
         cone_extend(so2.algebra, so2.connection, so2.metric)
 
 
+def test_cone_extend_refuses_a_base_of_no_constant_curvature():
+    # g = I on abelian R^3 and gamma = -C/2 for the totally symmetric
+    # cubic C with C_001 = -2, C_022 = 2, C_222 = -2: a statistical
+    # structure whose curvature is no multiple of the comparison tensor
+    R3 = LieAlgebra.abelian(("x", "y", "z"))
+    gamma = {}
+    for idx, value in (((0, 0, 1), 1), ((0, 2, 2), -1), ((2, 2, 2), 1)):
+        for perm in itertools.permutations(idx):
+            gamma[perm] = Q(value)
+    nabla = Connection(R3, Tensor.from_entries((3, 3, 3), gamma))
+    g = Metric.identity(R3)
+    assert classify(R3, connection=nabla, metric=g).is_statistical
+    with pytest.raises(CurvatureMismatch,
+                       match="no constant curvature fits the base"):
+        cone_extend(R3, nabla, g)
+
+
 def test_cone_extend_requires_statistical_base():
     torsionful = get_example("flat-torsionful-fixture")
     with pytest.raises(NotStatistical, match="torsion_free"):
@@ -387,8 +405,7 @@ def test_extraction_rejects_inconsistent_rho_component():
     entry, ext = clan_cone()
     table = dict(ext.nabla.gamma.entries)
     table[(0, 0, 2)] = Q(5)
-    bad = Connection(ext.algebra,
-                     Tensor.from_entries((3, 3, 3), ("d", "d", "u"), table))
+    bad = Connection(ext.algebra, Tensor.from_entries((3, 3, 3), table))
     with pytest.raises(NotConical):
         extract_statistical(ext.algebra, bad, entry.metric, 2)
 
@@ -397,20 +414,21 @@ def test_extraction_rejects_rho_part_over_zero_metric_slot():
     entry, ext = clan_cone()
     table = dict(ext.nabla.gamma.entries)
     table[(0, 1, 2)] = Q(1)
-    bad = Connection(ext.algebra,
-                     Tensor.from_entries((3, 3, 3), ("d", "d", "u"), table))
+    bad = Connection(ext.algebra, Tensor.from_entries((3, 3, 3), table))
     with pytest.raises(NotConical):
         extract_statistical(ext.algebra, bad, entry.metric, 2)
 
 
 def test_extraction_rejects_broken_radiant_row():
     entry, ext = clan_cone()
-    table = dict(ext.nabla.gamma.entries)
-    table[(2, 2, 2)] = Q(0)
-    bad = Connection(ext.algebra,
-                     Tensor.from_entries((3, 3, 3), ("d", "d", "u"), table))
-    with pytest.raises(MissingRadiant):
-        extract_statistical(ext.algebra, bad, entry.metric, 2)
+    for idx, message in (((2, 2, 2), "nabla_rho rho is not rho"),
+                         ((0, 2, 0), "nabla_u rho is not u"),
+                         ((2, 0, 0), "nabla_rho u is not u")):
+        table = dict(ext.nabla.gamma.entries)
+        table[idx] = Q(0)
+        bad = Connection(ext.algebra, Tensor.from_entries((3, 3, 3), table))
+        with pytest.raises(MissingRadiant, match=f"^{message}$"):
+            extract_statistical(ext.algebra, bad, entry.metric, 2)
 
 
 def test_extraction_rejects_noncentral_rho():
@@ -430,7 +448,7 @@ def test_extraction_rejects_zero_base_metric():
     conn = Connection.from_table(
         L, {(0, 1): {0: 1}, (1, 0): {0: 1}, (1, 1): {1: 1}})
     base = LieAlgebra.abelian(("v",))
-    zero_g = Metric(base, Tensor.zero((1, 1), ("d", "d")))
+    zero_g = Metric(base, Tensor.zero((1, 1)))
     with pytest.raises(NotConical):
         extract_statistical(L, conn, zero_g, 1)
 

@@ -16,7 +16,7 @@ from unittest import mock
 from hypothesis import example, given, settings, strategies as st
 
 import reference
-from liegeom import (DOWN, ComplexStructure, Connection, Infeasible, KForm,
+from liegeom import (ComplexStructure, Connection, Infeasible, KForm,
                      LieAlgebra, Metric, Tensor, ce_d, classify, curvature,
                      geometry, jacobi_check, nabla_g, nijenhuis, solve_linear,
                      torsion, wedge)
@@ -34,7 +34,7 @@ values = st.sampled_from([Q(0)] * 5 + [Q(1), Q(-1), Q(2), Q(1, 2), Q(-3, 2),
 
 def as_matrix(rows):
     """Dense rows as the rank-2 Tensor the library's linear algebra takes."""
-    return Tensor.from_nested(rows, (DOWN, DOWN))
+    return Tensor.from_nested(rows, 2)
 
 
 @st.composite
@@ -218,7 +218,7 @@ def tensors(draw, rank, n):
     positions = list(itertools.product(range(n), repeat=rank))
     picked = draw(st.lists(st.sampled_from(positions), max_size=8,
                            unique=True))
-    return Tensor.from_entries((n,) * rank, (DOWN,) * rank,
+    return Tensor.from_entries((n,) * rank,
                                {idx: draw(values) for idx in picked})
 
 
@@ -232,8 +232,7 @@ def contractions(draw):
 
 
 def vector(n, values):
-    return Tensor.from_entries((n,), (DOWN,), {
-        (i,): v for i, v in enumerate(values)})
+    return Tensor.from_entries((n,), {(i,): v for i, v in enumerate(values)})
 
 
 @settings(max_examples=200)
@@ -241,7 +240,7 @@ def vector(n, values):
 @example((vector(2, [1, 1]), 0, vector(2, [1, -1]), 0))          # cancels
 @example((vector(2, []), 0, vector(2, [1, 2]), 0))               # empty
 @example((vector(3, [Q(2, 3), Q(-5, 7), Q(1, 11)]), 0,
-          Tensor.from_entries((3, 2), (DOWN, DOWN), {
+          Tensor.from_entries((3, 2), {
               (0, 0): Q(3, 2), (1, 0): Q(7, 5), (0, 1): Q(1, 3)}),
           0))                                             # 0 at 0, 2/9 at 1
 def test_contract_matches_the_dense_reference(p):

@@ -37,7 +37,7 @@ def test_connection_from_table_round_trip():
 def test_connection_shape_guard():
     L = LieAlgebra.abelian(("x", "y"))
     with pytest.raises(ShapeMismatch):
-        Connection(L, Tensor.zero((2, 2), ("d", "u")))
+        Connection(L, Tensor.zero((2, 2)))
 
 
 def test_nabla_values_and_linearity():
@@ -198,7 +198,7 @@ def test_complex_structure_square_check():
 def test_complex_structure_shape_check():
     L = LieAlgebra.abelian(("x", "y"))
     with pytest.raises(ShapeMismatch):
-        ComplexStructure(L, Tensor.zero((2, 2), ("d", "u")))
+        ComplexStructure(L, Tensor.zero((2, 3)))
 
 
 def test_complex_structure_apply():
@@ -455,6 +455,12 @@ def test_classify_rejects_mismatched_pieces():
     other = su2()
     with pytest.raises(DimensionMismatch):
         classify(entry.algebra, connection=other.connection)
+    with pytest.raises(UnsupportedDegree):
+        classify(entry.algebra,
+                 omega=KForm.from_components(2, 1, {(0,): Q(1)}))
+    with pytest.raises(DimensionMismatch):
+        classify(entry.algebra,
+                 omega=KForm.from_components(3, 2, {(0, 1): Q(1)}))
 
 
 # -- witness re-evaluation -------------------------------------------------
@@ -552,6 +558,9 @@ def test_witness_residual_rejects_stale_certificate():
     other = KForm.from_components(4, 2, {(0, 1): Q(1)})
     with pytest.raises(ShapeMismatch):
         witness_residual(witness, algebra=L, omega=other)
+    short = Witness("lee_system", (), witness.residual, witness.detail[:-1])
+    with pytest.raises(ShapeMismatch, match="combination length"):
+        witness_residual(short, algebra=L, omega=omega)
 
 
 def test_witness_residual_checks_the_lee_form_degree_and_dimension():
@@ -575,9 +584,10 @@ def test_witness_residual_checks_the_lee_form_degree_and_dimension():
     ("pairing_symmetry", (-1, 0), ()),
     ("pairing_symmetry", (0, 99), ()),
     ("pairing_symmetry", (0,), ()),
+    ("no_such_claim", (), ()),
 ], ids=["jacobi-two-indices", "fit-without-constant",
         "pairing-negative-index", "pairing-index-out-of-range",
-        "pairing-one-index"])
+        "pairing-one-index", "unknown-claim"])
 def test_malformed_witness_is_refused(claim, indices, detail):
     # witnesses read from a file may be malformed; a negative index must
     # not wrap around, and nothing may escape as TypeError or IndexError

@@ -5,41 +5,40 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import reference
-from liegeom import (DOWN, UP, Infeasible, LieAlgebra, LinearSolution,
-                     Metric, ShapeMismatch, Tensor, solve_linear)
+from liegeom import (Infeasible, LieAlgebra, LinearSolution, Metric,
+                     ShapeMismatch, Tensor, solve_linear)
 from liegeom.tensors import det, leading_minors, null_vector
 
 Q = Fraction
 
 
 def vec(*values):
-    return Tensor((len(values),), (UP,),
+    return Tensor((len(values),),
                   tuple(((i,), Q(v)) for i, v in enumerate(values)))
 
 
-def matrix(rows, variance=(UP, DOWN)):
-    return Tensor.from_nested([[Q(x) for x in row] for row in rows], variance)
+def matrix(rows):
+    return Tensor.from_nested([[Q(x) for x in row] for row in rows], 2)
 
 
 def test_entry_count_checked():
     # every index names one position per axis
     with pytest.raises(ShapeMismatch):
-        Tensor((2, 2), (DOWN, DOWN), (((0,), Q(1)),))
+        Tensor((2, 2), (((0,), Q(1)),))
     with pytest.raises(ShapeMismatch):
-        Tensor((2, 2), (DOWN, DOWN), (((0, 1, 0), Q(1)),))
+        Tensor((2, 2), (((0, 1, 0), Q(1)),))
 
 
 def test_entries_are_checked_and_canonical():
     with pytest.raises(ShapeMismatch):       # an index given twice
-        Tensor((2,), (UP,), (((1,), Q(1)), ((1,), Q(0))))
+        Tensor((2,), (((1,), Q(1)), ((1,), Q(0))))
     with pytest.raises(ShapeMismatch):       # out of range
-        Tensor((2,), (UP,), (((2,), Q(1)),))
+        Tensor((2,), (((2,), Q(1)),))
     with pytest.raises(ShapeMismatch):
-        Tensor((2,), (UP,), (((-1,), Q(1)),))
+        Tensor((2,), (((-1,), Q(1)),))
     with pytest.raises(ShapeMismatch):       # wrong arity
-        Tensor((2,), (UP,), (((0, 0), Q(1)),))
-    t = Tensor((2, 2), (DOWN, DOWN), (((1, 0), 3), ((0, 1), Q(0)),
-                                      ((0, 0), Q(1, 2))))
+        Tensor((2,), (((0, 0), Q(1)),))
+    t = Tensor((2, 2), (((1, 0), 3), ((0, 1), Q(0)), ((0, 0), Q(1, 2))))
     assert t.entries == (((0, 0), Q(1, 2)), ((1, 0), Q(3)))
     assert t[0, 1] == 0 and t[1, 0] == 3
     with pytest.raises(ShapeMismatch):
@@ -60,51 +59,44 @@ def test_first_fault_in_input_order_is_reported(indices, message):
     # two faults: the error names the first pair that has one, with an
     # index checked for arity and range before it counts as a repeat
     with pytest.raises(ShapeMismatch) as caught:
-        Tensor((2, 2), (DOWN, DOWN), [(idx, Q(1)) for idx in indices])
+        Tensor((2, 2), [(idx, Q(1)) for idx in indices])
     assert str(caught.value) == message
-
-
-def test_variance_length_checked():
-    with pytest.raises(ShapeMismatch):
-        Tensor((2,), (UP, DOWN), (Q(0), Q(0)))
 
 
 def test_symmetry_tag_validated():
     with pytest.raises(ShapeMismatch):
-        cov([[0, 1], [2, 0]]).require_pair(0, 1, 1)
+        matrix([[0, 1], [2, 0]]).require_pair(0, 1, 1)
     with pytest.raises(ShapeMismatch):       # a one-sided entry
-        cov([[0, 1], [0, 0]]).require_pair(0, 1, 1)
-    t = cov([[0, 1], [1, 0]])
+        matrix([[0, 1], [0, 0]]).require_pair(0, 1, 1)
+    t = matrix([[0, 1], [1, 0]])
     t.require_pair(0, 1, 1)
     assert t[0, 1] == 1
 
 
 def test_antisymmetry_tag_validated():
     with pytest.raises(ShapeMismatch):
-        cov([[0, 1], [1, 0]]).require_pair(0, 1, -1)
+        matrix([[0, 1], [1, 0]]).require_pair(0, 1, -1)
     with pytest.raises(ShapeMismatch):       # a nonzero diagonal
-        cov([[1, 0], [0, 0]]).require_pair(0, 1, -1)
+        matrix([[1, 0], [0, 0]]).require_pair(0, 1, -1)
     with pytest.raises(ShapeMismatch):       # not a pair of equal axes
-        cov([[0, 1], [-1, 0]]).require_pair(0, 0, -1)
-    t = cov([[0, 1], [-1, 0]])
+        matrix([[0, 1], [-1, 0]]).require_pair(0, 0, -1)
+    t = matrix([[0, 1], [-1, 0]])
     t.require_pair(0, 1, -1)
     assert t[1, 0] == -1
 
 
 def test_tags_do_not_affect_equality():
     # equality sees only the nonzero entries, however they were given
-    nested = cov([[0, 1], [-1, 0]])
-    pairs = Tensor((2, 2), (DOWN, DOWN), (((1, 0), -1), ((0, 0), 0),
-                                          ((0, 1), 1)))
-    mapping = Tensor.from_entries((2, 2), (DOWN, DOWN),
-                                  {(1, 0): Q(-1), (0, 1): Q(1)})
+    nested = matrix([[0, 1], [-1, 0]])
+    pairs = Tensor((2, 2), (((1, 0), -1), ((0, 0), 0), ((0, 1), 1)))
+    mapping = Tensor.from_entries((2, 2), {(1, 0): Q(-1), (0, 1): Q(1)})
     assert nested == pairs == mapping
     assert hash(nested) == hash(pairs)
-    assert nested != cov([[0, 1], [1, 0]])
+    assert nested != matrix([[0, 1], [1, 0]])
 
 
 def test_from_entries_sparse():
-    t = Tensor.from_entries((2, 2), (DOWN, DOWN), {(0, 1): Q(5)})
+    t = Tensor.from_entries((2, 2), {(0, 1): Q(5)})
     assert t[0, 1] == 5
     assert t[1, 0] == 0
     assert list(t.entries) == [((0, 1), Q(5))]
@@ -120,11 +112,7 @@ def test_arithmetic():
     assert (a + vec(-1, 0)).entries == (((1,), Q(2)),)   # zeros drop out
     assert a.scale(0).is_zero()
     with pytest.raises(ShapeMismatch):
-        a + Tensor.zero((3,), (UP,))
-
-
-def cov(rows):
-    return matrix(rows, (DOWN, DOWN))
+        a + Tensor.zero((3,))
 
 
 def positive(rows):
@@ -145,21 +133,19 @@ def plane():
 def test_positive_definite_rejects_asymmetric():
     # the metric's symmetry is checked once, when it is built
     with pytest.raises(ShapeMismatch):
-        Metric(plane(), cov([[1, 2], [0, 1]]))
+        Metric(plane(), matrix([[1, 2], [0, 1]]))
 
 
 def test_positive_definite_needs_covariant_square():
     with pytest.raises(ShapeMismatch):
-        Metric(plane(), matrix([[1, 0], [0, 1]]))
-    with pytest.raises(ShapeMismatch):
-        Metric(plane(), Tensor.zero((2,), (DOWN,)))
+        Metric(plane(), Tensor.zero((2,)))
 
 
 def test_det_and_minors():
-    a = cov([[1, 2], [2, 1]])
+    a = matrix([[1, 2], [2, 1]])
     assert det(a) == -3
     assert leading_minors(a) == [Q(1), Q(-3)]
-    empty = Tensor.zero((0, 0), (DOWN, DOWN))
+    empty = Tensor.zero((0, 0))
     assert det(empty) == 1
     assert leading_minors(empty) == []
 
@@ -174,10 +160,10 @@ def test_leading_minors_stop_at_the_first_zero():
 
 
 def test_symmetric_rows_checks():
-    g = Metric(plane(), cov([[2, 1], [1, 2]]))
+    g = Metric(plane(), matrix([[2, 1], [1, 2]]))
     assert g.g[0, 1] == 1
     with pytest.raises(ShapeMismatch):
-        Metric(plane(), cov([[0, 1], [2, 0]]))
+        Metric(plane(), matrix([[0, 1], [2, 0]]))
 
 
 def test_solve_linear_unique():
@@ -276,12 +262,12 @@ def test_elimination_matches_the_reference(system):
     # the reference keeps dense rows; the library reads the same matrix
     # as a sparse Tensor
     rows, rhs = system
-    a = cov(rows)
+    a = matrix(rows)
     assert solve_linear(a, rhs) == reference.solve_linear(rows, rhs)
     assert null_vector(a) == reference.null_vector(rows)
     assert outcome(det, a) == outcome(reference.det, rows)
     rows, rhs = square(system)
-    a = cov(rows)
+    a = matrix(rows)
     assert det(a) == reference.det(rows)
     assert leading_minors(a) == reference_minors(rows)
     assert solve_linear(a, rhs) == reference.solve_linear(rows, rhs)
