@@ -10,13 +10,15 @@ the conformal factor equation c L^2 - 2 L + 1 = 0.
 Exit codes: 0 the requested claim holds (for lambda, the equation was
 answered, "no real solutions" included), 1 the claim fails exactly,
 2 the input was unusable.  All output is deterministic: the same
-invocation prints the same bytes.
+invocation prints the same bytes.  One parser serves a process (built
+on the first run_command) and one renderer, _emit, reads --format.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -85,7 +87,7 @@ def _load_source(source):
     try:
         with open(source, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {source}: {exc}")
     doc = parse(text)
     algebra = doc.to_algebra()
@@ -98,7 +100,27 @@ def _load_source(source):
                         doc.parameter("c"), ())
 
 
+def _write(path, text):
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}")
+
+
 # -- rendering -------------------------------------------------------------
+
+def _emit(args, payload, lines):
+    """Print payload() as JSON under --format json, else lines() as text.
+
+    Only the chosen one is called (JSON carries values the text omits,
+    which may be too large to print), and all of it before printing."""
+    if args.format == "json":
+        text = json.dumps(payload(), indent=2, sort_keys=True)
+    else:
+        text = "\n".join(lines())
+    print(text)
+
 
 def _terms_text(terms):
     """Join (coefficient, name) pairs as 2*a - b + c, skipping zeros."""
@@ -187,25 +209,22 @@ def _cmd_verify(args):
     ok = _mode_verdict(report, args.mode)
     labels = bundle.algebra.basis_labels
     verdict = "pass" if ok else "fail"
+    fit = report.constant_curvature
 
-    if args.format == "json":
-        fit = None
-        if report.constant_curvature is not None:
-            fit = {"kind": report.constant_curvature.kind,
-                   "value": None if report.constant_curvature.value is None
-                   else format_rational(report.constant_curvature.value)}
-        lee = None
-        if report.lee_form is not None:
-            lee = [[idx[0], format_rational(value)]
-                   for idx, value in report.lee_form.components()]
-        payload = {
+    def payload():
+        return {
             "source": bundle.label,
             "mode": args.mode,
             "dim": bundle.algebra.dim,
             "basis": list(labels),
             "flags": dict(report.computed_flags()),
-            "constant_curvature": fit,
-            "lee_form": lee,
+            "constant_curvature": None if fit is None else {
+                "kind": fit.kind,
+                "value": None if fit.value is None
+                else format_rational(fit.value)},
+            "lee_form": None if report.lee_form is None else [
+                [idx[0], format_rational(value)]
+                for idx, value in report.lee_form.components()],
             "witnesses": [
                 {"claim": w.claim, "indices": list(w.indices),
                  "residual": _residual_json(w.residual),
@@ -214,29 +233,27 @@ def _cmd_verify(args):
             "notes": _note_json(bundle.notes),
             "verdict": verdict,
         }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return 0 if ok else 1
 
-    # all lines first: a value too large to print leaves stdout empty
-    lines = [f"source: {bundle.label}", f"dim: {bundle.algebra.dim}",
-             "basis: " + " ".join(labels)]
-    lines += [f"{name}: {'pass' if value else 'fail'}"
-              for name, value in report.computed_flags()]
-    if report.constant_curvature is not None:
-        fit = report.constant_curvature
-        if fit.kind == "constant":
-            lines.append(f"constant_curvature: {format_rational(fit.value)}")
-        else:
-            lines.append(f"constant_curvature: {fit.kind}")
-    if bundle.omega is not None:
-        if report.lee_form is None:
-            lines.append("lee_form: none")
-        else:
-            lines.append(f"lee_form: {form_text(report.lee_form, labels)}")
-    lines += [_witness_text(witness, labels) for witness in report.witnesses]
-    lines += _note_lines(bundle.notes)
-    lines.append(f"verdict: {verdict}")
-    print("\n".join(lines))
+    def lines():
+        out = [f"source: {bundle.label}", f"dim: {bundle.algebra.dim}",
+               "basis: " + " ".join(labels)]
+        out += [f"{name}: {'pass' if value else 'fail'}"
+                for name, value in report.computed_flags()]
+        if fit is not None:
+            out.append("constant_curvature: " + (
+                format_rational(fit.value) if fit.kind == "constant"
+                else fit.kind))
+        if bundle.omega is not None:
+            out.append("lee_form: " + (
+                "none" if report.lee_form is None
+                else form_text(report.lee_form, labels)))
+        out += [_witness_text(witness, labels)
+                for witness in report.witnesses]
+        out += _note_lines(bundle.notes)
+        out.append(f"verdict: {verdict}")
+        return out
+
+    _emit(args, payload, lines)
     return 0 if ok else 1
 
 
@@ -307,21 +324,15 @@ def _cmd_construct(args):
                       "yes" if 1 + fam.c * fam.t == 0 else "no"))
 
     text = serialize(doc)
+    summary = [f"{key}: {value}" for key, value in pairs]
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        if args.format == "json":
-            print(json.dumps({"info": dict(pairs), "output": args.output},
-                             indent=2, sort_keys=True))
-        else:
-            for key, value in pairs:
-                print(f"{key}: {value}")
-            print(f"wrote: {args.output}")
+        _write(args.output, text)
+        _emit(args, lambda: {"info": dict(pairs), "output": args.output},
+              lambda: summary + [f"wrote: {args.output}"])
     else:
         # the document is the stdout artifact; diagnostics go to stderr
         print(text, end="")
-        for key, value in pairs:
-            print(f"{key}: {value}", file=sys.stderr)
+        print("\n".join(summary), file=sys.stderr)
     return status
 
 
@@ -329,16 +340,12 @@ def _cmd_construct(args):
 
 def _cmd_catalog_list(args):
     rows = list_examples()
-    if args.format == "json":
-        payload = [{"name": name, "summary": summary,
-                    "parameters": {key: desc for key, desc in schema}}
-                   for name, summary, schema in rows]
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return 0
-    for name, summary, schema in rows:
-        print(f"{name}: {summary}")
-        for key, desc in schema:
-            print(f"  parameter {key}: {desc}")
+    _emit(args, lambda: [{"name": name, "summary": summary,
+                          "parameters": dict(schema)}
+                         for name, summary, schema in rows],
+          lambda: [line for name, summary, schema in rows
+                   for line in [f"{name}: {summary}"] + [
+                       f"  parameter {key}: {desc}" for key, desc in schema]])
     return 0
 
 
@@ -348,11 +355,10 @@ def _cmd_catalog_show(args):
                         metric=entry.metric, parameters=entry.parameters)
     text = serialize(doc)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _write(args.output, text)
 
-    if args.format == "json":
-        payload = {
+    def payload():
+        out = {
             "name": entry.name,
             "summary": entry.summary,
             "synthetic": entry.synthetic,
@@ -370,29 +376,29 @@ def _cmd_catalog_show(args):
             "document": json.loads(text),
         }
         if args.output:
-            payload["output"] = args.output
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return 0
+            out["output"] = args.output
+        return out
 
-    print(f"name: {entry.name}")
-    print(f"summary: {entry.summary}")
-    if entry.parameters:
-        rendered = ", ".join(f"{key} = {format_rational(value)}"
-                             for key, value in entry.parameters)
-        print(f"parameters: {rendered}")
-    if entry.curvature is not None:
-        print(f"curvature: {format_rational(entry.curvature)}")
-    if entry.declared_curvature is not None:
-        print(f"declared_curvature: "
-              f"{format_rational(entry.declared_curvature)}")
-    print(f"admissible: {entry.admissible}")
-    print("expected:")
-    for e in entry.expected:
-        print(f"  {e.check}: {e.outcome} ({e.provenance})")
-    for line in _note_lines(entry.notes):
-        print(line)
-    if args.output:
-        print(f"wrote: {args.output}")
+    def lines():
+        out = [f"name: {entry.name}", f"summary: {entry.summary}"]
+        if entry.parameters:
+            out.append("parameters: " + ", ".join(
+                f"{key} = {format_rational(value)}"
+                for key, value in entry.parameters))
+        if entry.curvature is not None:
+            out.append(f"curvature: {format_rational(entry.curvature)}")
+        if entry.declared_curvature is not None:
+            out.append(f"declared_curvature: "
+                       f"{format_rational(entry.declared_curvature)}")
+        out += [f"admissible: {entry.admissible}", "expected:"]
+        out += [f"  {e.check}: {e.outcome} ({e.provenance})"
+                for e in entry.expected]
+        out += _note_lines(entry.notes)
+        if args.output:
+            out.append(f"wrote: {args.output}")
+        return out
+
+    _emit(args, payload, lines)
     return 0
 
 
@@ -409,28 +415,18 @@ def _cmd_lambda(args):
     try:
         roots = solve_lambda(args.c)
     except NoRealSolution:
-        if args.format == "json":
-            print(json.dumps({"c": format_rational(args.c), "kind": "none",
-                              "roots": []}, indent=2, sort_keys=True))
-        else:
-            print("no real solutions")
-        return 0
-    if isinstance(roots, SurdPair):
-        if args.format == "json":
-            payload = {"c": format_rational(args.c), "kind": "surd",
-                       "p": roots.p, "d": roots.d, "q": roots.q}
-            print(json.dumps(payload, indent=2, sort_keys=True))
-        else:
-            print(f"lambda = {_surd_text(roots, '+')}")
-            print(f"lambda = {_surd_text(roots, '-')}")
-        return 0
-    if args.format == "json":
-        payload = {"c": format_rational(args.c), "kind": "rational",
-                   "roots": [format_rational(r) for r in roots]}
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        payload, lines = {"kind": "none", "roots": []}, ["no real solutions"]
     else:
-        for root in roots:
-            print(f"lambda = {format_rational(root)}")
+        if isinstance(roots, SurdPair):
+            payload = {"kind": "surd", "p": roots.p, "d": roots.d,
+                       "q": roots.q}
+            lines = [f"lambda = {_surd_text(roots, sign)}" for sign in "+-"]
+        else:
+            payload = {"kind": "rational",
+                       "roots": [format_rational(r) for r in roots]}
+            lines = [f"lambda = {format_rational(r)}" for r in roots]
+    _emit(args, lambda: {"c": format_rational(args.c), **payload},
+          lambda: lines)
     return 0
 
 
@@ -448,6 +444,7 @@ def _format_arg(parser):
                         help="output rendering (default text)")
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="liegeom",

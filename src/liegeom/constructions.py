@@ -70,6 +70,14 @@ def double(L, connection):
     return DoubledAlgebra(algebra, j)
 
 
+def _pairing_form(metric):
+    """The 2-form on the double of g's base with omega(X + 0, 0 + Y) =
+    g(X, Y), zero on pairs from the same copy."""
+    n = metric.g.shape[0]
+    return KForm.from_components(2 * n, 2, {
+        (i, n + j): value for (i, j), value in metric.g.entries})
+
+
 @dataclass(frozen=True)
 class HessianKahlerResult:
     double: DoubledAlgebra
@@ -92,9 +100,7 @@ def kahler_form_from_hessian(L, connection, metric):
         if not state.flag(name):
             raise NotHessian(f"not a Hessian structure: {name} fails")
     dbl = double(L, connection)
-    n = L.dim
-    components = {(i, n + j): value for (i, j), value in metric.g.entries}
-    omega = KForm.from_components(2 * n, 2, components)
+    omega = _pairing_form(metric)
     report = classify(dbl.algebra, complex_structure=dbl.complex_structure,
                       omega=omega)
     return HessianKahlerResult(dbl, omega, report)
@@ -256,12 +262,8 @@ def lck_family(L, connection, metric, c, t):
     cone = cone_extend(L, connection, metric, c)
     c = cone.c
     dbl = double(cone.algebra, cone.nabla)
-    n1 = cone.algebra.dim
-    r = cone.rho_index
-    components = {(i, n1 + j): value for (i, j), value in metric.g.entries}
-    components[(r, n1 + r)] = t
-    omega = KForm.from_components(2 * n1, 2, components)
-    lee = dual_form(dbl.algebra, r).scale(-(1 + c * t))
+    omega = _pairing_form(cone.metric(t))
+    lee = dual_form(dbl.algebra, cone.rho_index).scale(-(1 + c * t))
     report = classify(dbl.algebra, complex_structure=dbl.complex_structure,
                       omega=omega)
     if report.lee_form != lee:

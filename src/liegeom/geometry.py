@@ -74,7 +74,7 @@ class Metric:
 
     @classmethod
     def from_rows(cls, base, rows):
-        return cls(base, Tensor.from_nested(rows, 2))
+        return cls(base, Tensor.from_rows(rows))
 
     @classmethod
     def identity(cls, base):
@@ -110,7 +110,7 @@ class ComplexStructure:
 
     @classmethod
     def from_rows(cls, base, rows):
-        return cls(base, Tensor.from_nested(rows, 2))
+        return cls(base, Tensor.from_rows(rows))
 
 
 # -- verdict computations --------------------------------------------------

@@ -116,6 +116,10 @@ def parse(text):
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentSyntaxError(str(exc), exc.lineno, exc.colno) from exc
+    except (RecursionError, ValueError) as exc:
+        # nesting too deep for the decoder, or an int literal past the
+        # interpreter's digit limit; neither carries a position
+        raise DocumentSyntaxError(str(exc)) from exc
     if not isinstance(raw, dict):
         raise ValidationError("top level must be an object", field="document")
     unknown = set(raw) - _TOP_KEYS

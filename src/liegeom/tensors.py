@@ -114,26 +114,14 @@ class Tensor:
         return cls(tuple(shape), tuple(mapping.items()))
 
     @classmethod
-    def from_nested(cls, nested, rank):
-        """Tensor from rank levels of nested sequences, row-major."""
-        shape = []
-        probe = nested
-        for _ in range(rank):
-            shape.append(len(probe))
-            probe = probe[0] if len(probe) else []
-        pairs = []
-
-        def walk(node, prefix):
-            if len(prefix) == len(shape):
-                pairs.append((prefix, node))
-                return
-            if len(node) != shape[len(prefix)]:
-                raise ShapeMismatch("ragged nested input")
-            for i, child in enumerate(node):
-                walk(child, prefix + (i,))
-
-        walk(nested, ())
-        return cls(tuple(shape), tuple(pairs))
+    def from_rows(cls, rows):
+        """Rank-2 Tensor from a sequence of equal-length rows."""
+        width = len(rows[0]) if rows else 0
+        if any(len(row) != width for row in rows):
+            raise ShapeMismatch("ragged nested input")
+        return cls((len(rows), width), tuple(
+            ((i, j), value) for i, row in enumerate(rows)
+            for j, value in enumerate(row)))
 
     # -- access ------------------------------------------------------------
 

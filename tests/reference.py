@@ -3,7 +3,7 @@
 det, leading_minors, solve_linear and null_vector are the Fraction row
 reductions used before the single elimination, copied verbatim; they
 take a matrix as a list of row lists, where the library takes a rank-2
-Tensor (Tensor.from_nested converts).  The tensor routines below them
+Tensor (Tensor.from_rows converts).  The tensor routines below them
 loop over every index position, as liegeom did when it stored its
 tensors densely; they read entries through Tensor.__getitem__ and return
 their results through Tensor.from_entries, except contract, which

@@ -1,6 +1,14 @@
+import argparse
 import io
 import json
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 from liegeom import (Connection, LieAlgebra, Metric, Witness, document_from,
                      get_example, lck_family, parse, serialize,
@@ -229,6 +237,19 @@ def test_verify_missing_file():
     assert "error:" in err
 
 
+@pytest.mark.parametrize("content", [
+    b"[" * 100000 + b"]" * 100000,
+    b'{"dim": 1' + b"0" * 5000 + b"}",
+    b"\xff\xfe{}"], ids=["deep", "long-int", "not-utf8"])
+def test_verify_refuses_a_source_json_cannot_decode(tmp_path, content):
+    # too deeply nested, an int literal past the digit limit, not UTF-8
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    code, out, err = run(["verify", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # -- construct -------------------------------------------------------------
 
 def test_construct_cone_splits_streams():
@@ -347,6 +368,19 @@ def test_construct_lck_json_names_its_output(tmp_path):
     assert parse(target.read_text()).form_block("omega") is not None
 
 
+@pytest.mark.parametrize("argv", [
+    ["construct", "lck", "catalog:su2", "-o", "{tmp}/missing/dir/m.json"],
+    ["catalog", "show", "su2", "-o", "{tmp}/missing/x.json"],
+    ["construct", "lck", "catalog:su2", "-o", "{tmp}"],
+    ["catalog", "show", "su2", "-o", "{tmp}", "--format", "json"]],
+    ids=["construct-missing-dir", "show-missing-dir", "construct-dir",
+         "show-dir"])
+def test_an_unwritable_output_is_unusable_input(tmp_path, argv):
+    code, out, err = run([arg.format(tmp=tmp_path) for arg in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
+
+
 def test_construct_cone_underdetermined_needs_c():
     code, out, err = run(["construct", "cone", "catalog:flat-torsionful-fixture"])
     assert code == 1
@@ -412,6 +446,47 @@ def test_help_exits_zero():
     assert "usage: liegeom" in out
 
 
+def test_run_command_builds_its_parser_once(monkeypatch):
+    run(["catalog", "list"])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run(["verify", "catalog:su2"])[0] == 0
+    assert built == []
+
+
+def test_the_shared_parser_carries_nothing_between_runs():
+    first = run(["verify", "catalog:su2"])
+    shown = run(["catalog", "show", "clan-triangular", "--param", "c=2"])
+    assert "parameters: c = 2\n" in shown[1]
+    shown = run(["catalog", "show", "clan-triangular"])
+    assert "parameters: c = 1\n" in shown[1]
+    assert run(["verify", "--as", "nope", "catalog:su2"])[0] == 2
+    code, out, err = run(["--help"])
+    assert code == 0 and "usage: liegeom" in out
+    assert run(["verify", "catalog:su2"]) == first
+
+
+def test_module_entry_point_exits_with_the_status(tmp_path):
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+    def cli(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "liegeom.cli", *argv], cwd=tmp_path,
+            env=env, capture_output=True, text=True, timeout=120)
+
+    done = cli("lambda", "--c", "3/4")
+    assert (done.returncode, done.stdout) == (0, "lambda = 2/3\nlambda = 2\n")
+    assert cli("verify", "--as", "hessian", "catalog:su2").returncode == 1
+    assert cli("verify", "missing.json").returncode == 2
+
+
 def test_output_is_deterministic(tmp_path):
     su2_path = write_entry(tmp_path, "su2", "su2.json")
     for argv in (["verify", "catalog:clan-triangular"],
@@ -451,3 +526,24 @@ def test_verify_refuses_a_value_too_large_to_print(tmp_path):
         assert (code, out) == (2, "")
         assert err.startswith("error: a computed value has 4399 digits")
         assert err.count("\n") == 1
+
+
+def test_verify_text_does_not_render_what_only_json_prints(tmp_path):
+    # a singular 5x5 metric with 2240-digit entries: the residual of its
+    # positive_definite witness is 0, the kernel vector in its detail,
+    # which only the JSON payload carries, has about 4480 digits
+    rng = random.Random(1)
+    V = [[rng.randrange(10 ** 1119, 10 ** 1120) for _ in range(4)]
+         for _ in range(5)]
+    doc = json.loads(serialize(document_from(
+        LieAlgebra.abelian(("a", "b", "c", "d", "e")))))
+    doc["metric"] = [[i, j, str(sum(x * y for x, y in zip(V[i], V[j])))]
+                     for i in range(5) for j in range(i, 5)]
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(["verify", str(path)])
+    assert (code, err) == (0, "")
+    assert "witness: positive_definite at (5): 0\n" in out
+    code, out, err = run(["verify", "--format", "json", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: a computed value has ")

@@ -34,7 +34,7 @@ values = st.sampled_from([Q(0)] * 5 + [Q(1), Q(-1), Q(2), Q(1, 2), Q(-3, 2),
 
 def as_matrix(rows):
     """Dense rows as the rank-2 Tensor the library's linear algebra takes."""
-    return Tensor.from_nested(rows, 2)
+    return Tensor.from_rows(rows)
 
 
 @st.composite

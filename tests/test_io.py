@@ -113,6 +113,16 @@ def test_malformed_json_reports_position():
     assert info.value.column >= 1
 
 
+@pytest.mark.parametrize("text", ["[" * 100000 + "]" * 100000,
+                                  '{"dim": 1' + "0" * 5000 + "}"],
+                         ids=["deep", "long-int"])
+def test_json_the_decoder_cannot_take_is_a_syntax_error(text):
+    # nesting past the decoder's recursion limit, and an int literal past
+    # the interpreter's digit limit: no position, still a syntax error
+    with pytest.raises(DocumentSyntaxError):
+        parse(text)
+
+
 # -- schema errors ---------------------------------------------------------
 
 def field_of(text):

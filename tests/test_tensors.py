@@ -18,7 +18,7 @@ def vec(*values):
 
 
 def matrix(rows):
-    return Tensor.from_nested([[Q(x) for x in row] for row in rows], 2)
+    return Tensor.from_rows([[Q(x) for x in row] for row in rows])
 
 
 def test_entry_count_checked():
@@ -93,6 +93,14 @@ def test_tags_do_not_affect_equality():
     assert nested == pairs == mapping
     assert hash(nested) == hash(pairs)
     assert nested != matrix([[0, 1], [1, 0]])
+
+
+def test_from_rows_shape():
+    assert matrix([[1, 2, 3], [4, 5, 6]]).shape == (2, 3)
+    assert Tensor.from_rows([]).shape == (0, 0)
+    for rows in ([[1, 2], [3]], [[1], [2, 3]]):
+        with pytest.raises(ShapeMismatch):
+            Tensor.from_rows(rows)
 
 
 def test_from_entries_sparse():
