@@ -272,7 +272,11 @@ def get_example(name, params=None):
     for key, value in (params or {}).items():
         if key not in allowed:
             raise BadParameters(f"{name} takes no parameter {key!r}")
-        cleaned[key] = Fraction(value)
+        try:
+            cleaned[key] = Fraction(value)
+        except (TypeError, ValueError, ArithmeticError):
+            raise BadParameters(f"{name} parameter {key!r} is not a "
+                                f"rational: {value!r}") from None
     return builder(cleaned)
 
 

@@ -1,8 +1,10 @@
 """Alternating forms on a Lie algebra and their Chevalley differential.
 
 Degrees 1 through 3 are supported; that is all the constructions here
-ever need.  The wedge product uses the shuffle convention without
-factorial normalisation:
+ever need.  A form is held as the half a document lists, its nonzero
+values at strictly increasing indices; the full alternating tensor is
+derived, only where a contraction reads it.  The wedge product uses the
+shuffle convention without factorial normalisation:
 
     (a ^ b)(X, Y) = a(X) b(Y) - a(Y) b(X)
     (a ^ w)(X, Y, Z) = a(X) w(Y, Z) - a(Y) w(X, Z) + a(Z) w(X, Y)
@@ -18,6 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .algebra import cyclic_sum
 from .errors import DimensionMismatch, ShapeMismatch, UnsupportedDegree
@@ -28,26 +31,39 @@ MAX_DEGREE = 3
 
 @dataclass(frozen=True)
 class KForm:
-    """Fully alternating covariant tensor of degree 1, 2 or 3."""
+    """Alternating covariant tensor of degree 1, 2 or 3, held as half: a
+    Tensor of degree equal axes with entries at strictly increasing
+    indices only, so it is antisymmetric by construction.  coefficients
+    is the full tensor, derived from half on first use."""
 
     degree: int
-    coefficients: Tensor
+    half: Tensor
 
     def __post_init__(self):
-        k = self.degree
+        k, t = self.degree, self.half
         if not 1 <= k <= MAX_DEGREE:
             raise UnsupportedDegree(f"degree {k} is outside 1..{MAX_DEGREE}")
-        t = self.coefficients
-        if t.rank != k:
-            raise ShapeMismatch(f"degree {k} form needs a rank {k} tensor")
-        if len(set(t.shape)) > 1:
-            raise ShapeMismatch(f"uneven axis lengths {t.shape}")
-        for a in range(k - 1):
-            t.require_pair(a, a + 1, -1)
+        if t.rank != k or len(set(t.shape)) > 1:
+            raise ShapeMismatch(
+                f"degree {k} form needs a rank {k} tensor with equal axes, "
+                f"not shape {t.shape}")
+        for idx, _ in t.entries:
+            if any(a >= b for a, b in zip(idx, idx[1:])):
+                raise ShapeMismatch(
+                    f"component index {idx} must be strictly increasing")
 
     @property
     def dim(self):
-        return self.coefficients.shape[0]
+        return self.half.shape[0]
+
+    @cached_property
+    def coefficients(self):
+        """Each entry of half at every permutation of its index, signed."""
+        signs = [(perm, _perm_sign(perm))
+                 for perm in itertools.permutations(range(self.degree))]
+        return Tensor(self.half.shape, tuple(
+            (tuple(idx[p] for p in perm), sign * value)
+            for idx, value in self.half.entries for perm, sign in signs))
 
     @classmethod
     def zero(cls, dim, degree):
@@ -55,54 +71,33 @@ class KForm:
 
     @classmethod
     def from_components(cls, dim, degree, components):
-        """Build from {strictly increasing index tuple: value}.
-
-        All other entries follow by antisymmetry.
-        """
-        entries = {}
-        for idx, value in components.items():
-            idx = tuple(idx)
-            if len(idx) != degree or any(
-                    not a < b for a, b in zip(idx, idx[1:])):
-                raise ShapeMismatch(
-                    f"component index {idx} must be strictly increasing")
-            for perm in itertools.permutations(range(degree)):
-                entries[tuple(idx[p] for p in perm)] = (
-                    _perm_sign(perm) * Fraction(value))
-        t = Tensor.from_entries((dim,) * degree, entries)
-        return cls(degree, t)
+        """Build from {strictly increasing index tuple: value}."""
+        return cls(degree, Tensor.from_entries((dim,) * degree, components))
 
     def components(self):
-        """Yield (increasing index tuple, value) for the nonzero entries."""
-        for idx, value in self.coefficients.entries:
-            if all(a < b for a, b in zip(idx, idx[1:])):
-                yield idx, value
+        """The (increasing index tuple, value) pairs of the nonzero entries."""
+        return self.half.entries
 
     def is_zero(self):
-        return self.coefficients.is_zero()
+        return self.half.is_zero()
 
     def __add__(self, other):
         if not isinstance(other, KForm) or other.degree != self.degree:
             raise ShapeMismatch("can only add forms of equal degree")
-        return KForm(self.degree, self.coefficients + other.coefficients)
+        return KForm(self.degree, self.half + other.half)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return KForm(self.degree, -self.coefficients)
+        return KForm(self.degree, -self.half)
 
     def scale(self, factor):
-        return KForm(self.degree, self.coefficients.scale(factor))
+        return KForm(self.degree, self.half.scale(factor))
 
 
 def _perm_sign(perm):
-    sign = 1
-    for a in range(len(perm)):
-        for b in range(a + 1, len(perm)):
-            if perm[a] > perm[b]:
-                sign = -sign
-    return sign
+    return (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
 
 
 def dual_form(L, i):
@@ -141,8 +136,8 @@ def ce_d(L, form):
     """
     if form.dim != L.dim:
         raise DimensionMismatch("form and algebra dimensions differ")
-    if form.degree == 1:
-        d, sums = contract(L.c.entries, 2, form.coefficients.entries, 0)
+    if form.degree == 1:    # the half of a 1-form is the whole form
+        d, sums = contract(L.c.entries, 2, form.half.entries, 0)
         return KForm.from_components(L.dim, 2, {
             (i, j): Fraction(-v, d) for (i, j), v in sums.items() if i < j})
     if form.degree == 2:

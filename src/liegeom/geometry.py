@@ -21,7 +21,6 @@ import itertools
 import math
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from types import SimpleNamespace
 
 from .algebra import LieAlgebra, Witness, jacobi_check, jacobi_residual
 from .errors import (DimensionMismatch, MissingPieces, NoLeeForm,
@@ -273,16 +272,10 @@ def lee_form_system(L, omega):
 
     Returns (matrix, rhs, triples): one equation per basis triple
     i < j < k in lexicographic order, one column per dual basis covector.
+    The row of i < j < k is w[j, k] theta_i - w[i, k] theta_j
+    + w[i, j] theta_k, so a component w[a, b] lands at column m of the
+    row of {a, b, m}, negated when a < m < b.
     """
-    return _lee_system(L, omega, closed=False)
-
-
-def _lee_system(L, omega, closed):
-    """lee_form_system, with one row theta([e_i, e_j]) = 0 per pair i < j,
-    i.e. d(theta) = 0, appended when closed.  The row of i < j < k is
-    w[j, k] theta_i - w[i, k] theta_j + w[i, j] theta_k, so a component
-    w[a, b] lands at column m of the row of {a, b, m}, negated when
-    a < m < b."""
     if omega.degree != 2:
         raise UnsupportedDegree("the Lee equation needs a 2-form")
     if omega.dim != L.dim:
@@ -298,14 +291,21 @@ def _lee_system(L, omega, closed):
     rhs = [Fraction(0)] * len(triples)
     for idx, value in ce_d(L, omega).components():
         rhs[row_of[idx]] = value
-    if closed:
-        pairs = {p: r for r, p in enumerate(
-            itertools.combinations(range(n), 2), len(rhs))}
-        entries.update(((pairs[i, j], k), value)
-                       for (i, j, k), value in L.c.entries if i < j)
-        rhs += [Fraction(0)] * len(pairs)
     matrix = Tensor.from_entries((len(rhs), n), entries)
     return matrix, rhs, triples
+
+
+def _closed_system(L, system):
+    """A Lee system with one row theta([e_i, e_j]) = 0 per pair i < j,
+    i.e. d(theta) = 0, appended below its rows."""
+    matrix, rhs, triples = system
+    pairs = {p: r for r, p in enumerate(
+        itertools.combinations(range(L.dim), 2), len(rhs))}
+    entries = dict(matrix.entries)
+    entries.update(((pairs[i, j], k), value)
+                   for (i, j, k), value in L.c.entries if i < j)
+    rhs = list(rhs) + [Fraction(0)] * len(pairs)
+    return Tensor.from_entries((len(rhs), L.dim), entries), rhs, triples
 
 
 def _lee_solve(L, system):
@@ -324,7 +324,7 @@ def lee_form_solve(L, omega):
     order, so the answer is deterministic.  Returns None when the system
     is inconsistent.
     """
-    theta, _ = _lee_solve(L, _lee_system(L, omega, closed=False))
+    theta, _ = _lee_solve(L, lee_form_system(L, omega))
     return theta
 
 
@@ -443,13 +443,14 @@ CLAIMS = {claim.name: claim for claim in (
           lambda p: ce_d(p.algebra, p.omega).coefficients,
           _entry),
     Claim("lee_system", "lck", False,
-          lambda p: _lee_system(p.algebra, p.omega, closed=False),
+          lambda p: lee_form_system(p.algebra, p.omega),
           _certificate),
     Claim("d_lee", "lee_closed", True,
           lambda p: ce_d(p.algebra, p.lee_form).coefficients,
           _entry),
     Claim("lee_closed_system", "lee_closed", False,
-          lambda p: _lee_system(p.algebra, p.omega, closed=True),
+          lambda p: _closed_system(
+              p.algebra, lee_form_system(p.algebra, p.omega)),
           _certificate),
     Claim("pairing_symmetry", "pairing_positive", True,
           lambda p: pairing_rows(p.omega, p.complex_structure),
@@ -605,7 +606,7 @@ def classify(L, connection=None, metric=None, complex_structure=None,
         report["is_omega_closed"] = _vanishes(
             witnesses, "d_omega", ce_d(L, omega).coefficients, 3)
 
-        system = _lee_system(L, omega, closed=False)
+        system = lee_form_system(L, omega)
         theta, certificate = _lee_solve(L, system)
         theta_closed = None
         if theta is None:
@@ -616,7 +617,7 @@ def classify(L, connection=None, metric=None, complex_structure=None,
             if d_theta.is_zero():
                 theta_closed = theta
             else:
-                joint = _lee_system(L, omega, closed=True)
+                joint = _closed_system(L, system)
                 theta_closed, joint_cert = _lee_solve(L, joint)
                 if theta_closed is None:
                     _vanishes(witnesses, "d_lee", d_theta, 2)
@@ -670,8 +671,23 @@ def witness_residual(witness, *, algebra=None, connection=None, metric=None,
     claim = CLAIMS.get(witness.claim)
     if claim is None:
         raise ShapeMismatch(f"unknown witness claim {witness.claim!r}")
-    pieces = SimpleNamespace(
+    pieces = _Pieces(witness.claim, dict(
         algebra=algebra, connection=connection, metric=metric,
-        complex_structure=complex_structure, omega=omega, lee_form=lee_form)
+        complex_structure=complex_structure, omega=omega, lee_form=lee_form))
     return claim.residual(claim.measure(pieces), tuple(witness.indices),
                           tuple(witness.detail))
+
+
+class _Pieces:
+    """The pieces a claim's measure reads, by attribute; reading one
+    that was not supplied raises MissingPieces naming it."""
+
+    def __init__(self, claim, pieces):
+        self._claim, self._pieces = claim, pieces
+
+    def __getattr__(self, name):
+        value = self._pieces[name]
+        if value is None:
+            raise MissingPieces(f"a {self._claim} witness is rechecked from "
+                                f"{name}, which was not given", pieces=(name,))
+        return value

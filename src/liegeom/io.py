@@ -325,8 +325,7 @@ def document_from(algebra, connection=None, metric=None,
         cx = complex_structure.j.entries
     blocks = []
     for name, form in forms:
-        blocks.append(FormBlock(name, form.degree,
-                                tuple(sorted(form.components()))))
+        blocks.append(FormBlock(name, form.degree, form.half.entries))
     blocks.sort(key=lambda f: f.name)
     params = tuple(sorted((key, Fraction(value)) for key, value in
                           dict(parameters).items()))

@@ -91,7 +91,7 @@ class Tensor:
             raise ShapeMismatch(f"bad axis pair ({a}, {b})")
         if self.shape[a] != self.shape[b]:
             raise ShapeMismatch(f"axes {a} and {b} differ in length")
-        # not the cached _lookup: the metrics and forms checked here are
+        # not the cached _lookup: the metrics and brackets checked here are
         # mostly walked, not indexed, and a cached dict would hold memory
         lookup = dict(self.entries)
         for idx, value in self.entries:

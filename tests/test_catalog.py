@@ -53,6 +53,17 @@ def test_get_example_parameter_validation():
         get_example("abelian-n", {"n": "3/2"})
 
 
+@pytest.mark.parametrize("name, value", [
+    ("clan-triangular", "1/0"), ("clan-triangular", "abc"),
+    ("clan-triangular", None), ("clan-triangular", float("inf")),
+    ("abelian-n", [3]),
+], ids=["zero-denominator", "not-a-number", "none", "infinite", "list"])
+def test_get_example_refuses_a_value_that_is_no_rational(name, value):
+    key = "c" if name == "clan-triangular" else "n"
+    with pytest.raises(BadParameters, match=f"parameter '{key}'"):
+        get_example(name, {key: value})
+
+
 def test_clan_parameter_moves_the_curvature():
     from liegeom import format_rational
     for c in (Q(1), Q(2), Q(1, 3)):

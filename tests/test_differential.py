@@ -304,7 +304,7 @@ def test_lee_system_matches_the_dense_reference(p):
     assert (reference.to_nested(matrix), rhs, triples) == (
         rows, ref_rhs, ref_triples)
     assert solve_linear(matrix, rhs) == reference.solve_linear(rows, ref_rhs)
-    closed = geometry._lee_system(L, omega, closed=True)
+    closed = geometry._closed_system(L, (matrix, rhs, triples))
     extra = reference.closedness_rows(L)
     assert reference.to_nested(closed[0]) == rows + extra
     assert closed[1] == ref_rhs + [Q(0)] * len(extra)

@@ -1,10 +1,12 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liegeom import (DimensionMismatch, KForm, LieAlgebra, ShapeMismatch,
-                     UnsupportedDegree, ce_d, cone_extend, double, dual_form,
-                     get_example, wedge)
+                     Tensor, UnsupportedDegree, ce_d, cone_extend, double,
+                     dual_form, get_example, wedge)
 
 Q = Fraction
 
@@ -24,6 +26,49 @@ def test_from_components_requires_increasing_indices():
         KForm.from_components(3, 2, {(1, 0): Q(1)})
     with pytest.raises(ShapeMismatch):
         KForm.from_components(3, 2, {(1, 1): Q(1)})
+
+
+def test_a_form_is_built_from_its_half():
+    omega = KForm(2, Tensor((3, 3), (((0, 1), 1),)))
+    assert omega.coefficients[1, 0] == -1
+    assert omega == KForm.from_components(3, 2, {(0, 1): 1})
+    for idx in ((1, 0), (1, 1)):
+        with pytest.raises(ShapeMismatch, match="strictly increasing"):
+            KForm(2, Tensor((3, 3), ((idx, 1),)))
+    with pytest.raises(ShapeMismatch):
+        KForm(2, Tensor((3, 3, 3), (((0, 1, 2), 1),)))
+    with pytest.raises(ShapeMismatch):
+        KForm(2, Tensor((3, 4), (((0, 1), 1),)))
+
+
+@st.composite
+def halves(draw):
+    """(dim, degree, {increasing index: value}), mostly zero values."""
+    n, degree = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    values = st.sampled_from([Q(0)] * 4 + [Q(1), Q(-2), Q(3, 2)])
+    return n, degree, draw(st.fixed_dictionaries({
+        idx: values for idx in itertools.combinations(range(n), degree)}))
+
+
+@settings(max_examples=60)
+@given(halves())
+def test_the_full_tensor_follows_from_the_stored_half(p):
+    n, degree, comps = p
+    form = KForm.from_components(n, degree, comps)
+    full = form.coefficients
+    for idx in itertools.product(range(n), repeat=degree):
+        if len(set(idx)) < degree:
+            assert full[idx] == 0
+        for a, b in itertools.combinations(range(degree), 2):
+            swapped = list(idx)
+            swapped[a], swapped[b] = idx[b], idx[a]
+            assert full[tuple(swapped)] == -full[idx]
+    assert [(idx, v) for idx, v in full.entries
+            if all(a < b for a, b in zip(idx, idx[1:]))] == list(
+                form.components())
+    assert dict(form.components()) == {k: v for k, v in comps.items() if v}
+    direct = KForm(degree, Tensor((n,) * degree, tuple(comps.items())))
+    assert direct == form and hash(direct) == hash(form)
 
 
 def test_degree_bounds():

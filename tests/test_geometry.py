@@ -465,9 +465,9 @@ def test_classify_rejects_mismatched_pieces():
 
 # -- witness re-evaluation -------------------------------------------------
 
-def test_witness_residuals_round_trip_for_every_claim():
-    # collect reports whose witnesses cover the whole claim vocabulary,
-    # then recompute each residual from the raw inputs
+def _claim_cases():
+    """(report, pieces) pairs whose witnesses cover every claim, each
+    with the raw pieces its report was built from."""
     cases = []
 
     violator = LieAlgebra.from_brackets(
@@ -494,13 +494,6 @@ def test_witness_residuals_round_trip_for_every_claim():
                  metric=indefinite),
         {"algebra": entry.algebra, "connection": entry.connection,
          "metric": indefinite}))
-
-    fit = constant_curvature(entry.connection,
-                             Metric.identity(entry.algebra))
-    assert fit.witness is not None
-    value = witness_residual(fit.witness, connection=entry.connection,
-                             metric=Metric.identity(entry.algebra))
-    assert value == fit.witness.residual
 
     dbl = double(torsionful.algebra, torsionful.connection)
     cases.append((
@@ -537,6 +530,21 @@ def test_witness_residuals_round_trip_for_every_claim():
         classify(asym_base, complex_structure=asym_j, omega=asym_omega),
         {"algebra": asym_base, "complex_structure": asym_j,
          "omega": asym_omega}))
+    return cases
+
+
+def test_witness_residuals_round_trip_for_every_claim():
+    # collect reports whose witnesses cover the whole claim vocabulary,
+    # then recompute each residual from the raw inputs
+    cases = _claim_cases()
+
+    entry = clan()
+    fit = constant_curvature(entry.connection,
+                             Metric.identity(entry.algebra))
+    assert fit.witness is not None
+    value = witness_residual(fit.witness, connection=entry.connection,
+                             metric=Metric.identity(entry.algebra))
+    assert value == fit.witness.residual
 
     seen = set()
     for report, pieces in cases:
@@ -548,6 +556,25 @@ def test_witness_residuals_round_trip_for_every_claim():
             "positive_definite", "nijenhuis", "d_omega", "d_lee",
             "lee_system", "lee_closed_system", "pairing_symmetry",
             "pairing_positive"} <= seen
+
+
+def test_witness_residual_names_the_piece_it_was_not_given():
+    # a recheck without a piece its claim reads raises MissingPieces
+    # naming that piece; leaving out a piece it does not read is harmless
+    refused = set()
+    for report, pieces in _claim_cases():
+        for witness in report.witnesses:
+            for name in pieces:
+                rest = {k: v for k, v in pieces.items() if k != name}
+                try:
+                    value = witness_residual(witness, **rest)
+                except MissingPieces as exc:
+                    assert exc.pieces == (name,)
+                    assert witness.claim in str(exc) and name in str(exc)
+                    refused.add(witness.claim)
+                else:
+                    assert value == witness.residual
+    assert refused == set(geometry.CLAIMS)
 
 
 def test_witness_residual_rejects_stale_certificate():
