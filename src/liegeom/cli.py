@@ -321,7 +321,7 @@ def _cmd_construct(args):
         pairs.append(("omega", form_text(fam.omega, labels)))
         pairs.append(("lee_form", form_text(fam.lee_form, labels)))
         pairs.append(("kahler_member",
-                      "yes" if 1 + fam.c * fam.t == 0 else "no"))
+                      "yes" if fam.report.is_kahler else "no"))
 
     text = serialize(doc)
     summary = [f"{key}: {value}" for key, value in pairs]
@@ -404,11 +404,9 @@ def _cmd_catalog_show(args):
 
 # -- lambda ----------------------------------------------------------------
 
-def _surd_text(pair, sign):
-    inner = f"{pair.p} {sign} sqrt({pair.d})"
-    if pair.q == 1:
-        return inner
-    return f"({inner})/{pair.q}"
+def _surd_text(p, d, q, sign):
+    inner = f"{p} {sign} sqrt({d})"
+    return inner if q == "1" else f"({inner})/{q}"
 
 
 def _cmd_lambda(args):
@@ -418,9 +416,12 @@ def _cmd_lambda(args):
         payload, lines = {"kind": "none", "roots": []}, ["no real solutions"]
     else:
         if isinstance(roots, SurdPair):
+            # formatted before either rendering, so a surd too long to
+            # print exits 2 in both
+            text = [format_rational(v) for v in (roots.p, roots.d, roots.q)]
             payload = {"kind": "surd", "p": roots.p, "d": roots.d,
                        "q": roots.q}
-            lines = [f"lambda = {_surd_text(roots, sign)}" for sign in "+-"]
+            lines = [f"lambda = {_surd_text(*text, sign)}" for sign in "+-"]
         else:
             payload = {"kind": "rational",
                        "roots": [format_rational(r) for r in roots]}

@@ -11,15 +11,16 @@ Conventions used throughout:
 
 The Codazzi check asks for total symmetry of (nabla_{e_i} g)(e_j, e_k),
 constant curvature compares R against c (g(Y, Z) X - g(X, Z) Y), and
-classify folds every verdict computable from the supplied pieces into a
-single report in which each negative answer carries an exact witness.
+classify records an exact witness for every failed check; the table
+VERDICTS reads each report flag the supplied pieces allow off those
+witnesses, False exactly when one of them refutes it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import LieAlgebra, Witness, jacobi_check, jacobi_residual
@@ -409,10 +410,10 @@ def _certificate(system, idx, detail):
 
 @dataclass(frozen=True)
 class Claim:
-    """One claim: the report flag its witnesses refute (None for the
-    curvature fit), whether witness indices are basis positions, the
-    measure rebuilding its object from raw pieces, and the residual
-    function reading a witness off that object."""
+    """One claim: the flag its witnesses refute, which VERDICTS reads
+    (None for the curvature fit), whether witness indices are basis
+    positions, the measure rebuilding its object from raw pieces, and
+    the residual function reading a witness off that object."""
 
     name: str
     flag: str | None
@@ -466,54 +467,85 @@ def _witness(claim, obj, indices, detail=()):
                    CLAIMS[claim].residual(obj, indices, detail), detail)
 
 
-def _vanishes(witnesses, claim, t, lead):
-    """True for a zero tensor t; otherwise record a witness at the first
-    lead indices of its first nonzero entry."""
-    if t.is_zero():
-        return True
-    idx, _ = t.entries[0]
-    witnesses.append(_witness(claim, t, idx[:lead]))
-    return False
+def _nonzero(claim, t, lead):
+    """None for a zero tensor t, else a witness at the first lead indices
+    of its first nonzero entry."""
+    return None if t.is_zero() else _witness(claim, t, t.entries[0][0][:lead])
 
 
-def _first_nonpositive(minors):
-    return next((k for k, m in enumerate(minors) if m <= 0), None)
+def _positive(claim, matrix, minors, kernel=False):
+    """None when every leading minor of matrix is positive, else a witness
+    at the first that is not; with kernel, a zero minor's witness carries
+    a kernel vector of its leading block, padded with zeros."""
+    k = next((k for k, m in enumerate(minors, 1) if m <= 0), None)
+    if k is None:
+        return None
+    detail = ()
+    if kernel and minors[k - 1] == 0:
+        block = Tensor.from_entries((k, k), {
+            idx: v for idx, v in matrix.entries if max(idx) < k})
+        detail = null_vector(block) + (Fraction(0),) * (matrix.shape[0] - k)
+    return _witness(claim, matrix, (k,), detail)
 
 
 # -- the combined report ---------------------------------------------------
+#
+# Each flag, in report order: the pieces it needs, and the flags of the
+# claims whose witnesses refute it.  A computed flag is False exactly
+# when classify recorded such a witness.  l.c.K. asks for a closed Lee
+# form, so lee_closed witnesses refute lck as well.
 
-def _verdict(*needs):
-    """A report flag computed only when the named pieces are supplied."""
-    return field(default=None, metadata={"needs": needs})
+VERDICTS = {
+    "jacobi": ((), ("jacobi",)),
+    "torsion_free": (("connection",), ("torsion_free",)),
+    "flat": (("connection",), ("flat",)),
+    "codazzi": (("connection", "metric"), ("codazzi",)),
+    "metric_positive": (("metric",), ("metric_positive",)),
+    "statistical": (("connection", "metric"),
+                    ("torsion_free", "codazzi", "metric_positive")),
+    "hessian": (("connection", "metric"),
+                ("torsion_free", "codazzi", "metric_positive", "flat")),
+    "integrable": (("complex_structure",), ("integrable",)),
+    "omega_closed": (("omega",), ("omega_closed",)),
+    "pairing_positive": (("complex_structure", "omega"),
+                         ("pairing_positive",)),
+    "kahler": (("complex_structure", "omega"),
+               ("integrable", "omega_closed", "pairing_positive")),
+    "lck": (("complex_structure", "omega"),
+            ("integrable", "pairing_positive", "lck", "lee_closed")),
+    "lee_closed": (("omega",), ("lee_closed",)),
+}
+
+FLAGS = tuple(VERDICTS)
 
 
 @dataclass(frozen=True)
 class StructureReport:
     """Every verdict computable from the pieces handed to classify.
 
-    Flags are None when the needed pieces were absent, otherwise exact
-    booleans; each False flag is backed by at least one entry of
-    witnesses.  lee_form prefers a closed solution of the Lee equation
-    when one exists, falling back to the canonical solution; with no
-    solution at all, lee_closed stays None even though omega was given,
-    and flag("lee_closed") raises NoLeeForm.
+    Flags are None when the pieces VERDICTS names for them were absent,
+    otherwise exact booleans, False exactly when an entry of witnesses
+    refutes them.  lee_form prefers a closed solution of the Lee
+    equation when one exists, falling back to the canonical solution;
+    with no solution at all, lee_closed stays None even though omega was
+    given, and flag("lee_closed") raises NoLeeForm.
     """
 
-    is_jacobi: bool | None = _verdict()
-    is_torsion_free: bool | None = _verdict("connection")
-    is_flat: bool | None = _verdict("connection")
-    is_codazzi: bool | None = _verdict("connection", "metric")
-    is_metric_positive: bool | None = _verdict("metric")
-    is_statistical: bool | None = _verdict("connection", "metric")
-    is_hessian: bool | None = _verdict("connection", "metric")
-    is_integrable: bool | None = _verdict("complex_structure")
-    is_omega_closed: bool | None = _verdict("omega")
-    is_pairing_positive: bool | None = _verdict("complex_structure", "omega")
-    is_kahler: bool | None = _verdict("complex_structure", "omega")
-    is_lck: bool | None = _verdict("complex_structure", "omega")
+    is_jacobi: bool | None = None
+    is_torsion_free: bool | None = None
+    is_flat: bool | None = None
+    is_codazzi: bool | None = None
+    is_metric_positive: bool | None = None
+    is_statistical: bool | None = None
+    is_hessian: bool | None = None
+    is_integrable: bool | None = None
+    is_omega_closed: bool | None = None
+    is_pairing_positive: bool | None = None
+    is_kahler: bool | None = None
+    is_lck: bool | None = None
     constant_curvature: CurvatureFit | None = None
     lee_form: KForm | None = None
-    is_lee_closed: bool | None = _verdict("omega")
+    is_lee_closed: bool | None = None
     witnesses: tuple = ()
 
     def flag(self, name):
@@ -522,7 +554,7 @@ class StructureReport:
             if name == "lee_closed" and self.is_omega_closed is not None:
                 raise NoLeeForm("verdict lee_closed is undefined: the Lee "
                                 "equation has no solution theta")
-            needs = self.__dataclass_fields__["is_" + name].metadata["needs"]
+            needs = VERDICTS[name][0]
             raise MissingPieces(
                 f"verdict {name} was not computed; it needs "
                 f"{' and '.join(needs)}", pieces=needs)
@@ -534,122 +566,86 @@ class StructureReport:
         return [(name, value) for name, value in flags if value is not None]
 
 
-FLAGS = tuple(f.name[len("is_"):] for f in fields(StructureReport)
-              if "needs" in f.metadata)
-
-
 def classify(L, connection=None, metric=None, complex_structure=None,
              omega=None):
-    """Run every applicable check and assemble a StructureReport."""
-    witnesses = []
-    report = {}
-
-    witness = jacobi_check(L)
-    report["is_jacobi"] = witness is None
-    if witness is not None:
-        witnesses.append(witness)
+    """Run every applicable check, recording a witness for each failure,
+    and read every flag the supplied pieces allow off those witnesses."""
+    witnesses = [jacobi_check(L)]
+    fit = lee_form = None
 
     if connection is not None:
         _same_base(L, connection.base)
-        report["is_torsion_free"] = _vanishes(
-            witnesses, "torsion", torsion(connection), 2)
+        witnesses.append(_nonzero("torsion", torsion(connection), 2))
         r = curvature(connection)
-        report["is_flat"] = _vanishes(witnesses, "curvature", r, 3)
+        witnesses.append(_nonzero("curvature", r, 3))
 
     if metric is not None:
         _same_base(L, metric.base)
-        g = metric.g
-        minors = leading_minors(g)
-        bad = _first_nonpositive(minors)
-        report["is_metric_positive"] = bad is None
-        if bad is not None:
-            detail = ()
-            if minors[bad] == 0:
-                k = bad + 1
-                block = Tensor.from_entries((k, k), {
-                    idx: v for idx, v in g.entries if max(idx) < k})
-                detail = null_vector(block) + (Fraction(0),) * (L.dim - k)
-            witnesses.append(_witness(
-                "positive_definite", g, (bad + 1,), detail))
+        minors = leading_minors(metric.g)
+        witnesses.append(_positive("positive_definite", metric.g, minors,
+                                   kernel=True))
 
     if connection is not None and metric is not None:
-        witness = codazzi_check(connection, metric)
-        report["is_codazzi"] = witness is None
-        if witness is not None:
-            witnesses.append(witness)
+        witnesses.append(codazzi_check(connection, metric))
         # the leading minors end in det g unless they stop short of it
         # at a zero one; only then is g eliminated a second time
         full = minors and len(minors) == L.dim
-        if (minors[-1] if full else det(g)) == 0:
+        if (minors[-1] if full else det(metric.g)) == 0:
             fit = CurvatureFit("degenerate")
         else:
             fit = _curvature_fit(r, comparison_tensor(metric))
-        report["constant_curvature"] = fit
-        if fit.witness is not None:
-            witnesses.append(fit.witness)
-        report["is_statistical"] = (report["is_torsion_free"]
-                                    and report["is_codazzi"]
-                                    and report["is_metric_positive"])
-        report["is_hessian"] = report["is_statistical"] and report["is_flat"]
+        witnesses.append(fit.witness)
 
     if complex_structure is not None:
         _same_base(L, complex_structure.base)
-        report["is_integrable"] = _vanishes(
-            witnesses, "nijenhuis", nijenhuis(L, complex_structure), 2)
+        witnesses.append(_nonzero(
+            "nijenhuis", nijenhuis(L, complex_structure), 2))
 
-    lee_form = None
     if omega is not None:
         if omega.degree != 2:
             raise UnsupportedDegree("classification expects a 2-form")
         if omega.dim != L.dim:
             raise DimensionMismatch("form and algebra dimensions differ")
-        report["is_omega_closed"] = _vanishes(
-            witnesses, "d_omega", ce_d(L, omega).coefficients, 3)
+        witnesses.append(_nonzero("d_omega", ce_d(L, omega).coefficients, 3))
 
         system = lee_form_system(L, omega)
-        theta, certificate = _lee_solve(L, system)
-        theta_closed = None
-        if theta is None:
+        lee_form, certificate = _lee_solve(L, system)
+        if lee_form is None:
             witnesses.append(_witness(
                 "lee_system", system, (), certificate.combination))
         else:
-            d_theta = ce_d(L, theta).coefficients
-            if d_theta.is_zero():
-                theta_closed = theta
-            else:
+            d_theta = ce_d(L, lee_form).coefficients
+            if not d_theta.is_zero():
                 joint = _closed_system(L, system)
-                theta_closed, joint_cert = _lee_solve(L, joint)
-                if theta_closed is None:
-                    _vanishes(witnesses, "d_lee", d_theta, 2)
-                    witnesses.append(_witness(
+                closed, joint_cert = _lee_solve(L, joint)
+                if closed is None:
+                    witnesses += [_nonzero("d_lee", d_theta, 2), _witness(
                         "lee_closed_system", joint, (),
-                        joint_cert.combination))
-        lee_form = theta_closed if theta_closed is not None else theta
-        report["lee_form"] = lee_form
-        if lee_form is not None:
-            report["is_lee_closed"] = theta_closed is not None
+                        joint_cert.combination)]
+                else:
+                    lee_form = closed
 
         if complex_structure is not None:
             pairing = pairing_rows(omega, complex_structure)
             asym = _first_asymmetry(pairing)
-            bad = None
-            if asym is not None:
-                witnesses.append(_witness("pairing_symmetry", pairing, asym))
-            else:
-                bad = _first_nonpositive(leading_minors(pairing))
-                if bad is not None:
-                    witnesses.append(_witness(
-                        "pairing_positive", pairing, (bad + 1,)))
-            positive = asym is None and bad is None
-            report["is_pairing_positive"] = positive
-            report["is_kahler"] = (report["is_integrable"]
-                                   and report["is_omega_closed"]
-                                   and positive)
-            report["is_lck"] = (report["is_integrable"]
-                                and theta_closed is not None
-                                and positive)
+            witnesses.append(
+                _positive("pairing_positive", pairing,
+                          leading_minors(pairing)) if asym is None
+                else _witness("pairing_symmetry", pairing, asym))
 
-    return StructureReport(witnesses=tuple(witnesses), **report)
+    witnesses = tuple(w for w in witnesses if w is not None)
+    refuted = {CLAIMS[w.claim].flag for w in witnesses}
+    supplied = {name for name, piece in (
+        ("connection", connection), ("metric", metric),
+        ("complex_structure", complex_structure), ("omega", omega))
+        if piece is not None}
+    flags = {"is_" + name: refuted.isdisjoint(refuting)
+             for name, (needs, refuting) in VERDICTS.items()
+             if supplied.issuperset(needs)}
+    if lee_form is None:     # no Lee form, so lee_closed is undefined
+        flags.pop("is_lee_closed", None)
+    return StructureReport(constant_curvature=fit, lee_form=lee_form,
+                           witnesses=witnesses, **flags)
 
 
 def _same_base(L, other):

@@ -432,6 +432,21 @@ def test_lambda_rejects_malformed_curvature():
     assert code == 2
 
 
+def test_lambda_refuses_a_surd_too_long_to_print():
+    # for c = a/b the surd is sqrt(b (b - a)): 3999 digits still print,
+    # 6001 are past the interpreter's 4300
+    b = 3 * 10 ** 1999
+    code, out, err = run(["lambda", "--c", f"1/{b}"])
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [f"lambda = {b} {sign} sqrt({b * (b - 1)})"
+                                for sign in "+-"]
+    for fmt in ("text", "json"):
+        code, out, err = run(["lambda", "--c", f"1/{b * 10 ** 1001}",
+                              "--format", fmt])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: a computed value has 6001 digits")
+
+
 # -- harness behaviour -----------------------------------------------------
 
 def test_usage_errors_exit_two():

@@ -1,8 +1,10 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and
+every private module-level function or class is used somewhere.
 
 No linter ships with the test extra, so this walks each module's syntax
 tree with the standard library: an imported name that no expression
-reads is dead weight, often left behind when a caller is deleted.
+reads, or an underscore-named definition that no module reads, is dead
+weight, often left behind when a caller is deleted.
 """
 
 import ast
@@ -10,9 +12,8 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted(p for p in (Path(__file__).resolve().parent.parent / "src"
-                             / "liegeom").glob("*.py")
-                 if p.name != "__init__.py")
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "liegeom"
+SOURCES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
 def unused_imports(tree):
@@ -38,3 +39,34 @@ def test_module_uses_every_name_it_imports(path):
 def test_an_unused_import_is_reported():
     tree = ast.parse("import json\nfrom os import path, sep\nprint(sep)\n")
     assert unused_imports(tree) == [(1, "json"), (2, "path")]
+
+
+def unread_private_definitions(trees):
+    """(module, line, name) of each underscore-named module-level
+    function or class that no module reads, by name or as an attribute."""
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                read.add(node.attr)
+    return sorted((module, node.lineno, node.name)
+                  for module, tree in trees.items() for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and node.name.startswith("_") and node.name not in read)
+
+
+def test_package_reads_every_private_definition():
+    trees = {p.stem: ast.parse(p.read_text())
+             for p in sorted(PACKAGE.glob("*.py"))}
+    assert unread_private_definitions(trees) == []
+
+
+def test_an_unread_private_definition_is_reported():
+    trees = {"a": ast.parse("def _used(): pass\ndef _dead(): pass\n"
+                            "class _Gone: pass\ndef public(): pass\n"),
+             "b": ast.parse("import a\na._used()\n")}
+    assert unread_private_definitions(trees) == [("a", 2, "_dead"),
+                                                 ("a", 3, "_Gone")]

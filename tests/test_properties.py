@@ -2,11 +2,13 @@
 
 from fractions import Fraction
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from liegeom import (ComplexStructure, Connection, KForm, LieAlgebra, Metric,
-                     bracket, ce_d, constant_curvature, curvature, get_example,
-                     make_rational, solve_lambda, wedge)
+                     bracket, ce_d, classify, constant_curvature, curvature,
+                     get_example, make_rational, solve_lambda, wedge)
+from test_differential import (algebras, complex_structures, connections,
+                               forms, metrics)
 
 Q = Fraction
 
@@ -166,3 +168,108 @@ def test_double_j_squares_to_minus_identity(x):
                      for i in range(4))
 
     assert apply(apply(x)) == tuple(-v for v in x)
+
+
+# -- the flag rules --------------------------------------------------------
+
+# the flags a witness of each claim refutes, stated here from the
+# definitions rather than read from the library: statistical is
+# torsion free, Codazzi and positive; Hessian is flat statistical;
+# Kahler is integrable with omega closed and positive; l.c.K. is
+# integrable and positive with a closed Lee form
+REFUTES = {
+    "jacobi": {"jacobi"},
+    "torsion": {"torsion_free", "statistical", "hessian"},
+    "curvature": {"flat", "hessian"},
+    "codazzi": {"codazzi", "statistical", "hessian"},
+    "positive_definite": {"metric_positive", "statistical", "hessian"},
+    "constant_curvature": set(),
+    "nijenhuis": {"integrable", "kahler", "lck"},
+    "d_omega": {"omega_closed", "kahler"},
+    "pairing_symmetry": {"pairing_positive", "kahler", "lck"},
+    "pairing_positive": {"pairing_positive", "kahler", "lck"},
+    "lee_system": {"lck"},
+    "d_lee": {"lee_closed", "lck"},
+    "lee_closed_system": {"lee_closed", "lck"},
+}
+
+
+def compatible_form(J, scales):
+    """omega = -G J for G = H + J^T H J, H diagonal with the given
+    scales: G is J-invariant, so omega is a 2-form and omega(X, JY) is
+    the symmetric G, positive definite when the scales are positive."""
+    n = J.base.dim
+    j = [[J.j[a, b] for b in range(n)] for a in range(n)]
+    G = [[sum((j[a][i] * scales[a] * j[a][k] for a in range(n)),
+              (i == k) * scales[i]) for k in range(n)] for i in range(n)]
+    return KForm.from_components(n, 2, {
+        (i, k): -sum(G[i][a] * j[a][k] for a in range(n))
+        for i in range(n) for k in range(i + 1, n)})
+
+
+@st.composite
+def classify_inputs(draw):
+    """Pieces on an algebra of dim 2-4, each one optional.  Abelian
+    algebras and the torsion-free connection nabla_X Y = [X, Y] / 2 let
+    the connection flags hold; omega compatible with J lets the pairing
+    be symmetric, and positive for positive scales."""
+    L = draw(algebras() | st.builds(
+        lambda n: LieAlgebra.abelian(tuple(f"e{i}" for i in range(n))),
+        st.integers(2, 4)))
+    half = Connection(L, L.c.scale(Q(1, 2)))
+    J = draw(st.none() | complex_structures(L))
+    omega = draw(st.none() | forms(L.dim, 2))
+    if J is not None and draw(st.booleans()):
+        omega = compatible_form(J, draw(st.lists(
+            st.sampled_from([Q(1), Q(2), Q(1, 3), Q(-1)]), min_size=L.dim,
+            max_size=L.dim)))
+    return L, dict(connection=draw(st.none() | st.just(half)
+                                   | connections(L)),
+                   metric=draw(st.none() | metrics(L)),
+                   complex_structure=J, omega=omega)
+
+
+def hermitian(brackets, omega):
+    """Pieces on a 4-dimensional algebra: the standard J and omega."""
+    L = LieAlgebra.from_brackets(("e0", "e1", "e2", "e3"), brackets)
+    J = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
+    return L, dict(connection=None, metric=None,
+                   complex_structure=ComplexStructure.from_rows(L, J),
+                   omega=KForm.from_components(4, 2, omega))
+
+
+CLAN = get_example("clan-triangular")
+
+
+@settings(max_examples=120)
+@given(classify_inputs())
+# statistical but not flat
+@example((CLAN.algebra, dict(connection=CLAN.connection, metric=CLAN.metric,
+                             complex_structure=None, omega=None)))
+# a degenerate omega whose Lee equation has no solution
+@example(hermitian({(2, 3): {0: 1}}, {(0, 1): Q(1)}))
+# Hermitian, with a Lee form that is not closed
+@example(hermitian({(0, 2): {0: -1}, (1, 2): {1: -1}, (2, 3): {1: 1}},
+                   {(0, 1): Q(1), (2, 3): Q(1)}))
+def test_a_flag_is_false_exactly_when_a_witness_refutes_it(p):
+    L, pieces = p
+    report = classify(L, **pieces)
+    refuted = set().union(*(REFUTES[w.claim] for w in report.witnesses))
+    for name, value in report.computed_flags():
+        assert value == (name not in refuted), name
+    if report.is_statistical is not None:
+        assert report.is_statistical == (report.is_torsion_free
+                                          and report.is_codazzi
+                                          and report.is_metric_positive)
+        assert report.is_hessian == (report.is_statistical
+                                     and report.is_flat)
+    theta = report.lee_form
+    closed = theta is not None and ce_d(L, theta).is_zero()
+    if pieces["omega"] is not None:
+        assert report.is_lee_closed == (None if theta is None else closed)
+    if report.is_kahler is not None:
+        assert report.is_kahler == (report.is_integrable
+                                    and report.is_omega_closed
+                                    and report.is_pairing_positive)
+        assert report.is_lck == (report.is_integrable
+                                 and report.is_pairing_positive and closed)
