@@ -23,12 +23,15 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import LieAlgebra, Witness, jacobi_check, jacobi_residual
-from .errors import (DimensionMismatch, MissingPieces, NoLeeForm,
+from .algebra import (LieAlgebra, Witness, bracket, jacobi_check,
+                      jacobi_residual)
+from .errors import (DimensionMismatch, InputError, MissingPieces, NoLeeForm,
                      NotAlmostComplex, ShapeMismatch, UnsupportedDegree)
 from .forms import KForm, ce_d
 from .tensors import (Infeasible, Tensor, contract, det, leading_minors,
                       null_vector, solve_linear)
+
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -331,11 +334,18 @@ def lee_form_solve(L, omega):
 
 # -- the claims ------------------------------------------------------------
 #
-# A witness names a claim, an index tuple and a detail.  Its residual is
-# read off one object (a tensor, a matrix, a linear system) by
-# the claim's residual function.  classify applies that function to the
-# object it has just computed; witness_residual rebuilds the object from
-# the raw pieces with the claim's measure and applies the same function.
+# A witness names a claim, an index tuple and a detail.  classify reads
+# its residual off the object (a tensor, a matrix, a linear system) it
+# has just computed, with the claim's residual function.  witness_residual
+# runs the claim's recheck instead: it sums the one entry, or the one
+# last-axis slice, that the witness names straight from the raw pieces'
+# entries (gamma, c, g, J, the halves of the forms), read through their
+# lookup dicts.  It builds none of R, N, nabla g or the pairing and calls
+# none of the routines that did for classify, so a fault in those cannot
+# vouch for itself, and an entry costs O(n) or a slice O(n^2) (Nijenhuis
+# walks c once per bracket) where the whole tensor costs up to O(n^5).
+# A Lee system certificate is checked against every row, so the two Lee
+# claims rebuild their system.
 
 def _swap_residual(t, idx, detail):
     """t at idx minus t with the first two indices of idx swapped."""
@@ -369,19 +379,35 @@ def _basis_indices(idx, arity, dim):
     return idx
 
 
+def _leading_block(matrix, k):
+    """The leading k x k block of a matrix."""
+    return Tensor((k, k), tuple(
+        (idx, v) for idx, v in matrix.entries if max(idx) < k))
+
+
+def _leading(idx, n):
+    """k for a witness index (k,) naming a leading minor of an n x n
+    matrix, else ShapeMismatch."""
+    if len(idx) != 1 or not 1 <= idx[0] <= n:
+        raise ShapeMismatch(f"no leading minor {idx} of a {n}x{n} matrix")
+    return idx[0]
+
+
 def _minor(matrix, idx, detail):
-    """Leading minor idx[0] of matrix; a nonempty detail must be a kernel
-    vector of the leading block of that size, padded with zeros."""
-    minors = leading_minors(matrix)
-    k = idx[0] if len(idx) == 1 else 0
-    if not 1 <= k <= len(minors):
+    """Leading minor idx[0] of the square matrix, from the leading block
+    of that size alone and up to the first zero minor; a nonempty detail
+    must be a kernel vector of that block, padded with zeros."""
+    n = matrix.shape[0]
+    k = _leading(idx, n)
+    block = _leading_block(matrix, k)
+    minors = leading_minors(block)
+    if len(minors) < k:
         raise ShapeMismatch(f"no leading minor {idx} up to the first zero one")
-    if detail and (len(detail) != matrix.shape[1] or any(detail[k:])
-                   or not any(detail)
-                   or any(i < k for i, in _image(matrix, detail, 1))):
+    if detail and (len(detail) != n or any(detail[k:]) or not any(detail)
+                   or any(_apply(block, detail))):
         raise ShapeMismatch(
             f"detail is no zero-padded kernel vector of the {k}x{k} block")
-    return minors[k - 1]
+    return minors[-1]
 
 
 def _image(matrix, x, axis):
@@ -408,56 +434,207 @@ def _certificate(system, idx, detail):
     return sum((y * b for y, b in zip(detail, rhs)), Fraction(0))
 
 
+# -- pointwise rechecks from the raw pieces ---------------------------------
+
+def _dot(xs, ys):
+    """The exact sum of x * y over paired entries; an absent entry (None)
+    or a zero one adds nothing."""
+    return sum((x * y for x, y in zip(xs, ys) if x and y), _ZERO)
+
+
+def _riemann(D, i, j, k, l):
+    """R[i, j, k, l] = sum over m of gamma[j, k, m] gamma[i, m, l]
+    - gamma[i, k, m] gamma[j, m, l] - c[i, j, m] gamma[m, k, l]."""
+    gamma, c, ms = D.gamma._lookup, D.base.c._lookup, range(D.base.dim)
+    return (_dot((gamma.get((j, k, m)) for m in ms),
+                 (gamma.get((i, m, l)) for m in ms))
+            - _dot((gamma.get((i, k, m)) for m in ms),
+                   (gamma.get((j, m, l)) for m in ms))
+            - _dot((c.get((i, j, m)) for m in ms),
+                   (gamma.get((m, k, l)) for m in ms)))
+
+
+def _nabla_g_at(D, metric, i, j, k):
+    """(nabla_{e_i} g)(e_j, e_k) = -(sum over m of gamma[i, j, m] g[m, k]
+    + gamma[i, k, m] g[j, m])."""
+    gamma, g, ms = D.gamma._lookup, metric.g._lookup, range(D.base.dim)
+    return -(_dot((gamma.get((i, j, m)) for m in ms),
+                  (g.get((m, k)) for m in ms))
+             + _dot((gamma.get((i, k, m)) for m in ms),
+                    (g.get((j, m)) for m in ms)))
+
+
+def _omega_at(omega, a, b):
+    """omega(e_a, e_b), read off the increasing half of a 2-form."""
+    half = omega.half._lookup
+    if a == b:
+        return _ZERO
+    return half.get((a, b), _ZERO) if a < b else -half.get((b, a), _ZERO)
+
+
+def _pairing_at(omega, J, a, b):
+    """P[a, b] = omega(e_a, J e_b), the sum over m of omega[a, m] J[m, b]."""
+    j, ms = J.j._lookup, range(J.base.dim)
+    return _dot((_omega_at(omega, a, m) for m in ms),
+                (j.get((m, b)) for m in ms))
+
+
+def _apply(matrix, v):
+    """matrix times the coordinate vector v, as a list."""
+    out = [_ZERO] * matrix.shape[0]
+    for (a, m), value in matrix.entries:
+        if v[m]:
+            out[a] += value * v[m]
+    return out
+
+
+def _form_on(form, degree, dim):
+    """form, refused unless it has the degree and dimension a claim reads."""
+    if form.degree != degree:
+        raise UnsupportedDegree(f"the claim reads a {degree}-form, "
+                                f"not one of degree {form.degree}")
+    if form.dim != dim:
+        raise DimensionMismatch("form and algebra dimensions differ")
+    return form
+
+
+def _torsion_at(p, idx, detail):
+    """T(e_i, e_j): gamma[i, j, k] - gamma[j, i, k] - c[i, j, k] at each k."""
+    D = p.connection
+    n = D.base.dim
+    i, j = _basis_indices(idx, 2, n)
+    gamma, c = D.gamma._lookup, D.base.c._lookup
+    return tuple(gamma.get((i, j, k), _ZERO) - gamma.get((j, i, k), _ZERO)
+                 - c.get((i, j, k), _ZERO) for k in range(n))
+
+
+def _curvature_at(p, idx, detail):
+    """R(e_i, e_j) e_k: R[i, j, k, l] at each l."""
+    D = p.connection
+    i, j, k = _basis_indices(idx, 3, D.base.dim)
+    return tuple(_riemann(D, i, j, k, l) for l in range(D.base.dim))
+
+
+def _fit_at(p, idx, detail):
+    """R[i, j, k, l] - c (g[j, k] [l = i] - g[i, k] [l = j])."""
+    D, metric = p.connection, p.metric
+    _same_base(D.base, metric.base)
+    i, j, k, l = _basis_indices(idx, 4, D.base.dim)
+    c, g = _fitted(detail), metric.g._lookup
+    comparison = ((g.get((j, k), _ZERO) if l == i else _ZERO)
+                  - (g.get((i, k), _ZERO) if l == j else _ZERO))
+    return _riemann(D, i, j, k, l) - c * comparison
+
+
+def _codazzi_at(p, idx, detail):
+    """(nabla_{e_i} g)(e_j, e_k) - (nabla_{e_j} g)(e_i, e_k)."""
+    D, metric = p.connection, p.metric
+    _same_base(D.base, metric.base)
+    i, j, k = _basis_indices(idx, 3, D.base.dim)
+    return _nabla_g_at(D, metric, i, j, k) - _nabla_g_at(D, metric, j, i, k)
+
+
+def _nijenhuis_at(p, idx, detail):
+    """N(e_i, e_j) = [e_i, e_j] + J([J e_i, e_j] + [e_i, J e_j])
+    - [J e_i, J e_j], where J e_i is column i of J."""
+    L, J = p.algebra, p.complex_structure
+    _same_base(L, J.base)
+    x, y = (L.basis_vector(i) for i in _basis_indices(idx, 2, L.dim))
+    jx, jy = _apply(J.j, x), _apply(J.j, y)
+    inner = [a + b for a, b in zip(bracket(L, jx, y), bracket(L, x, jy))]
+    return tuple(a + b - d for a, b, d in zip(
+        bracket(L, x, y), _apply(J.j, inner), bracket(L, jx, jy)))
+
+
+def _d_omega_at(p, idx, detail):
+    """(d omega)(e_i, e_j, e_k) = -omega([e_i, e_j], e_k)
+    + omega([e_i, e_k], e_j) - omega([e_j, e_k], e_i)."""
+    L = p.algebra
+    omega = _form_on(p.omega, 2, L.dim)
+    i, j, k = _basis_indices(idx, 3, L.dim)
+    c, ms = L.c._lookup, range(L.dim)
+
+    def of_bracket(a, b, z):    # omega([e_a, e_b], e_z)
+        return _dot((c.get((a, b, m)) for m in ms),
+                    (_omega_at(omega, m, z) for m in ms))
+
+    return -of_bracket(i, j, k) + of_bracket(i, k, j) - of_bracket(j, k, i)
+
+
+def _d_lee_at(p, idx, detail):
+    """(d theta)(e_i, e_j) = -theta([e_i, e_j])."""
+    L = p.algebra
+    theta = _form_on(p.lee_form, 1, L.dim).half._lookup
+    i, j = _basis_indices(idx, 2, L.dim)
+    c, ms = L.c._lookup, range(L.dim)
+    return -_dot((c.get((i, j, m)) for m in ms),
+                 (theta.get((m,)) for m in ms))
+
+
+def _pairing_pieces(p):
+    """omega and J for a pairing claim, a 2-form of J's dimension."""
+    omega, J = p.omega, p.complex_structure
+    return _form_on(omega, 2, J.base.dim), J
+
+
+def _pairing_symmetry_at(p, idx, detail):
+    """P[i, j] - P[j, i]."""
+    omega, J = _pairing_pieces(p)
+    i, j = _basis_indices(idx, 2, J.base.dim)
+    return _pairing_at(omega, J, i, j) - _pairing_at(omega, J, j, i)
+
+
+def _pairing_minor_at(p, idx, detail):
+    """Leading minor k of P, with only P's k x k block filled in."""
+    omega, J = _pairing_pieces(p)
+    n = J.base.dim
+    k = _leading(idx, n)
+    return _minor(Tensor.from_entries((n, n), {
+        (a, b): _pairing_at(omega, J, a, b)
+        for a in range(k) for b in range(k)}), idx, detail)
+
+
 @dataclass(frozen=True)
 class Claim:
     """One claim: the flag its witnesses refute, which VERDICTS reads
     (None for the curvature fit), whether witness indices are basis
-    positions, the measure rebuilding its object from raw pieces, and
-    the residual function reading a witness off that object."""
+    positions, the recheck evaluating a witness from the raw pieces, and
+    the residual function classify reads a witness off its computed
+    object with (None for jacobi, whose check makes its own witness)."""
 
     name: str
     flag: str | None
     labelled: bool
-    measure: object
-    residual: object
+    recheck: object
+    residual: object = None
 
 
 CLAIMS = {claim.name: claim for claim in (
-    Claim("jacobi", "jacobi", True, lambda p: p.algebra,
-          lambda L, idx, detail: jacobi_residual(
-              L, *_basis_indices(idx, 3, L.dim))),
-    Claim("torsion", "torsion_free", True,
-          lambda p: torsion(p.connection), _slice),
-    Claim("curvature", "flat", True,
-          lambda p: curvature(p.connection), _slice),
-    Claim("codazzi", "codazzi", True,
-          lambda p: nabla_g(p.connection, p.metric),
-          _swap_residual),
+    Claim("jacobi", "jacobi", True,
+          lambda p, idx, detail: jacobi_residual(
+              p.algebra, *_basis_indices(idx, 3, p.algebra.dim))),
+    Claim("torsion", "torsion_free", True, _torsion_at, _slice),
+    Claim("curvature", "flat", True, _curvature_at, _slice),
+    Claim("codazzi", "codazzi", True, _codazzi_at, _swap_residual),
     Claim("positive_definite", "metric_positive", False,
-          lambda p: p.metric.g, _minor),
-    Claim("constant_curvature", None, True,
-          lambda p: (curvature(p.connection), comparison_tensor(p.metric)),
+          lambda p, idx, detail: _minor(p.metric.g, idx, detail), _minor),
+    Claim("constant_curvature", None, True, _fit_at,
           lambda rk, idx, detail: rk[0][idx] - _fitted(detail) * rk[1][idx]),
-    Claim("nijenhuis", "integrable", True,
-          lambda p: nijenhuis(p.algebra, p.complex_structure), _slice),
-    Claim("d_omega", "omega_closed", True,
-          lambda p: ce_d(p.algebra, p.omega).coefficients,
-          _entry),
+    Claim("nijenhuis", "integrable", True, _nijenhuis_at, _slice),
+    Claim("d_omega", "omega_closed", True, _d_omega_at, _entry),
     Claim("lee_system", "lck", False,
-          lambda p: lee_form_system(p.algebra, p.omega),
+          lambda p, idx, detail: _certificate(
+              lee_form_system(p.algebra, p.omega), idx, detail),
           _certificate),
-    Claim("d_lee", "lee_closed", True,
-          lambda p: ce_d(p.algebra, p.lee_form).coefficients,
-          _entry),
+    Claim("d_lee", "lee_closed", True, _d_lee_at, _entry),
     Claim("lee_closed_system", "lee_closed", False,
-          lambda p: _closed_system(
-              p.algebra, lee_form_system(p.algebra, p.omega)),
+          lambda p, idx, detail: _certificate(_closed_system(
+              p.algebra, lee_form_system(p.algebra, p.omega)), idx, detail),
           _certificate),
     Claim("pairing_symmetry", "pairing_positive", True,
-          lambda p: pairing_rows(p.omega, p.complex_structure),
-          _swap_residual),
+          _pairing_symmetry_at, _swap_residual),
     Claim("pairing_positive", "pairing_positive", False,
-          lambda p: pairing_rows(p.omega, p.complex_structure), _minor),
+          _pairing_minor_at, _minor),
 )}
 
 
@@ -482,9 +659,8 @@ def _positive(claim, matrix, minors, kernel=False):
         return None
     detail = ()
     if kernel and minors[k - 1] == 0:
-        block = Tensor.from_entries((k, k), {
-            idx: v for idx, v in matrix.entries if max(idx) < k})
-        detail = null_vector(block) + (Fraction(0),) * (matrix.shape[0] - k)
+        detail = (null_vector(_leading_block(matrix, k))
+                  + (_ZERO,) * (matrix.shape[0] - k))
     return _witness(claim, matrix, (k,), detail)
 
 
@@ -549,6 +725,9 @@ class StructureReport:
     witnesses: tuple = ()
 
     def flag(self, name):
+        if name not in VERDICTS:
+            raise InputError(f"no verdict named {name!r}; the flags are "
+                             f"{', '.join(FLAGS)}")
         value = getattr(self, "is_" + name)
         if value is None:
             if name == "lee_closed" and self.is_omega_closed is not None:
@@ -657,12 +836,16 @@ def _same_base(L, other):
 
 def witness_residual(witness, *, algebra=None, connection=None, metric=None,
                      complex_structure=None, omega=None, lee_form=None):
-    """Recompute the quantity a witness points at, from scratch.
+    """Recompute the quantity a witness points at, from the raw pieces.
 
-    The claim's object is rebuilt from the raw pieces and its residual
-    read off with the function classify used.  The result equals the
-    stored residual for a truthful report, and a nonzero value
-    demonstrates the failed claim.
+    The claim's recheck sums the one entry, or the one last-axis slice,
+    that the witness names directly over the entries of the pieces; it
+    builds no tensor of the claim and calls none of the routines classify
+    computed it with.  Only a Lee system certificate rebuilds its system,
+    as y . A = 0 reads every row.  Pieces bound to different algebras or
+    dimensions raise DimensionMismatch.  The result equals the stored
+    residual for a truthful report, and a nonzero value demonstrates the
+    failed claim.
     """
     claim = CLAIMS.get(witness.claim)
     if claim is None:
@@ -670,12 +853,12 @@ def witness_residual(witness, *, algebra=None, connection=None, metric=None,
     pieces = _Pieces(witness.claim, dict(
         algebra=algebra, connection=connection, metric=metric,
         complex_structure=complex_structure, omega=omega, lee_form=lee_form))
-    return claim.residual(claim.measure(pieces), tuple(witness.indices),
-                          tuple(witness.detail))
+    return claim.recheck(pieces, tuple(witness.indices),
+                         tuple(witness.detail))
 
 
 class _Pieces:
-    """The pieces a claim's measure reads, by attribute; reading one
+    """The pieces a claim's recheck reads, by attribute; reading one
     that was not supplied raises MissingPieces naming it."""
 
     def __init__(self, claim, pieces):

@@ -9,8 +9,8 @@ Structure constants, connections and forms are almost all zero, so
 reading an entry is a dictionary lookup, built on first use, and
 contract walks only these pairs.  contract is the one place a sum of
 two tensors over a shared axis is written: curvature, nabla g, Jacobi,
-the differential, Nijenhuis, J squared, the pairing and the witness
-rechecks call it.  It returns int numerators over one common
+the differential, Nijenhuis, J squared, the pairing and the Lee
+certificate checks call it.  It returns int numerators over one common
 denominator; each caller adds them up as it rearranges their indices
 and divides once per entry of its result.
 

@@ -6,6 +6,9 @@ indefinite), complex structures and 2-forms both must give equal
 tensors, equal witnesses and equal classify reports.  The Lee system,
 built from the nonzero components of omega and c, must equal the dense
 one row for row, and both must solve to the same theta or certificate.
+A witness recheck, summed from the raw pieces, must equal the entry or
+slice of the tensor the library builds at every index, and reproduce
+the residual of every witness classify records.
 """
 
 import itertools
@@ -13,16 +16,18 @@ from fractions import Fraction
 from math import lcm
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import reference
 from liegeom import (ComplexStructure, Connection, Infeasible, KForm,
-                     LieAlgebra, Metric, Tensor, ce_d, classify, curvature,
-                     geometry, jacobi_check, nabla_g, nijenhuis, solve_linear,
-                     torsion, wedge)
+                     LieAlgebra, Metric, ShapeMismatch, Tensor, Witness,
+                     ce_d, classify, curvature, geometry, jacobi_check,
+                     nabla_g, nijenhuis, solve_linear, torsion, wedge,
+                     witness_residual)
 from liegeom.geometry import (codazzi_check, comparison_tensor,
                               lee_form_system, pairing_rows)
-from liegeom.tensors import contract
+from liegeom.tensors import contract, leading_minors
 
 Q = Fraction
 
@@ -141,6 +146,64 @@ def test_sparse_routines_match_the_dense_reference(p):
             reference.pairing_rows(omega, J))
     kwargs = dict(connection=D, metric=g, complex_structure=J, omega=omega)
     assert classify(L, **kwargs) == reference_classify(L, **kwargs)
+
+
+def _slice(t, head):
+    return tuple(t[head + (m,)] for m in range(t.shape[-1]))
+
+
+def _minors_agree(recheck, matrix):
+    """recheck((k,)) is leading minor k of matrix up to the first zero
+    one, and refused past it."""
+    minors = leading_minors(matrix)
+    for k in range(1, matrix.shape[0] + 1):
+        if k <= len(minors):
+            assert recheck((k,)) == minors[k - 1]
+        else:
+            with pytest.raises(ShapeMismatch):
+                recheck((k,))
+
+
+@settings(max_examples=30)
+@given(pieces(), st.sampled_from([Q(0), Q(1), Q(-2, 3)]))
+def test_rechecks_equal_the_full_tensors_at_every_index(p, fitted):
+    # each claim's recheck, summed from the raw pieces, against the entry
+    # or slice of the tensor the library builds, zero entries included
+    L, D, g, J, omega, alpha = p
+    given = dict(algebra=L, connection=D, metric=g, complex_structure=J,
+                 omega=omega, lee_form=alpha)
+
+    def recheck(claim, detail=()):
+        return lambda idx: witness_residual(
+            Witness(claim, idx, None, detail), **given)
+
+    T, R, K, ng = torsion(D), curvature(D), comparison_tensor(g), nabla_g(D, g)
+    expected = {
+        "torsion": (2, lambda idx: _slice(T, idx)),
+        "curvature": (3, lambda idx: _slice(R, idx)),
+        "codazzi": (3, lambda idx: ng[idx] - ng[idx[1::-1] + idx[2:]]),
+        "constant_curvature": (4, lambda idx: R[idx] - fitted * K[idx]),
+        "d_omega": (3, ce_d(L, omega).coefficients.__getitem__),
+        "d_lee": (2, ce_d(L, alpha).coefficients.__getitem__),
+    }
+    if J is not None:
+        N, P = nijenhuis(L, J), pairing_rows(omega, J)
+        expected["nijenhuis"] = (2, lambda idx: _slice(N, idx))
+        expected["pairing_symmetry"] = (2, lambda idx: P[idx] - P[idx[::-1]])
+    for claim, (arity, value) in expected.items():
+        check = recheck(claim, (fitted,) if claim == "constant_curvature"
+                        else ())
+        for idx in itertools.product(range(L.dim), repeat=arity):
+            assert check(idx) == value(idx), (claim, idx)
+    _minors_agree(recheck("positive_definite"), g.g)
+    if J is not None:
+        _minors_agree(recheck("pairing_positive"), P)
+
+    report = classify(L, connection=D, metric=g, complex_structure=J,
+                      omega=omega)
+    for witness in report.witnesses:
+        assert witness_residual(witness, **{
+            **given, "lee_form": report.lee_form}) == witness.residual
 
 
 # every entry nonzero, as in a dense document; the denominators of c

@@ -10,7 +10,7 @@ from liegeom import (ComplexStructure, Connection, CurvatureFit,
                      constant_curvature, curvature, double, get_example,
                      lck_family, nabla_g, nijenhuis, torsion,
                      witness_residual)
-from liegeom import geometry
+from liegeom import algebra, forms, geometry, tensors
 from liegeom.geometry import lee_form_solve, pairing_rows
 from liegeom.tensors import det
 
@@ -271,6 +271,14 @@ def test_classify_flags_none_without_inputs():
     assert caught.value.pieces == ("complex_structure", "omega")
     assert isinstance(caught.value, InputError)
     assert report.flag("jacobi") is True
+
+
+def test_flag_refuses_a_name_outside_the_verdict_table():
+    report = classify(clan().algebra)
+    with pytest.raises(InputError, match="no verdict named 'bogus'") as caught:
+        report.flag("bogus")
+    assert "torsion_free" in str(caught.value)
+    assert "lee_closed" in str(caught.value)
 
 
 def test_classify_statistical_composites():
@@ -628,3 +636,109 @@ def test_malformed_witness_is_refused(claim, indices, detail):
                   "complex_structure": member.double.complex_structure}
     with pytest.raises(ShapeMismatch):
         witness_residual(Witness(claim, indices, Q(0), detail), **pieces)
+
+
+def _two_piece_witnesses():
+    """For each claim whose recheck reads two pieces: a witness, the
+    pieces it holds for, and the name and value of a stand-in for one of
+    them that is bound to another algebra or dimension."""
+    A3 = LieAlgebra.abelian(("a", "b", "c"))
+    D3 = Connection.from_table(A3, {(0, 1): {0: Q(1)}})
+    g3 = Metric.identity(A3)
+    g2 = Metric.identity(LieAlgebra.abelian(("a", "b")))
+    A4 = LieAlgebra.abelian(("a", "b", "c", "d"))
+    J4 = ComplexStructure.from_rows(
+        A4, [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
+    J2 = ComplexStructure.from_rows(LieAlgebra.abelian(("x", "y")),
+                                    [[0, -1], [1, 0]])
+    omega = KForm.from_components(4, 2, {(0, 1): Q(1), (2, 3): Q(1)})
+    theta = KForm.from_components(4, 1, {(0,): Q(1)})
+    lee = {"algebra": A4, "omega": omega}
+    return {
+        "codazzi": ((0, 1, 0), (), {"connection": D3, "metric": g3},
+                    "metric", g2),
+        "constant_curvature": ((0, 1, 0, 1), (Q(1),),
+                               {"connection": D3, "metric": g3},
+                               "metric", g2),
+        "nijenhuis": ((0, 1), (), {"algebra": A4, "complex_structure": J4},
+                      "complex_structure", J2),
+        "d_omega": ((0, 1, 2), (), {"algebra": A4, "omega": omega},
+                    "algebra", A3),
+        "d_lee": ((0, 1), (), {"algebra": A4, "lee_form": theta},
+                  "algebra", A3),
+        "lee_system": ((), (), lee, "algebra", A3),
+        "lee_closed_system": ((), (), lee, "algebra", A3),
+        "pairing_symmetry": ((0, 1), (),
+                             {"omega": omega, "complex_structure": J4},
+                             "complex_structure", J2),
+        "pairing_positive": ((1,), (),
+                             {"omega": omega, "complex_structure": J4},
+                             "complex_structure", J2),
+    }
+
+
+@pytest.mark.parametrize("claim", sorted(_two_piece_witnesses()))
+def test_witness_residual_refuses_pieces_of_different_algebras(claim):
+    # classify refuses these pairs; a recheck must not return a number
+    indices, detail, pieces, name, stranger = _two_piece_witnesses()[claim]
+    witness = Witness(claim, indices, Q(0), detail)
+    if claim not in ("lee_system", "lee_closed_system"):
+        witness_residual(witness, **pieces)     # the matched pair rechecks
+    with pytest.raises(DimensionMismatch):
+        witness_residual(witness, **{**pieces, name: stranger})
+    if claim in ("codazzi", "constant_curvature"):
+        # a metric of the right dimension on another bracket
+        other = LieAlgebra.from_brackets(("a", "b", "c"), {(0, 1): {2: 1}})
+        with pytest.raises(DimensionMismatch):
+            witness_residual(witness, **{**pieces,
+                                         "metric": Metric.identity(other)})
+
+
+@pytest.mark.parametrize("claim, indices, name", [
+    ("d_omega", (0, 1, 2), "omega"), ("d_lee", (0, 1), "lee_form"),
+    ("pairing_symmetry", (0, 1), "omega"), ("pairing_positive", (1,), "omega"),
+], ids=["d_omega", "d_lee", "pairing_symmetry", "pairing_positive"])
+def test_witness_residual_refuses_a_form_of_another_degree(claim, indices,
+                                                           name):
+    # omega is read as a 2-form and the Lee form as a 1-form; the pairing
+    # with a 1-form omega used to escape as IndexError
+    A4 = LieAlgebra.abelian(("a", "b", "c", "d"))
+    J4 = ComplexStructure.from_rows(
+        A4, [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
+    wrong = (KForm.from_components(4, 1, {(0,): Q(1)}) if name == "omega"
+             else KForm.from_components(4, 2, {(0, 1): Q(1)}))
+    with pytest.raises(UnsupportedDegree):
+        witness_residual(Witness(claim, indices, Q(0)), algebra=A4,
+                         complex_structure=J4, **{name: wrong})
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("a recheck called a routine classify computes with")
+
+
+def test_rechecks_do_not_call_the_kernels_behind_the_verdict(monkeypatch):
+    # one witness of every pointwise claim, found by classify first; the
+    # rechecks then run with contract and the tensor builders disabled
+    cases = _claim_cases()
+    L = LieAlgebra.abelian(("x", "y"))
+    singular = Metric.from_rows(L, [[1, 0], [0, 0]])
+    cases.append((classify(L, metric=singular), {"metric": singular}))
+    entry = clan()
+    g = Metric.identity(entry.algebra)
+    fit = constant_curvature(entry.connection, g)
+    witnesses = [(fit.witness, {"connection": entry.connection,
+                                "metric": g})]
+    witnesses += [(w, pieces) for report, pieces in cases
+                  for w in report.witnesses
+                  if w.claim not in ("lee_system", "lee_closed_system")]
+    assert {w.claim for w, _ in witnesses} == set(geometry.CLAIMS) - {
+        "lee_system", "lee_closed_system"}
+    assert any(w.claim == "positive_definite" and w.detail
+               for w, _ in witnesses)
+    for module in (tensors, algebra, forms, geometry):
+        monkeypatch.setattr(module, "contract", _raise)
+    for name in ("curvature", "nabla_g", "nijenhuis", "torsion",
+                 "pairing_rows", "comparison_tensor", "ce_d"):
+        monkeypatch.setattr(geometry, name, _raise)
+    for witness, pieces in witnesses:
+        assert witness_residual(witness, **pieces) == witness.residual
