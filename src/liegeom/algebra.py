@@ -1,8 +1,9 @@
 """Finite-dimensional Lie algebras given by structure constants.
 
-The bracket data lives in a rank-3 tensor c with [e_i, e_j] equal to
-sum_k c[i, j, k] e_k.  Antisymmetry in the first two axes is enforced at
-construction; the Jacobi identity deliberately is not, so a candidate
+[e_i, e_j] is sum_k c[i, j, k] e_k.  An algebra holds the half of c a
+document lists, its nonzero entries with i < j, so the bracket is
+antisymmetric by construction; the full tensor c is derived on first
+read.  The Jacobi identity deliberately is not enforced, so a candidate
 bracket can be built first and judged afterwards with jacobi_check.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import DimensionMismatch, ShapeMismatch
 from .tensors import Tensor, contract
@@ -17,9 +19,20 @@ from .tensors import Tensor, contract
 
 @dataclass(frozen=True)
 class LieAlgebra:
+    """Structure constants held as half: a rank-3 Tensor with entries
+    (i, j, k) at i < j only.  c, the full tensor, is derived from half
+    on first use, each entry mirrored to minus itself at (j, i, k).
+
+    >>> L = LieAlgebra.from_brackets(("u", "v"), {(0, 1): {1: 2}})
+    >>> L.half.entries
+    (((0, 1, 1), Fraction(2, 1)),)
+    >>> L.c[1, 0, 1]
+    Fraction(-2, 1)
+    """
+
     dim: int
     basis_labels: tuple
-    c: Tensor
+    half: Tensor
 
     def __post_init__(self):
         object.__setattr__(self, "basis_labels", tuple(self.basis_labels))
@@ -29,17 +42,21 @@ class LieAlgebra:
                 f"{len(self.basis_labels)} labels for dimension {n}")
         if len(set(self.basis_labels)) != n:
             raise DimensionMismatch("basis labels must be distinct")
-        if self.c.shape != (n, n, n):
+        if self.half.shape != (n, n, n):
             raise ShapeMismatch(f"structure constants need shape {(n, n, n)}")
-        # antisymmetry of the bracket is structural, not a verdict
-        self.c.require_pair(0, 1, -1)
+        for idx, _ in self.half.entries:
+            if idx[0] >= idx[1]:
+                raise ShapeMismatch(f"bracket index {idx} must have i < j")
+
+    @cached_property
+    def c(self):
+        """The full tensor: half, and minus each entry at (j, i, k)."""
+        return Tensor(self.half.shape, self.half.entries + tuple(
+            ((j, i, k), -value) for (i, j, k), value in self.half.entries))
 
     @classmethod
     def from_brackets(cls, labels, brackets):
-        """Build from {(i, j): {k: coefficient}} with i < j pairs.
-
-        The (j, i) values are filled in by antisymmetry.
-        """
+        """Build from {(i, j): {k: coefficient}} with i < j pairs."""
         labels = tuple(labels)
         n = len(labels)
         entries = {}
@@ -49,9 +66,7 @@ class LieAlgebra:
                     f"bracket pair ({i}, {j}) must satisfy 0 <= i < j < {n}")
             for k, value in component.items():
                 entries[(i, j, k)] = Fraction(value)
-                entries[(j, i, k)] = -Fraction(value)
-        c = Tensor.from_entries((n, n, n), entries)
-        return cls(n, labels, c)
+        return cls(n, labels, Tensor.from_entries((n, n, n), entries))
 
     @classmethod
     def abelian(cls, labels):
@@ -116,12 +131,11 @@ def cyclic_sum(L, t):
     + t([e_k, e_i], e_j, ...) as {(i, j, k, ...): value} over i < j < k.
 
     t([e_x, e_y], e_z, ...) is the contraction of c's last axis with t's
-    first.  As c is antisymmetric in x, y, its entries with x < y suffice:
-    a term with z between x and y is minus the cyclic term at (z, x, y),
+    first.  As c is antisymmetric in x, y, its half (x < y) suffices: a
+    term with z between x and y is minus the cyclic term at (z, x, y),
     and one with z equal to x or y belongs to no triple.
     """
-    d, sums = contract([(idx, v) for idx, v in L.c.entries if idx[0] < idx[1]],
-                       2, t.entries, 0)
+    d, sums = contract(L.half.entries, 2, t.entries, 0)
     out = {}
     for (x, y, z, *rest), v in sums.items():
         if z != x and z != y:

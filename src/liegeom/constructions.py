@@ -55,12 +55,10 @@ def double(L, connection):
     n = L.dim
     labels = tuple(x + "1" for x in L.basis_labels) + tuple(
         x + "2" for x in L.basis_labels)
-    entries = dict(L.c.entries)
-    for (i, j, k), value in connection.gamma.entries:
-        entries[(i, n + j, n + k)] = value
-        entries[(n + j, i, n + k)] = -value
-    c = Tensor.from_entries((2 * n,) * 3, entries)
-    algebra = LieAlgebra(2 * n, labels, c)
+    half = L.half.entries + tuple(
+        ((i, n + j, n + k), value)
+        for (i, j, k), value in connection.gamma.entries)
+    algebra = LieAlgebra(2 * n, labels, Tensor((2 * n,) * 3, half))
     j_entries = {}
     for i in range(n):
         j_entries[(n + i, i)] = Fraction(1)
@@ -213,8 +211,7 @@ def cone_extend(L, connection, metric, c=None):
     n = L.dim
     r = n
     labels = L.basis_labels + (_fresh_label(set(L.basis_labels)),)
-    algebra = LieAlgebra(
-        n + 1, labels, Tensor.from_entries((n + 1,) * 3, dict(L.c.entries)))
+    algebra = LieAlgebra(n + 1, labels, Tensor((n + 1,) * 3, L.half.entries))
 
     gamma = dict(connection.gamma.entries)
     for (i, j), value in metric.g.entries:
@@ -314,7 +311,7 @@ def extract_statistical(algebra, nabla, base_metric, rho_index):
             raise MissingRadiant(f"nabla_{rho_label} {rho_label} is not {rho_label}")
 
     labels = tuple(algebra.basis_labels[i] for i in base)
-    base_algebra = LieAlgebra(len(base), labels, _restrict(algebra.c, base))
+    base_algebra = LieAlgebra(len(base), labels, _restrict(algebra.half, base))
     if base_metric.base != base_algebra:
         raise DimensionMismatch(
             "base metric is not bound to the base spanned by the non-rho "

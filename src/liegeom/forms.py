@@ -137,9 +137,9 @@ def ce_d(L, form):
     if form.dim != L.dim:
         raise DimensionMismatch("form and algebra dimensions differ")
     if form.degree == 1:    # the half of a 1-form is the whole form
-        d, sums = contract(L.c.entries, 2, form.half.entries, 0)
+        d, sums = contract(L.half.entries, 2, form.half.entries, 0)
         return KForm.from_components(L.dim, 2, {
-            (i, j): Fraction(-v, d) for (i, j), v in sums.items() if i < j})
+            ij: Fraction(-v, d) for ij, v in sums.items()})
     if form.degree == 2:
         # (d w)(X, Y, Z) = -(w([X, Y], Z) + w([Y, Z], X) + w([Z, X], Y))
         cyclic = cyclic_sum(L, form.coefficients)

@@ -73,7 +73,12 @@ class Metric:
         n = self.base.dim
         if self.g.shape != (n, n):
             raise ShapeMismatch(f"metric needs shape {(n, n)}")
-        self.g.require_pair(0, 1, 1)
+        # not the cached _lookup, which every metric would keep alive
+        lookup = dict(self.g.entries)
+        for idx, value in self.g.entries:
+            if lookup.get(idx[::-1], 0) != value:
+                raise ShapeMismatch(
+                    f"entries not symmetric in axes (0, 1) at {idx}")
 
     @classmethod
     def from_rows(cls, base, rows):
@@ -307,7 +312,7 @@ def _closed_system(L, system):
         itertools.combinations(range(L.dim), 2), len(rhs))}
     entries = dict(matrix.entries)
     entries.update(((pairs[i, j], k), value)
-                   for (i, j, k), value in L.c.entries if i < j)
+                   for (i, j, k), value in L.half.entries)
     rhs = list(rhs) + [Fraction(0)] * len(pairs)
     return Tensor.from_entries((len(rhs), L.dim), entries), rhs, triples
 
@@ -372,8 +377,9 @@ def _entry(t, idx, detail):
 
 
 def _basis_indices(idx, arity, dim):
-    """idx as arity basis positions below dim, else ShapeMismatch."""
-    if len(idx) != arity or not all(0 <= i < dim for i in idx):
+    """idx as arity int basis positions below dim, else ShapeMismatch."""
+    if len(idx) != arity or not all(type(i) is int and 0 <= i < dim
+                                    for i in idx):
         raise ShapeMismatch(
             f"witness indices {idx} are not {arity} positions below {dim}")
     return idx
@@ -388,7 +394,7 @@ def _leading_block(matrix, k):
 def _leading(idx, n):
     """k for a witness index (k,) naming a leading minor of an n x n
     matrix, else ShapeMismatch."""
-    if len(idx) != 1 or not 1 <= idx[0] <= n:
+    if len(idx) != 1 or not (type(idx[0]) is int and 1 <= idx[0] <= n):
         raise ShapeMismatch(f"no leading minor {idx} of a {n}x{n} matrix")
     return idx[0]
 
@@ -785,7 +791,7 @@ def classify(L, connection=None, metric=None, complex_structure=None,
             raise UnsupportedDegree("classification expects a 2-form")
         if omega.dim != L.dim:
             raise DimensionMismatch("form and algebra dimensions differ")
-        witnesses.append(_nonzero("d_omega", ce_d(L, omega).coefficients, 3))
+        witnesses.append(_nonzero("d_omega", ce_d(L, omega).half, 3))
 
         system = lee_form_system(L, omega)
         lee_form, certificate = _lee_solve(L, system)
@@ -793,7 +799,7 @@ def classify(L, connection=None, metric=None, complex_structure=None,
             witnesses.append(_witness(
                 "lee_system", system, (), certificate.combination))
         else:
-            d_theta = ce_d(L, lee_form).coefficients
+            d_theta = ce_d(L, lee_form).half
             if not d_theta.is_zero():
                 joint = _closed_system(L, system)
                 closed, joint_cert = _lee_solve(L, joint)

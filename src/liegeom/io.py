@@ -55,10 +55,8 @@ class AlgebraDocument:
     # -- materialisation ---------------------------------------------------
 
     def to_algebra(self):
-        table = {}
-        for (i, j, k), value in self.brackets:
-            table.setdefault((i, j), {})[k] = value
-        return LieAlgebra.from_brackets(self.basis, table)
+        n = self.dim
+        return LieAlgebra(n, self.basis, Tensor((n, n, n), self.brackets))
 
     def to_connection(self, algebra):
         if self.connection is None:
@@ -313,7 +311,6 @@ def document_from(algebra, connection=None, metric=None,
     (name, rational) pairs.
     """
     # tensor entries are the sorted nonzero pairs a document lists
-    brackets = tuple(e for e in algebra.c.entries if e[0][0] < e[0][1])
     conn = None
     if connection is not None:
         conn = connection.gamma.entries
@@ -330,6 +327,6 @@ def document_from(algebra, connection=None, metric=None,
     params = tuple(sorted((key, Fraction(value)) for key, value in
                           dict(parameters).items()))
     return AlgebraDocument(
-        algebra.dim, algebra.basis_labels, brackets, connection=conn,
-        metric=met, complex_structure=cx, forms=tuple(blocks),
-        parameters=params)
+        algebra.dim, algebra.basis_labels, algebra.half.entries,
+        connection=conn, metric=met, complex_structure=cx,
+        forms=tuple(blocks), parameters=params)

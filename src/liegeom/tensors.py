@@ -84,24 +84,6 @@ class Tensor:
             raise ShapeMismatch(
                 f"index {idx} out of range for shape {self.shape}")
 
-    def require_pair(self, a, b, sign):
-        """Raise ShapeMismatch unless swapping axes a and b multiplies
-        every entry by sign: 1 for symmetric, -1 for antisymmetric."""
-        if not (0 <= a < self.rank and 0 <= b < self.rank) or a == b:
-            raise ShapeMismatch(f"bad axis pair ({a}, {b})")
-        if self.shape[a] != self.shape[b]:
-            raise ShapeMismatch(f"axes {a} and {b} differ in length")
-        # not the cached _lookup: the metrics and brackets checked here are
-        # mostly walked, not indexed, and a cached dict would hold memory
-        lookup = dict(self.entries)
-        for idx, value in self.entries:
-            swapped = list(idx)
-            swapped[a], swapped[b] = swapped[b], swapped[a]
-            if lookup.get(tuple(swapped), 0) != sign * value:
-                word = "symmetric" if sign == 1 else "antisymmetric"
-                raise ShapeMismatch(
-                    f"entries not {word} in axes ({a}, {b}) at {idx}")
-
     # -- construction ------------------------------------------------------
 
     @classmethod

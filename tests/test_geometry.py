@@ -620,12 +620,18 @@ def test_witness_residual_checks_the_lee_form_degree_and_dimension():
     ("pairing_symmetry", (0, 99), ()),
     ("pairing_symmetry", (0,), ()),
     ("no_such_claim", (), ()),
+    ("torsion", (0.5, 1), ()),
+    ("torsion", (True, 0), ()),
+    ("torsion", ("a", 1), ()),
+    ("positive_definite", (1.0,), ()),
 ], ids=["jacobi-two-indices", "fit-without-constant",
         "pairing-negative-index", "pairing-index-out-of-range",
-        "pairing-one-index", "unknown-claim"])
+        "pairing-one-index", "unknown-claim", "torsion-fractional-index",
+        "torsion-bool-index", "torsion-string-index", "minor-float-index"])
 def test_malformed_witness_is_refused(claim, indices, detail):
     # witnesses read from a file may be malformed; a negative index must
-    # not wrap around, and nothing may escape as TypeError or IndexError
+    # not wrap around, an index must be an int and no bool, and nothing
+    # may escape as TypeError or IndexError
     entry = su2()
     member = lck_family(entry.algebra, entry.connection, entry.metric,
                         c=None, t=1)

@@ -1,12 +1,14 @@
 """Property based checks for the algebraic laws the library relies on."""
 
+import itertools
 from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
 
 from liegeom import (ComplexStructure, Connection, KForm, LieAlgebra, Metric,
-                     bracket, ce_d, classify, constant_curvature, curvature,
-                     get_example, make_rational, solve_lambda, wedge)
+                     Tensor, bracket, ce_d, classify, constant_curvature,
+                     curvature, document_from, double, get_example,
+                     make_rational, parse, serialize, solve_lambda, wedge)
 from test_differential import (algebras, complex_structures, connections,
                                forms, metrics)
 
@@ -69,6 +71,28 @@ def test_bracket_is_antisymmetric(x, y):
     yx = bracket(L, y, x)
     assert xy == tuple(-v for v in yx)
     assert bracket(L, x, x) == (Q(0),) * 3
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_an_algebra_is_its_bracket_half(data):
+    # c mirrors the half; documents list the half and read back to the
+    # same algebra; the double equals the one built by mirroring each
+    # entry of c and of the connection's action
+    L = data.draw(algebras())
+    D = data.draw(connections(L))
+    n = L.dim
+    for i, j, k in itertools.product(range(n), repeat=3):
+        assert L.c[j, i, k] == -L.c[i, j, k]
+    doc = document_from(L)
+    assert doc.brackets == L.half.entries
+    assert parse(serialize(doc)).to_algebra() == L
+    mirrored = dict(L.c.entries)
+    for (i, j, k), value in D.gamma.entries:
+        mirrored[(i, n + j, n + k)] = value
+        mirrored[(n + j, i, n + k)] = -value
+    assert double(L, D).algebra.c == Tensor.from_entries((2 * n,) * 3,
+                                                         mirrored)
 
 
 @given(data=st.data())
@@ -159,7 +183,6 @@ def test_solve_lambda_roots_always_solve_the_quadratic(num, den):
 @given(x=vector(4))
 def test_double_j_squares_to_minus_identity(x):
     entry = get_example("flat-torsionful-fixture")
-    from liegeom import double
     dbl = double(entry.algebra, entry.connection)
     J = dbl.complex_structure
 

@@ -64,25 +64,28 @@ def test_first_fault_in_input_order_is_reported(indices, message):
 
 
 def test_symmetry_tag_validated():
-    with pytest.raises(ShapeMismatch):
-        matrix([[0, 1], [2, 0]]).require_pair(0, 1, 1)
-    with pytest.raises(ShapeMismatch):       # a one-sided entry
-        matrix([[0, 1], [0, 0]]).require_pair(0, 1, 1)
-    t = matrix([[0, 1], [1, 0]])
-    t.require_pair(0, 1, 1)
-    assert t[0, 1] == 1
+    # a Metric refuses an entry whose mirror image differs or is missing
+    with pytest.raises(ShapeMismatch, match="not symmetric"):
+        Metric(plane(), matrix([[0, 1], [2, 0]]))
+    with pytest.raises(ShapeMismatch, match="not symmetric"):   # one-sided
+        Metric(plane(), matrix([[0, 1], [0, 0]]))
+    g = Metric(plane(), matrix([[0, 1], [1, 0]]))
+    assert g.g[0, 1] == 1
 
 
 def test_antisymmetry_tag_validated():
-    with pytest.raises(ShapeMismatch):
-        matrix([[0, 1], [1, 0]]).require_pair(0, 1, -1)
-    with pytest.raises(ShapeMismatch):       # a nonzero diagonal
-        matrix([[1, 0], [0, 0]]).require_pair(0, 1, -1)
-    with pytest.raises(ShapeMismatch):       # not a pair of equal axes
-        matrix([[0, 1], [-1, 0]]).require_pair(0, 0, -1)
-    t = matrix([[0, 1], [-1, 0]])
-    t.require_pair(0, 1, -1)
-    assert t[1, 0] == -1
+    # a LieAlgebra holds the half of c at i < j: an entry at i > j or at
+    # i = j, or the full antisymmetric tensor given as the half, is refused
+    def algebra(half):
+        return LieAlgebra(2, ("u", "v"), half)
+
+    for idx in ((1, 0, 1), (0, 0, 1)):
+        with pytest.raises(ShapeMismatch, match="must have i < j"):
+            algebra(Tensor((2, 2, 2), ((idx, Q(1)),)))
+    L = algebra(Tensor((2, 2, 2), (((0, 1, 1), Q(2)),)))
+    with pytest.raises(ShapeMismatch, match="must have i < j"):
+        algebra(L.c)
+    assert L.c[1, 0, 1] == -2
 
 
 def test_tags_do_not_affect_equality():
