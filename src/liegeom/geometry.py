@@ -108,13 +108,17 @@ class ComplexStructure:
         n = self.base.dim
         if self.j.shape != (n, n):
             raise ShapeMismatch(f"complex structure needs shape {(n, n)}")
-        identity = Tensor.from_entries((n, n), {(i, i): 1 for i in range(n)})
-        excess = _map_axis(self.j, 1, self.j, 0) + identity
-        if not excess.is_zero():
-            (i, k), value = excess.entries[0]
+        # J*J + I on the int numerators of J*J, d times each entry
+        d, excess = contract(self.j.entries, 1, self.j.entries, 0)
+        for i in range(n):
+            excess[i, i] = excess.get((i, i), 0) + d
+        off = min((idx for idx, v in excess.items() if v), default=None)
+        if off is not None:
+            i, k = off
             expected = -1 if i == k else 0
             raise NotAlmostComplex(
-                f"(J*J)[{i}, {k}] = {value + expected}, expected {expected}")
+                f"(J*J)[{i}, {k}] = {Fraction(excess[i, k], d) + expected}, "
+                f"expected {expected}")
 
     @classmethod
     def from_rows(cls, base, rows):
@@ -245,33 +249,50 @@ def _curvature_fit(r, k):
     return CurvatureFit("constant", c)
 
 
-def _map_axis(t, axis, A, a_axis):
-    """t with the matrix A applied along axis: the contraction of t's
-    axis with A's a_axis, its index i put back at axis.  a_axis 0 gives
-    t times A (the sum over m of t[..., m, ...] A[m, i] at i), a_axis 1
-    gives A times t (the sum of A[i, m] t[..., m, ...])."""
-    d, sums = contract(t.entries, axis, A.entries, a_axis)
-    return Tensor.from_entries(t.shape, {
-        key[:axis] + key[-1:] + key[axis:-1]: Fraction(v, d)
-        for key, v in sums.items()})
-
-
 def nijenhuis(L, J):
     """N(X, Y) = [X, Y] + J([JX, Y] + [X, JY]) - [JX, JY] on basis pairs.
 
-    J e_i is the sum over a of J[a, i] e_a, so [J e_i, e_j] is c times J
-    along axis 0, and J v is J times v along the output axis.
+    With J e_i the sum over m of J[m, i] e_m, A[i, y, z] = [J e_i, e_y]_z
+    is the sum over m of J[m, i] c[m, y, z], and as c is antisymmetric
+    [e_i, J e_j] is -A[j, i].  So N[i, j, k] = c[i, j, k] + (J A)[i, j, k]
+    - (J A)[j, i, k] - [J e_i, J e_j]_k, where J A applies J along A's
+    last axis and [J e_i, J e_j] is A contracted with J along axis 1.
+    N is antisymmetric in (i, j): its i < j half is summed on int
+    numerators over one denominator, starting from L.half, and each
+    entry mirrored to minus itself at (j, i, k).
     """
     _same_base(L, J.base)
-    c, j = L.c, J.j
-    left = _map_axis(c, 0, j, 0)
-    inner = left + _map_axis(c, 1, j, 0)
-    return c + _map_axis(inner, 2, j, 1) - _map_axis(left, 1, j, 0)
+    n, j = L.dim, J.j.entries
+    da, a = contract(j, 0, L.c.entries, 0)
+    # a's values are ints over da, so both contractions of a return J's
+    # denominator dj alone: their sums are over da dj
+    a = tuple(a.items())
+    dj, jj = contract(a, 1, j, 0)
+    _, ja = contract(a, 2, j, 1)
+    d = da * dj
+    entries = {idx: v.numerator * (d // v.denominator)
+               for idx, v in L.half.entries}
+    for (x, y, k), v in ja.items():     # (J A)[x, y, k]
+        if x != y:
+            idx, v = ((x, y, k), v) if x < y else ((y, x, k), -v)
+            entries[idx] = entries.get(idx, 0) + v
+    for (x, k, y), v in jj.items():     # [J e_x, J e_y]_k
+        if x < y:
+            entries[x, y, k] = entries.get((x, y, k), 0) - v
+    pairs = []
+    for (x, y, k), v in entries.items():
+        if v:
+            q = Fraction(v, d)
+            pairs += (((x, y, k), q), ((y, x, k), -q))
+    return Tensor((n, n, n), tuple(pairs))
 
 
 def pairing_rows(omega, J):
-    """The matrix omega(e_i, J e_j), as a rank-2 Tensor."""
-    return _map_axis(omega.coefficients, 1, J.j, 0)
+    """The matrix omega(e_i, J e_j), as a rank-2 Tensor: the sum over m
+    of omega[i, m] J[m, j]."""
+    d, sums = contract(omega.coefficients.entries, 1, J.j.entries, 0)
+    return Tensor.from_entries(omega.coefficients.shape, {
+        idx: Fraction(v, d) for idx, v in sums.items()})
 
 
 # -- the Lee form equation -------------------------------------------------
@@ -856,11 +877,15 @@ def witness_residual(witness, *, algebra=None, connection=None, metric=None,
     claim = CLAIMS.get(witness.claim)
     if claim is None:
         raise ShapeMismatch(f"unknown witness claim {witness.claim!r}")
+    try:
+        indices, detail = tuple(witness.indices), tuple(witness.detail)
+    except TypeError:
+        raise ShapeMismatch("witness indices and detail must be sequences"
+                            ) from None
     pieces = _Pieces(witness.claim, dict(
         algebra=algebra, connection=connection, metric=metric,
         complex_structure=complex_structure, omega=omega, lee_form=lee_form))
-    return claim.recheck(pieces, tuple(witness.indices),
-                         tuple(witness.detail))
+    return claim.recheck(pieces, indices, detail)
 
 
 class _Pieces:

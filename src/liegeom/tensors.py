@@ -12,7 +12,9 @@ two tensors over a shared axis is written: curvature, nabla g, Jacobi,
 the differential, Nijenhuis, J squared, the pairing and the Lee
 certificate checks call it.  It returns int numerators over one common
 denominator; each caller adds them up as it rearranges their indices
-and divides once per entry of its result.
+and divides once per entry of its result.  Nijenhuis hands the ints of
+its first contraction to two more, as pairs with int values, over a
+denominator it keeps itself.
 
 A matrix is a rank-2 Tensor too.  det, leading_minors, solve_linear and
 null_vector read their answers off one integer-preserving elimination

@@ -15,7 +15,6 @@ a differential oracle in the test suite.
 import itertools
 from fractions import Fraction
 
-from liegeom.algebra import bracket
 from liegeom.errors import (DimensionMismatch, ShapeMismatch,
                             UnsupportedDegree)
 from liegeom.forms import KForm, _perm_sign
@@ -299,29 +298,25 @@ def wedge(a, b):
 
 
 def nijenhuis(L, J):
+    """N[i, j, k] = c[i, j, k] + sum over z of J[k, z] ([J e_i, e_j]_z
+    + [e_i, J e_j]_z) - [J e_i, J e_j]_k, each bracket summed over c."""
     n = L.dim
+    c = to_nested(L.c)
+    j = to_nested(J.j)
+    ms = range(n)
 
-    def apply(x):
-        return tuple(sum((J.j[i, k] * x[k] for k in range(n)), Fraction(0))
-                     for i in range(n))
+    def value(i, jj, k):
+        total = c[i][jj][k]
+        for z in ms:
+            inner = sum((j[m][i] * c[m][jj][z] + j[m][jj] * c[i][m][z]
+                         for m in ms), Fraction(0))
+            total += j[k][z] * inner
+        for m in ms:
+            for p in ms:
+                total -= j[m][i] * j[p][jj] * c[m][p][k]
+        return total
 
-    basis = [L.basis_vector(i) for i in range(n)]
-    jbasis = [apply(v) for v in basis]
-    entries = {}
-    for i in range(n):
-        for j in range(n):
-            inner = tuple(a + b for a, b in zip(
-                bracket(L, jbasis[i], basis[j]),
-                bracket(L, basis[i], jbasis[j])))
-            total = tuple(
-                p + q - r for p, q, r in zip(
-                    bracket(L, basis[i], basis[j]),
-                    apply(inner),
-                    bracket(L, jbasis[i], jbasis[j])))
-            for k, value in enumerate(total):
-                if value != 0:
-                    entries[(i, j, k)] = value
-    return Tensor.from_entries((n, n, n), entries)
+    return Tensor.from_entries((n, n, n), _nonzero(_cube(n, 3), value))
 
 
 def pairing_rows(omega, J):

@@ -198,6 +198,24 @@ def test_verify_rejects_a_complex_structure_that_does_not_square_to_minus_one(
     assert err.startswith("error: complex_structure does not square to -1")
 
 
+@pytest.mark.parametrize("entries, message", [
+    ([[0, 1, "1/2"], [1, 0, "-1"]], "(J*J)[0, 0] = -1/2, expected -1"),
+    ([[0, 1, "-1"], [1, 0, "1"], [1, 1, "1"]],
+     "(J*J)[0, 1] = -1, expected 0"),
+], ids=["diagonal", "off-diagonal"])
+def test_verify_names_the_entry_where_j_squared_is_off(
+        tmp_path, entries, message):
+    L = LieAlgebra.abelian(("x", "y"))
+    doc = json.loads(serialize(document_from(L)))
+    doc["complex_structure"] = entries
+    path = tmp_path / "not-complex.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(["verify", str(path)])
+    assert (code, out) == (2, "")
+    assert err == ("error: complex_structure does not square to -1: "
+                   + message + "\n")
+
+
 def test_verify_rejects_a_form_degree_that_is_not_an_integer(tmp_path):
     L = LieAlgebra.abelian(("x", "y"))
     doc = json.loads(serialize(document_from(L)))

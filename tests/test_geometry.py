@@ -195,6 +195,20 @@ def test_complex_structure_square_check():
         ComplexStructure.from_rows(L, [[0, 1], [1, 0]])
 
 
+@pytest.mark.parametrize("rows, message", [
+    ([[0, Q(1, 2)], [-1, 0]], "(J*J)[0, 0] = -1/2, expected -1"),
+    ([[0, -1], [1, 1]], "(J*J)[0, 1] = -1, expected 0"),
+], ids=["diagonal", "off-diagonal"])
+def test_complex_structure_names_the_first_entry_of_j_squared_off(
+        rows, message):
+    # the entry is the first in row-major order at which J*J + I is
+    # nonzero, and the value printed is J*J there
+    L = LieAlgebra.abelian(("x", "y"))
+    with pytest.raises(NotAlmostComplex) as exc:
+        ComplexStructure.from_rows(L, rows)
+    assert str(exc.value) == message
+
+
 def test_complex_structure_shape_check():
     L = LieAlgebra.abelian(("x", "y"))
     with pytest.raises(ShapeMismatch):
@@ -230,6 +244,19 @@ def test_nijenhuis_obstruction_with_torsion():
     n = nijenhuis(dbl.algebra, dbl.complex_structure)
     assert not n.is_zero()
     assert tuple(n[0, 1, k] for k in range(4)) == (Q(0), Q(-1), Q(0), Q(0))
+
+
+def test_classify_reads_integrability_off_the_module_nijenhuis(monkeypatch):
+    # the reference classify swaps geometry.nijenhuis for the dense
+    # oracle, which covers classify only while it calls that name
+    L = LieAlgebra.abelian(("x", "y"))
+    J = ComplexStructure.from_rows(L, [[0, -1], [1, 0]])
+    assert classify(L, complex_structure=J).is_integrable is True
+    stub = Tensor.from_entries((2, 2, 2), {(0, 1, 0): 1, (1, 0, 0): -1})
+    monkeypatch.setattr(geometry, "nijenhuis", lambda *_: stub)
+    report = classify(L, complex_structure=J)
+    assert report.is_integrable is False
+    assert report.witnesses == (Witness("nijenhuis", (0, 1), (Q(1), Q(0))),)
 
 
 # -- lee form --------------------------------------------------------------
@@ -624,10 +651,13 @@ def test_witness_residual_checks_the_lee_form_degree_and_dimension():
     ("torsion", (True, 0), ()),
     ("torsion", ("a", 1), ()),
     ("positive_definite", (1.0,), ()),
+    ("torsion", 5, ()),
+    ("constant_curvature", (0, 1, 0, 1), None),
 ], ids=["jacobi-two-indices", "fit-without-constant",
         "pairing-negative-index", "pairing-index-out-of-range",
         "pairing-one-index", "unknown-claim", "torsion-fractional-index",
-        "torsion-bool-index", "torsion-string-index", "minor-float-index"])
+        "torsion-bool-index", "torsion-string-index", "minor-float-index",
+        "torsion-int-indices", "fit-detail-none"])
 def test_malformed_witness_is_refused(claim, indices, detail):
     # witnesses read from a file may be malformed; a negative index must
     # not wrap around, an index must be an int and no bool, and nothing
