@@ -15,12 +15,13 @@ from .constructions import (ConeExtension, DoubledAlgebra,
                             cone_extend, double, extract_statistical,
                             kahler_form_from_hessian, lck_family, solve_lambda)
 from .errors import (BadParameters, CurvatureMismatch, DimensionMismatch,
-                     DocumentSyntaxError, InputError, LieGeomError,
-                     MissingPieces, MissingRadiant, NoLeeForm, NoRealSolution,
-                     NonPositiveT, NotAlmostComplex, NotConical, NotHessian,
-                     NotStatistical, ShapeMismatch, UnderdeterminedCurvature,
-                     UnknownExample, UnsupportedDegree, ValidationError,
-                     VerdictError, ZeroCurvature, ZeroDenominator)
+                     DocumentSyntaxError, InexactValue, InputError,
+                     LieGeomError, MissingPieces, MissingRadiant, NoLeeForm,
+                     NoRealSolution, NonPositiveT, NotAlmostComplex,
+                     NotConical, NotHessian, NotStatistical, ShapeMismatch,
+                     UnderdeterminedCurvature, UnknownExample,
+                     UnsupportedDegree, ValidationError, VerdictError,
+                     ZeroCurvature, ZeroDenominator)
 from .forms import KForm, ce_d, dual_form, wedge
 from .geometry import (ComplexStructure, Connection, CurvatureFit, Metric,
                        StructureReport, Witness, classify, codazzi_check,

@@ -51,7 +51,7 @@ class LieAlgebra:
     @cached_property
     def c(self):
         """The full tensor: half, and minus each entry at (j, i, k)."""
-        return Tensor(self.half.shape, self.half.entries + tuple(
+        return Tensor._trusted(self.half.shape, self.half.entries + tuple(
             ((j, i, k), -value) for (i, j, k), value in self.half.entries))
 
     @classmethod
@@ -65,7 +65,7 @@ class LieAlgebra:
                 raise DimensionMismatch(
                     f"bracket pair ({i}, {j}) must satisfy 0 <= i < j < {n}")
             for k, value in component.items():
-                entries[(i, j, k)] = Fraction(value)
+                entries[(i, j, k)] = value
         return cls(n, labels, Tensor.from_entries((n, n, n), entries))
 
     @classmethod
@@ -128,20 +128,20 @@ def jacobi_residual(L, i, j, k):
 
 def cyclic_sum(L, t):
     """The nonzero values of t([e_i, e_j], e_k, ...) + t([e_j, e_k], e_i, ...)
-    + t([e_k, e_i], e_j, ...) as {(i, j, k, ...): value} over i < j < k.
+    + t([e_k, e_i], e_j, ...) as (d, {(i, j, k, ...): d value}), i < j < k.
 
     t([e_x, e_y], e_z, ...) is the contraction of c's last axis with t's
     first.  As c is antisymmetric in x, y, its half (x < y) suffices: a
     term with z between x and y is minus the cyclic term at (z, x, y),
     and one with z equal to x or y belongs to no triple.
     """
-    d, sums = contract(L.half.entries, 2, t.entries, 0)
+    d, sums = contract(L.half, 2, t, 0)
     out = {}
     for (x, y, z, *rest), v in sums.items():
         if z != x and z != y:
             key = tuple(sorted((x, y, z)) + rest)
             out[key] = out.get(key, 0) + (v if z < x or z > y else -v)
-    return {key: Fraction(v, d) for key, v in out.items() if v}
+    return d, {key: v for key, v in out.items() if v}
 
 
 def jacobi_check(L):
@@ -150,7 +150,7 @@ def jacobi_check(L):
     Its indices are the lexicographically first triple i < j < k whose
     cyclic bracket sum fails to vanish, so it is deterministic.
     """
-    failing = cyclic_sum(L, L.c)
+    _, failing = cyclic_sum(L, L.c)
     if not failing:
         return None
     i, j, k, _ = min(failing)

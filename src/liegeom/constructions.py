@@ -58,13 +58,10 @@ def double(L, connection):
     half = L.half.entries + tuple(
         ((i, n + j, n + k), value)
         for (i, j, k), value in connection.gamma.entries)
-    algebra = LieAlgebra(2 * n, labels, Tensor((2 * n,) * 3, half))
-    j_entries = {}
-    for i in range(n):
-        j_entries[(n + i, i)] = Fraction(1)
-        j_entries[(i, n + i)] = Fraction(-1)
-    j = ComplexStructure(
-        algebra, Tensor.from_entries((2 * n, 2 * n), j_entries))
+    algebra = LieAlgebra(2 * n, labels, Tensor._trusted((2 * n,) * 3, half))
+    j = ComplexStructure(algebra, Tensor._trusted((2 * n, 2 * n), [
+        pair for i in range(n)
+        for pair in (((n + i, i), Fraction(1)), ((i, n + i), Fraction(-1)))]))
     return DoubledAlgebra(algebra, j)
 
 
@@ -72,8 +69,8 @@ def _pairing_form(metric):
     """The 2-form on the double of g's base with omega(X + 0, 0 + Y) =
     g(X, Y), zero on pairs from the same copy."""
     n = metric.g.shape[0]
-    return KForm.from_components(2 * n, 2, {
-        (i, n + j): value for (i, j), value in metric.g.entries})
+    return KForm(2, Tensor._trusted((2 * n, 2 * n), [
+        ((i, n + j), value) for (i, j), value in metric.g.entries]))
 
 
 @dataclass(frozen=True)
@@ -165,11 +162,9 @@ class ConeExtension:
         t = Fraction(t)
         if t <= 0:
             raise NonPositiveT(f"the cone metric needs t > 0, got {t}")
-        n = self.algebra.dim
-        r = self.rho_index
-        entries = dict(self.base_metric.g.entries)
-        entries[(r, r)] = t
-        return Metric(self.algebra, Tensor.from_entries((n, n), entries))
+        n, r = self.algebra.dim, self.rho_index
+        return Metric(self.algebra, Tensor._trusted(
+            (n, n), self.base_metric.g.entries + (((r, r), t),)))
 
 
 def _fresh_label(taken, stem="rho"):
@@ -211,7 +206,8 @@ def cone_extend(L, connection, metric, c=None):
     n = L.dim
     r = n
     labels = L.basis_labels + (_fresh_label(set(L.basis_labels)),)
-    algebra = LieAlgebra(n + 1, labels, Tensor((n + 1,) * 3, L.half.entries))
+    shape = (n + 1,) * 3
+    algebra = LieAlgebra(n + 1, labels, Tensor._trusted(shape, L.half.entries))
 
     gamma = dict(connection.gamma.entries)
     for (i, j), value in metric.g.entries:
@@ -220,7 +216,7 @@ def cone_extend(L, connection, metric, c=None):
         gamma[(i, r, i)] = Fraction(1)
         gamma[(r, i, i)] = Fraction(1)
     gamma[(r, r, r)] = Fraction(1)
-    cone_nabla = Connection(algebra, Tensor.from_entries((n + 1,) * 3, gamma))
+    cone_nabla = Connection(algebra, Tensor._trusted(shape, gamma.items()))
 
     report = classify(algebra, connection=cone_nabla)
     if not (report.is_jacobi and report.is_torsion_free and report.is_flat):
@@ -345,4 +341,4 @@ def _restrict(t, base):
     position = {b: p for p, b in enumerate(base)}
     entries = {tuple(position[i] for i in idx): value
                for idx, value in t.entries if all(i in position for i in idx)}
-    return Tensor.from_entries((n, n, n), entries)
+    return Tensor._trusted((n, n, n), entries.items())

@@ -26,6 +26,10 @@ class ZeroDenominator(InputError):
     pass
 
 
+class InexactValue(InputError):
+    """A coefficient that is a float, or a value Fraction cannot read."""
+
+
 class ShapeMismatch(InputError):
     pass
 

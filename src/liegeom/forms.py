@@ -61,7 +61,7 @@ class KForm:
         """Each entry of half at every permutation of its index, signed."""
         signs = [(perm, _perm_sign(perm))
                  for perm in itertools.permutations(range(self.degree))]
-        return Tensor(self.half.shape, tuple(
+        return Tensor._trusted(self.half.shape, tuple(
             (tuple(idx[p] for p in perm), sign * value)
             for idx, value in self.half.entries for perm, sign in signs))
 
@@ -104,7 +104,7 @@ def dual_form(L, i):
     """The covector taking the i-th coordinate of a vector."""
     if not 0 <= i < L.dim:
         raise DimensionMismatch(f"basis index {i} for dimension {L.dim}")
-    return KForm.from_components(L.dim, 1, {(i,): Fraction(1)})
+    return KForm(1, Tensor._trusted((L.dim,), (((i,), Fraction(1)),)))
 
 
 def wedge(a, b):
@@ -125,7 +125,7 @@ def wedge(a, b):
             idx = tuple(sorted(left + right))
             value = _perm_sign(left + right) * x * y
             components[idx] = components.get(idx, 0) + value
-    return KForm.from_components(a.dim, degree, components)
+    return KForm(degree, Tensor._trusted((a.dim,) * degree, components.items()))
 
 
 def ce_d(L, form):
@@ -136,14 +136,13 @@ def ce_d(L, form):
     """
     if form.dim != L.dim:
         raise DimensionMismatch("form and algebra dimensions differ")
+    # each differential is minus int sums over d: the sums over -d
     if form.degree == 1:    # the half of a 1-form is the whole form
-        d, sums = contract(L.half.entries, 2, form.half.entries, 0)
-        return KForm.from_components(L.dim, 2, {
-            ij: Fraction(-v, d) for ij, v in sums.items()})
+        d, sums = contract(L.half, 2, form.half, 0)
+        return KForm(2, Tensor._over((L.dim,) * 2, -d, sums))
     if form.degree == 2:
         # (d w)(X, Y, Z) = -(w([X, Y], Z) + w([Y, Z], X) + w([Z, X], Y))
-        cyclic = cyclic_sum(L, form.coefficients)
-        return KForm.from_components(
-            L.dim, 3, {idx: -value for idx, value in cyclic.items()})
+        d, cyclic = cyclic_sum(L, form.coefficients)
+        return KForm(3, Tensor._over((L.dim,) * 3, -d, cyclic))
     raise UnsupportedDegree(
         f"differential of degree {form.degree} exceeds degree {MAX_DEGREE}")

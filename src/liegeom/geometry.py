@@ -28,8 +28,8 @@ from .algebra import (LieAlgebra, Witness, bracket, jacobi_check,
 from .errors import (DimensionMismatch, InputError, MissingPieces, NoLeeForm,
                      NotAlmostComplex, ShapeMismatch, UnsupportedDegree)
 from .forms import KForm, ce_d
-from .tensors import (Infeasible, Tensor, contract, det, leading_minors,
-                      null_vector, solve_linear)
+from .tensors import (Infeasible, Tensor, _as_q, contract, det,
+                      leading_minors, null_vector, solve_linear)
 
 _ZERO = Fraction(0)
 
@@ -109,7 +109,7 @@ class ComplexStructure:
         if self.j.shape != (n, n):
             raise ShapeMismatch(f"complex structure needs shape {(n, n)}")
         # J*J + I on the int numerators of J*J, d times each entry
-        d, excess = contract(self.j.entries, 1, self.j.entries, 0)
+        d, excess = contract(self.j, 1, self.j, 0)
         for i in range(n):
             excess[i, i] = excess.get((i, i), 0) + d
         off = min((idx for idx, v in excess.items() if v), default=None)
@@ -137,7 +137,7 @@ def torsion(connection):
         entries[j, i, k] = entries.get((j, i, k), 0) - value
     for idx, value in L.c.entries:
         entries[idx] = entries.get(idx, 0) - value
-    return Tensor.from_entries((n, n, n), entries)
+    return Tensor._trusted((n, n, n), entries.items())
 
 
 def curvature(connection):
@@ -150,9 +150,9 @@ def curvature(connection):
     """
     L = connection.base
     n = L.dim
-    gamma = connection.gamma.entries
+    gamma = connection.gamma
     d1, squares = contract(gamma, 2, gamma, 1)
-    d2, brackets = contract(L.c.entries, 2, gamma, 0)
+    d2, brackets = contract(L.c, 2, gamma, 0)
     d = math.lcm(d1, d2)    # both sums as ints over one denominator
     s1, s2 = d // d1, d // d2
     entries = {}
@@ -162,8 +162,7 @@ def curvature(connection):
         entries[j, i, k, l] = entries.get((j, i, k, l), 0) - v
     for idx, v in brackets.items():
         entries[idx] = entries.get(idx, 0) - v * s2
-    return Tensor.from_entries((n, n, n, n), {
-        idx: Fraction(v, d) for idx, v in entries.items() if v})
+    return Tensor._over((n, n, n, n), d, entries)
 
 
 def nabla_g(connection, metric):
@@ -174,13 +173,12 @@ def nabla_g(connection, metric):
     both (i, j, k) and (i, k, j).
     """
     n = connection.base.dim
-    d, sums = contract(connection.gamma.entries, 2, metric.g.entries, 0)
+    d, sums = contract(connection.gamma, 2, metric.g, 0)
     entries = {}
     for (i, j, k), v in sums.items():
         entries[i, j, k] = entries.get((i, j, k), 0) - v
         entries[i, k, j] = entries.get((i, k, j), 0) - v
-    return Tensor.from_entries((n, n, n), {
-        idx: Fraction(v, d) for idx, v in entries.items() if v})
+    return Tensor._over((n, n, n), d, entries)
 
 
 def codazzi_check(connection, metric):
@@ -220,7 +218,7 @@ def comparison_tensor(metric):
             if a != b:
                 entries[b, a, k, b] = value
                 entries[a, b, k, b] = -value
-    return Tensor.from_entries((n, n, n, n), entries)
+    return Tensor._trusted((n, n, n, n), entries.items())
 
 
 def constant_curvature(connection, metric):
@@ -262,8 +260,8 @@ def nijenhuis(L, J):
     entry mirrored to minus itself at (j, i, k).
     """
     _same_base(L, J.base)
-    n, j = L.dim, J.j.entries
-    da, a = contract(j, 0, L.c.entries, 0)
+    n, j = L.dim, J.j
+    da, a = contract(j, 0, L.c, 0)
     # a's values are ints over da, so both contractions of a return J's
     # denominator dj alone: their sums are over da dj
     a = tuple(a.items())
@@ -279,20 +277,16 @@ def nijenhuis(L, J):
     for (x, k, y), v in jj.items():     # [J e_x, J e_y]_k
         if x < y:
             entries[x, y, k] = entries.get((x, y, k), 0) - v
-    pairs = []
-    for (x, y, k), v in entries.items():
-        if v:
-            q = Fraction(v, d)
-            pairs += (((x, y, k), q), ((y, x, k), -q))
-    return Tensor((n, n, n), tuple(pairs))
+    half = Tensor._over((n, n, n), d, entries).entries
+    return Tensor._trusted((n, n, n), half + tuple(
+        ((y, x, k), -q) for (x, y, k), q in half))
 
 
 def pairing_rows(omega, J):
     """The matrix omega(e_i, J e_j), as a rank-2 Tensor: the sum over m
     of omega[i, m] J[m, j]."""
-    d, sums = contract(omega.coefficients.entries, 1, J.j.entries, 0)
-    return Tensor.from_entries(omega.coefficients.shape, {
-        idx: Fraction(v, d) for idx, v in sums.items()})
+    d, sums = contract(omega.coefficients, 1, J.j, 0)
+    return Tensor._over(omega.coefficients.shape, d, sums)
 
 
 # -- the Lee form equation -------------------------------------------------
@@ -321,8 +315,7 @@ def lee_form_system(L, omega):
     rhs = [Fraction(0)] * len(triples)
     for idx, value in ce_d(L, omega).components():
         rhs[row_of[idx]] = value
-    matrix = Tensor.from_entries((len(rhs), n), entries)
-    return matrix, rhs, triples
+    return Tensor._trusted((len(rhs), n), entries.items()), rhs, triples
 
 
 def _closed_system(L, system):
@@ -335,7 +328,7 @@ def _closed_system(L, system):
     entries.update(((pairs[i, j], k), value)
                    for (i, j, k), value in L.half.entries)
     rhs = list(rhs) + [Fraction(0)] * len(pairs)
-    return Tensor.from_entries((len(rhs), L.dim), entries), rhs, triples
+    return Tensor._trusted((len(rhs), L.dim), entries.items()), rhs, triples
 
 
 def _lee_solve(L, system):
@@ -343,8 +336,8 @@ def _lee_solve(L, system):
     solved = solve_linear(*system[:2])
     if isinstance(solved, Infeasible):
         return None, solved
-    values = {(i,): v for i, v in enumerate(solved.values) if v != 0}
-    return KForm.from_components(L.dim, 1, values), None
+    values = (((i,), v) for i, v in enumerate(solved.values))
+    return KForm(1, Tensor._trusted((L.dim,), values)), None
 
 
 def lee_form_solve(L, omega):
@@ -408,7 +401,7 @@ def _basis_indices(idx, arity, dim):
 
 def _leading_block(matrix, k):
     """The leading k x k block of a matrix."""
-    return Tensor((k, k), tuple(
+    return Tensor._trusted((k, k), (
         (idx, v) for idx, v in matrix.entries if max(idx) < k))
 
 
@@ -440,8 +433,8 @@ def _minor(matrix, idx, detail):
 def _image(matrix, x, axis):
     """The support of the sequence x contracted with one axis of matrix,
     as the keys (i,) of A x for axis 1, of x A for axis 0."""
-    return contract(matrix.entries, axis, Tensor.from_entries(
-        (len(x),), {(i,): v for i, v in enumerate(x)}).entries, 0)[1]
+    return contract(matrix, axis,
+                    [((i,), _as_q(v)) for i, v in enumerate(x)], 0)[1]
 
 
 def _fitted(detail):

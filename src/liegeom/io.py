@@ -67,12 +67,10 @@ class AlgebraDocument:
     def to_metric(self, algebra):
         if self.metric is None:
             return None
-        entries = {}
-        for (i, j), value in self.metric:
-            entries[(i, j)] = value
-            entries[(j, i)] = value
         n = self.dim
-        return Metric(algebra, Tensor.from_entries((n, n), entries))
+        half = Tensor((n, n), self.metric).entries  # checks every index
+        return Metric(algebra, Tensor._trusted((n, n), {
+            **dict(half), **{idx[::-1]: v for idx, v in half}}.items()))
 
     def to_complex_structure(self, algebra):
         if self.complex_structure is None:
@@ -98,8 +96,8 @@ class AlgebraDocument:
         block = self.form_block(name)
         if block is None:
             return None
-        return KForm.from_components(
-            self.dim, block.degree, dict(block.entries))
+        return KForm(block.degree,
+                     Tensor((self.dim,) * block.degree, block.entries))
 
     def parameter(self, name):
         for key, value in self.parameters:

@@ -5,16 +5,18 @@ the row-major tuple of (index tuple, Fraction) pairs that a document
 lists.  Which axes are vectors and which covectors is fixed by the
 holder a tensor sits in (LieAlgebra, Connection, Metric,
 ComplexStructure, KForm), and stated where that holder is defined.
+Public constructors validate every index and refuse a float; a result
+the library computes, its indices in range and distinct by construction,
+takes one private path from int sums, with no scan.
 Structure constants, connections and forms are almost all zero, so
 reading an entry is a dictionary lookup, built on first use, and
 contract walks only these pairs.  contract is the one place a sum of
 two tensors over a shared axis is written: curvature, nabla g, Jacobi,
 the differential, Nijenhuis, J squared, the pairing and the Lee
-certificate checks call it.  It returns int numerators over one common
-denominator; each caller adds them up as it rearranges their indices
-and divides once per entry of its result.  Nijenhuis hands the ints of
-its first contraction to two more, as pairs with int values, over a
-denominator it keeps itself.
+certificate checks call it.  It reads each Tensor's int numerators,
+cached on first use, and returns int sums over one common denominator;
+each caller adds them up as it rearranges their indices and divides
+once per entry of its result.
 
 A matrix is a rank-2 Tensor too.  det, leading_minors, solve_linear and
 null_vector read their answers off one integer-preserving elimination
@@ -33,13 +35,19 @@ from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
 
-from .errors import ShapeMismatch
+from .errors import InexactValue, ShapeMismatch
 
 _ZERO = Fraction(0)
 
 
 def _as_q(value):
-    return value if isinstance(value, Fraction) else Fraction(value)
+    """value as a Fraction; a float, or what Fraction cannot read, raises."""
+    try:
+        if not isinstance(value, float):
+            return value if isinstance(value, Fraction) else Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        pass
+    raise InexactValue(f"{value!r} is no exact rational")
 
 
 @dataclass(frozen=True)
@@ -78,6 +86,21 @@ class Tensor:
                 _as_q(value)
         object.__setattr__(self, "entries", tuple(sorted(filter(
             itemgetter(1), zip(values, map(_as_q, values.values()))))))
+
+    @classmethod
+    def _trusted(cls, shape, pairs):
+        """The Tensor of (index, Fraction) pairs whose indices are in range
+        and distinct by construction: zeros dropped, sorted, no scan."""
+        t = object.__new__(cls)
+        t.__dict__.update(shape=shape, entries=tuple(sorted(filter(
+            itemgetter(1), pairs))))
+        return t
+
+    @classmethod
+    def _over(cls, shape, d, sums):
+        """_trusted on {index: int} sums over d, one division an entry."""
+        return cls._trusted(shape, [(idx, Fraction(v, d))
+                                    for idx, v in sums.items() if v])
 
     def _check_index(self, idx):
         if len(idx) != len(self.shape):
@@ -122,30 +145,32 @@ class Tensor:
         self._check_index(idx)
         return self._lookup.get(idx, _ZERO)
 
+    @cached_property
+    def _ints(self):
+        return _numerators(self.entries)
+
     def is_zero(self):
         return not self.entries
 
     # -- arithmetic --------------------------------------------------------
-
-    def _like(self, pairs):
-        return Tensor(self.shape, tuple(pairs))
 
     def __add__(self, other):
         self._require_same(other)
         total = dict(self.entries)
         for idx, value in other.entries:    # spares a 0 + Fraction sum
             total[idx] = total[idx] + value if idx in total else value
-        return self._like(total.items())
+        return Tensor._trusted(self.shape, total.items())
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return self._like((idx, -value) for idx, value in self.entries)
+        return Tensor._trusted(self.shape, ((i, -v) for i, v in self.entries))
 
     def scale(self, factor):
         q = _as_q(factor)
-        return self._like((idx, q * value) for idx, value in self.entries)
+        return Tensor._trusted(self.shape,
+                               ((i, q * v) for i, v in self.entries))
 
     def _require_same(self, other):
         if not isinstance(other, Tensor):
@@ -166,13 +191,16 @@ def contract(a, axis_a, b, axis_b):
     of a and at axis_b of b, as (d, {a's index without axis_a + b's
     index without axis_b: the sum times d}) over its nonzero sums.
 
-    a and b are sequences of (index, rational) pairs, as Tensor.entries.
-    b is grouped by axis_b and a's pairs walked against the groups; the
+    a and b are Tensors, whose cached _ints are read, or sequences of
+    (index, rational) pairs: nijenhuis hands the int sums of one
+    contraction to two more, over a denominator it keeps itself.  b is
+    grouped by axis_b and a's pairs walked against the groups; the
     products run on int numerators over each side's lcm denominator, and
     d is their product: the caller adds the ints up as it scatters them
     and divides once per entry of its result, as _eliminate does.
     """
-    (da, xs), (db, ys) = _numerators(a), _numerators(b)
+    (da, xs), (db, ys) = (t._ints if isinstance(t, Tensor) else
+                          _numerators(t) for t in (a, b))
     ids, groups = {}, {}    # ids numbers b's indices without axis_b
     for idx, y in ys:
         t = ids.setdefault(idx[:axis_b] + idx[axis_b + 1:], len(ids))

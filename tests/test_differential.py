@@ -17,7 +17,7 @@ from math import lcm
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 import reference
 from liegeom import (ComplexStructure, Connection, Infeasible, KForm,
@@ -27,9 +27,15 @@ from liegeom import (ComplexStructure, Connection, Infeasible, KForm,
                      witness_residual)
 from liegeom.geometry import (codazzi_check, comparison_tensor,
                               lee_form_system, pairing_rows)
-from liegeom.tensors import contract, leading_minors
+from liegeom.tensors import _numerators, contract, leading_minors
 
 Q = Fraction
+
+# A failure against a dense oracle (reference.py, or the rechecks summed at
+# every index) is reported as drawn, not shrunk: shrinking reruns the dense
+# loops on every candidate, which took minutes when a kernel was broken.
+# The explicit examples and their count stay.
+UNSHRUNK = [phase for phase in Phase if phase is not Phase.shrink]
 
 # mostly zero, as structure constants and connections are; the coprime
 # denominators make the common denominators of the integer kernels grow
@@ -126,7 +132,7 @@ def reference_classify(*args, **kwargs):
         return classify(*args, **kwargs)
 
 
-@settings(max_examples=50)
+@settings(max_examples=50, phases=UNSHRUNK)
 @given(pieces())
 def test_sparse_routines_match_the_dense_reference(p):
     L, D, g, J, omega, alpha = p
@@ -164,7 +170,7 @@ def _minors_agree(recheck, matrix):
                 recheck((k,))
 
 
-@settings(max_examples=30)
+@settings(max_examples=30, phases=UNSHRUNK)
 @given(pieces(), st.sampled_from([Q(0), Q(1), Q(-2, 3)]))
 def test_rechecks_equal_the_full_tensors_at_every_index(p, fitted):
     # each claim's recheck, summed from the raw pieces, against the entry
@@ -257,7 +263,7 @@ def dense_pieces(draw):
     return L, D, Metric.from_rows(L, rows), J, forms
 
 
-@settings(max_examples=6)
+@settings(max_examples=6, phases=UNSHRUNK)
 @given(dense_pieces())
 def test_dense_routines_match_the_reference_at_the_document_sizes(p):
     L, D, g, J, forms = p
@@ -298,7 +304,7 @@ def vector(n, values):
     return Tensor.from_entries((n,), {(i,): v for i, v in enumerate(values)})
 
 
-@settings(max_examples=200)
+@settings(max_examples=200, phases=UNSHRUNK)
 @given(contractions())
 @example((vector(2, [1, 1]), 0, vector(2, [1, -1]), 0))          # cancels
 @example((vector(2, []), 0, vector(2, [1, 2]), 0))               # empty
@@ -316,6 +322,25 @@ def test_contract_matches_the_dense_reference(p):
         a, axis_a, b, axis_b)
 
 
+@settings(max_examples=200)
+@given(contractions())
+def test_contract_reads_each_tensors_cached_numerators(p):
+    # a Tensor contracts as its entries do, from the numerators it caches;
+    # the int-valued pairs nijenhuis hands on still go in as pairs
+    a, axis_a, b, axis_b = p
+    expected = contract(a.entries, axis_a, b.entries, axis_b)
+    assert (a._ints, b._ints) == (_numerators(a.entries),
+                                  _numerators(b.entries))
+    with mock.patch("liegeom.tensors._numerators",
+                    side_effect=AssertionError("recomputed")):
+        assert contract(a, axis_a, b, axis_b) == expected
+    ints = tuple((idx, v.numerator) for idx, v in a.entries)
+    assert contract(ints, axis_a, b, axis_b) == contract(
+        ints, axis_a, b.entries, axis_b)
+    assert contract(b, axis_b, ints, axis_a) == contract(
+        b.entries, axis_b, ints, axis_a)
+
+
 @st.composite
 def tall_systems(draw):
     """Far more equations than unknowns, most of them zero rows, with a
@@ -328,7 +353,7 @@ def tall_systems(draw):
     return rows, rhs
 
 
-@settings(max_examples=60)
+@settings(max_examples=60, phases=UNSHRUNK)
 @given(tall_systems())
 def test_tall_certificates_match_the_reference(system):
     rows, rhs = system
@@ -358,7 +383,7 @@ def lee_inputs(draw):
     return L, ce_d(L, beta) - wedge(theta, beta)
 
 
-@settings(max_examples=60)
+@settings(max_examples=60, phases=UNSHRUNK)
 @given(lee_inputs())
 def test_lee_system_matches_the_dense_reference(p):
     L, omega = p
