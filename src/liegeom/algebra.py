@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import DimensionMismatch, ShapeMismatch
-from .tensors import Tensor, contract
+from .tensors import Tensor, _as_q, contract
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,7 @@ class LieAlgebra:
 
 
 def as_vector(L, x):
-    coords = tuple(Fraction(v) for v in x)
+    coords = tuple(_as_q(v) for v in x)
     if len(coords) != L.dim:
         raise DimensionMismatch(
             f"vector of length {len(coords)} on a dimension {L.dim} algebra")
@@ -118,12 +118,17 @@ class Witness:
 
 
 def jacobi_residual(L, i, j, k):
-    """[[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j]."""
-    x, y, z = (L.basis_vector(m) for m in (i, j, k))
-    terms = (bracket(L, bracket(L, x, y), z),
-             bracket(L, bracket(L, y, z), x),
-             bracket(L, bracket(L, z, x), y))
-    return tuple(a + b + c for a, b, c in zip(*terms))
+    """[[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j], read off
+    c's lookup: at each l, the sum over m of c[x, y, m] c[m, z, l] over
+    the cyclic orders (x, y, z) of (i, j, k)."""
+    c, ms = L.c._lookup, range(L.dim)
+    for m in (i, j, k):
+        if m not in ms:
+            raise DimensionMismatch(f"basis index {m} for dimension {L.dim}")
+    inner = [(z, [(m, v) for m in ms if (v := c.get((x, y, m)))])
+             for x, y, z in ((i, j, k), (j, k, i), (k, i, j))]
+    return tuple(sum((v * w for z, pairs in inner for m, v in pairs
+                      if (w := c.get((m, z, l)))), Fraction(0)) for l in ms)
 
 
 def cyclic_sum(L, t):

@@ -31,7 +31,7 @@ from .errors import (CurvatureMismatch, DimensionMismatch, MissingRadiant,
 from .forms import KForm, dual_form
 from .geometry import (ComplexStructure, Connection, Metric, StructureReport,
                        classify)
-from .tensors import Tensor
+from .tensors import Tensor, _as_q
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,7 @@ def solve_lambda(c):
     irrational pair comes back as a SurdPair.  c = 0 raises
     ZeroCurvature and a negative discriminant raises NoRealSolution.
     """
-    c = Fraction(c)
+    c = _as_q(c)
     if c == 0:
         raise ZeroCurvature("the quadratic degenerates for curvature zero")
     if 1 - c < 0:
@@ -159,7 +159,7 @@ class ConeExtension:
 
     def metric(self, t):
         """g extended by t > 0 on the rho direction (zero across)."""
-        t = Fraction(t)
+        t = _as_q(t)
         if t <= 0:
             raise NonPositiveT(f"the cone metric needs t > 0, got {t}")
         n, r = self.algebra.dim, self.rho_index
@@ -184,6 +184,7 @@ def cone_extend(L, connection, metric, c=None):
     the identity.  c may be omitted when the base determines it; a
     supplied c is cross-checked unless the fit is underdetermined.
     """
+    c = None if c is None else _as_q(c)
     state = classify(L, connection=connection, metric=metric)
     for name in ("jacobi", "torsion_free", "codazzi", "metric_positive"):
         if not state.flag(name):
@@ -198,10 +199,9 @@ def cone_extend(L, connection, metric, c=None):
     else:
         if c is None:
             c = fit.value
-        elif Fraction(c) != fit.value:
+        elif c != fit.value:
             raise CurvatureMismatch(
-                f"declared curvature {Fraction(c)} but the base has {fit.value}")
-    c = Fraction(c)
+                f"declared curvature {c} but the base has {fit.value}")
 
     n = L.dim
     r = n
@@ -249,7 +249,7 @@ def lck_family(L, connection, metric, c, t):
     report's Lee form is -(1 + c t) rho^1 exactly when the identity
     holds.
     """
-    t = Fraction(t)
+    t = _as_q(t)
     if t <= 0:
         raise NonPositiveT(f"the family needs t > 0, got {t}")
     cone = cone_extend(L, connection, metric, c)

@@ -10,13 +10,14 @@ the library computes, its indices in range and distinct by construction,
 takes one private path from int sums, with no scan.
 Structure constants, connections and forms are almost all zero, so
 reading an entry is a dictionary lookup, built on first use, and
-contract walks only these pairs.  contract is the one place a sum of
-two tensors over a shared axis is written: curvature, nabla g, Jacobi,
-the differential, Nijenhuis, J squared, the pairing and the Lee
-certificate checks call it.  It reads each Tensor's int numerators,
-cached on first use, and returns int sums over one common denominator;
-each caller adds them up as it rearranges their indices and divides
-once per entry of its result.
+contract walks only these pairs.  contract sums two tensors over a
+shared axis for Jacobi, the differential, J squared, the pairing and the
+Lee certificate checks; the block kernels of geometry (T, R, nabla g,
+N) group the same cached numerators by leading index and sum one block
+at a time instead.  contract reads each Tensor's int numerators, cached
+on first use, and returns int sums over one common denominator; each
+caller adds them up as it rearranges their indices and divides once per
+entry of its result.
 
 A matrix is a rank-2 Tensor too.  det, leading_minors, solve_linear and
 null_vector read their answers off one integer-preserving elimination
@@ -64,8 +65,11 @@ class Tensor:
     entries: tuple
 
     def __post_init__(self):
-        shape = tuple(int(n) for n in self.shape)
+        shape = tuple(self.shape)
         object.__setattr__(self, "shape", shape)
+        for n in shape:     # refused, not truncated, as an index is
+            if type(n) is not int:
+                raise ShapeMismatch(f"axis {n!r} in {shape} is not an int")
         if any(n < 0 for n in shape):
             raise ShapeMismatch(f"negative axis in {shape}")
         pairs = tuple(self.entries)
@@ -192,12 +196,12 @@ def contract(a, axis_a, b, axis_b):
     index without axis_b: the sum times d}) over its nonzero sums.
 
     a and b are Tensors, whose cached _ints are read, or sequences of
-    (index, rational) pairs: nijenhuis hands the int sums of one
-    contraction to two more, over a denominator it keeps itself.  b is
-    grouped by axis_b and a's pairs walked against the groups; the
-    products run on int numerators over each side's lcm denominator, and
-    d is their product: the caller adds the ints up as it scatters them
-    and divides once per entry of its result, as _eliminate does.
+    (index, rational) pairs, as the Lee certificate check hands in a
+    combination vector.  b is grouped by axis_b and a's pairs walked
+    against the groups; the products run on int numerators over each
+    side's lcm denominator, and d is their product: the caller adds the
+    ints up as it scatters them and divides once per entry of its
+    result, as _eliminate does.
     """
     (da, xs), (db, ys) = (t._ints if isinstance(t, Tensor) else
                           _numerators(t) for t in (a, b))

@@ -3,7 +3,8 @@
 reference.py keeps the dense loops over every index position; on random
 algebras (some failing Jacobi), connections, metrics (some degenerate or
 indefinite), complex structures and 2-forms both must give equal
-tensors, equal witnesses and equal classify reports.  The Lee system,
+tensors, equal witnesses and equal classify reports, the reference
+report scanning blocks cut from the dense tensors.  The Lee system,
 built from the nonzero components of omega and c, must equal the dense
 one row for row, and both must solve to the same theta or certificate.
 A witness recheck, summed from the raw pieces, must equal the entry or
@@ -22,9 +23,9 @@ from hypothesis import Phase, example, given, settings, strategies as st
 import reference
 from liegeom import (ComplexStructure, Connection, Infeasible, KForm,
                      LieAlgebra, Metric, ShapeMismatch, Tensor, Witness,
-                     ce_d, classify, curvature, geometry, jacobi_check,
-                     nabla_g, nijenhuis, solve_linear, torsion, wedge,
-                     witness_residual)
+                     ce_d, classify, constant_curvature, curvature, geometry,
+                     jacobi_check, nabla_g, nijenhuis, solve_linear, torsion,
+                     wedge, witness_residual)
 from liegeom.geometry import (codazzi_check, comparison_tensor,
                               lee_form_system, pairing_rows)
 from liegeom.tensors import _numerators, contract, leading_minors
@@ -117,13 +118,39 @@ def pieces(draw):
             draw(forms(L.dim, 1)))
 
 
+def cut(t):
+    """block(i, j) of a dense reference tensor, in the form the library's
+    block kernels return: (d, {the rest of the index: int}) for its
+    entries at (i, j, ...), as ints over the lcm d of its denominators."""
+    d = lcm(*(v.denominator for _, v in t.entries))
+
+    def block(i, j):
+        return d, {idx[2:]: v.numerator * (d // v.denominator)
+                   for idx, v in t.entries if idx[:2] == (i, j)}
+
+    return block
+
+
+def nabla_g_blocks(D, g):
+    """The nabla g kernel's block(i, j): the slabs at (i, j) and (j, i)."""
+    block = cut(reference.nabla_g(D, g))
+
+    def both(i, j):
+        d, ij = block(i, j)
+        return d, ij, block(j, i)[1]
+
+    return both
+
+
+# classify scans the blocks of T, R, K, nabla g and N that these kernels
+# return; the reference cuts them from the dense tensors instead
 REFERENCE = dict(
-    torsion=reference.torsion, curvature=reference.curvature,
-    nabla_g=reference.nabla_g, codazzi_check=reference.codazzi_check,
-    comparison_tensor=reference.comparison_tensor,
-    _curvature_fit=reference.curvature_fit,
+    _torsion_blocks=lambda D: cut(reference.torsion(D)),
+    _curvature_blocks=lambda D: cut(reference.curvature(D)),
+    _comparison_blocks=lambda g: cut(reference.comparison_tensor(g)),
+    _nabla_g_blocks=nabla_g_blocks,
+    _nijenhuis_blocks=lambda L, J: cut(reference.nijenhuis(L, J)),
     jacobi_check=reference.jacobi_check, ce_d=reference.ce_d,
-    nijenhuis=reference.nijenhuis,
     pairing_rows=lambda omega, J: as_matrix(reference.pairing_rows(omega, J)))
 
 
@@ -141,6 +168,11 @@ def test_sparse_routines_match_the_dense_reference(p):
     assert nabla_g(D, g) == reference.nabla_g(D, g)
     assert codazzi_check(D, g) == reference.codazzi_check(D, g)
     assert comparison_tensor(g) == reference.comparison_tensor(g)
+    fit = constant_curvature(D, g)
+    if fit.kind != "degenerate":
+        expected = reference.curvature_fit(reference.curvature(D),
+                                           reference.comparison_tensor(g))
+        assert (fit, fit.witness) == (expected, expected.witness)
     assert jacobi_check(L) == reference.jacobi_check(L)
     for form in (alpha, omega):
         assert ce_d(L, form) == reference.ce_d(L, form)

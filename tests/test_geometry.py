@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -247,13 +249,15 @@ def test_nijenhuis_obstruction_with_torsion():
 
 
 def test_classify_reads_integrability_off_the_module_nijenhuis(monkeypatch):
-    # the reference classify swaps geometry.nijenhuis for the dense
-    # oracle, which covers classify only while it calls that name
+    # the reference classify swaps geometry._nijenhuis_blocks for blocks
+    # cut from the dense oracle, which covers classify only while it
+    # calls that name; the stub's N is 1 at (0, 1, 0)
     L = LieAlgebra.abelian(("x", "y"))
     J = ComplexStructure.from_rows(L, [[0, -1], [1, 0]])
     assert classify(L, complex_structure=J).is_integrable is True
-    stub = Tensor.from_entries((2, 2, 2), {(0, 1, 0): 1, (1, 0, 0): -1})
-    monkeypatch.setattr(geometry, "nijenhuis", lambda *_: stub)
+    stub = {(0, 1): (1, {(0,): 1})}
+    monkeypatch.setattr(geometry, "_nijenhuis_blocks",
+                        lambda *_: lambda i, j: stub.get((i, j), (1, {})))
     report = classify(L, complex_structure=J)
     assert report.is_integrable is False
     assert report.witnesses == (Witness("nijenhuis", (0, 1), (Q(1), Q(0))),)
@@ -754,7 +758,8 @@ def _raise(*args, **kwargs):
 
 def test_rechecks_do_not_call_the_kernels_behind_the_verdict(monkeypatch):
     # one witness of every pointwise claim, found by classify first; the
-    # rechecks then run with contract and the tensor builders disabled
+    # rechecks then run with contract, the bracket, the tensor builders
+    # and their block kernels disabled
     cases = _claim_cases()
     L = LieAlgebra.abelian(("x", "y"))
     singular = Metric.from_rows(L, [[1, 0], [0, 0]])
@@ -773,8 +778,106 @@ def test_rechecks_do_not_call_the_kernels_behind_the_verdict(monkeypatch):
                for w, _ in witnesses)
     for module in (tensors, algebra, forms, geometry):
         monkeypatch.setattr(module, "contract", _raise)
+    monkeypatch.setattr(algebra, "bracket", _raise)
     for name in ("curvature", "nabla_g", "nijenhuis", "torsion",
-                 "pairing_rows", "comparison_tensor", "ce_d"):
+                 "pairing_rows", "comparison_tensor", "ce_d",
+                 "_torsion_blocks", "_curvature_blocks", "_nabla_g_blocks",
+                 "_comparison_blocks", "_nijenhuis_blocks"):
         monkeypatch.setattr(geometry, name, _raise)
     for witness, pieces in witnesses:
         assert witness_residual(witness, **pieces) == witness.residual
+
+
+# -- classify reads a claim block by block ---------------------------------
+
+BLOCK_KERNELS = ("_torsion_blocks", "_curvature_blocks", "_nabla_g_blocks",
+                 "_comparison_blocks", "_nijenhuis_blocks")
+
+
+def _count_blocks(monkeypatch):
+    """Wrap each block kernel so that every block read through it is
+    counted under the kernel's name."""
+    reads = Counter()
+    for name in BLOCK_KERNELS:
+        def counted(*pieces, name=name, kernel=getattr(geometry, name)):
+            block = kernel(*pieces)
+
+            def read(i, j):
+                reads[name] += 1
+                return block(i, j)
+
+            return read
+
+        monkeypatch.setattr(geometry, name, counted)
+    return reads
+
+
+def _dense_pieces(n, rng):
+    """A dense bracket, connection, diagonally dominant metric and
+    J = S J0 S^-1 of dimension n, S lower unitriangular of ones."""
+    values = [Q(1, 2), Q(-3, 5), Q(2, 7), Q(-1), Q(3)]
+    L = LieAlgebra.from_brackets(
+        tuple(f"e{i}" for i in range(n)),
+        {(i, j): {k: rng.choice(values) for k in range(n)}
+         for i in range(n) for j in range(i + 1, n)})
+    D = Connection.from_table(L, {(i, j): {k: rng.choice(values)
+                                           for k in range(n)}
+                                  for i in range(n) for j in range(n)})
+    rows = [[Q(2 * n) if i == j else 0 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = rng.choice(values) / 3
+    m = n // 2
+
+    def product(a, b):
+        return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+                for row in a]
+
+    s = [[int(i >= j) for j in range(n)] for i in range(n)]
+    s_inv = [[1 if i == j else -1 if i == j + 1 else 0 for j in range(n)]
+             for i in range(n)]
+    j0 = [[-1 if j == i + m else int(i == j + m) for j in range(n)]
+          for i in range(n)]
+    J = ComplexStructure.from_rows(L, product(product(s, j0), s_inv))
+    return L, D, Metric.from_rows(L, rows), J
+
+
+def test_classify_reads_one_block_of_a_claim_failing_at_the_first_pair(
+        monkeypatch):
+    # dense dim-12 pieces fail torsion, flatness, Codazzi, the curvature
+    # fit and integrability at (0, 1), so each claim reads that one block
+    L, D, g, J = _dense_pieces(12, random.Random(7))
+    reads = _count_blocks(monkeypatch)
+    report = classify(L, connection=D, metric=g, complex_structure=J)
+    assert reads == dict.fromkeys(BLOCK_KERNELS, 1)
+    found = {w.claim: w for w in report.witnesses}
+    assert set(found) == {"jacobi", "torsion", "curvature", "codazzi",
+                          "constant_curvature", "nijenhuis"}
+    for claim in ("torsion", "curvature", "codazzi", "constant_curvature",
+                  "nijenhuis"):
+        witness = found[claim]
+        assert witness.indices[:2] == (0, 1)
+        assert witness_residual(witness, algebra=L, connection=D, metric=g,
+                                complex_structure=J) == witness.residual
+
+
+def test_classify_reads_every_block_of_a_claim_it_passes(monkeypatch):
+    # su2's statistical structure is torsion free, Codazzi and of constant
+    # curvature 1, and the double of its cone is integrable: each passing
+    # claim reads all n (n - 1) / 2 blocks, R's once for flatness and the
+    # fit together although flatness fails at the first
+    entry = su2()
+    dbl = lck_family(entry.algebra, entry.connection, entry.metric,
+                     c=None, t=1).double
+    reads = _count_blocks(monkeypatch)
+    report = classify(entry.algebra, connection=entry.connection,
+                      metric=entry.metric)
+    assert report.is_statistical and report.is_flat is False
+    assert report.constant_curvature == CurvatureFit("constant", Q(1))
+    assert reads == {"_torsion_blocks": 3, "_curvature_blocks": 3,
+                     "_nabla_g_blocks": 3, "_comparison_blocks": 3}
+    reads.clear()
+    assert classify(dbl.algebra, complex_structure=dbl.complex_structure
+                    ).is_integrable is True
+    assert reads == {"_nijenhuis_blocks": dbl.algebra.dim
+                     * (dbl.algebra.dim - 1) // 2}

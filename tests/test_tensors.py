@@ -8,8 +8,9 @@ from hypothesis import Phase, example, given, settings, strategies as st
 import reference
 from liegeom import (AlgebraDocument, Connection, FormBlock, InexactValue,
                      Infeasible, InputError, LieAlgebra, LieGeomError,
-                     LinearSolution, Metric, ShapeMismatch, Tensor, classify,
-                     get_example, lck_family, list_examples, solve_linear)
+                     LinearSolution, Metric, ShapeMismatch, Tensor, as_vector,
+                     classify, cone_extend, get_example, lck_family,
+                     list_examples, solve_lambda, solve_linear)
 from liegeom.constructions import _pairing_form, double
 from liegeom.tensors import _numerators, det, leading_minors, null_vector
 
@@ -23,6 +24,11 @@ def vec(*values):
 
 def matrix(rows):
     return Tensor.from_rows([[Q(x) for x in row] for row in rows])
+
+
+def _su2_pieces():
+    entry = get_example("su2")
+    return entry.algebra, entry.connection, entry.metric
 
 
 def test_entry_count_checked():
@@ -100,6 +106,19 @@ def test_tags_do_not_affect_equality():
     assert nested == pairs == mapping
     assert hash(nested) == hash(pairs)
     assert nested != matrix([[0, 1], [1, 0]])
+
+
+@pytest.mark.parametrize("axis", [2.7, 2.0, "2", True, None],
+                         ids=["fraction", "whole-float", "string", "bool",
+                              "none"])
+def test_an_axis_that_is_no_int_is_refused(axis):
+    # int() would read 2.7 as 2 and True as 1; an axis is an int, as an
+    # index is
+    with pytest.raises(ShapeMismatch, match="is not an int"):
+        Tensor((axis,), ())
+    with pytest.raises(ShapeMismatch, match="is not an int"):
+        Tensor.zero((2, axis))
+    assert Tensor.zero((2, 3)).shape == (2, 3)
 
 
 def test_from_rows_shape():
@@ -318,12 +337,19 @@ def test_elimination_shape_errors():
     lambda: vec(1, 2).scale(0.5),
     lambda: solve_linear(matrix([[1, 0], [0, 1]]), [1, 0.25]),
     lambda: LieAlgebra.from_brackets(("u", "v"), {(0, 1): {1: 2.0}}),
+    lambda: lck_family(*_su2_pieces(), None, 0.1),
+    lambda: cone_extend(*_su2_pieces(), 1.0),
+    lambda: cone_extend(*_su2_pieces()).metric(0.5),
+    lambda: solve_lambda(0.5),
+    lambda: as_vector(get_example("su2").algebra, (1, 0.5, 0)),
 ], ids=["float-row", "word", "none", "zero-denominator", "nan", "scale",
-        "rhs", "bracket"])
+        "rhs", "bracket", "lck-family-t", "cone-c", "cone-metric-t",
+        "lambda-c", "as-vector"])
 def test_a_value_that_is_no_exact_rational_is_refused(build):
     # a float would be stored as its binary expansion (0.1 as
     # 3602879701896397/36028797018963968); it and anything Fraction
-    # cannot read raise an input error that names the value
+    # cannot read raise an input error that names the value, in the
+    # tensors and in the parameters of the constructions alike
     with pytest.raises(InexactValue, match="is no exact rational") as caught:
         build()
     assert isinstance(caught.value, InputError)
