@@ -16,10 +16,11 @@ VERDICTS reads each report flag the supplied pieces allow off those
 witnesses, False exactly when one of them refutes it.
 
 Each witness is the first in index order, so classify sums T, R,
-nabla g and N one (i, j) block at a time, i < j in lexicographic
-order, and stops reading a claim at the first block that decides it:
-a failing claim costs its first failing block, a passing one the whole
-tensor.
+nabla g and N one block at a time in lexicographic order (a pair
+(i, j), i < j, of R; a row i of T and N, every pair (i, j) with j > i;
+a slab i of nabla g) and stops reading a claim at the first block that
+decides it: a failing claim costs its first failing block, a passing
+one the whole tensor.
 """
 
 from __future__ import annotations
@@ -132,12 +133,15 @@ class ComplexStructure:
 
 # -- verdict computations --------------------------------------------------
 #
-# T, R, nabla g and N are summed one (i, j) block at a time.  A kernel
-# groups the int numerators of its pieces (gamma, c, g, J) by leading
-# index once per call and returns block(i, j), the block's nonzero int
-# sums over one denominator d as (d, {remaining indices: int}), for
-# i < j; nabla g, not antisymmetric, holds its slabs (i, j) and (j, i)
-# in one block.  classify reads the blocks in lexicographic order and
+# T, R, nabla g and N are summed one block at a time.  A kernel groups
+# the int numerators of its pieces (gamma, c, g, J) by leading index
+# once per call and returns block(*head), the block's nonzero int sums
+# over one denominator d as (d, {remaining indices: int}).  R has a
+# block per pair i < j, head (i, j).  T and N, whose pair blocks cost
+# less than the call that reads them, have one per row, head (i,),
+# holding every pair (i, j) with j > i.  nabla g, not antisymmetric,
+# has one per slab nabla_{e_i} g, which the Codazzi pair (i, j) reads
+# with slab j.  classify reads the blocks in lexicographic order and
 # stops a claim at the first block that decides it: a failing claim
 # costs its first failing block, a passing one the whole tensor.  The
 # public tensors are every block, each entry mirrored to minus itself
@@ -145,8 +149,13 @@ class ComplexStructure:
 # slots.
 
 def _pairs(n):
-    """The pairs i < j below n, in lexicographic order."""
+    """The pair heads (i, j), i < j below n, in lexicographic order."""
     return itertools.combinations(range(n), 2)
+
+
+def _rows(n):
+    """The row heads (i,) below n that hold a pair (i, j) with i < j."""
+    return ((i,) for i in range(n - 1))
 
 
 def _grouped(ints, lead):
@@ -160,61 +169,65 @@ def _grouped(ints, lead):
     return groups
 
 
-def _antisymmetric(n, rank, block):
-    """The Tensor whose (i, j) blocks, i < j, are block's, each entry
-    mirrored to minus itself at (j, i, ...)."""
+def _antisymmetric(n, rank, block, heads):
+    """The Tensor whose blocks at heads are block's, each entry mirrored
+    to minus itself at (j, i, ...)."""
     entries = []
-    for i, j in _pairs(n):
-        d, b = block(i, j)
+    for head in heads:
+        d, b = block(*head)
         for tail, v in b.items():
-            q = Fraction(v, d)
-            entries += (((i, j) + tail, q), ((j, i) + tail, -q))
+            idx, q = head + tail, Fraction(v, d)
+            entries += ((idx, q), ((idx[1], idx[0]) + idx[2:], -q))
     return Tensor._trusted((n,) * rank, entries)
 
 
-def _sliced(claim, pair, d, b, n):
-    """The witness in the nonzero block b at pair: the pair, then the
+def _sliced(claim, head, d, b, n):
+    """The witness in the nonzero block b at head: the head, then the
     leading indices of b's first entry, with the last-axis slice there
     as residual."""
-    head = min(b)[:-1]
-    return Witness(claim, pair + head, tuple(
-        Fraction(b.get(head + (m,), 0), d) for m in range(n)))
+    lead = min(b)[:-1]
+    return Witness(claim, head + lead, tuple(
+        Fraction(b.get(lead + (m,), 0), d) for m in range(n)))
 
 
 def _first_nonzero(claim, n, block):
-    """The witness in the first nonzero block, None when all vanish."""
-    for pair in _pairs(n):
-        d, b = block(*pair)
+    """The witness in the first nonzero row block, None when all vanish."""
+    for head in _rows(n):
+        d, b = block(*head)
         if b:
-            return _sliced(claim, pair, d, b, n)
+            return _sliced(claim, head, d, b, n)
     return None
 
 
 def _torsion_blocks(connection):
-    """block(i, j): T[i, j, k] = gamma[i, j, k] - gamma[j, i, k]
-    - c[i, j, k] at each k."""
+    """row(i): T[i, j, k] = gamma[i, j, k] - gamma[j, i, k] - c[i, j, k]
+    at each (j, k), j > i."""
     dg, gamma = connection.gamma._ints
     dc, half = connection.base.half._ints
     d = math.lcm(dg, dc)
     sg, sc = d // dg, d // dc
-    gamma, half = _grouped(gamma, 2), _grouped(half, 2)
+    above, below, brackets = {}, {}, _grouped(half, 1)
+    for (i, j, k), v in gamma:
+        if i < j:
+            above.setdefault(i, []).append(((j, k), v * sg))
+        elif j < i:
+            below.setdefault(j, []).append(((i, k), v * sg))
 
-    def block(i, j):
-        out = {}
-        for k, v in gamma.get((i, j), ()):
-            out[k] = v * sg
-        for k, v in gamma.get((j, i), ()):
-            out[k] = out.get(k, 0) - v * sg
-        for k, v in half.get((i, j), ()):
-            out[k] = out.get(k, 0) - v * sc
-        return d, {(k,): v for k, v in out.items() if v}
+    def row(i):
+        out = dict(above.get(i, ()))
+        for key, v in below.get(i, ()):
+            out[key] = out.get(key, 0) - v
+        for key, v in brackets.get(i, ()):
+            out[key] = out.get(key, 0) - v * sc
+        return d, {key: v for key, v in out.items() if v}
 
-    return block
+    return row
 
 
 def torsion(connection):
     """T as a (1, 2) tensor: T[i, j, k] is the e_k part of T(e_i, e_j)."""
-    return _antisymmetric(connection.base.dim, 3, _torsion_blocks(connection))
+    n = connection.base.dim
+    return _antisymmetric(n, 3, _torsion_blocks(connection), _rows(n))
 
 
 def _curvature_blocks(connection):
@@ -264,41 +277,37 @@ def curvature(connection):
     R[i, j, k, l] = sum over m of gamma[j, k, m] gamma[i, m, l]
     - gamma[i, k, m] gamma[j, m, l] - c[i, j, m] gamma[m, k, l].
     """
-    return _antisymmetric(connection.base.dim, 4,
-                          _curvature_blocks(connection))
+    n = connection.base.dim
+    return _antisymmetric(n, 4, _curvature_blocks(connection), _pairs(n))
 
 
 def _nabla_g_blocks(connection, metric):
-    """block(i, j): (d, {(k,): (nabla_{e_i} g)(e_j, e_k) d},
-    {(k,): (nabla_{e_j} g)(e_i, e_k) d}), for i <= j.
+    """block(i): the slab (nabla_{e_i} g)(e_j, e_k) as (d, {j: {k: the
+    entry times d}}) over its nonzero entries.
 
-    (nabla_{e_i} g)(e_j, e_k) is -(P_i[j, k] + P_i[k, j]), with P_i the
-    matrix summing gamma[i, j, m] g[m, k] over m, as g is symmetric; each
-    P_i is summed once, when a block first reads it.
+    The entry is -(P_i[j, k] + P_i[k, j]), with P_i the matrix summing
+    gamma[i, j, m] g[m, k] over m, as g is symmetric.
     """
     n = connection.base.dim
     dg, gamma = connection.gamma._ints
     dm, g = metric.g._ints
-    d = dg * dm
     lead, rows = _grouped(gamma, 1), _grouped(g, 1)
-    products = {}
 
-    def p(i):
-        if i not in products:
-            out = [[0] * n for _ in range(n)]
-            for (j, m), x in lead.get(i, ()):
-                row = out[j]
-                for k, y in rows.get(m, ()):
-                    row[k] += x * y
-            products[i] = out
-        return products[i]
-
-    def slab(pi, j):    # -(P_i[j, k] + P_i[k, j]) at each k
-        return {(k,): -v for k, v in enumerate(
-            a + b[j] for a, b in zip(pi[j], pi)) if v}
-
-    def block(i, j):
-        return d, slab(p(i), j), slab(p(j), i)
+    def block(i):
+        p = {}      # P_i on int keys j n + k
+        for (j, m), x in lead.get(i, ()):
+            for k, y in rows.get(m, ()):
+                p[j * n + k] = p.get(j * n + k, 0) + x * y
+        slab = {}
+        for key, v in p.items():
+            j, k = divmod(key, n)
+            if j > k and k * n + j in p:
+                continue    # summed at (k, j)
+            v = -(v + p.get(k * n + j, 0))
+            if v:
+                slab.setdefault(j, {})[k] = v
+                slab.setdefault(k, {})[j] = v
+        return dg * dm, slab
 
     return block
 
@@ -308,12 +317,12 @@ def nabla_g(connection, metric):
     sum over m of -gamma[i, j, m] g[m, k] - gamma[i, k, m] g[j, m]."""
     n = connection.base.dim
     block = _nabla_g_blocks(connection, metric)
-    entries = {}
-    for i, j in itertools.combinations_with_replacement(range(n), 2):
-        d, ij, ji = block(i, j)
-        entries.update((((i, j) + k, Fraction(v, d)) for k, v in ij.items()))
-        entries.update((((j, i) + k, Fraction(v, d)) for k, v in ji.items()))
-    return Tensor._trusted((n, n, n), entries.items())
+    entries = []
+    for i in range(n):
+        d, slab = block(i)
+        entries += (((i, j, k), Fraction(v, d))
+                    for j, row in slab.items() for k, v in row.items())
+    return Tensor._trusted((n, n, n), entries)
 
 
 def codazzi_check(connection, metric):
@@ -321,19 +330,29 @@ def codazzi_check(connection, metric):
     at the first (i, j, k) where it loses symmetry in its first two slots.
 
     Symmetry in the last two slots is automatic for a symmetric metric,
-    so only the (i, j) swap is scanned, in lexicographic order, one
-    block of nabla g at a time.
+    so only the (i, j) swap is scanned, in lexicographic order: the pair
+    (i, j) compares row j of slab i with row i of slab j.  A slab is
+    summed when a pair first reads it and dropped after the last pair
+    (i, n - 1) of its i.
     """
     _same_base(connection.base, metric.base)
+    n = connection.base.dim
     block = _nabla_g_blocks(connection, metric)
-    for i, j in _pairs(connection.base.dim):
-        d, ij, ji = block(i, j)
-        asymmetric = [k for k in ij.keys() | ji.keys()
-                      if ij.get(k) != ji.get(k)]
-        if asymmetric:
-            k = min(asymmetric)
-            return Witness("codazzi", (i, j) + k,
+    slabs = {}
+    for i, j in _pairs(n):
+        for x in (i, j):
+            if x not in slabs:
+                slabs[x] = block(x)
+        d, slab = slabs[i]
+        ij, ji = slab.get(j), slabs[j][1].get(i)
+        if ij != ji:
+            ij, ji = ij or {}, ji or {}
+            k = min(k for k in ij.keys() | ji.keys()
+                    if ij.get(k) != ji.get(k))
+            return Witness("codazzi", (i, j, k),
                            Fraction(ij.get(k, 0) - ji.get(k, 0), d))
+        if j == n - 1:
+            del slabs[i]
     return None
 
 
@@ -368,7 +387,8 @@ def _comparison_blocks(metric):
 
 def comparison_tensor(metric):
     """K[i, j, k, l] = g[j, k] [l == i] - g[i, k] [l == j], from g alone."""
-    return _antisymmetric(metric.base.dim, 4, _comparison_blocks(metric))
+    n = metric.base.dim
+    return _antisymmetric(n, 4, _comparison_blocks(metric), _pairs(n))
 
 
 def constant_curvature(connection, metric):
@@ -421,75 +441,59 @@ def _curvature_scan(connection, metric=None):
 
 
 def _nijenhuis_blocks(L, J):
-    """block(i, j): N[i, j, k] at each k.
+    """row(i): N[i, j, k] at each (j, k), j > i.
 
-    With A_x the matrix A[x, y, z] = [J e_x, e_y]_z, the sum over m of
-    J[m, x] c[m, y, z], and J e_i the sum over m of J[m, i] e_m:
-    N[i, j, k] = c[i, j, k] + the sum over z of J[k, z] (A_i[j, z]
-    - A_j[i, z]) - [J e_i, J e_j]_k, where [J e_i, J e_j]_k sums
-    A_i[y, k] J[y, j] over y.  A_x, over dj dc, is summed once, when a
-    block first reads it, and kept as its nonzero rows; N is over
-    dc dj^2.
-
-    A block is zero unless j is in reach(i), read off the supports of
-    c and J alone.  With rows the y where c[i, y] or A_i[y] can be
-    nonzero, reach(i) is rows and every j with J[y, j] nonzero for a y
-    in rows: c[i, j] and A_i[j] need j in rows, [J e_i, J e_j] a row y
-    of A_i with J[y, j] nonzero, and A_j[i], the sum over m of J[m, j]
-    c[m, i], an m in rows (c[i, m] nonzero) with J[m, j] nonzero.  So a
-    sparse scan skips most pairs without summing them.
+    With C_x the matrix c[x, y, z], J e_x the sum over m of J[m, x] e_m
+    and A_x the matrix A[x, y, z] = [J e_x, e_y]_z, the sum over m of
+    J[m, x] C_m: [e_i, J e_j]_z is the sum over m of J[m, j] C_i[m, z],
+    so with M_i[j, z] = A_i[j, z] + that sum,
+    N[i, j, k] = C_i[j, k] + the sum over z of J[k, z] M_i[j, z]
+    - [J e_i, J e_j]_k, the last the sum over y of J[y, j] A_i[y, k].
+    A row reads C_i and the C_m with J[m, i] nonzero alone; M_i is over
+    dc dj, N over dc dj^2, summed on int keys j n + k.
     """
     _same_base(L, J.base)
+    n = L.dim
     dj, j_ints = J.j._ints
     dc, c_ints = L.c._ints
     s = dj * dj
     d = dc * s
     cols = _grouped((((b, a), v) for (a, b), v in j_ints), 1)
-    rows_of = _grouped(c_ints, 1)
-    half = _grouped(((idx, v * s) for idx, v in L.half._ints[1]), 2)
-    j_row = {a: {b for b, _ in row} for a, row in _grouped(j_ints, 1).items()}
-    c_row = {m: {y for (y, _), _ in row} for m, row in rows_of.items()}
-    products, reached = {}, {}
+    j_rows, c_rows = _grouped(j_ints, 1), _grouped(c_ints, 1)
 
-    def reach(i):
-        rows = c_row.get(i, set()).union(
-            *(c_row.get(m, ()) for m, _ in cols.get(i, ())))
-        reached[i] = rows.union(*(j_row.get(y, ()) for y in rows))
-        return reached[i]
-
-    def a_of(x):    # {y: {z: A[x, y, z]}}
+    def row(i):
+        a = {}      # A_i as {y: {z: int}}
+        for m, jv in cols.get(i, ()):
+            for (y, z), cv in c_rows.get(m, ()):
+                r = a.setdefault(y, {})
+                r[z] = r.get(z, 0) + jv * cv
+        inner = {j: dict(r) for j, r in a.items() if j > i}     # M_i
         out = {}
-        for m, jv in cols.get(x, ()):
-            for (y, z), cv in rows_of.get(m, ()):
-                row = out.setdefault(y, {})
-                row[z] = row.get(z, 0) + jv * cv
-        products[x] = out
-        return out
-
-    def block(i, j):
-        if j not in (reached[i] if i in reached else reach(i)):
-            return d, {}
-        ai = products[i] if i in products else a_of(i)
-        aj = products[j] if j in products else a_of(j)
-        out = dict(half.get((i, j), ()))
-        for row, sign in ((ai.get(j), 1), (aj.get(i), -1)):
-            for z, x in row.items() if row else ():
-                x *= sign
+        for (m, z), cv in c_rows.get(i, ()):
+            if m > i:
+                out[m * n + z] = cv * s
+            for j, jv in j_rows.get(m, ()):
+                if j > i:
+                    r = inner.setdefault(j, {})
+                    r[z] = r.get(z, 0) + jv * cv
+        for j, r in inner.items():
+            for z, x in r.items():
                 for k, jv in cols.get(z, ()):
-                    out[k] = out.get(k, 0) + jv * x
-        for y, jv in cols.get(j, ()):
-            row = ai.get(y)
-            for k, av in row.items() if row else ():
-                out[k] = out.get(k, 0) - av * jv
-        return d, {(k,): v for k, v in out.items() if v}
+                    out[j * n + k] = out.get(j * n + k, 0) + jv * x
+        for y, r in a.items():
+            for j, jv in j_rows.get(y, ()):
+                if j > i:
+                    for k, av in r.items():
+                        out[j * n + k] = out.get(j * n + k, 0) - jv * av
+        return d, {divmod(key, n): v for key, v in out.items() if v}
 
-    return block
+    return row
 
 
 def nijenhuis(L, J):
     """N(X, Y) = [X, Y] + J([JX, Y] + [X, JY]) - [JX, JY] on basis pairs:
     N[i, j, k] is the e_k part of N(e_i, e_j)."""
-    return _antisymmetric(L.dim, 3, _nijenhuis_blocks(L, J))
+    return _antisymmetric(L.dim, 3, _nijenhuis_blocks(L, J), _rows(L.dim))
 
 
 def pairing_rows(omega, J):

@@ -118,38 +118,44 @@ def pieces(draw):
             draw(forms(L.dim, 1)))
 
 
-def cut(t):
-    """block(i, j) of a dense reference tensor, in the form the library's
-    block kernels return: (d, {the rest of the index: int}) for its
-    entries at (i, j, ...), as ints over the lcm d of its denominators."""
+def cut(t, rows=False):
+    """The blocks of a dense reference tensor, in the form the library's
+    block kernels return: block(*head) is (d, {the rest of the index:
+    int}) for its entries at (*head, ...), as ints over the lcm d of its
+    denominators; a row block, head (i,), holds those with j > i alone."""
     d = lcm(*(v.denominator for _, v in t.entries))
 
-    def block(i, j):
-        return d, {idx[2:]: v.numerator * (d // v.denominator)
-                   for idx, v in t.entries if idx[:2] == (i, j)}
+    def block(*head):
+        return d, {idx[len(head):]: v.numerator * (d // v.denominator)
+                   for idx, v in t.entries if idx[:len(head)] == head
+                   and (not rows or idx[0] < idx[1])}
 
     return block
 
 
 def nabla_g_blocks(D, g):
-    """The nabla g kernel's block(i, j): the slabs at (i, j) and (j, i)."""
+    """The nabla g kernel's block(i): slab i as (d, {j: {k: int}})."""
     block = cut(reference.nabla_g(D, g))
 
-    def both(i, j):
-        d, ij = block(i, j)
-        return d, ij, block(j, i)[1]
+    def slab(i):
+        d, entries = block(i)
+        rows = {}
+        for (j, k), v in entries.items():
+            rows.setdefault(j, {})[k] = v
+        return d, rows
 
-    return both
+    return slab
 
 
 # classify scans the blocks of T, R, K, nabla g and N that these kernels
 # return; the reference cuts them from the dense tensors instead
 REFERENCE = dict(
-    _torsion_blocks=lambda D: cut(reference.torsion(D)),
+    _torsion_blocks=lambda D: cut(reference.torsion(D), rows=True),
     _curvature_blocks=lambda D: cut(reference.curvature(D)),
     _comparison_blocks=lambda g: cut(reference.comparison_tensor(g)),
     _nabla_g_blocks=nabla_g_blocks,
-    _nijenhuis_blocks=lambda L, J: cut(reference.nijenhuis(L, J)),
+    _nijenhuis_blocks=lambda L, J: cut(reference.nijenhuis(L, J),
+                                       rows=True),
     jacobi_check=reference.jacobi_check, ce_d=reference.ce_d,
     pairing_rows=lambda omega, J: as_matrix(reference.pairing_rows(omega, J)))
 

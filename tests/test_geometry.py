@@ -251,13 +251,13 @@ def test_nijenhuis_obstruction_with_torsion():
 def test_classify_reads_integrability_off_the_module_nijenhuis(monkeypatch):
     # the reference classify swaps geometry._nijenhuis_blocks for blocks
     # cut from the dense oracle, which covers classify only while it
-    # calls that name; the stub's N is 1 at (0, 1, 0)
+    # calls that name; the stub's N is 1 at (0, 1, 0), in row block 0
     L = LieAlgebra.abelian(("x", "y"))
     J = ComplexStructure.from_rows(L, [[0, -1], [1, 0]])
     assert classify(L, complex_structure=J).is_integrable is True
-    stub = {(0, 1): (1, {(0,): 1})}
+    stub = {0: (1, {(1, 0): 1})}
     monkeypatch.setattr(geometry, "_nijenhuis_blocks",
-                        lambda *_: lambda i, j: stub.get((i, j), (1, {})))
+                        lambda *_: lambda i: stub.get(i, (1, {})))
     report = classify(L, complex_structure=J)
     assert report.is_integrable is False
     assert report.witnesses == (Witness("nijenhuis", (0, 1), (Q(1), Q(0))),)
@@ -802,9 +802,9 @@ def _count_blocks(monkeypatch):
         def counted(*pieces, name=name, kernel=getattr(geometry, name)):
             block = kernel(*pieces)
 
-            def read(i, j):
+            def read(*head):
                 reads[name] += 1
-                return block(i, j)
+                return block(*head)
 
             return read
 
@@ -845,11 +845,13 @@ def _dense_pieces(n, rng):
 def test_classify_reads_one_block_of_a_claim_failing_at_the_first_pair(
         monkeypatch):
     # dense dim-12 pieces fail torsion, flatness, Codazzi, the curvature
-    # fit and integrability at (0, 1), so each claim reads that one block
+    # fit and integrability at (0, 1), so each claim reads the blocks
+    # holding that pair: pair block (0, 1) of R and K, row block 0 of T
+    # and N, and slabs 0 and 1 of nabla g, which is not antisymmetric
     L, D, g, J = _dense_pieces(12, random.Random(7))
     reads = _count_blocks(monkeypatch)
     report = classify(L, connection=D, metric=g, complex_structure=J)
-    assert reads == dict.fromkeys(BLOCK_KERNELS, 1)
+    assert reads == dict.fromkeys(BLOCK_KERNELS, 1) | {"_nabla_g_blocks": 2}
     found = {w.claim: w for w in report.witnesses}
     assert set(found) == {"jacobi", "torsion", "curvature", "codazzi",
                           "constant_curvature", "nijenhuis"}
@@ -864,8 +866,10 @@ def test_classify_reads_one_block_of_a_claim_failing_at_the_first_pair(
 def test_classify_reads_every_block_of_a_claim_it_passes(monkeypatch):
     # su2's statistical structure is torsion free, Codazzi and of constant
     # curvature 1, and the double of its cone is integrable: each passing
-    # claim reads all n (n - 1) / 2 blocks, R's once for flatness and the
-    # fit together although flatness fails at the first
+    # claim reads every block, the n (n - 1) / 2 pair blocks of R and K,
+    # the n - 1 row blocks of T and N and the n slabs of nabla g, R's
+    # once for flatness and the fit together although flatness fails at
+    # the first
     entry = su2()
     dbl = lck_family(entry.algebra, entry.connection, entry.metric,
                      c=None, t=1).double
@@ -874,10 +878,9 @@ def test_classify_reads_every_block_of_a_claim_it_passes(monkeypatch):
                       metric=entry.metric)
     assert report.is_statistical and report.is_flat is False
     assert report.constant_curvature == CurvatureFit("constant", Q(1))
-    assert reads == {"_torsion_blocks": 3, "_curvature_blocks": 3,
+    assert reads == {"_torsion_blocks": 2, "_curvature_blocks": 3,
                      "_nabla_g_blocks": 3, "_comparison_blocks": 3}
     reads.clear()
     assert classify(dbl.algebra, complex_structure=dbl.complex_structure
                     ).is_integrable is True
-    assert reads == {"_nijenhuis_blocks": dbl.algebra.dim
-                     * (dbl.algebra.dim - 1) // 2}
+    assert reads == {"_nijenhuis_blocks": dbl.algebra.dim - 1}
