@@ -34,7 +34,7 @@ from .algebra import LieAlgebra, Witness, jacobi_check, jacobi_residual
 from .errors import (DimensionMismatch, InputError, MissingPieces, NoLeeForm,
                      NotAlmostComplex, ShapeMismatch, UnsupportedDegree)
 from .forms import KForm, ce_d
-from .tensors import (Infeasible, Tensor, _as_q, contract, det,
+from .tensors import (Infeasible, Tensor, _as_q, _eliminate, contract, det,
                       leading_minors, null_vector, solve_linear)
 
 _ZERO = Fraction(0)
@@ -1001,7 +1001,7 @@ def classify(L, connection=None, metric=None, complex_structure=None,
 
     if metric is not None:
         _same_base(L, metric.base)
-        minors = leading_minors(metric.g)
+        g_elim = _eliminate(metric.g)   # minors and det g from one pass
 
     if connection is not None:
         _same_base(L, connection.base)
@@ -1009,10 +1009,7 @@ def classify(L, connection=None, metric=None, complex_structure=None,
                                         _torsion_blocks(connection)))
         fitted = None
         if metric is not None:
-            # the leading minors end in det g unless they stop short of
-            # it at a zero one; only then is g eliminated a second time
-            full = minors and len(minors) == L.dim
-            if (minors[-1] if full else det(metric.g)) == 0:
+            if g_elim.det == 0:
                 fit = CurvatureFit("degenerate")
             else:
                 fitted = metric
@@ -1021,8 +1018,8 @@ def classify(L, connection=None, metric=None, complex_structure=None,
         witnesses.append(flat)
 
     if metric is not None:
-        witnesses.append(_positive("positive_definite", metric.g, minors,
-                                   kernel=True))
+        witnesses.append(_positive("positive_definite", metric.g,
+                                   g_elim.minors, kernel=True))
 
     if connection is not None and metric is not None:
         witnesses += [codazzi_check(connection, metric), fit.witness]

@@ -17,7 +17,7 @@ from .errors import InputError, ZeroDenominator
 
 Q = Fraction
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[+-]?\d+)?$")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[+-]?[0-9]+)?")
 
 
 def make_rational(numerator, denominator=1):
@@ -35,7 +35,7 @@ def make_rational(numerator, denominator=1):
 
 def parse_rational(text):
     """Parse "p" or "p/q" into a Fraction.  Whitespace is not allowed."""
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"not a rational literal: {text!r}")
     if "/" in text:
         num, den = text.split("/")

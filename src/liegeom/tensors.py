@@ -20,11 +20,16 @@ caller adds them up as it rearranges their indices and divides once per
 entry of its result.
 
 A matrix is a rank-2 Tensor too.  det, leading_minors, solve_linear and
-null_vector read their answers off one integer-preserving elimination
-(Bareiss 1968) over its nonzero entries: the determinant, the leading
-principal minors behind Sylvester's test up to the first zero one (past
-it the pass swaps rows), the canonical solution with free variables zero
-or a certificate of infeasibility, and a kernel vector.
+null_vector read their answers off one integer-preserving forward pass
+(Bareiss 1968) over its nonzero entries, which combines only the rows
+below each pivot and skips a row once it is zero: the determinant and
+the leading principal minors behind Sylvester's test up to the first
+zero one (past it the pass swaps rows) come off the pivots, the
+canonical solution with free variables zero and a kernel vector off the
+echelon rows by integer back-substitution.  No row carries a
+certificate through the pass: when A x = b has no solution, the
+certificate is solved once afterwards from the pivot block, A on the
+pivot rows and columns.
 """
 
 from __future__ import annotations
@@ -256,20 +261,21 @@ _Elimination = namedtuple("_Elimination", "outcome det minors kernel")
 
 
 def _eliminate(matrix, rhs=None):
-    """One fraction-free pass over A x = b, b = 0 if rhs is None.
+    """One fraction-free forward pass over A x = b, b = 0 if rhs is None.
 
     Row i of [A | b], read off the nonzero entries of the Tensor A, is
     cleared of its denominators by its own s and kept as one dict of
-    nonzero ints; with an rhs it carries its certificate y too, the
-    combination of the rows of A it stands for, at columns ncols + 1 + i,
-    starting from {ncols + 1 + i: s}.  A row zero in [A | b] can be
-    neither a pivot nor the infeasible row: it gets no y and is never
-    touched.  Left to right, the pivot is the first row at or below the
-    current position with the column set, and every other row r becomes
-    (p a_r - a_rc a_pivot) / (previous pivot), y included, exact on ints.
-    Pivot rows so end reduced with the last pivot d on the diagonal, the
-    others are the Gauss-Jordan rows times d s, and until the first zero
-    the leading minor k + 1 is the entry at (k, k) as column k opens.
+    nonzero ints.  Left to right, the pivot is the first row at or below
+    the current position with the column set, and every row below it
+    becomes (p a_r - a_rc a_pivot) / (previous pivot), exact on ints; a
+    row zero in [A | b] stays zero and is skipped.  Rows above a pivot
+    are never touched again, and until the first zero the leading minor
+    k + 1 is the entry at (k, k) as column k opens.  With d the last
+    pivot, the solution and the kernel are read off the echelon rows by
+    back-substitution on ints: X_k = (d b_k - sum over m > k of
+    a_{k, p_m} X_m) / a_{k, p_k}, each division exact, and x = X / d.
+    A row zero on A but not on b makes the system infeasible; its
+    certificate comes from _infeasible.
     """
     if not isinstance(matrix, Tensor) or matrix.rank != 2:
         raise ShapeMismatch("expected a matrix: a rank-2 Tensor")
@@ -282,12 +288,8 @@ def _eliminate(matrix, rhs=None):
         rows[i][j] = value
     scales = [math.lcm(*(x.denominator for x in row.values()))
               for row in rows]
-    for i, s in enumerate(scales):
-        rows[i] = {j: x.numerator * (s // x.denominator)
-                   for j, x in rows[i].items()}
-        if rows[i] and rhs is not None:
-            rows[i][ncols + 1 + i] = s
-    live = [i for i, row in enumerate(rows) if row]
+    rows = [{j: x.numerator * (s // x.denominator) for j, x in row.items()}
+            for row, s in zip(rows, scales)]
     order = list(range(nrows))      # order[position] = row
     pivots, minors = [], []
     sign = prev = 1
@@ -305,17 +307,21 @@ def _eliminate(matrix, rhs=None):
             sign = -sign
         top = rows[order[rank]]
         p = top[col]
-        for r in live:
+        for r in order[rank + 1:]:
             f = rows[r].get(col, 0)
-            if rows[r] is not top and (f or p != prev):
+            if rows[r] and (f or p != prev):
                 rows[r] = _combine(p, rows[r], f, top, prev)
         prev = p
         pivots.append(col)
 
-    def column(j):  # pivot variables read off column j of the reduced rows
-        x = [_ZERO] * ncols
-        for k, col in enumerate(pivots):
-            x[col] = Fraction(rows[order[k]].get(j, 0), prev)
+    def column(j):  # pivot variables solving A x = column j of [A | b]
+        x, dx = [_ZERO] * ncols, {}
+        for k in range(len(pivots) - 1, -1, -1):
+            row = rows[order[k]]
+            later = sum(v * dx[c] for c, v in row.items() if c in dx)
+            dx[pivots[k]] = (prev * row.get(j, 0) - later) // row[pivots[k]]
+        for col, v in dx.items():
+            x[col] = Fraction(v, prev)
         return x
 
     rank = len(pivots)
@@ -324,15 +330,39 @@ def _eliminate(matrix, rhs=None):
                 if ncols in rows[order[k]]), None)
     if bad is None:
         outcome = LinearSolution(tuple(column(ncols)), tuple(pivots), free)
-    else:   # y normalised so that its own coefficient is 1
-        y = [rows[bad].get(ncols + 1 + i, 0) for i in range(nrows)]
-        outcome = Infeasible(tuple(Fraction(v, y[bad]) for v in y),
-                             Fraction(rows[bad][ncols], y[bad]))
+    else:
+        outcome = _infeasible(matrix, b, order[:rank], pivots, bad)
     kernel = tuple(Fraction(c == free[0]) - x for c, x in
                    enumerate(column(free[0]))) if free else None
     determinant = Fraction(sign * prev if rank == ncols else 0,
                            math.prod(scales)) if nrows == ncols else None
     return _Elimination(outcome, determinant, tuple(minors), kernel)
+
+
+def _infeasible(matrix, b, tops, pivots, bad):
+    """The Infeasible of A x = b for a row bad that the pass left zero on
+    A but not on b: the combination y is 1 at bad, 0 off bad and the
+    pivot rows tops, and on tops the solution z of the transposed pivot
+    block system sum_k z_k A[tops[k], pivots[c]] = -A[bad, pivots[c]],
+    and the residual is y . b.  The pivot block is invertible, so this y
+    is the only combination of these rows with y_bad = 1 that clears A."""
+    at_top = {r: k for k, r in enumerate(tops)}
+    at_col = {j: c for c, j in enumerate(pivots)}
+    block, minus = {}, [_ZERO] * len(tops)
+    for (i, j), value in matrix.entries:
+        if j in at_col:
+            if i in at_top:
+                block[at_col[j], at_top[i]] = value
+            elif i == bad:
+                minus[at_col[j]] = -value
+    z = _eliminate(Tensor._trusted((len(tops), len(tops)), block.items()),
+                   minus).outcome.values
+    y = [_ZERO] * len(b)
+    y[bad] = Fraction(1)
+    for r, v in zip(tops, z):
+        y[r] = v
+    return Infeasible(tuple(y), b[bad] + sum(
+        (v * b[r] for r, v in zip(tops, z) if b[r]), _ZERO))
 
 
 def _combine(p, x, f, y, prev):

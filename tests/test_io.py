@@ -1,3 +1,4 @@
+import io
 import json
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from liegeom import (DocumentSyntaxError, KForm, LieAlgebra, Metric,
                      ComplexStructure, Connection, ValidationError,
                      document_from, get_example, parse, serialize)
+from liegeom.cli import run_command
 
 Q = Fraction
 
@@ -170,6 +172,20 @@ def test_bracket_entry_errors():
     assert field_of(wrap(brackets=[[0, 1, 1, "x"]])) == "brackets[0]"
     assert field_of(wrap(brackets=[[0, 1, 1, "1/0"]])) == "brackets[0]"
     assert field_of(wrap(brackets=[[0, 1, 1, 1]])) == "brackets[0]"
+
+
+@pytest.mark.parametrize("coefficient", ["1\n", "1/2\n", "\u0661/\u0662"],
+                         ids=["newline", "fraction-newline", "arabic-indic"])
+def test_a_coefficient_past_ascii_digits_is_refused(tmp_path, coefficient):
+    # a trailing newline or a non-ASCII digit is no rational literal, and
+    # the CLI reads the document as unusable input
+    text = wrap(brackets=[[0, 1, 1, coefficient]])
+    assert field_of(text) == "brackets[0]"
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    assert run_command(["verify", str(path)], out, err) == 2
+    assert out.getvalue() == "" and err.getvalue().startswith("error: ")
 
 
 def test_metric_entry_errors():

@@ -39,7 +39,8 @@ def test_parse(text, expected):
     assert parse_rational(text) == expected
 
 
-@pytest.mark.parametrize("text", ["", "x", "1.5", "1/2/3", "1 /2", "/3"])
+@pytest.mark.parametrize("text", ["", "x", "1.5", "1/2/3", "1 /2", "/3",
+                                  "1\n", "1/2\n", "\u0661/\u0662"])
 def test_parse_malformed(text):
     with pytest.raises(ValueError):
         parse_rational(text)

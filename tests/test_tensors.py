@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,11 +8,12 @@ from hypothesis import Phase, example, given, settings, strategies as st
 
 import reference
 from liegeom import (AlgebraDocument, Connection, FormBlock, InexactValue,
-                     Infeasible, InputError, LieAlgebra, LieGeomError,
+                     Infeasible, InputError, KForm, LieAlgebra, LieGeomError,
                      LinearSolution, Metric, ShapeMismatch, Tensor, as_vector,
-                     classify, cone_extend, get_example, lck_family,
-                     list_examples, solve_lambda, solve_linear)
+                     ce_d, classify, cone_extend, get_example, lck_family,
+                     list_examples, solve_lambda, solve_linear, wedge)
 from liegeom.constructions import _pairing_form, double
+from liegeom.geometry import lee_form_system
 from liegeom.tensors import _numerators, det, leading_minors, null_vector
 
 Q = Fraction
@@ -308,6 +310,130 @@ def test_elimination_matches_the_reference(system):
     assert det(a) == reference.det(rows)
     assert leading_minors(a) == reference_minors(rows)
     assert solve_linear(a, rhs) == reference.solve_linear(rows, rhs)
+
+
+# drawn from a list, which is far cheaper to draw than st.fractions
+nonzero = st.sampled_from([Q(1), Q(-1), Q(2), Q(-3), Q(1, 2), Q(-2, 3),
+                           Q(5, 4), Q(-7, 6), Q(9), Q(1, 5)])
+
+
+@st.composite
+def lee_like_systems(draw):
+    """(rows, rhs): up to 24 x 5, each drawn row with 1 to 3 nonzeros, as
+    a Lee row has, and about one row in four the sum of two earlier
+    ones, which goes zero partway through the pass: in [A | b], or on A
+    only when its b is pushed off the sum."""
+    ncols = draw(st.integers(1, 5))
+    nrows = draw(st.integers(ncols, 24))
+    rows, rhs = [], []
+    for _ in range(nrows):
+        if len(rows) > 1 and draw(st.integers(0, 3)) == 0:
+            i, j, c, off = draw(st.tuples(
+                st.integers(0, len(rows) - 1), st.integers(0, len(rows) - 1),
+                nonzero, st.sampled_from([Q(0), Q(0), Q(1)])))
+            rows.append([x + c * y for x, y in zip(rows[i], rows[j])])
+            rhs.append(rhs[i] + c * rhs[j] + off)
+        else:
+            row, b = draw(st.tuples(st.dictionaries(
+                st.integers(0, ncols - 1), nonzero, min_size=1, max_size=3),
+                st.one_of(st.just(Q(0)), nonzero)))
+            rows.append([row.get(col, Q(0)) for col in range(ncols)])
+            rhs.append(b)
+    if draw(st.booleans()):     # b in the column space
+        x = draw(st.lists(nonzero, min_size=ncols, max_size=ncols))
+        rhs = [sum((a * v for a, v in zip(row, x)), Q(0)) for row in rows]
+    return rows, rhs
+
+
+@ORACLE
+@given(lee_like_systems())
+def test_tall_sparse_elimination_matches_the_reference(system):
+    rows, rhs = system
+    a = matrix(rows)
+    assert solve_linear(a, rhs) == reference.solve_linear(rows, rhs)
+    assert null_vector(a) == reference.null_vector(rows)
+
+
+def _random_q(rng):
+    return Q(rng.randint(-3, 3), rng.randint(1, 3))
+
+
+def _in_a_random_basis(L, omega, rng):
+    """(L, omega) rewritten in the basis f_a = sum_i p[a][i] e_i for a
+    seeded unit lower triangular p, which makes both dense."""
+    n = L.dim
+    p = [[_random_q(rng) if i < a else Q(i == a) for i in range(n)]
+         for a in range(n)]
+    transposed = [list(col) for col in zip(*p)]
+
+    def pulled(t, a, b):    # t(f_a, f_b, ...) by its remaining indices
+        out = {}
+        for (i, j, *rest), v in t.entries:
+            out[tuple(rest)] = out.get(tuple(rest), 0) + p[a][i] * p[b][j] * v
+        return out
+
+    brackets, components = {}, {}
+    for a, b in itertools.combinations(range(n), 2):
+        image = pulled(L.c, a, b)       # [f_a, f_b] in the basis e
+        brackets[a, b] = dict(enumerate(reference.solve_linear(
+            transposed, [image.get((k,), Q(0)) for k in range(n)]).values))
+        components[a, b] = pulled(omega.coefficients, a, b).get((), Q(0))
+    return (LieAlgebra.from_brackets(L.basis_labels, brackets),
+            KForm.from_components(n, 2, components))
+
+
+def _heisenberg_line_pair(m, feasible, rng):
+    """(L, omega) on R x h(2m + 1), built in the basis x_i, y_i, z, t with
+    [x_i, y_i] = z and t central, then moved to a random basis.  The
+    feasible omega is sum x^i y^i + t^* z^* + d beta - theta beta with
+    theta = t^*, which solves d omega = theta omega (a Vaisman pair); the
+    other is a random dense 2-form."""
+    n = 2 * m + 2
+    z, t = n - 2, n - 1
+    L = LieAlgebra.from_brackets([f"e{i}" for i in range(n)],
+                                 {(i, m + i): {z: Q(1)} for i in range(m)})
+    if feasible:
+        theta = KForm.from_components(n, 1, {(t,): Q(1)})
+        beta = KForm.from_components(n, 1, {(k,): _random_q(rng)
+                                            for k in range(n)})
+        vaisman = {(i, m + i): Q(1) for i in range(m)}
+        vaisman[z, t] = Q(-1)
+        omega = (KForm.from_components(n, 2, vaisman) + ce_d(L, beta)
+                 - wedge(theta, beta))
+    else:
+        omega = KForm.from_components(n, 2, {
+            pair: _random_q(rng)
+            for pair in itertools.combinations(range(n), 2)})
+    return _in_a_random_basis(L, omega, rng)
+
+
+@pytest.mark.parametrize("m, feasible", [(3, False), (4, True)],
+                         ids=["infeasible-dim8", "feasible-dim10"])
+def test_lee_systems_solve_as_the_reference_does(m, feasible):
+    # the C(n, 3) x n systems of the Lee solve, dense, the infeasible one
+    # with its certificate
+    L, omega = _heisenberg_line_pair(m, feasible, random.Random(m))
+    outcome = solve_linear(*lee_form_system(L, omega)[:2])
+    assert isinstance(outcome, LinearSolution if feasible else Infeasible)
+    assert outcome == reference.solve_linear(
+        *reference.lee_form_system(L, omega)[:2])
+
+
+@pytest.mark.parametrize("positive", [True, False],
+                         ids=["positive-definite", "indefinite"])
+def test_minors_at_positivity_sizes_match_the_reference(positive):
+    # g = a^T diag(1, ..., 1, s) a + I with s = 1 or -1, 16 x 16: far past
+    # the sizes the drawn systems reach
+    rng = random.Random(16 + positive)
+    n = 16
+    a = [[_random_q(rng) for _ in range(n)] for _ in range(n)]
+    sign = [Q(1)] * (n - 1) + [Q(1 if positive else -1)]
+    g = [[sum((sign[k] * a[k][i] * a[k][j] for k in range(n)), Q(0))
+          + (i == j) for j in range(n)] for i in range(n)]
+    minors = leading_minors(matrix(g))
+    assert minors == reference_minors(g)
+    assert all(m > 0 for m in minors) == positive
+    assert det(matrix(g)) == reference.det(g)
 
 
 def test_elimination_shape_errors():
