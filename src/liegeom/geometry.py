@@ -647,13 +647,6 @@ def _minor(matrix, idx, detail):
     return minors[-1]
 
 
-def _image(matrix, x, axis):
-    """The support of the sequence x contracted with one axis of matrix,
-    as the keys (i,) of A x for axis 1, of x A for axis 0."""
-    return contract(matrix, axis,
-                    [((i,), _as_q(v)) for i, v in enumerate(x)], 0)[1]
-
-
 def _fitted(detail):
     """The fitted constant a constant_curvature witness carries."""
     if len(detail) != 1:
@@ -666,9 +659,10 @@ def _certificate(system, idx, detail):
     matrix, rhs, _ = system
     if len(detail) != matrix.shape[0]:
         raise ShapeMismatch("combination length does not match the system")
-    if _image(matrix, detail, 0):
+    y = [((i,), v) for i, v in enumerate(map(_as_q, detail)) if v]
+    if contract(matrix, 0, y, 0)[1]:    # y . matrix, over y's nonzeros
         raise ShapeMismatch("combination is not a left null vector")
-    return sum((y * b for y, b in zip(detail, rhs)), Fraction(0))
+    return sum((v * rhs[i] for (i,), v in y), Fraction(0))
 
 
 # -- pointwise rechecks from the raw pieces ---------------------------------

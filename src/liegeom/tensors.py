@@ -20,16 +20,15 @@ caller adds them up as it rearranges their indices and divides once per
 entry of its result.
 
 A matrix is a rank-2 Tensor too.  det, leading_minors, solve_linear and
-null_vector read their answers off one integer-preserving forward pass
-(Bareiss 1968) over its nonzero entries, which combines only the rows
-below each pivot and skips a row once it is zero: the determinant and
-the leading principal minors behind Sylvester's test up to the first
-zero one (past it the pass swaps rows) come off the pivots, the
-canonical solution with free variables zero and a kernel vector off the
-echelon rows by integer back-substitution.  No row carries a
-certificate through the pass: when A x = b has no solution, the
-certificate is solved once afterwards from the pivot block, A on the
-pivot rows and columns.
+null_vector read their answers off one integer-preserving, left-looking
+pass (Bareiss 1968) over its nonzero entries, which reduces a row only
+when the pivot search or a minor reads it.  The determinant and the
+leading principal minors behind Sylvester's test come off the pivots,
+the minors up to the first zero one, where leading_minors stops; the
+canonical solution with free variables zero and a kernel vector come off
+the pivot rows by integer back-substitution.  Rows off the pivots are
+checked against that solution; when A x = b has none, the certificate is
+solved afterwards from the pivot block.
 """
 
 from __future__ import annotations
@@ -260,22 +259,23 @@ class Infeasible:
 _Elimination = namedtuple("_Elimination", "outcome det minors kernel")
 
 
-def _eliminate(matrix, rhs=None):
-    """One fraction-free forward pass over A x = b, b = 0 if rhs is None.
+def _eliminate(matrix, rhs=None, minors_only=False):
+    """One fraction-free, left-looking pass over A x = b, b = 0 if rhs is
+    None; minors_only stops it at the first zero leading minor.
 
-    Row i of [A | b], read off the nonzero entries of the Tensor A, is
-    cleared of its denominators by its own s and kept as one dict of
-    nonzero ints.  Left to right, the pivot is the first row at or below
-    the current position with the column set, and every row below it
-    becomes (p a_r - a_rc a_pivot) / (previous pivot), exact on ints; a
-    row zero in [A | b] stays zero and is skipped.  Rows above a pivot
-    are never touched again, and until the first zero the leading minor
-    k + 1 is the entry at (k, k) as column k opens.  With d the last
-    pivot, the solution and the kernel are read off the echelon rows by
-    back-substitution on ints: X_k = (d b_k - sum over m > k of
-    a_{k, p_m} X_m) / a_{k, p_k}, each division exact, and x = X / d.
-    A row zero on A but not on b makes the system infeasible; its
-    certificate comes from _infeasible.
+    Row i of [A | b], read off the nonzero entries of A, is cleared of
+    its denominators by its own s and kept as one dict of nonzero ints.
+    Left to right, the pivot is the first row at or below the current
+    position with the column set, recorded as a step (column, pivot p,
+    pivot row).  A row takes the steps it missed only when the pivot
+    search or a minor reads it, from its own level e, the pivot of its
+    last step: one at a column it holds makes it (p a_r - a_rc top) / e,
+    exact, the others cost nothing.  Pivot and minor rows are scaled to
+    the last pivot, so pivots, swaps and minors are the right-looking
+    pass's.  With d the last pivot, the pivot rows back-substitute X_k =
+    (d b_k - sum over m > k of a_{k, p_m} X_m) / a_{k, p_k} exactly, and
+    x = X / d.  A row off the pivots would reduce to a nonzero multiple
+    of b_r - A_r x: it is consistent iff A_r X = d b_r, as it stands.
     """
     if not isinstance(matrix, Tensor) or matrix.rank != 2:
         raise ShapeMismatch("expected a matrix: a rank-2 Tensor")
@@ -290,58 +290,72 @@ def _eliminate(matrix, rhs=None):
               for row in rows]
     rows = [{j: x.numerator * (s // x.denominator) for j, x in row.items()}
             for row, s in zip(rows, scales)]
+    levels, taken = [1] * nrows, [0] * nrows
     order = list(range(nrows))      # order[position] = row
-    pivots, minors = [], []
+    steps, pivots, minors = [], [], []
     sign = prev = 1
+
+    def reduced(r, scaled=False):   # row r through its missed steps,
+        row, e = rows[r], levels[r]     # scaled to the level prev
+        for col, p, top in steps[taken[r]:]:
+            f = row.get(col)
+            if f:
+                row, e = _combine(p, row, f, top, e), p
+        if scaled and e != prev:
+            row, e = {j: v * prev // e for j, v in row.items()}, prev
+        rows[r], levels[r], taken[r] = row, e, len(steps)
+        return row
+
     for col in range(ncols):
         rank = len(pivots)
         if col < nrows and (not minors or minors[-1]):
-            minors.append(Fraction(rows[order[col]].get(col, 0),
+            minors.append(Fraction(reduced(order[col], True).get(col, 0),
                                    math.prod(scales[:col + 1])))
-        at = next((k for k in range(rank, nrows) if col in rows[order[k]]),
-                  None)
+            if minors_only and not minors[-1]:
+                return _Elimination(None, None, tuple(minors), None)
+        at = next((k for k in range(rank, nrows)
+                   if col in reduced(order[k])), None)
         if at is None:
             continue
         if at != rank:
             order[rank], order[at] = order[at], order[rank]
             sign = -sign
-        top = rows[order[rank]]
-        p = top[col]
-        for r in order[rank + 1:]:
-            f = rows[r].get(col, 0)
-            if rows[r] and (f or p != prev):
-                rows[r] = _combine(p, rows[r], f, top, prev)
-        prev = p
+        top = reduced(order[rank], True)
+        prev = top[col]
+        steps.append((col, prev, top))
         pivots.append(col)
 
-    def column(j):  # pivot variables solving A x = column j of [A | b]
-        x, dx = [_ZERO] * ncols, {}
-        for k in range(len(pivots) - 1, -1, -1):
-            row = rows[order[k]]
-            later = sum(v * dx[c] for c, v in row.items() if c in dx)
-            dx[pivots[k]] = (prev * row.get(j, 0) - later) // row[pivots[k]]
-        for col, v in dx.items():
-            x[col] = Fraction(v, prev)
-        return x
+    def back(j):    # X = d x on the pivots, A x = column j of [A | b]
+        dx = {}
+        for col, p, top in reversed(steps):
+            later = sum(v * dx[c] for c, v in top.items() if c in dx)
+            dx[col] = (prev * top.get(j, 0) - later) // p
+        return dx
+
+    def over_d(dx):
+        return [Fraction(dx[c], prev) if c in dx else _ZERO
+                for c in range(ncols)]
 
     rank = len(pivots)
+    dx = back(ncols) if rhs is not None else {}
+    bad = next((r for r in order[rank:] if prev * rows[r].get(ncols, 0)
+                != sum(v * dx[c] for c, v in rows[r].items() if c in dx)),
+               None)
     free = tuple(c for c in range(ncols) if c not in pivots)
-    bad = next((order[k] for k in range(rank, nrows)
-                if ncols in rows[order[k]]), None)
     if bad is None:
-        outcome = LinearSolution(tuple(column(ncols)), tuple(pivots), free)
+        outcome = LinearSolution(tuple(over_d(dx)), tuple(pivots), free)
     else:
         outcome = _infeasible(matrix, b, order[:rank], pivots, bad)
-    kernel = tuple(Fraction(c == free[0]) - x for c, x in
-                   enumerate(column(free[0]))) if free else None
+    kernel = tuple(Fraction(c == free[0]) - v for c, v in
+                   enumerate(over_d(back(free[0])))) if free else None
     determinant = Fraction(sign * prev if rank == ncols else 0,
                            math.prod(scales)) if nrows == ncols else None
     return _Elimination(outcome, determinant, tuple(minors), kernel)
 
 
 def _infeasible(matrix, b, tops, pivots, bad):
-    """The Infeasible of A x = b for a row bad that the pass left zero on
-    A but not on b: the combination y is 1 at bad, 0 off bad and the
+    """The Infeasible of A x = b for a row bad off the pivots that the
+    pivot solution does not satisfy: y is 1 at bad, 0 off bad and the
     pivot rows tops, and on tops the solution z of the transposed pivot
     block system sum_k z_k A[tops[k], pivots[c]] = -A[bad, pivots[c]],
     and the residual is y . b.  The pivot block is invertible, so this y
@@ -365,24 +379,25 @@ def _infeasible(matrix, b, tops, pivots, bad):
         (v * b[r] for r, v in zip(tops, z) if b[r]), _ZERO))
 
 
-def _combine(p, x, f, y, prev):
-    """(p x - f y) / prev on sparse rows, zeros dropped."""
+def _combine(p, x, f, y, e):
+    """(p x - f y) / e on sparse rows, zeros dropped."""
     out = {i: p * v for i, v in x.items()}
-    if f:
-        for i, v in y.items():
-            out[i] = out.get(i, 0) - f * v
-    return {i: v // prev for i, v in out.items() if v}
+    for i, v in y.items():
+        out[i] = out.get(i, 0) - f * v
+    return {i: v // e for i, v in out.items() if v}
 
 
-def _square(done):
-    if done.det is None:    # the elimination of a non-square matrix
+def _square(matrix):
+    """matrix, refused before the pass when it is a non-square one."""
+    if (isinstance(matrix, Tensor) and matrix.rank == 2
+            and matrix.shape[0] != matrix.shape[1]):
         raise ShapeMismatch("expected a square matrix")
-    return done
+    return matrix
 
 
 def det(matrix):
     """Exact determinant of a square matrix."""
-    return _square(_eliminate(matrix)).det
+    return _eliminate(_square(matrix)).det
 
 
 def leading_minors(matrix):
@@ -391,9 +406,10 @@ def leading_minors(matrix):
 
     A symmetric matrix is positive definite exactly when all the listed
     minors are positive (Sylvester).  Past a zero minor the elimination
-    swaps rows, so the later minors cannot be read off it.
+    swaps rows, so the later minors cannot be read off it, and the pass
+    stops there.
     """
-    return list(_square(_eliminate(matrix)).minors)
+    return list(_eliminate(_square(matrix), minors_only=True).minors)
 
 
 def null_vector(matrix):

@@ -14,7 +14,9 @@ from liegeom import (AlgebraDocument, Connection, FormBlock, InexactValue,
                      list_examples, solve_lambda, solve_linear, wedge)
 from liegeom.constructions import _pairing_form, double
 from liegeom.geometry import lee_form_system
-from liegeom.tensors import _numerators, det, leading_minors, null_vector
+from liegeom import tensors
+from liegeom.tensors import (_eliminate, _numerators, det, leading_minors,
+                             null_vector)
 
 Q = Fraction
 
@@ -345,11 +347,30 @@ def lee_like_systems(draw):
     return rows, rhs
 
 
+def _q_rows(rows):
+    return [[Q(x) for x in row] for row in rows]
+
+
 @ORACLE
 @given(lee_like_systems())
+# column 1 is reached by no row once column 0 is eliminated, so its
+# pivot search brings every remaining row up to date
+@example((_q_rows([[1, 1, 0], [2, 2, 1], [3, 3, 0], [0, 0, 2], [1, 1, 1]]),
+          [Q(1), Q(2), Q(3), Q(0), Q(2)]))
+# the first row the search reads at column 1 goes zero, on A and b
+@example((_q_rows([[1, 2, 0], [2, 4, 0], [0, 1, 1], [0, 0, 1]]),
+          [Q(1), Q(2), Q(3), Q(1)]))
+# the pivots are found above the bad last row, never brought up to date
+@example((_q_rows([[1, 0], [0, 1], [0, 2], [1, 1]]),
+          [Q(1), Q(1), Q(2), Q(3)]))
+# no b: the pass null_vector and det take, on a tall matrix of rank 2
+@example((_q_rows([[1, 2, 0], [0, 1, 1], [1, 3, 1], [2, 4, 0]]), None))
 def test_tall_sparse_elimination_matches_the_reference(system):
     rows, rhs = system
     a = matrix(rows)
+    if rhs is None:
+        rhs = [Q(0)] * len(rows)
+        assert _eliminate(a).outcome == reference.solve_linear(rows, rhs)
     assert solve_linear(a, rhs) == reference.solve_linear(rows, rhs)
     assert null_vector(a) == reference.null_vector(rows)
 
@@ -419,37 +440,85 @@ def test_lee_systems_solve_as_the_reference_does(m, feasible):
         *reference.lee_form_system(L, omega)[:2])
 
 
+def _count_combinations(monkeypatch):
+    """Wrap the pass's one row combination; the list counts its calls."""
+    calls = []
+
+    def counted(*args, combine=tensors._combine):
+        calls.append(1)
+        return combine(*args)
+
+    monkeypatch.setattr(tensors, "_combine", counted)
+    return calls
+
+
+def test_a_tall_lee_system_combines_few_rows(monkeypatch):
+    # the infeasible 120 x 10 Lee system of a random dense omega on
+    # R x h(9): the pivot search finds each pivot within a few rows and
+    # most of the 110 rows off the pivots are never reduced, so the
+    # pass, the certificate's pivot-block solve included, combines under
+    # a third of rows x rank
+    L, omega = _heisenberg_line_pair(4, False, random.Random(4))
+    a, rhs = lee_form_system(L, omega)[:2]
+    calls = _count_combinations(monkeypatch)
+    outcome = solve_linear(a, rhs)
+    assert isinstance(outcome, Infeasible)
+    rows, rank = a.shape
+    assert rank == 10 and len(calls) < rows * rank // 3
+    assert outcome == reference.solve_linear(
+        *reference.lee_form_system(L, omega)[:2])
+
+
+def _metric_rows(n, positive, rng):
+    """g = a^T diag(1, ..., 1, s) a + I with s = 1 or -1."""
+    a = [[_random_q(rng) for _ in range(n)] for _ in range(n)]
+    sign = [Q(1)] * (n - 1) + [Q(1 if positive else -1)]
+    return [[sum((sign[k] * a[k][i] * a[k][j] for k in range(n)), Q(0))
+              + (i == j) for j in range(n)] for i in range(n)]
+
+
+def test_leading_minors_stop_at_a_zero_first_minor(monkeypatch):
+    # a zero g[0, 0] decides Sylvester's test, so the pass ends before
+    # it combines a row; det still runs the whole pass
+    g = _metric_rows(24, True, random.Random(24))
+    g[0][0] = Q(0)
+    calls = _count_combinations(monkeypatch)
+    assert leading_minors(matrix(g)) == [Q(0)]
+    assert calls == []
+    assert det(matrix(g)) == reference.det(g) and calls
+
+
 @pytest.mark.parametrize("positive", [True, False],
                          ids=["positive-definite", "indefinite"])
 def test_minors_at_positivity_sizes_match_the_reference(positive):
-    # g = a^T diag(1, ..., 1, s) a + I with s = 1 or -1, 16 x 16: far past
-    # the sizes the drawn systems reach
-    rng = random.Random(16 + positive)
+    # 16 x 16: far past the sizes the drawn systems reach
     n = 16
-    a = [[_random_q(rng) for _ in range(n)] for _ in range(n)]
-    sign = [Q(1)] * (n - 1) + [Q(1 if positive else -1)]
-    g = [[sum((sign[k] * a[k][i] * a[k][j] for k in range(n)), Q(0))
-          + (i == j) for j in range(n)] for i in range(n)]
+    g = _metric_rows(n, positive, random.Random(16 + positive))
     minors = leading_minors(matrix(g))
     assert minors == reference_minors(g)
     assert all(m > 0 for m in minors) == positive
     assert det(matrix(g)) == reference.det(g)
 
 
-def test_elimination_shape_errors():
-    # the routines take a rank-2 Tensor, and minors a square one
+def test_elimination_shape_errors(monkeypatch):
+    # the routines take a rank-2 Tensor, and det and minors a square one,
+    # refused before the pass combines a row
     with pytest.raises(ShapeMismatch):
         solve_linear([[Q(1)], [Q(2)]], [Q(0), Q(0)])
     with pytest.raises(ShapeMismatch):
         null_vector(vec(1, 2))
     with pytest.raises(ShapeMismatch):
         solve_linear(matrix([[1]]), [])
+    calls = _count_combinations(monkeypatch)
     with pytest.raises(ShapeMismatch):
         det(matrix([[1, 2]]))
+    with pytest.raises(ShapeMismatch):
+        det(matrix([[1, 2], [3, 4], [5, 6]]))
     with pytest.raises(ShapeMismatch):
         leading_minors(matrix([[1], [2]]))
     with pytest.raises(ShapeMismatch):
         leading_minors(matrix([[1, 2]]))
+    assert calls == []
 
 
 # -- exact values only -----------------------------------------------------
