@@ -118,17 +118,16 @@ class Witness:
 
 
 def jacobi_residual(L, i, j, k):
-    """[[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j], read off
-    c's lookup: at each l, the sum over m of c[x, y, m] c[m, z, l] over
-    the cyclic orders (x, y, z) of (i, j, k)."""
-    c, ms = L.c._lookup, range(L.dim)
-    for m in (i, j, k):
-        if m not in ms:
-            raise DimensionMismatch(f"basis index {m} for dimension {L.dim}")
+    """[[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j] for basis
+    positions i, j, k, read off c's int numerators over d: at each l, the
+    sum over m of c[x, y, m] c[m, z, l] over the cyclic orders (x, y, z)
+    of (i, j, k), over d^2."""
+    (d, c), ms = L.c._ints, range(L.dim)
+    c = dict(c)
     inner = [(z, [(m, v) for m in ms if (v := c.get((x, y, m)))])
              for x, y, z in ((i, j, k), (j, k, i), (k, i, j))]
-    return tuple(sum((v * w for z, pairs in inner for m, v in pairs
-                      if (w := c.get((m, z, l)))), Fraction(0)) for l in ms)
+    return tuple(Fraction(sum(v * w for z, pairs in inner for m, v in pairs
+                              if (w := c.get((m, z, l)))), d * d) for l in ms)
 
 
 def cyclic_sum(L, t):
@@ -149,14 +148,49 @@ def cyclic_sum(L, t):
     return d, {key: v for key, v in out.items() if v}
 
 
-def jacobi_check(L):
-    """None when the Jacobi identity holds, else a "jacobi" Witness.
+def _jacobi_blocks(L):
+    """block(i): the cyclic bracket sums at the triples i < j < k as (d,
+    {(j, k): {l: the e_l part times d}}).  As in cyclic_sum, the term
+    [[e_x, e_y], e_z], x < y, the sum over m of c[x, y, m] c[m, z, l]
+    on c's int numerators, belongs to sorted(x, y, z), negated when z
+    lies between x and y: to block x when z > x, else to block z."""
+    (d, half), (_, c) = L.half._ints, L.c._ints
+    pairs, rows = {}, {}    # c[x, y, m] by x < y; c[m, z, l] by m, z
+    for (x, y, m), v in half:
+        pairs.setdefault(x, []).append((y, m, v))
+    for (m, z, l), w in c:
+        rows.setdefault(m, {}).setdefault(z, []).append((l, w))
 
-    Its indices are the lexicographically first triple i < j < k whose
-    cyclic bracket sum fails to vanish, so it is deterministic.
-    """
-    _, failing = cyclic_sum(L, L.c)
-    if not failing:
-        return None
-    i, j, k, _ = min(failing)
-    return Witness("jacobi", (i, j, k), jacobi_residual(L, i, j, k))
+    def block(i):
+        sums = {}
+        for y, m, v in pairs.get(i, ()):        # x = i < z, z not y
+            for z, row in rows.get(m, {}).items():
+                if z > i and z != y:
+                    acc = sums.setdefault((y, z) if y < z else (z, y), {})
+                    x = v if z > y else -v
+                    for l, w in row:
+                        acc[l] = acc.get(l, 0) + x * w
+        for x in range(i + 1, L.dim):            # z = i < x < y
+            for y, m, v in pairs.get(x, ()):
+                acc = sums.setdefault((x, y), {})
+                for l, w in rows.get(m, {}).get(i, ()):
+                    acc[l] = acc.get(l, 0) + v * w
+        return d * d, sums
+
+    return block
+
+
+def jacobi_check(L):
+    """None when the Jacobi identity holds, else a "jacobi" Witness at
+    the lexicographically first triple i < j < k whose cyclic bracket sum
+    fails to vanish, with that sum as residual.  The triples are summed
+    a block of leading index i at a time, up to the first failing one."""
+    block = _jacobi_blocks(L)
+    for i in range(L.dim - 2):
+        d, sums = block(i)
+        failing = [jk for jk, acc in sums.items() if any(acc.values())]
+        if failing:
+            j, k = min(failing)
+            return Witness("jacobi", (i, j, k), tuple(
+                Fraction(sums[j, k].get(l, 0), d) for l in range(L.dim)))
+    return None

@@ -63,6 +63,11 @@ class CatalogEntry:
     notes: tuple
 
 
+def _expected(*rows):
+    """ExpectedOutcomes from "check outcome provenance" rows."""
+    return tuple(ExpectedOutcome(*row.split()) for row in rows)
+
+
 def _clan(params):
     c = params.get("c", Fraction(1))
     if c <= 0:
@@ -70,18 +75,13 @@ def _clan(params):
     L = LieAlgebra.from_brackets(("u", "v"), {(0, 1): {1: 2}})
     D = Connection.from_table(L, {(1, 0): {1: -2}, (1, 1): {0: 1}})
     g = Metric.from_rows(L, [[Fraction(4, 1) / c, 0], [0, Fraction(2, 1) / c]])
-    expected = (
-        ExpectedOutcome("jacobi", "pass", "trivial"),
-        ExpectedOutcome("torsion_free", "pass", "derived"),
-        ExpectedOutcome("flat", "fail", "derived"),
-        ExpectedOutcome("codazzi", "pass", "published"),
-        ExpectedOutcome("positive_definite", "pass", "published"),
-        ExpectedOutcome("constant_curvature", format_rational(-c), "published"),
-        ExpectedOutcome("statistical", "pass", "published"),
-        ExpectedOutcome("hessian", "fail", "derived"),
-        ExpectedOutcome("double_jacobi", "fail", "derived"),
-        ExpectedOutcome("double_integrable", "pass", "derived"),
-    )
+    expected = _expected(
+        "jacobi pass trivial", "torsion_free pass derived",
+        "flat fail derived", "codazzi pass published",
+        "positive_definite pass published",
+        f"constant_curvature {format_rational(-c)} published",
+        "statistical pass published", "hessian fail derived",
+        "double_jacobi fail derived", "double_integrable pass derived")
     notes = (
         CatalogNote(
             "double-sign", "divergence",
@@ -110,18 +110,13 @@ def _so2(params):
     L = LieAlgebra.abelian(("v",))
     D = Connection.zero(L)
     g = Metric.identity(L)
-    expected = (
-        ExpectedOutcome("jacobi", "pass", "trivial"),
-        ExpectedOutcome("torsion_free", "pass", "trivial"),
-        ExpectedOutcome("flat", "pass", "trivial"),
-        ExpectedOutcome("codazzi", "pass", "trivial"),
-        ExpectedOutcome("positive_definite", "pass", "trivial"),
-        ExpectedOutcome("constant_curvature", "underdetermined", "derived"),
-        ExpectedOutcome("statistical", "pass", "derived"),
-        ExpectedOutcome("hessian", "pass", "derived"),
-        ExpectedOutcome("double_jacobi", "pass", "derived"),
-        ExpectedOutcome("double_integrable", "pass", "derived"),
-    )
+    expected = _expected(
+        "jacobi pass trivial", "torsion_free pass trivial",
+        "flat pass trivial", "codazzi pass trivial",
+        "positive_definite pass trivial",
+        "constant_curvature underdetermined derived",
+        "statistical pass derived", "hessian pass derived",
+        "double_jacobi pass derived", "double_integrable pass derived")
     notes = (
         CatalogNote("kahler-claim", "divergence",
                     _KAHLER_CLAIM, _KAHLER_COMPUTED),
@@ -141,18 +136,12 @@ def _su2(params):
         (0, 1): {2: 1}, (1, 2): {0: 1}, (2, 0): {1: 1},
         (1, 0): {2: -1}, (2, 1): {0: -1}, (0, 2): {1: -1}})
     g = Metric.identity(L)
-    expected = (
-        ExpectedOutcome("jacobi", "pass", "published"),
-        ExpectedOutcome("torsion_free", "pass", "derived"),
-        ExpectedOutcome("flat", "fail", "derived"),
-        ExpectedOutcome("codazzi", "pass", "published"),
-        ExpectedOutcome("positive_definite", "pass", "published"),
-        ExpectedOutcome("constant_curvature", "1", "published"),
-        ExpectedOutcome("statistical", "pass", "published"),
-        ExpectedOutcome("hessian", "fail", "derived"),
-        ExpectedOutcome("double_jacobi", "fail", "derived"),
-        ExpectedOutcome("double_integrable", "pass", "derived"),
-    )
+    expected = _expected(
+        "jacobi pass published", "torsion_free pass derived",
+        "flat fail derived", "codazzi pass published",
+        "positive_definite pass published", "constant_curvature 1 published",
+        "statistical pass published", "hessian fail derived",
+        "double_jacobi fail derived", "double_integrable pass derived")
     notes = (
         CatalogNote("kahler-claim", "divergence",
                     _KAHLER_CLAIM, _KAHLER_COMPUTED),
@@ -186,18 +175,13 @@ def _abelian(params):
     D = Connection.zero(L)
     g = Metric.identity(L)
     curvature_outcome = "0" if n >= 2 else "underdetermined"
-    expected = (
-        ExpectedOutcome("jacobi", "pass", "trivial"),
-        ExpectedOutcome("torsion_free", "pass", "trivial"),
-        ExpectedOutcome("flat", "pass", "trivial"),
-        ExpectedOutcome("codazzi", "pass", "trivial"),
-        ExpectedOutcome("positive_definite", "pass", "trivial"),
-        ExpectedOutcome("constant_curvature", curvature_outcome, "derived"),
-        ExpectedOutcome("statistical", "pass", "trivial"),
-        ExpectedOutcome("hessian", "pass", "trivial"),
-        ExpectedOutcome("double_jacobi", "pass", "trivial"),
-        ExpectedOutcome("double_integrable", "pass", "trivial"),
-    )
+    expected = _expected(
+        "jacobi pass trivial", "torsion_free pass trivial",
+        "flat pass trivial", "codazzi pass trivial",
+        "positive_definite pass trivial",
+        f"constant_curvature {curvature_outcome} derived",
+        "statistical pass trivial", "hessian pass trivial",
+        "double_jacobi pass trivial", "double_integrable pass trivial")
     return CatalogEntry(
         "abelian-n",
         "abelian algebra with the flat zero connection",
@@ -210,14 +194,10 @@ def _flat_torsionful(params):
     L = LieAlgebra.abelian(("u", "v"))
     D = Connection.from_table(L, {(0, 1): {1: 1}})
     g = Metric.identity(L)
-    expected = (
-        ExpectedOutcome("jacobi", "pass", "synthetic"),
-        ExpectedOutcome("torsion_free", "fail", "synthetic"),
-        ExpectedOutcome("flat", "pass", "synthetic"),
-        ExpectedOutcome("statistical", "fail", "synthetic"),
-        ExpectedOutcome("double_jacobi", "pass", "synthetic"),
-        ExpectedOutcome("double_integrable", "fail", "synthetic"),
-    )
+    expected = _expected(
+        "jacobi pass synthetic", "torsion_free fail synthetic",
+        "flat pass synthetic", "statistical fail synthetic",
+        "double_jacobi pass synthetic", "double_integrable fail synthetic")
     return CatalogEntry(
         "flat-torsionful-fixture",
         "synthetic fixture: flat connection with torsion on the abelian "
@@ -227,15 +207,11 @@ def _flat_torsionful(params):
 
 def _nonflat(params):
     base = _clan({"c": Fraction(1)})
-    expected = (
-        ExpectedOutcome("jacobi", "pass", "synthetic"),
-        ExpectedOutcome("torsion_free", "pass", "synthetic"),
-        ExpectedOutcome("flat", "fail", "synthetic"),
-        ExpectedOutcome("constant_curvature", "-1", "synthetic"),
-        ExpectedOutcome("statistical", "pass", "synthetic"),
-        ExpectedOutcome("double_jacobi", "fail", "synthetic"),
-        ExpectedOutcome("double_integrable", "pass", "synthetic"),
-    )
+    expected = _expected(
+        "jacobi pass synthetic", "torsion_free pass synthetic",
+        "flat fail synthetic", "constant_curvature -1 synthetic",
+        "statistical pass synthetic", "double_jacobi fail synthetic",
+        "double_integrable pass synthetic")
     return CatalogEntry(
         "nonflat-fixture",
         "synthetic fixture: the non-flat clan connection, whose naive "

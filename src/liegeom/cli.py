@@ -134,14 +134,9 @@ def _terms_text(terms):
             parts.append("-" + name)
         else:
             parts.append(f"{format_rational(value)}*{name}")
-    if not parts:
-        return "0"
-    out = parts[0]
+    out = parts[0] if parts else "0"
     for term in parts[1:]:
-        if term.startswith("-"):
-            out += " - " + term[1:]
-        else:
-            out += " + " + term
+        out += " - " + term[1:] if term.startswith("-") else " + " + term
     return out
 
 

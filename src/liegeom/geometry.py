@@ -13,14 +13,9 @@ The Codazzi check asks for total symmetry of (nabla_{e_i} g)(e_j, e_k),
 constant curvature compares R against c (g(Y, Z) X - g(X, Z) Y), and
 classify records an exact witness for every failed check; the table
 VERDICTS reads each report flag the supplied pieces allow off those
-witnesses, False exactly when one of them refutes it.
-
-Each witness is the first in index order, so classify sums T, R,
-nabla g and N one block at a time in lexicographic order (a pair
-(i, j), i < j, of R; a row i of T and N, every pair (i, j) with j > i;
-a slab i of nabla g) and stops reading a claim at the first block that
-decides it: a failing claim costs its first failing block, a passing
-one the whole tensor.
+witnesses, False exactly when one of them refutes it.  Each witness is
+the first in index order, so T, R, nabla g and N are summed one block
+at a time (see "verdict computations" below).
 """
 
 from __future__ import annotations
@@ -579,14 +574,17 @@ def lee_form_solve(L, omega):
 # off the object (a tensor, a matrix, a linear system) with the claim's
 # residual function.  witness_residual runs the claim's recheck instead:
 # it sums the one entry, or the one last-axis slice, that the witness
-# names straight from the raw pieces' entries (gamma, c, g, J, the halves
-# of the forms), read through their lookup dicts.  It builds none of R,
-# N, nabla g or the pairing and calls none of the kernels that did for
-# classify, so a fault in those cannot vouch for itself, and an entry
-# costs O(n) or a slice O(n^2) (a Nijenhuis slice O(n^3) for a dense J
-# and c) where the whole tensor costs up to O(n^5).  A Lee system
-# certificate is checked against every row, so the two Lee claims
-# rebuild their system.
+# names straight from the raw pieces (gamma, c, g, J, the form halves).
+# It builds none of R, N, nabla g or the pairing and calls none of the
+# kernels that did for classify, so a fault in those cannot vouch for
+# itself.  Like the kernels, a recheck sums int numerators over one
+# common denominator (_dot) and divides once per entry of its result;
+# it converts only the entries it reads, though N and Jacobi read the
+# int numerators c and J cache, and T, three entries an output,
+# subtracts them as they are.  So an entry costs O(n) and a slice
+# O(n^2) (a Nijenhuis slice O(n^3) for a dense J and c) where the whole
+# tensor costs up to O(n^5).  A Lee system certificate is checked
+# against every row, so the two Lee claims rebuild their system.
 
 def _swap_residual(t, idx, detail):
     """t at idx minus t with the first two indices of idx swapped."""
@@ -634,14 +632,15 @@ def _minor(matrix, idx, detail):
     """Leading minor idx[0] of the square matrix, from the leading block
     of that size alone and up to the first zero minor; a nonempty detail
     must be a kernel vector of that block, padded with zeros."""
-    n = matrix.shape[0]
+    n, detail = matrix.shape[0], tuple(map(_as_q, detail))
     k = _leading(idx, n)
     block = _leading_block(matrix, k)
     minors = leading_minors(block)
     if len(minors) < k:
         raise ShapeMismatch(f"no leading minor {idx} up to the first zero one")
     if detail and (len(detail) != n or any(detail[k:]) or not any(detail)
-                   or any(_apply(block, detail))):
+                   or any(_dot((1, x, detail[m]) for (a, m), x in
+                               block.entries if a == r) for r in range(k))):
         raise ShapeMismatch(
             f"detail is no zero-padded kernel vector of the {k}x{k} block")
     return minors[-1]
@@ -651,7 +650,7 @@ def _fitted(detail):
     """The fitted constant a constant_curvature witness carries."""
     if len(detail) != 1:
         raise ShapeMismatch("a curvature fit witness carries one constant")
-    return detail[0]
+    return _as_q(detail[0])
 
 
 def _certificate(system, idx, detail):
@@ -662,61 +661,47 @@ def _certificate(system, idx, detail):
     y = [((i,), v) for i, v in enumerate(map(_as_q, detail)) if v]
     if contract(matrix, 0, y, 0)[1]:    # y . matrix, over y's nonzeros
         raise ShapeMismatch("combination is not a left null vector")
-    return sum((v * rhs[i] for (i,), v in y), Fraction(0))
+    return _dot((1, v, rhs[i]) for (i,), v in y)
 
 
 # -- pointwise rechecks from the raw pieces ---------------------------------
 
-def _dot(xs, ys):
-    """The exact sum of x * y over paired entries; an absent entry (None)
-    or a zero one adds nothing."""
-    return sum((x * y for x, y in zip(xs, ys) if x and y), _ZERO)
+def _dot(*products):
+    """The exact sum of s x y over the products (s, x, y), s = 1 or -1, of
+    each iterable given; an absent factor (None) or a zero one adds
+    nothing.  The products are summed as int numerators over the lcm of
+    their denominators, so the sum divides once."""
+    ps = [(s * x.numerator * y.numerator, x.denominator * y.denominator)
+          for group in products for s, x, y in group if x and y]
+    d = math.lcm(*(q for _, q in ps))
+    return Fraction(sum(p * (d // q) for p, q in ps), d)
 
 
 def _riemann(D, i, j, k, l):
-    """R[i, j, k, l] = sum over m of gamma[j, k, m] gamma[i, m, l]
-    - gamma[i, k, m] gamma[j, m, l] - c[i, j, m] gamma[m, k, l]."""
+    """The products of R[i, j, k, l] = sum over m of gamma[j, k, m]
+    gamma[i, m, l] - gamma[i, k, m] gamma[j, m, l] - c[i, j, m]
+    gamma[m, k, l]."""
     gamma, c, ms = D.gamma._lookup, D.base.c._lookup, range(D.base.dim)
-    return (_dot((gamma.get((j, k, m)) for m in ms),
-                 (gamma.get((i, m, l)) for m in ms))
-            - _dot((gamma.get((i, k, m)) for m in ms),
-                   (gamma.get((j, m, l)) for m in ms))
-            - _dot((c.get((i, j, m)) for m in ms),
-                   (gamma.get((m, k, l)) for m in ms)))
+    return (((1, gamma.get((j, k, m)), gamma.get((i, m, l))) for m in ms),
+            ((-1, gamma.get((i, k, m)), gamma.get((j, m, l))) for m in ms),
+            ((-1, c.get((i, j, m)), gamma.get((m, k, l))) for m in ms))
 
 
-def _nabla_g_at(D, metric, i, j, k):
-    """(nabla_{e_i} g)(e_j, e_k) = -(sum over m of gamma[i, j, m] g[m, k]
-    + gamma[i, k, m] g[j, m])."""
-    gamma, g, ms = D.gamma._lookup, metric.g._lookup, range(D.base.dim)
-    return -(_dot((gamma.get((i, j, m)) for m in ms),
-                  (g.get((m, k)) for m in ms))
-             + _dot((gamma.get((i, k, m)) for m in ms),
-                    (g.get((j, m)) for m in ms)))
-
-
-def _omega_at(omega, a, b):
-    """omega(e_a, e_b), read off the increasing half of a 2-form."""
+def _omega_row(omega, s, a, ys):
+    """The products of s times the sum over m of omega(e_a, e_m) ys[m],
+    read off the increasing half of a 2-form."""
     half = omega.half._lookup
-    if a == b:
-        return _ZERO
-    return half.get((a, b), _ZERO) if a < b else -half.get((b, a), _ZERO)
+    for m, y in enumerate(ys):
+        if m != a:
+            yield ((s, half.get((a, m)), y) if a < m
+                   else (-s, half.get((m, a)), y))
 
 
-def _pairing_at(omega, J, a, b):
-    """P[a, b] = omega(e_a, J e_b), the sum over m of omega[a, m] J[m, b]."""
-    j, ms = J.j._lookup, range(J.base.dim)
-    return _dot((_omega_at(omega, a, m) for m in ms),
-                (j.get((m, b)) for m in ms))
-
-
-def _apply(matrix, v):
-    """matrix times the coordinate vector v, as a list."""
-    out = [_ZERO] * matrix.shape[0]
-    for (a, m), value in matrix.entries:
-        if v[m]:
-            out[a] += value * v[m]
-    return out
+def _pairing(omega, J, s, a, b):
+    """The products of s P[a, b] = s omega(e_a, J e_b), the sum over m of
+    omega[a, m] J[m, b]."""
+    j = J.j._lookup
+    return _omega_row(omega, s, a, [j.get((m, b)) for m in range(J.base.dim)])
 
 
 def _form_on(form, degree, dim):
@@ -743,7 +728,7 @@ def _curvature_at(p, idx, detail):
     """R(e_i, e_j) e_k: R[i, j, k, l] at each l."""
     D = p.connection
     i, j, k = _basis_indices(idx, 3, D.base.dim)
-    return tuple(_riemann(D, i, j, k, l) for l in range(D.base.dim))
+    return tuple(_dot(*_riemann(D, i, j, k, l)) for l in range(D.base.dim))
 
 
 def _fit_at(p, idx, detail):
@@ -752,9 +737,9 @@ def _fit_at(p, idx, detail):
     _same_base(D.base, metric.base)
     i, j, k, l = _basis_indices(idx, 4, D.base.dim)
     c, g = _fitted(detail), metric.g._lookup
-    comparison = ((g.get((j, k), _ZERO) if l == i else _ZERO)
-                  - (g.get((i, k), _ZERO) if l == j else _ZERO))
-    return _riemann(D, i, j, k, l) - c * comparison
+    return _dot(*_riemann(D, i, j, k, l), (
+        (-1, c, g.get((j, k)) if l == i else None),
+        (1, c, g.get((i, k)) if l == j else None)))
 
 
 def _codazzi_at(p, idx, detail):
@@ -762,29 +747,38 @@ def _codazzi_at(p, idx, detail):
     D, metric = p.connection, p.metric
     _same_base(D.base, metric.base)
     i, j, k = _basis_indices(idx, 3, D.base.dim)
-    return _nabla_g_at(D, metric, i, j, k) - _nabla_g_at(D, metric, j, i, k)
+    gamma, g, ms = D.gamma._lookup, metric.g._lookup, range(D.base.dim)
+    # (nabla_{e_a} g)(e_b, e_k) = -(sum over m of gamma[a, b, m] g[m, k]
+    # + gamma[a, k, m] g[b, m]), at (a, b) = (i, j) minus at (j, i)
+    return _dot(((-1, gamma.get((i, j, m)), g.get((m, k))) for m in ms),
+                ((-1, gamma.get((i, k, m)), g.get((j, m))) for m in ms),
+                ((1, gamma.get((j, i, m)), g.get((m, k))) for m in ms),
+                ((1, gamma.get((j, k, m)), g.get((i, m))) for m in ms))
 
 
 def _nijenhuis_at(p, idx, detail):
     """N(e_i, e_j) = [e_i, e_j] + J([J e_i, e_j] + [e_i, J e_j])
     - [J e_i, J e_j], where J e_i is column i of J, each bracket summed
-    off c's lookup: [J e_i, e_j]_z is the sum over m of J[m, i]
-    c[m, j, z], and [J e_i, J e_j] that of J[m, i] [e_m, J e_j]."""
+    off the int numerators of c and J: [J e_i, e_j]_z is the sum over m
+    of J[m, i] c[m, j, z], and [J e_i, J e_j] that of J[m, i]
+    [e_m, J e_j].  The slice is over dc dj^2, one division an entry."""
     L, J = p.algebra, p.complex_structure
     _same_base(L, J.base)
     i, j = _basis_indices(idx, 2, L.dim)
-    c, jl, ms = L.c._lookup, J.j._lookup, range(L.dim)
+    (dc, c), (dj, jl), ms = L.c._ints, J.j._ints, range(L.dim)
+    c, jl = dict(c), dict(jl)
     ji, jj = ([(m, v) for m in ms if (v := jl.get((m, x)))] for x in (i, j))
 
-    def with_jj(a, k):  # [e_a, J e_j]_k
-        return sum((v * x for m, v in jj if (x := c.get((a, m, k)))), _ZERO)
+    def with_jj(a, k):  # [e_a, J e_j]_k over dc dj
+        return sum(v * x for m, v in jj if (x := c.get((a, m, k))))
 
-    inner = [sum((v * x for m, v in ji if (x := c.get((m, j, z)))), _ZERO)
-             + with_jj(i, z) for z in ms]
-    return tuple(c.get((i, j, k), _ZERO)
-                 + _dot((jl.get((k, z)) for z in ms), inner)
-                 - sum((v * with_jj(m, k) for m, v in ji), _ZERO)
-                 for k in ms)
+    inner = [(z, sum(v * x for m, v in ji if (x := c.get((m, j, z))))
+              + with_jj(i, z)) for z in ms]
+    s = dj * dj
+    return tuple(Fraction(
+        c.get((i, j, k), 0) * s
+        + sum(v * x for z, v in inner if v and (x := jl.get((k, z))))
+        - sum(v * with_jj(m, k) for m, v in ji), dc * s) for k in ms)
 
 
 def _d_omega_at(p, idx, detail):
@@ -795,11 +789,11 @@ def _d_omega_at(p, idx, detail):
     i, j, k = _basis_indices(idx, 3, L.dim)
     c, ms = L.c._lookup, range(L.dim)
 
-    def of_bracket(a, b, z):    # omega([e_a, e_b], e_z)
-        return _dot((c.get((a, b, m)) for m in ms),
-                    (_omega_at(omega, m, z) for m in ms))
+    def of_bracket(s, a, b, z):    # s omega([e_a, e_b], e_z)
+        return _omega_row(omega, -s, z, [c.get((a, b, m)) for m in ms])
 
-    return -of_bracket(i, j, k) + of_bracket(i, k, j) - of_bracket(j, k, i)
+    return _dot(of_bracket(-1, i, j, k), of_bracket(1, i, k, j),
+                of_bracket(-1, j, k, i))
 
 
 def _d_lee_at(p, idx, detail):
@@ -807,9 +801,8 @@ def _d_lee_at(p, idx, detail):
     L = p.algebra
     theta = _form_on(p.lee_form, 1, L.dim).half._lookup
     i, j = _basis_indices(idx, 2, L.dim)
-    c, ms = L.c._lookup, range(L.dim)
-    return -_dot((c.get((i, j, m)) for m in ms),
-                 (theta.get((m,)) for m in ms))
+    c = L.c._lookup
+    return _dot((-1, c.get((i, j, m)), theta.get((m,))) for m in range(L.dim))
 
 
 def _pairing_pieces(p):
@@ -822,7 +815,7 @@ def _pairing_symmetry_at(p, idx, detail):
     """P[i, j] - P[j, i]."""
     omega, J = _pairing_pieces(p)
     i, j = _basis_indices(idx, 2, J.base.dim)
-    return _pairing_at(omega, J, i, j) - _pairing_at(omega, J, j, i)
+    return _dot(_pairing(omega, J, 1, i, j), _pairing(omega, J, -1, j, i))
 
 
 def _pairing_minor_at(p, idx, detail):
@@ -831,7 +824,7 @@ def _pairing_minor_at(p, idx, detail):
     n = J.base.dim
     k = _leading(idx, n)
     return _minor(Tensor.from_entries((n, n), {
-        (a, b): _pairing_at(omega, J, a, b)
+        (a, b): _dot(_pairing(omega, J, 1, a, b))
         for a in range(k) for b in range(k)}), idx, detail)
 
 

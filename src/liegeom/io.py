@@ -20,7 +20,7 @@ from .errors import (DocumentSyntaxError, LieGeomError, NotAlmostComplex,
                      ValidationError)
 from .forms import KForm
 from .geometry import ComplexStructure, Connection, Metric
-from .rationals import format_rational, parse_rational
+from .rationals import _RATIONAL_RE, format_rational, parse_rational
 from .tensors import Tensor
 
 FORMAT_VERSION = 1
@@ -144,17 +144,11 @@ def parse(text):
 
     brackets = _entry_list(raw.get("brackets", []), "brackets", 3, dim,
                            ordered="strict_first_two")
-    connection = None
-    if "connection" in raw:
-        connection = _entry_list(raw["connection"], "connection", 3, dim)
-    metric = None
-    if "metric" in raw:
-        metric = _entry_list(raw["metric"], "metric", 2, dim,
-                             ordered="weak_pair")
-    complex_structure = None
-    if "complex_structure" in raw:
-        complex_structure = _entry_list(raw["complex_structure"],
-                                        "complex_structure", 2, dim)
+    pieces = {key: _entry_list(raw[key], key, arity, dim, ordered)
+              for key, arity, ordered in (("connection", 3, None),
+                                          ("metric", 2, "weak_pair"),
+                                          ("complex_structure", 2, None))
+              if key in raw}
     forms = []
     raw_forms = raw.get("forms", [])
     if not isinstance(raw_forms, list):
@@ -177,10 +171,8 @@ def parse(text):
         parameters.append((key, _rational(raw_params[key],
                                           f"parameters.{key}")))
 
-    return AlgebraDocument(dim, tuple(basis), brackets,
-                           connection=connection, metric=metric,
-                           complex_structure=complex_structure,
-                           forms=tuple(forms), parameters=tuple(parameters))
+    return AlgebraDocument(dim, tuple(basis), brackets, forms=tuple(forms),
+                           parameters=tuple(parameters), **pieces)
 
 
 def _rational(value, where):
@@ -196,33 +188,40 @@ def _entry_list(raw, name, arity, dim, ordered=None):
         raise ValidationError(f"{name} must be a list", field=name)
     seen = {}
     for pos, item in enumerate(raw):
-        where = f"{name}[{pos}]"
-        if (not isinstance(item, list) or len(item) != arity + 1
-                or not all(isinstance(i, int) and not isinstance(i, bool)
-                           for i in item[:arity])):
-            raise ValidationError(
-                f"{where} must be {arity} indices plus a coefficient",
-                field=where)
+        # exact types, as JSON has them: a bool is no int index
+        if (type(item) is not list or len(item) != arity + 1
+                or not all(type(i) is int for i in item[:arity])):
+            _refuse(f"{{}} must be {arity} indices plus a coefficient",
+                    name, pos)
         idx = tuple(item[:arity])
-        if any(not 0 <= i < dim for i in idx):
-            raise ValidationError(f"index out of range at {where}",
-                                  field=where)
+        if min(idx) < 0 or max(idx) >= dim:
+            _refuse("index out of range at {}", name, pos)
         if ordered == "strict_first_two" and not idx[0] < idx[1]:
-            raise ValidationError(
-                f"{where} must have i < j (antisymmetry fills the rest)",
-                field=where)
+            _refuse("{} must have i < j (antisymmetry fills the rest)",
+                    name, pos)
         if ordered == "weak_pair" and not idx[0] <= idx[1]:
-            raise ValidationError(f"{where} must have i <= j", field=where)
+            _refuse("{} must have i <= j", name, pos)
         if ordered == "increasing" and any(
                 not a < b for a, b in zip(idx, idx[1:])):
-            raise ValidationError(
-                f"{where} must have strictly increasing indices", field=where)
+            _refuse("{} must have strictly increasing indices", name, pos)
         if idx in seen:
-            raise ValidationError(f"duplicate index {idx} at {where}",
-                                  field=where)
-        # a zero is recorded too, so a duplicate is caught in either order
-        seen[idx] = _rational(item[arity], where)
+            _refuse(f"duplicate index {idx} at {{}}", name, pos)
+        # a zero is recorded too, so a duplicate is caught in either order;
+        # what the one match cannot read, _rational refuses with its reason
+        text = item[arity]
+        match = type(text) is str and _RATIONAL_RE.fullmatch(text)
+        try:
+            seen[idx] = Fraction(int(match[1]), int(match[2] or 1))
+        except (TypeError, ValueError, ZeroDivisionError):
+            seen[idx] = _rational(text, f"{name}[{pos}]")
     return tuple(sorted((idx, v) for idx, v in seen.items() if v))
+
+
+def _refuse(message, name, pos):
+    """Raise the ValidationError of entry pos of name, message naming it
+    at its {}."""
+    where = f"{name}[{pos}]"
+    raise ValidationError(message.format(where), field=where)
 
 
 def _form_block(raw, pos, dim):

@@ -17,7 +17,7 @@ from .errors import InputError, ZeroDenominator
 
 Q = Fraction
 
-_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[+-]?[0-9]+)?")
+_RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([+-]?[0-9]+))?")
 
 
 def make_rational(numerator, denominator=1):
@@ -35,12 +35,13 @@ def make_rational(numerator, denominator=1):
 
 def parse_rational(text):
     """Parse "p" or "p/q" into a Fraction.  Whitespace is not allowed."""
-    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
+    match = isinstance(text, str) and _RATIONAL_RE.fullmatch(text)
+    if not match:
         raise ValueError(f"not a rational literal: {text!r}")
-    if "/" in text:
-        num, den = text.split("/")
-        return make_rational(int(num), int(den))
-    return Fraction(int(text))
+    num, den = match.groups()
+    if den is None:
+        return Fraction(int(num))
+    return make_rational(int(num), int(den))
 
 
 def format_rational(value):

@@ -242,13 +242,18 @@ def curvature_fit(r, k):
     return CurvatureFit("constant", c)
 
 
-def jacobi_check(L):
+def jacobi_residual(L, i, j, k):
+    """[[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j]."""
     n, c = L.dim, L.c
-    for i, j, k in itertools.combinations(range(n), 3):
-        residual = tuple(
-            sum((c[i, j, m] * c[m, k, l] + c[j, k, m] * c[m, i, l]
-                 + c[k, i, m] * c[m, j, l] for m in range(n)), Fraction(0))
-            for l in range(n))
+    return tuple(
+        sum((c[i, j, m] * c[m, k, l] + c[j, k, m] * c[m, i, l]
+             + c[k, i, m] * c[m, j, l] for m in range(n)), Fraction(0))
+        for l in range(n))
+
+
+def jacobi_check(L):
+    for i, j, k in itertools.combinations(range(L.dim), 3):
+        residual = jacobi_residual(L, i, j, k)
         if any(residual):
             return Witness("jacobi", (i, j, k), residual)
     return None

@@ -1,9 +1,12 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from liegeom import (DimensionMismatch, LieAlgebra, Witness, as_vector,
-                     bracket, jacobi_check)
+import reference
+from liegeom import (DimensionMismatch, LieAlgebra, Witness, algebra,
+                     as_vector, bracket, get_example, jacobi_check,
+                     lck_family)
 
 Q = Fraction
 
@@ -88,3 +91,48 @@ def test_jacobi_reports_first_triple():
         ("a", "b", "c", "d"),
         {(1, 2): {1: 1}, (1, 3): {3: 1}})
     assert jacobi_check(L).indices == (1, 2, 3)
+
+
+def _count_jacobi_blocks(monkeypatch):
+    """Wrap the Jacobi block kernel so that each block read is counted."""
+    reads = []
+
+    def counted(L, kernel=algebra._jacobi_blocks):
+        block = kernel(L)
+
+        def read(i):
+            reads.append(i)
+            return block(i)
+
+        return read
+
+    monkeypatch.setattr(algebra, "_jacobi_blocks", counted)
+    return reads
+
+
+def test_jacobi_check_stops_at_the_first_failing_block(monkeypatch):
+    # a dense dim-12 bracket fails at (0, 1, 2), so only the block of
+    # leading index 0 is summed; its residual is the reference's
+    rng = random.Random(11)
+    values = [Q(1, 2), Q(-3, 5), Q(2, 7), Q(-1), Q(3)]
+    n = 12
+    L = LieAlgebra.from_brackets(
+        tuple(f"e{i}" for i in range(n)),
+        {(i, j): {k: rng.choice(values) for k in range(n)}
+         for i in range(n) for j in range(i + 1, n)})
+    reads = _count_jacobi_blocks(monkeypatch)
+    witness = jacobi_check(L)
+    assert reads == [0]
+    assert witness == reference.jacobi_check(L)
+    assert witness.indices == (0, 1, 2)
+
+
+def test_jacobi_check_sums_every_block_of_a_passing_algebra(monkeypatch):
+    # su2's l.c.K. family lives on the double of a flat, torsion-free
+    # cone, which holds Jacobi: each block i < n - 2 is read once
+    entry = get_example("su2")
+    L = lck_family(entry.algebra, entry.connection, entry.metric,
+                   c=None, t=1).double.algebra
+    reads = _count_jacobi_blocks(monkeypatch)
+    assert jacobi_check(L) is None
+    assert reads == list(range(L.dim - 2))

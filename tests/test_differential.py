@@ -250,6 +250,88 @@ def test_rechecks_equal_the_full_tensors_at_every_index(p, fitted):
             **given, "lee_form": report.lee_form}) == witness.residual
 
 
+# zeros, and rationals with denominators 1 to 7, whose lcm the int
+# rechecks sum over
+mixed = st.one_of(st.just(Q(0)), st.builds(Q, st.integers(-7, 7),
+                                           st.integers(1, 7)))
+
+
+@st.composite
+def mixed_pieces(draw):
+    """Pieces of dimension 2 to 7 over mixed rationals; in even dimension
+    J = S J0 S^-1 with S lower unitriangular, so that J is dense and its
+    transpose is no multiple of it."""
+    n = draw(st.integers(2, 7))
+    L = LieAlgebra.from_brackets(
+        tuple(f"e{i}" for i in range(n)),
+        {(i, j): {k: draw(mixed) for k in range(n)}
+         for i in range(n) for j in range(i + 1, n)})
+    D = Connection.from_table(L, {(i, j): {k: draw(mixed) for k in range(n)}
+                                  for i in range(n) for j in range(n)})
+    rows = [[Q(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = draw(mixed)
+    J = None
+    if n % 2 == 0:
+        s = [[draw(mixed) if i > j else Q(int(i == j)) for j in range(n)]
+             for i in range(n)]
+        j0 = [[Q(-1 if j == i + n // 2 else int(i == j + n // 2))
+               for j in range(n)] for i in range(n)]
+        J = ComplexStructure.from_rows(L, product(product(s, j0), inverse(s)))
+    omega, theta = (KForm.from_components(n, k, {
+        idx: draw(mixed) for idx in itertools.combinations(range(n), k)})
+        for k in (2, 1))
+    return L, D, Metric.from_rows(L, rows), J, omega, theta
+
+
+@settings(max_examples=20, phases=UNSHRUNK)
+@given(mixed_pieces(), mixed)
+def test_int_rechecks_equal_the_dense_reference_at_every_index(p, fitted):
+    # each pointwise recheck, summed on int numerators, against the entry
+    # or slice of reference.py's dense tensor, as exact Fractions; Jacobi
+    # at the triples i < j < k, where its dense sum is the slowest
+    L, D, g, J, omega, theta = p
+    given = dict(algebra=L, connection=D, metric=g, complex_structure=J,
+                 omega=omega, lee_form=theta)
+    T, R = reference.torsion(D), reference.curvature(D)
+    K, ng = reference.comparison_tensor(g), reference.nabla_g(D, g)
+    d_omega, d_theta = (reference.ce_d(L, form).coefficients
+                        for form in (omega, theta))
+
+    def every(arity):
+        return itertools.product(range(L.dim), repeat=arity)
+
+    expected = {
+        "jacobi": (itertools.combinations(range(L.dim), 3),
+                   lambda idx: reference.jacobi_residual(L, *idx)),
+        "torsion": (every(2), lambda idx: _slice(T, idx)),
+        "curvature": (every(3), lambda idx: _slice(R, idx)),
+        "codazzi": (every(3), lambda idx: ng[idx] - ng[idx[1::-1] + idx[2:]]),
+        "constant_curvature": (every(4), lambda idx: R[idx] - fitted * K[idx]),
+        "d_omega": (every(3), d_omega.__getitem__),
+        "d_lee": (every(2), d_theta.__getitem__),
+    }
+    if J is not None:
+        N, P = reference.nijenhuis(L, J), reference.pairing_rows(omega, J)
+        expected["nijenhuis"] = (every(2), lambda idx: _slice(N, idx))
+        expected["pairing_symmetry"] = (
+            every(2), lambda idx: P[idx[0]][idx[1]] - P[idx[1]][idx[0]])
+    for claim, (indices, value) in expected.items():
+        detail = (fitted,) if claim == "constant_curvature" else ()
+        for idx in indices:
+            got = witness_residual(Witness(claim, idx, None, detail), **given)
+            assert got == value(idx), (claim, idx)
+            assert all(type(v) is Fraction for v in (
+                got if isinstance(got, tuple) else (got,)))
+    if J is not None:
+        for k, minor in enumerate(reference.leading_minors(P), 1):
+            assert witness_residual(Witness("pairing_positive", (k,), None),
+                                    **given) == minor
+            if not minor:
+                break
+
+
 # every entry nonzero, as in a dense document; the denominators of c
 # (powers of 3) are prime to those of gamma, so the two contractions
 # summed in curvature come over different common denominators

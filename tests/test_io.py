@@ -231,6 +231,68 @@ def test_duplicate_index_refused_in_either_order(block, entry, zero_first,
     assert field_of(wrap(**{block: pair})) == f"{block}[1]"
 
 
+def _over_digit_limit():
+    """The message int() gives for a literal past the digit limit."""
+    try:
+        int("1" * 5000)
+    except ValueError as exc:
+        return str(exc)
+    pytest.skip("this interpreter has no digit limit")
+
+
+@pytest.mark.parametrize("block, entries, where, message", [
+    ("brackets", {}, "brackets", "brackets must be a list"),
+    ("brackets", [[0, 1, 1]], "brackets[0]",
+     "brackets[0] must be 3 indices plus a coefficient"),
+    ("brackets", [[0, 1, 1, "1", "2"]], "brackets[0]",
+     "brackets[0] must be 3 indices plus a coefficient"),
+    ("brackets", ["0 1 1 1"], "brackets[0]",
+     "brackets[0] must be 3 indices plus a coefficient"),
+    ("connection", [[0, 0, 0, "1"], [True, 0, 1, "1"]], "connection[1]",
+     "connection[1] must be 3 indices plus a coefficient"),
+    ("metric", [[0.0, 1, "1"]], "metric[0]",
+     "metric[0] must be 2 indices plus a coefficient"),
+    ("metric", [[-1, 1, "1"]], "metric[0]", "index out of range at metric[0]"),
+    ("connection", [[0, 2, 1, "1"]], "connection[0]",
+     "index out of range at connection[0]"),
+    ("brackets", [[1, 0, 1, "1"]], "brackets[0]",
+     "brackets[0] must have i < j (antisymmetry fills the rest)"),
+    ("brackets", [[0, 0, 1, "1"]], "brackets[0]",
+     "brackets[0] must have i < j (antisymmetry fills the rest)"),
+    ("metric", [[1, 0, "1"]], "metric[0]", "metric[0] must have i <= j"),
+    ("forms", [{"name": "w", "degree": 2, "entries": [[1, 1, "1"]]}],
+     "forms[0].entries[0]",
+     "forms[0].entries[0] must have strictly increasing indices"),
+    ("connection", [[0, 0, 0, "0"], [0, 0, 0, "2"]], "connection[1]",
+     "duplicate index (0, 0, 0) at connection[1]"),
+    ("connection", [[0, 0, 0, "2"], [0, 0, 0, "0"]], "connection[1]",
+     "duplicate index (0, 0, 0) at connection[1]"),
+    ("complex_structure", [[0, 1, "x"]], "complex_structure[0]",
+     "bad rational at complex_structure[0]: not a rational literal: 'x'"),
+    ("complex_structure", [[0, 1, 1]], "complex_structure[0]",
+     "bad rational at complex_structure[0]: not a rational literal: 1"),
+    ("complex_structure", [[0, 1, " 1"]], "complex_structure[0]",
+     "bad rational at complex_structure[0]: not a rational literal: ' 1'"),
+    ("brackets", [[0, 1, 1, "1/0"]], "brackets[0]",
+     "bad rational at brackets[0]: zero denominator in 1/0"),
+    ("brackets", [[0, 1, 1, "-007/+00"]], "brackets[0]",
+     "bad rational at brackets[0]: zero denominator in -7/0"),
+    ("brackets", [[0, 1, 1, "1" * 5000]], "brackets[0]", None),
+], ids=["not-a-list", "short", "long", "no-list", "bool-index",
+        "float-index", "negative-index", "index-out-of-range", "i-above-j",
+        "i-equal-j", "metric-lower", "form-not-increasing",
+        "duplicate-zero-first", "duplicate-zero-last", "bad-rational",
+        "int-coefficient", "whitespace", "zero-denominator",
+        "signed-zero-denominator", "past-digit-limit"])
+def test_entry_refusals_keep_their_message_and_field(block, entries, where,
+                                                     message):
+    if message is None:
+        message = f"bad rational at {where}: {_over_digit_limit()}"
+    with pytest.raises(ValidationError) as info:
+        parse(wrap(**{block: entries}))
+    assert (str(info.value), info.value.field) == (message, where)
+
+
 def test_parameter_errors():
     assert field_of(wrap(parameters=[])) == "parameters"
     assert field_of(wrap(parameters={"2x": "1"})) == "parameters"
