@@ -77,8 +77,9 @@ class LieAlgebra:
         return self.basis_labels[i]
 
     def basis_vector(self, i):
-        if not 0 <= i < self.dim:
-            raise DimensionMismatch(f"basis index {i} for dimension {self.dim}")
+        if type(i) is not int or not 0 <= i < self.dim:
+            raise DimensionMismatch(
+                f"basis index {i!r} for dimension {self.dim}")
         return tuple(Fraction(1 if j == i else 0) for j in range(self.dim))
 
 

@@ -19,9 +19,10 @@ from fractions import Fraction
 
 from .algebra import LieAlgebra, jacobi_check
 from .constructions import double
-from .errors import BadParameters, UnknownExample
+from .errors import BadParameters, InexactValue, UnknownExample
 from .geometry import CLAIMS, FLAGS, Connection, Metric, classify, nijenhuis
 from .rationals import format_rational
+from .tensors import _as_q
 
 _KAHLER_CLAIM = ("the c = 1, t = 1 member of the family on the double "
                  "is presented as a Kahler form")
@@ -249,8 +250,8 @@ def get_example(name, params=None):
         if key not in allowed:
             raise BadParameters(f"{name} takes no parameter {key!r}")
         try:
-            cleaned[key] = Fraction(value)
-        except (TypeError, ValueError, ArithmeticError):
+            cleaned[key] = _as_q(value)
+        except InexactValue:
             raise BadParameters(f"{name} parameter {key!r} is not a "
                                 f"rational: {value!r}") from None
     return builder(cleaned)

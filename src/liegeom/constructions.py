@@ -275,9 +275,9 @@ def extract_statistical(algebra, nabla, base_metric, rho_index):
     data being a cone over a statistical base.
     """
     n1 = algebra.dim
-    r = int(rho_index)
-    if not 0 <= r < n1:
-        raise DimensionMismatch(f"rho index {r} out of range")
+    r = rho_index
+    if type(r) is not int or not 0 <= r < n1:
+        raise DimensionMismatch(f"rho index {r!r} is no position below {n1}")
     base = [i for i in range(n1) if i != r]
     rho_label = algebra.basis_labels[r]
 

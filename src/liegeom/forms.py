@@ -102,8 +102,8 @@ def _perm_sign(perm):
 
 def dual_form(L, i):
     """The covector taking the i-th coordinate of a vector."""
-    if not 0 <= i < L.dim:
-        raise DimensionMismatch(f"basis index {i} for dimension {L.dim}")
+    if type(i) is not int or not 0 <= i < L.dim:
+        raise DimensionMismatch(f"basis index {i!r} for dimension {L.dim}")
     return KForm(1, Tensor._trusted((L.dim,), (((i,), Fraction(1)),)))
 
 

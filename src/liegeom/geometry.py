@@ -568,42 +568,24 @@ def lee_form_solve(L, omega):
 
 # -- the claims ------------------------------------------------------------
 #
-# A witness names a claim, an index tuple and a detail.  classify reads
-# its residual off what it has just computed: for T, R, nabla g, the
-# curvature fit and N off the block its scan stopped at, for the others
-# off the object (a tensor, a matrix, a linear system) with the claim's
-# residual function.  witness_residual runs the claim's recheck instead:
-# it sums the one entry, or the one last-axis slice, that the witness
-# names straight from the raw pieces (gamma, c, g, J, the form halves).
-# It builds none of R, N, nabla g or the pairing and calls none of the
-# kernels that did for classify, so a fault in those cannot vouch for
-# itself.  Like the kernels, a recheck sums int numerators over one
-# common denominator (_dot) and divides once per entry of its result;
-# it converts only the entries it reads, though N and Jacobi read the
-# int numerators c and J cache, and T, three entries an output,
-# subtracts them as they are.  So an entry costs O(n) and a slice
-# O(n^2) (a Nijenhuis slice O(n^3) for a dense J and c) where the whole
-# tensor costs up to O(n^5).  A Lee system certificate is checked
-# against every row, so the two Lee claims rebuild their system.
-
-def _swap_residual(t, idx, detail):
-    """t at idx minus t with the first two indices of idx swapped."""
-    return t[idx] - t[(idx[1], idx[0]) + idx[2:]]
-
-
-def _first_asymmetry(t):
-    """The lexicographically first index with i < j in its first two
-    places at which _swap_residual is nonzero, else None; only where an
-    entry is set can it be."""
-    candidates = {(min(idx[:2]), max(idx[:2])) + idx[2:]
-                  for idx, _ in t.entries if idx[0] != idx[1]}
-    return next((idx for idx in sorted(candidates)
-                 if _swap_residual(t, idx, ())), None)
-
-
-def _entry(t, idx, detail):
-    return t[idx]
-
+# A witness names a claim, an index tuple and a detail.  classify builds
+# each from the value that decided its claim: the block a scan of T, R,
+# nabla g, the fit or N stopped at, the first entry of d omega or d theta,
+# the pairing's first asymmetric pair, the first minor of its elimination
+# not positive, an infeasible Lee system's certificate.  witness_residual
+# runs the claim's recheck, a second computation for every claim: it sums
+# the one entry, or the one last-axis slice, that the witness names
+# straight from the raw pieces (gamma, c, g, J, the form halves), builds
+# none of R, N, nabla g or the pairing, and calls none of the kernels
+# that did for classify, so a fault in those cannot vouch for itself.
+# Like the kernels, it sums int numerators over one common denominator
+# (_dot) and divides once per entry of its result, converting only the
+# entries it reads (N and Jacobi read the int numerators c and J cache;
+# T, three entries an output, subtracts them as they are).  So an entry
+# costs O(n) and a slice O(n^2) (a Nijenhuis slice O(n^3) for a dense J
+# and c) where the whole tensor costs up to O(n^5).  A minor is
+# eliminated again from its leading block, and a Lee certificate checked
+# against every row of its rebuilt system.
 
 def _basis_indices(idx, arity, dim):
     """idx as arity int basis positions below dim, else ShapeMismatch."""
@@ -646,14 +628,7 @@ def _minor(matrix, idx, detail):
     return minors[-1]
 
 
-def _fitted(detail):
-    """The fitted constant a constant_curvature witness carries."""
-    if len(detail) != 1:
-        raise ShapeMismatch("a curvature fit witness carries one constant")
-    return _as_q(detail[0])
-
-
-def _certificate(system, idx, detail):
+def _certificate(system, detail):
     """y . rhs for a combination y = detail with y . matrix = 0."""
     matrix, rhs, _ = system
     if len(detail) != matrix.shape[0]:
@@ -736,7 +711,9 @@ def _fit_at(p, idx, detail):
     D, metric = p.connection, p.metric
     _same_base(D.base, metric.base)
     i, j, k, l = _basis_indices(idx, 4, D.base.dim)
-    c, g = _fitted(detail), metric.g._lookup
+    if len(detail) != 1:
+        raise ShapeMismatch("a curvature fit witness carries one constant")
+    c, g = _as_q(detail[0]), metric.g._lookup
     return _dot(*_riemann(D, i, j, k, l), (
         (-1, c, g.get((j, k)) if l == i else None),
         (1, c, g.get((i, k)) if l == j else None)))
@@ -832,16 +809,13 @@ def _pairing_minor_at(p, idx, detail):
 class Claim:
     """One claim: the flag its witnesses refute, which VERDICTS reads
     (None for the curvature fit), whether witness indices are basis
-    positions, the recheck evaluating a witness from the raw pieces, and
-    the residual function classify reads a witness off its computed
-    object with (None where the check makes its own witness: jacobi,
-    and the claims read off a block of T, R, nabla g or N)."""
+    positions, and the recheck evaluating a witness from the raw pieces,
+    a second computation beside the one classify decided the claim by."""
 
     name: str
     flag: str | None
     labelled: bool
     recheck: object
-    residual: object = None
 
 
 CLAIMS = {claim.name: claim for claim in (
@@ -852,42 +826,46 @@ CLAIMS = {claim.name: claim for claim in (
     Claim("curvature", "flat", True, _curvature_at),
     Claim("codazzi", "codazzi", True, _codazzi_at),
     Claim("positive_definite", "metric_positive", False,
-          lambda p, idx, detail: _minor(p.metric.g, idx, detail), _minor),
+          lambda p, idx, detail: _minor(p.metric.g, idx, detail)),
     Claim("constant_curvature", None, True, _fit_at),
     Claim("nijenhuis", "integrable", True, _nijenhuis_at),
-    Claim("d_omega", "omega_closed", True, _d_omega_at, _entry),
+    Claim("d_omega", "omega_closed", True, _d_omega_at),
     Claim("lee_system", "lck", False,
           lambda p, idx, detail: _certificate(
-              lee_form_system(p.algebra, p.omega), idx, detail),
-          _certificate),
-    Claim("d_lee", "lee_closed", True, _d_lee_at, _entry),
+              lee_form_system(p.algebra, p.omega), detail)),
+    Claim("d_lee", "lee_closed", True, _d_lee_at),
     Claim("lee_closed_system", "lee_closed", False,
           lambda p, idx, detail: _certificate(_closed_system(
-              p.algebra, lee_form_system(p.algebra, p.omega)), idx, detail),
-          _certificate),
-    Claim("pairing_symmetry", "pairing_positive", True,
-          _pairing_symmetry_at, _swap_residual),
-    Claim("pairing_positive", "pairing_positive", False,
-          _pairing_minor_at, _minor),
+              p.algebra, lee_form_system(p.algebra, p.omega)), detail)),
+    Claim("pairing_symmetry", "pairing_positive", True, _pairing_symmetry_at),
+    Claim("pairing_positive", "pairing_positive", False, _pairing_minor_at),
 )}
 
 
-def _witness(claim, obj, indices, detail=()):
-    """A witness whose residual is read off the computed object obj."""
-    return Witness(claim, indices,
-                   CLAIMS[claim].residual(obj, indices, detail), detail)
+def _nonzero(claim, t):
+    """None for a zero tensor t, else a witness at its first entry."""
+    if t.is_zero():
+        return None
+    idx = t.entries[0][0]
+    return Witness(claim, idx, t[idx])
 
 
-def _nonzero(claim, t, lead):
-    """None for a zero tensor t, else a witness at the first lead indices
-    of its first nonzero entry."""
-    return None if t.is_zero() else _witness(claim, t, t.entries[0][0][:lead])
+def _asymmetry(claim, P):
+    """None for a symmetric matrix P, else a witness at the first i < j
+    with P[i, j] != P[j, i], that difference its residual; only where an
+    entry is set can it be nonzero."""
+    p = P._lookup
+    for i, j in sorted({(min(x), max(x)) for x in p if x[0] != x[1]}):
+        residual = p.get((i, j), _ZERO) - p.get((j, i), _ZERO)
+        if residual:
+            return Witness(claim, (i, j), residual)
+    return None
 
 
 def _positive(claim, matrix, minors, kernel=False):
     """None when every leading minor of matrix is positive, else a witness
-    at the first that is not; with kernel, a zero minor's witness carries
-    a kernel vector of its leading block, padded with zeros."""
+    with the first that is not as residual; with kernel, a zero minor's
+    witness carries a zero-padded kernel vector of its leading block."""
     k = next((k for k, m in enumerate(minors, 1) if m <= 0), None)
     if k is None:
         return None
@@ -895,7 +873,7 @@ def _positive(claim, matrix, minors, kernel=False):
     if kernel and minors[k - 1] == 0:
         detail = (null_vector(_leading_block(matrix, k))
                   + (_ZERO,) * (matrix.shape[0] - k))
-    return _witness(claim, matrix, (k,), detail)
+    return Witness(claim, (k,), minors[k - 1], detail)
 
 
 # -- the combined report ---------------------------------------------------
@@ -1022,32 +1000,30 @@ def classify(L, connection=None, metric=None, complex_structure=None,
         if omega.dim != L.dim:
             raise DimensionMismatch("form and algebra dimensions differ")
         d_omega = ce_d(L, omega)
-        witnesses.append(_nonzero("d_omega", d_omega.half, 3))
+        witnesses.append(_nonzero("d_omega", d_omega.half))
 
         system = _lee_system(L, omega, d_omega)
         lee_form, certificate = _lee_solve(L, system)
         if lee_form is None:
-            witnesses.append(_witness(
-                "lee_system", system, (), certificate.combination))
+            witnesses.append(Witness("lee_system", (), certificate.residual,
+                                     certificate.combination))
         else:
             d_theta = ce_d(L, lee_form).half
             if not d_theta.is_zero():
-                joint = _closed_system(L, system)
-                closed, joint_cert = _lee_solve(L, joint)
+                closed, joint_cert = _lee_solve(L, _closed_system(L, system))
                 if closed is None:
-                    witnesses += [_nonzero("d_lee", d_theta, 2), _witness(
-                        "lee_closed_system", joint, (),
+                    witnesses += [_nonzero("d_lee", d_theta), Witness(
+                        "lee_closed_system", (), joint_cert.residual,
                         joint_cert.combination)]
                 else:
                     lee_form = closed
 
         if complex_structure is not None:
             pairing = pairing_rows(omega, complex_structure)
-            asym = _first_asymmetry(pairing)
             witnesses.append(
-                _positive("pairing_positive", pairing,
-                          leading_minors(pairing)) if asym is None
-                else _witness("pairing_symmetry", pairing, asym))
+                _asymmetry("pairing_symmetry", pairing)
+                or _positive("pairing_positive", pairing,
+                             leading_minors(pairing)))
 
     witnesses = tuple(w for w in witnesses if w is not None)
     refuted = {CLAIMS[w.claim].flag for w in witnesses}

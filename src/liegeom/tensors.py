@@ -50,7 +50,7 @@ def _as_q(value):
     try:
         if not isinstance(value, float):
             return value if isinstance(value, Fraction) else Fraction(value)
-    except (TypeError, ValueError, ZeroDivisionError):
+    except (TypeError, ValueError, ArithmeticError):
         pass
     raise InexactValue(f"{value!r} is no exact rational")
 

@@ -56,8 +56,9 @@ def test_get_example_parameter_validation():
 @pytest.mark.parametrize("name, value", [
     ("clan-triangular", "1/0"), ("clan-triangular", "abc"),
     ("clan-triangular", None), ("clan-triangular", float("inf")),
-    ("abelian-n", [3]),
-], ids=["zero-denominator", "not-a-number", "none", "infinite", "list"])
+    ("clan-triangular", 0.1), ("abelian-n", [3]),
+], ids=["zero-denominator", "not-a-number", "none", "infinite", "float",
+        "list"])
 def test_get_example_refuses_a_value_that_is_no_rational(name, value):
     key = "c" if name == "clan-triangular" else "n"
     with pytest.raises(BadParameters, match=f"parameter '{key}'"):

@@ -10,9 +10,10 @@ from liegeom import (Connection, CurvatureMismatch, DimensionMismatch,
                      NoRealSolution, NotConical, NotHessian, NotStatistical,
                      SurdPair, Tensor, UnderdeterminedCurvature, Witness,
                      ZeroCurvature, ce_d, classify, cone_extend,
-                     constant_curvature, double, extract_statistical,
-                     get_example, jacobi_check, kahler_form_from_hessian,
-                     lck_family, nijenhuis, solve_lambda, wedge)
+                     constant_curvature, double, dual_form,
+                     extract_statistical, get_example, jacobi_check,
+                     kahler_form_from_hessian, lck_family, nijenhuis,
+                     solve_lambda, wedge)
 
 Q = Fraction
 
@@ -460,6 +461,19 @@ def test_extraction_checks_binding_and_range():
         extract_statistical(ext.algebra, ext.nabla, su2.metric, 2)
     with pytest.raises(DimensionMismatch):
         extract_statistical(ext.algebra, ext.nabla, entry.metric, 7)
+
+
+@pytest.mark.parametrize("index", [1.5, True, "1"],
+                         ids=["float", "bool", "string"])
+def test_a_basis_index_that_is_no_int_is_refused(index):
+    # refused as Tensor refuses such an axis, not truncated or read as 0
+    entry, ext = clan_cone()
+    with pytest.raises(DimensionMismatch):
+        entry.algebra.basis_vector(index)
+    with pytest.raises(DimensionMismatch):
+        dual_form(entry.algebra, index)
+    with pytest.raises(DimensionMismatch):
+        extract_statistical(ext.algebra, ext.nabla, entry.metric, index)
 
 
 # -- metric rescaling ------------------------------------------------------

@@ -616,6 +616,20 @@ def test_witness_residual_names_the_piece_it_was_not_given():
     assert refused == set(geometry.CLAIMS)
 
 
+def _heisenberg_line(m):
+    """R x h(2m + 1): x1..xm, y1..ym, z, t with [x_i, y_i] = z."""
+    labels = ([f"x{i}" for i in range(m)] + [f"y{i}" for i in range(m)]
+              + ["z", "t"])
+    return LieAlgebra.from_brackets(
+        tuple(labels), {(i, m + i): {2 * m: 1} for i in range(m)})
+
+
+def _dense_two_form(n, rng):
+    return KForm.from_components(n, 2, {
+        (i, j): Q(rng.randint(-3, 3), rng.randint(1, 3))
+        for i in range(n) for j in range(i + 1, n)})
+
+
 def test_witness_residual_rejects_stale_certificate():
     L = LieAlgebra.from_brackets(("e1", "e2", "e3", "e4"), {(0, 1): {2: 1}})
     omega = KForm.from_components(4, 2, {(2, 3): Q(1)})
@@ -627,6 +641,31 @@ def test_witness_residual_rejects_stale_certificate():
     short = Witness("lee_system", (), witness.residual, witness.detail[:-1])
     with pytest.raises(ShapeMismatch, match="combination length"):
         witness_residual(short, algebra=L, omega=omega)
+
+    # classify reads a certificate off its solve, so the recheck alone
+    # vouches for the combination: one nonzero entry doubled or zeroed
+    # is refused or rechecks to another residual
+    H = _heisenberg_line(2)
+    dense = _dense_two_form(H.dim, random.Random(1))
+    cases = [(w, pieces) for report, pieces in _claim_cases()
+             for w in report.witnesses
+             if w.claim in ("lee_system", "lee_closed_system")]
+    cases += [(w, {"algebra": H, "omega": dense})
+              for w in classify(H, omega=dense).witnesses
+              if w.claim == "lee_system"]
+    assert {w.claim for w, _ in cases} == {"lee_system", "lee_closed_system"}
+    assert any(sum(map(bool, w.detail)) > 2 for w, _ in cases)
+    for witness, pieces in cases:
+        y = witness.detail
+        for i in (i for i, v in enumerate(y) if v):
+            for v in (2 * y[i], Q(0)):
+                stale = Witness(witness.claim, (), witness.residual,
+                                y[:i] + (v,) + y[i + 1:])
+                try:
+                    value = witness_residual(stale, **pieces)
+                except ShapeMismatch:
+                    continue
+                assert value != witness.residual
 
 
 def test_witness_residual_checks_the_lee_form_degree_and_dimension():
@@ -786,6 +825,50 @@ def test_rechecks_do_not_call_the_kernels_behind_the_verdict(monkeypatch):
         monkeypatch.setattr(geometry, name, _raise)
     for witness, pieces in witnesses:
         assert witness_residual(witness, **pieces) == witness.residual
+
+
+# -- classify judges each matrix once ---------------------------------------
+
+def _count_calls(monkeypatch, *names):
+    """Wrap each named geometry function so that its calls are counted."""
+    calls = Counter()
+    for name in names:
+        def counted(*args, name=name, f=getattr(geometry, name), **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+
+        monkeypatch.setattr(geometry, name, counted)
+    return calls
+
+
+def test_classify_reads_a_minor_off_its_one_elimination(monkeypatch):
+    # g = P diag(1, ..., 1, -1) P^T with P dense and lower unitriangular:
+    # every leading minor is 1 but the last, -1
+    n, rng = 6, random.Random(2)
+    P = [[Q(int(i == j)) if j >= i else Q(rng.randint(-2, 2), 3)
+          for j in range(n)] for i in range(n)]
+    D = [1] * (n - 1) + [-1]
+    L = LieAlgebra.abelian(tuple(f"e{i}" for i in range(n)))
+    g = Metric.from_rows(L, [[sum(P[i][m] * D[m] * P[j][m] for m in range(n))
+                              for j in range(n)] for i in range(n)])
+    calls = _count_calls(monkeypatch, "_eliminate", "leading_minors",
+                         "contract")
+    (witness,) = classify(L, metric=g).witnesses
+    assert calls == Counter({"_eliminate": 1})
+    assert (witness.claim, witness.indices, witness.residual) == (
+        "positive_definite", (n,), -1)
+    assert witness_residual(witness, metric=g) == -1
+
+
+def test_classify_reads_the_lee_certificate_off_its_solve(monkeypatch):
+    H = _heisenberg_line(3)
+    omega = _dense_two_form(H.dim, random.Random(3))
+    calls = _count_calls(monkeypatch, "contract")
+    report = classify(H, omega=omega)
+    assert calls == Counter()
+    (witness,) = [w for w in report.witnesses if w.claim == "lee_system"]
+    assert witness_residual(witness, algebra=H, omega=omega) == (
+        witness.residual)
 
 
 # -- classify reads a claim block by block ---------------------------------

@@ -1,5 +1,6 @@
 """Every name a library module imports is used in that module, and
-every private module-level function or class is used somewhere.
+every private module-level function, class or constant is used
+somewhere.
 
 No linter ships with the test extra, so this walks each module's syntax
 tree with the standard library: an imported name that no expression
@@ -41,9 +42,21 @@ def test_an_unused_import_is_reported():
     assert unused_imports(tree) == [(1, "json"), (2, "path")]
 
 
+def defined_names(node):
+    """The names a module-level statement defines: a function's or a
+    class's, or the plain names an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = (node.targets if isinstance(node, ast.Assign) else
+               [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [t.id for target in targets for t in ast.walk(target)
+            if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store)]
+
+
 def unread_private_definitions(trees):
     """(module, line, name) of each underscore-named module-level
-    function or class that no module reads, by name or as an attribute."""
+    function, class or assigned constant, dunders aside, that no module
+    reads, by name or as an attribute."""
     read = set()
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -52,10 +65,11 @@ def unread_private_definitions(trees):
             elif (isinstance(node, ast.Attribute)
                   and isinstance(node.ctx, ast.Load)):
                 read.add(node.attr)
-    return sorted((module, node.lineno, node.name)
+    return sorted((module, node.lineno, name)
                   for module, tree in trees.items() for node in tree.body
-                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                  and node.name.startswith("_") and node.name not in read)
+                  for name in defined_names(node)
+                  if name.startswith("_") and not name.endswith("__")
+                  and name not in read)
 
 
 def test_package_reads_every_private_definition():
@@ -66,7 +80,11 @@ def test_package_reads_every_private_definition():
 
 def test_an_unread_private_definition_is_reported():
     trees = {"a": ast.parse("def _used(): pass\ndef _dead(): pass\n"
-                            "class _Gone: pass\ndef public(): pass\n"),
+                            "class _Gone: pass\ndef public(): pass\n"
+                            "_LIMIT = 3\n_READ, _UNREAD = 1, 2\n"
+                            "_TYPED: int = 4\nPUBLIC = _READ\n"
+                            "__all__ = []\n"),
              "b": ast.parse("import a\na._used()\n")}
-    assert unread_private_definitions(trees) == [("a", 2, "_dead"),
-                                                 ("a", 3, "_Gone")]
+    assert unread_private_definitions(trees) == [
+        ("a", 2, "_dead"), ("a", 3, "_Gone"), ("a", 5, "_LIMIT"),
+        ("a", 6, "_UNREAD"), ("a", 7, "_TYPED")]

@@ -1,5 +1,6 @@
 import itertools
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -529,6 +530,7 @@ def test_elimination_shape_errors(monkeypatch):
     lambda: Tensor.from_entries((2,), {(1,): None}),
     lambda: Tensor.from_entries((2,), {(0,): "1/0"}),
     lambda: Tensor((1,), (((0,), float("nan")),)),
+    lambda: Tensor((1,), (((0,), Decimal("Infinity")),)),
     lambda: vec(1, 2).scale(0.5),
     lambda: solve_linear(matrix([[1, 0], [0, 1]]), [1, 0.25]),
     lambda: LieAlgebra.from_brackets(("u", "v"), {(0, 1): {1: 2.0}}),
@@ -537,9 +539,9 @@ def test_elimination_shape_errors(monkeypatch):
     lambda: cone_extend(*_su2_pieces()).metric(0.5),
     lambda: solve_lambda(0.5),
     lambda: as_vector(get_example("su2").algebra, (1, 0.5, 0)),
-], ids=["float-row", "word", "none", "zero-denominator", "nan", "scale",
-        "rhs", "bracket", "lck-family-t", "cone-c", "cone-metric-t",
-        "lambda-c", "as-vector"])
+], ids=["float-row", "word", "none", "zero-denominator", "nan",
+        "decimal-infinity", "scale", "rhs", "bracket", "lck-family-t",
+        "cone-c", "cone-metric-t", "lambda-c", "as-vector"])
 def test_a_value_that_is_no_exact_rational_is_refused(build):
     # a float would be stored as its binary expansion (0.1 as
     # 3602879701896397/36028797018963968); it and anything Fraction
