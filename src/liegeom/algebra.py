@@ -2,9 +2,10 @@
 
 [e_i, e_j] is sum_k c[i, j, k] e_k.  An algebra holds the half of c a
 document lists, its nonzero entries with i < j, so the bracket is
-antisymmetric by construction; the full tensor c is derived on first
-read.  The Jacobi identity deliberately is not enforced, so a candidate
-bracket can be built first and judged afterwards with jacobi_check.
+antisymmetric by construction; the kernels derive the full tensor c on
+first read, while a recheck reads a row c[x, y, .] off the half.  The
+Jacobi identity deliberately is not enforced, so a candidate bracket
+can be built first and judged afterwards with jacobi_check.
 """
 
 from __future__ import annotations
@@ -118,17 +119,29 @@ class Witness:
     detail: tuple = ()
 
 
+def _bracket_row(half, x, y, n):
+    """c[x, y, m] at each m < n, None where zero, read off half, a dict
+    of c's entries at i < j: negated when x > y, zero when x = y."""
+    if x < y:
+        return [half.get((x, y, m)) for m in range(n)]
+    return [-v if x > y and (v := half.get((y, x, m))) else None
+            for m in range(n)]
+
+
 def jacobi_residual(L, i, j, k):
     """[[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j] for basis
-    positions i, j, k, read off c's int numerators over d: at each l, the
-    sum over m of c[x, y, m] c[m, z, l] over the cyclic orders (x, y, z)
-    of (i, j, k), over d^2."""
-    (d, c), ms = L.c._ints, range(L.dim)
-    c = dict(c)
-    inner = [(z, [(m, v) for m in ms if (v := c.get((x, y, m)))])
-             for x, y, z in ((i, j, k), (j, k, i), (k, i, j))]
-    return tuple(Fraction(sum(v * w for z, pairs in inner for m, v in pairs
-                              if (w := c.get((m, z, l)))), d * d) for l in ms)
+    positions i, j, k, read off the int numerators of c's half over d: at
+    each l, the sum over m of c[x, y, m] c[m, z, l] over the cyclic
+    orders (x, y, z) of (i, j, k), over d^2."""
+    (d, half), n = L.half._ints, L.dim
+    half, total = dict(half), [0] * n
+    for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+        for m, v in enumerate(_bracket_row(half, x, y, n)):
+            if v:
+                for l, w in enumerate(_bracket_row(half, m, z, n)):
+                    if w:
+                        total[l] += v * w
+    return tuple(Fraction(t, d * d) for t in total)
 
 
 def cyclic_sum(L, t):

@@ -25,7 +25,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import LieAlgebra, Witness, jacobi_check, jacobi_residual
+from .algebra import (LieAlgebra, Witness, _bracket_row, jacobi_check,
+                      jacobi_residual)
 from .errors import (DimensionMismatch, InputError, MissingPieces, NoLeeForm,
                      NotAlmostComplex, ShapeMismatch, UnsupportedDegree)
 from .forms import KForm, ce_d
@@ -575,17 +576,20 @@ def lee_form_solve(L, omega):
 # not positive, an infeasible Lee system's certificate.  witness_residual
 # runs the claim's recheck, a second computation for every claim: it sums
 # the one entry, or the one last-axis slice, that the witness names
-# straight from the raw pieces (gamma, c, g, J, the form halves), builds
-# none of R, N, nabla g or the pairing, and calls none of the kernels
-# that did for classify, so a fault in those cannot vouch for itself.
-# Like the kernels, it sums int numerators over one common denominator
-# (_dot) and divides once per entry of its result, converting only the
-# entries it reads (N and Jacobi read the int numerators c and J cache;
-# T, three entries an output, subtracts them as they are).  So an entry
-# costs O(n) and a slice O(n^2) (a Nijenhuis slice O(n^3) for a dense J
-# and c) where the whole tensor costs up to O(n^5).  A minor is
-# eliminated again from its leading block, and a Lee certificate checked
-# against every row of its rebuilt system.
+# straight from the raw pieces (gamma, c's half, g, J, the form halves),
+# builds none of R, N, nabla g, the pairing, the full c or the Lee
+# system, and calls none of the kernels that did for classify, so a
+# fault in those cannot vouch for itself.  c[x, y, .] is read off half,
+# negated when x > y (_bracket_row).  Like the kernels, it sums int
+# numerators over one common denominator (_dot) and divides once per
+# entry of its result, converting only the entries it reads (N and
+# Jacobi read the int numerators c's half and J cache; T, three entries
+# an output, subtracts them as they are).  So an entry costs O(n) and a
+# slice O(n^2) (a Nijenhuis slice O(n^3) for a dense J and c) where the
+# whole tensor costs up to O(n^5).  A minor is eliminated again from its
+# leading block, and a Lee certificate y is checked on the rows where it
+# is nonzero alone, each rebuilt from omega's half, c's half and the
+# d omega recheck, so y . A = 0 and y . b cost O(n) a nonzero entry.
 
 def _basis_indices(idx, arity, dim):
     """idx as arity int basis positions below dim, else ShapeMismatch."""
@@ -628,17 +632,6 @@ def _minor(matrix, idx, detail):
     return minors[-1]
 
 
-def _certificate(system, detail):
-    """y . rhs for a combination y = detail with y . matrix = 0."""
-    matrix, rhs, _ = system
-    if len(detail) != matrix.shape[0]:
-        raise ShapeMismatch("combination length does not match the system")
-    y = [((i,), v) for i, v in enumerate(map(_as_q, detail)) if v]
-    if contract(matrix, 0, y, 0)[1]:    # y . matrix, over y's nonzeros
-        raise ShapeMismatch("combination is not a left null vector")
-    return _dot((1, v, rhs[i]) for (i,), v in y)
-
-
 # -- pointwise rechecks from the raw pieces ---------------------------------
 
 def _dot(*products):
@@ -656,10 +649,11 @@ def _riemann(D, i, j, k, l):
     """The products of R[i, j, k, l] = sum over m of gamma[j, k, m]
     gamma[i, m, l] - gamma[i, k, m] gamma[j, m, l] - c[i, j, m]
     gamma[m, k, l]."""
-    gamma, c, ms = D.gamma._lookup, D.base.c._lookup, range(D.base.dim)
+    gamma, n = D.gamma._lookup, D.base.dim
+    c, ms = _bracket_row(D.base.half._lookup, i, j, n), range(n)
     return (((1, gamma.get((j, k, m)), gamma.get((i, m, l))) for m in ms),
             ((-1, gamma.get((i, k, m)), gamma.get((j, m, l))) for m in ms),
-            ((-1, c.get((i, j, m)), gamma.get((m, k, l))) for m in ms))
+            ((-1, c[m], gamma.get((m, k, l))) for m in ms))
 
 
 def _omega_row(omega, s, a, ys):
@@ -694,9 +688,9 @@ def _torsion_at(p, idx, detail):
     D = p.connection
     n = D.base.dim
     i, j = _basis_indices(idx, 2, n)
-    gamma, c = D.gamma._lookup, D.base.c._lookup
+    gamma, c = D.gamma._lookup, _bracket_row(D.base.half._lookup, i, j, n)
     return tuple(gamma.get((i, j, k), _ZERO) - gamma.get((j, i, k), _ZERO)
-                 - c.get((i, j, k), _ZERO) for k in range(n))
+                 - (c[k] or _ZERO) for k in range(n))
 
 
 def _curvature_at(p, idx, detail):
@@ -736,26 +730,35 @@ def _codazzi_at(p, idx, detail):
 def _nijenhuis_at(p, idx, detail):
     """N(e_i, e_j) = [e_i, e_j] + J([J e_i, e_j] + [e_i, J e_j])
     - [J e_i, J e_j], where J e_i is column i of J, each bracket summed
-    off the int numerators of c and J: [J e_i, e_j]_z is the sum over m
-    of J[m, i] c[m, j, z], and [J e_i, J e_j] that of J[m, i]
-    [e_m, J e_j].  The slice is over dc dj^2, one division an entry."""
+    off the int numerators of c's half and of J: [J e_i, e_j]_z is the
+    sum over m of J[m, i] c[m, j, z], and [J e_i, J e_j] that of J[m, i]
+    J[y, j] c[m, y, z].  The slice is over dc dj^2, one division an
+    entry."""
     L, J = p.algebra, p.complex_structure
     _same_base(L, J.base)
-    i, j = _basis_indices(idx, 2, L.dim)
-    (dc, c), (dj, jl), ms = L.c._ints, J.j._ints, range(L.dim)
-    c, jl = dict(c), dict(jl)
+    n = L.dim
+    i, j = _basis_indices(idx, 2, n)
+    (dc, half), (dj, jl), ms = L.half._ints, J.j._ints, range(n)
+    half, jl = dict(half), dict(jl)
     ji, jj = ([(m, v) for m in ms if (v := jl.get((m, x)))] for x in (i, j))
 
-    def with_jj(a, k):  # [e_a, J e_j]_k over dc dj
-        return sum(v * x for m, v in jj if (x := c.get((a, m, k))))
+    def add(out, s, a, b):  # out plus s c[a, b, .], in place
+        for z, x in enumerate(_bracket_row(half, a, b, n)):
+            if x:
+                out[z] += s * x
+        return out
 
-    inner = [(z, sum(v * x for m, v in ji if (x := c.get((m, j, z))))
-              + with_jj(i, z)) for z in ms]
-    s = dj * dj
-    return tuple(Fraction(
-        c.get((i, j, k), 0) * s
-        + sum(v * x for z, v in inner if v and (x := jl.get((k, z))))
-        - sum(v * with_jj(m, k) for m, v in ji), dc * s) for k in ms)
+    inner, outer = [0] * n, [0] * n     # over dc dj, and over dc dj^2
+    for m, v in ji:
+        add(inner, v, m, j)
+        for y, w in jj:
+            add(outer, v * w, m, y)
+    for y, w in jj:
+        add(inner, w, i, y)
+    top = add([0] * n, dj * dj, i, j)
+    return tuple(Fraction(top[k] - outer[k] + sum(
+        v * x for z, v in enumerate(inner) if v and (x := jl.get((k, z)))),
+        dc * dj * dj) for k in ms)
 
 
 def _d_omega_at(p, idx, detail):
@@ -764,10 +767,10 @@ def _d_omega_at(p, idx, detail):
     L = p.algebra
     omega = _form_on(p.omega, 2, L.dim)
     i, j, k = _basis_indices(idx, 3, L.dim)
-    c, ms = L.c._lookup, range(L.dim)
 
     def of_bracket(s, a, b, z):    # s omega([e_a, e_b], e_z)
-        return _omega_row(omega, -s, z, [c.get((a, b, m)) for m in ms])
+        return _omega_row(omega, -s, z,
+                          _bracket_row(L.half._lookup, a, b, L.dim))
 
     return _dot(of_bracket(-1, i, j, k), of_bracket(1, i, k, j),
                 of_bracket(-1, j, k, i))
@@ -778,8 +781,53 @@ def _d_lee_at(p, idx, detail):
     L = p.algebra
     theta = _form_on(p.lee_form, 1, L.dim).half._lookup
     i, j = _basis_indices(idx, 2, L.dim)
-    c = L.c._lookup
-    return _dot((-1, c.get((i, j, m)), theta.get((m,))) for m in range(L.dim))
+    c = _bracket_row(L.half._lookup, i, j, L.dim)
+    return _dot((-1, x, theta.get((m,))) for m, x in enumerate(c))
+
+
+def _unrank(r, n, size):
+    """The r-th increasing size-tuple of positions below n, in
+    lexicographic order."""
+    out, a = [], 0
+    for t in range(size, 0, -1):
+        while r >= (skip := math.comb(n - a - 1, t - 1)):
+            r, a = r - skip, a + 1
+        out.append(a)
+        a += 1
+    return tuple(out)
+
+
+def _lee_certificate(p, detail, closed):
+    """y . b for a combination y = detail of the rows of the Lee system,
+    with y . A = 0, read off the rows where y is nonzero: row r < C(n, 3)
+    is the r-th triple i < j < k, A's row there w[j, k], -w[i, k],
+    w[i, j] at columns i, j, k and b_r (d omega)(e_i, e_j, e_k); with
+    closed, row C(n, 3) + s is the s-th pair i < j, A's row there
+    c[i, j, .] and b_r zero."""
+    L = p.algebra
+    n = L.dim
+    omega = _form_on(p.omega, 2, n).half._lookup
+    triples = math.comb(n, 3)
+    if len(detail) != triples + closed * math.comb(n, 2):
+        raise ShapeMismatch("combination length does not match the system")
+    columns, b = [[] for _ in range(n)], []    # products of y . A, y . b
+    for r, y in enumerate(detail):
+        if type(y) is not Fraction:
+            y = _as_q(y)
+        if not y:
+            continue
+        if r < triples:
+            i, j, k = _unrank(r, n, 3)
+            for m, s, key in ((i, 1, (j, k)), (j, -1, (i, k)), (k, 1, (i, j))):
+                columns[m].append((s, y, omega.get(key)))
+            b.append((1, y, _d_omega_at(p, (i, j, k), ())))
+        else:
+            i, j = _unrank(r - triples, n, 2)
+            for m, x in enumerate(_bracket_row(L.half._lookup, i, j, n)):
+                columns[m].append((1, y, x))
+    if any(map(_dot, columns)):
+        raise ShapeMismatch("combination is not a left null vector")
+    return _dot(b)
 
 
 def _pairing_pieces(p):
@@ -831,12 +879,10 @@ CLAIMS = {claim.name: claim for claim in (
     Claim("nijenhuis", "integrable", True, _nijenhuis_at),
     Claim("d_omega", "omega_closed", True, _d_omega_at),
     Claim("lee_system", "lck", False,
-          lambda p, idx, detail: _certificate(
-              lee_form_system(p.algebra, p.omega), detail)),
+          lambda p, idx, detail: _lee_certificate(p, detail, False)),
     Claim("d_lee", "lee_closed", True, _d_lee_at),
     Claim("lee_closed_system", "lee_closed", False,
-          lambda p, idx, detail: _certificate(_closed_system(
-              p.algebra, lee_form_system(p.algebra, p.omega)), detail)),
+          lambda p, idx, detail: _lee_certificate(p, detail, True)),
     Claim("pairing_symmetry", "pairing_positive", True, _pairing_symmetry_at),
     Claim("pairing_positive", "pairing_positive", False, _pairing_minor_at),
 )}
@@ -1054,11 +1100,11 @@ def witness_residual(witness, *, algebra=None, connection=None, metric=None,
     The claim's recheck sums the one entry, or the one last-axis slice,
     that the witness names directly over the entries of the pieces; it
     builds no tensor of the claim and calls none of the routines classify
-    computed it with.  Only a Lee system certificate rebuilds its system,
-    as y . A = 0 reads every row.  Pieces bound to different algebras or
-    dimensions raise DimensionMismatch.  The result equals the stored
-    residual for a truthful report, and a nonzero value demonstrates the
-    failed claim.
+    computed it with.  A Lee system certificate y is read entry by entry,
+    and only the rows where it is nonzero are rebuilt, for y . A = 0 and
+    y . b.  Pieces bound to different algebras or dimensions raise
+    DimensionMismatch.  The result equals the stored residual for a
+    truthful report, and a nonzero value demonstrates the failed claim.
     """
     claim = CLAIMS.get(witness.claim)
     if claim is None:

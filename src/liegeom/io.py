@@ -6,6 +6,12 @@ entries are stored with i < j only since antisymmetry fixes the rest.
 Serialisation is canonical (sorted indices, reduced rationals, two
 space indent), so parse and serialize are mutually inverse on canonical
 documents and equal documents serialise to identical bytes.
+
+parse checks an entry block a column at a time: the types, range and
+ordering of each index column and the repeats of the index tuples, then
+the coefficients, each distinct string converted once per call.  Only a
+block that fails this is read again an entry at a time, to name its
+first fault.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter, le, lt
 
 from .algebra import LieAlgebra
 from .errors import (DocumentSyntaxError, LieGeomError, NotAlmostComplex,
@@ -30,6 +37,12 @@ _LABEL_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 _TOP_KEYS = {"format_version", "dim", "basis", "brackets", "connection",
              "metric", "complex_structure", "forms", "parameters"}
+
+# an entry block's ordered rule as (comparison, the leading index pairs
+# it binds): none, i < j or i <= j on the first pair, or every pair
+# increasing
+_ORDER = {None: (None, 0), "strict_first_two": (lt, 1),
+          "weak_pair": (le, 1), "increasing": (lt, None)}
 
 
 @dataclass(frozen=True)
@@ -142,9 +155,10 @@ def parse(text):
     if len(set(basis)) != dim:
         raise ValidationError("basis labels must be distinct", field="basis")
 
+    values = {}     # each distinct coefficient string, converted once
     brackets = _entry_list(raw.get("brackets", []), "brackets", 3, dim,
-                           ordered="strict_first_two")
-    pieces = {key: _entry_list(raw[key], key, arity, dim, ordered)
+                           "strict_first_two", values)
+    pieces = {key: _entry_list(raw[key], key, arity, dim, ordered, values)
               for key, arity, ordered in (("connection", 3, None),
                                           ("metric", 2, "weak_pair"),
                                           ("complex_structure", 2, None))
@@ -154,7 +168,7 @@ def parse(text):
     if not isinstance(raw_forms, list):
         raise ValidationError("forms must be a list", field="forms")
     for pos, block in enumerate(raw_forms):
-        forms.append(_form_block(block, pos, dim))
+        forms.append(_form_block(block, pos, dim, values))
     if len({f.name for f in forms}) != len(forms):
         raise ValidationError("form names must be distinct", field="forms")
     forms.sort(key=lambda f: f.name)
@@ -183,9 +197,43 @@ def _rational(value, where):
                               field=where) from exc
 
 
-def _entry_list(raw, name, arity, dim, ordered=None):
+def _entry_list(raw, name, arity, dim, ordered, values):
+    """The sorted nonzero (index, Fraction) pairs of a block, checked a
+    column at a time; values, the dict of one parse call, converts each
+    distinct coefficient string once.  A block this does not accept goes
+    to _entry_loop, the one code that names a fault."""
     if not isinstance(raw, list):
         raise ValidationError(f"{name} must be a list", field=name)
+    if not raw:
+        return ()
+    # exact types, as JSON has them: a bool is no int index
+    if set(map(type, raw)) == {list} and set(map(len, raw)) == {arity + 1}:
+        *cols, texts = zip(*raw)
+        idxs = list(zip(*cols))
+        op, stop = _ORDER[ordered]
+        if (all(set(map(type, col)) == {int} for col in cols)
+                and min(map(min, cols)) >= 0 and max(map(max, cols)) < dim
+                and all(all(map(op, a, b))
+                        for a, b in zip(cols[:stop], cols[1:]))
+                and len(set(idxs)) == len(idxs)
+                and set(map(type, texts)) == {str}):
+            try:
+                for text in set(texts).difference(values):
+                    match = _RATIONAL_RE.fullmatch(text)
+                    values[text] = Fraction(int(match[1]),
+                                            int(match[2] or 1))
+            except (TypeError, ValueError, ZeroDivisionError):
+                pass
+            else:
+                pairs = zip(idxs, map(values.__getitem__, texts))
+                return tuple(sorted(filter(itemgetter(1), pairs),
+                                    key=itemgetter(0)))
+    return _entry_loop(raw, name, arity, dim, ordered)
+
+
+def _entry_loop(raw, name, arity, dim, ordered):
+    """The pairs of _entry_list, an entry at a time: raises the
+    ValidationError of the first entry at fault, in block order."""
     seen = {}
     for pos, item in enumerate(raw):
         # exact types, as JSON has them: a bool is no int index
@@ -224,7 +272,7 @@ def _refuse(message, name, pos):
     raise ValidationError(message.format(where), field=where)
 
 
-def _form_block(raw, pos, dim):
+def _form_block(raw, pos, dim, values):
     where = f"forms[{pos}]"
     if not isinstance(raw, dict) or set(raw) != {"name", "degree", "entries"}:
         raise ValidationError(
@@ -240,7 +288,7 @@ def _form_block(raw, pos, dim):
             f"form degree must be an integer in 1..3 at {where}, "
             f"got {degree!r}", field=where)
     entries = _entry_list(raw["entries"], f"{where}.entries", degree, dim,
-                          ordered="increasing")
+                          "increasing", values)
     return FormBlock(name, degree, entries)
 
 

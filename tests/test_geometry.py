@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -795,10 +797,9 @@ def _raise(*args, **kwargs):
     raise AssertionError("a recheck called a routine classify computes with")
 
 
-def test_rechecks_do_not_call_the_kernels_behind_the_verdict(monkeypatch):
-    # one witness of every pointwise claim, found by classify first; the
-    # rechecks then run with contract, the bracket, the tensor builders
-    # and their block kernels disabled
+def _every_claim_witnessed():
+    """(witness, pieces) pairs, one or more witnesses of every claim,
+    found by classify or the curvature fit from those pieces."""
     cases = _claim_cases()
     L = LieAlgebra.abelian(("x", "y"))
     singular = Metric.from_rows(L, [[1, 0], [0, 0]])
@@ -809,10 +810,16 @@ def test_rechecks_do_not_call_the_kernels_behind_the_verdict(monkeypatch):
     witnesses = [(fit.witness, {"connection": entry.connection,
                                 "metric": g})]
     witnesses += [(w, pieces) for report, pieces in cases
-                  for w in report.witnesses
-                  if w.claim not in ("lee_system", "lee_closed_system")]
-    assert {w.claim for w, _ in witnesses} == set(geometry.CLAIMS) - {
-        "lee_system", "lee_closed_system"}
+                  for w in report.witnesses]
+    assert {w.claim for w, _ in witnesses} == set(geometry.CLAIMS)
+    return witnesses
+
+
+def test_rechecks_do_not_call_the_kernels_behind_the_verdict(monkeypatch):
+    # one witness of every claim, found by classify first; the rechecks
+    # then run with contract, the bracket, the tensor builders, the Lee
+    # system builders and their block kernels disabled
+    witnesses = _every_claim_witnessed()
     assert any(w.claim == "positive_definite" and w.detail
                for w, _ in witnesses)
     for module in (tensors, algebra, forms, geometry):
@@ -821,10 +828,32 @@ def test_rechecks_do_not_call_the_kernels_behind_the_verdict(monkeypatch):
     for name in ("curvature", "nabla_g", "nijenhuis", "torsion",
                  "pairing_rows", "comparison_tensor", "ce_d",
                  "_torsion_blocks", "_curvature_blocks", "_nabla_g_blocks",
-                 "_comparison_blocks", "_nijenhuis_blocks"):
+                 "_comparison_blocks", "_nijenhuis_blocks",
+                 "lee_form_system", "_lee_system", "_closed_system"):
         monkeypatch.setattr(geometry, name, _raise)
     for witness, pieces in witnesses:
         assert witness_residual(witness, **pieces) == witness.residual
+
+
+def test_rechecks_read_the_bracket_off_its_half():
+    # on pieces rebuilt on a new algebra, as a parsed document gives them,
+    # no recheck derives the full structure tensor c
+    held = {Connection: "gamma", Metric: "g", ComplexStructure: "j"}
+    for witness, pieces in _every_claim_witnessed():
+        old = pieces.get("algebra") or next(
+            p.base for p in pieces.values() if type(p) in held)
+        L = LieAlgebra(old.dim, old.basis_labels, old.half)
+        fresh = {name: L if name == "algebra" else
+                 type(p)(L, getattr(p, held[type(p)])) if type(p) in held
+                 else p for name, p in pieces.items()}
+        assert witness_residual(witness, **fresh) == witness.residual
+        assert "c" not in L.__dict__, witness.claim
+
+
+@pytest.mark.parametrize("n, size", [(3, 3), (5, 3), (7, 3), (5, 2), (8, 2)])
+def test_lee_rows_unrank_in_lexicographic_order(n, size):
+    assert [geometry._unrank(r, n, size) for r in range(math.comb(n, size))
+            ] == list(itertools.combinations(range(n), size))
 
 
 # -- classify judges each matrix once ---------------------------------------

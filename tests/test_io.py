@@ -1,12 +1,19 @@
 import io
+import itertools
 import json
+import random
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liegeom import (DocumentSyntaxError, KForm, LieAlgebra, Metric,
                      ComplexStructure, Connection, ValidationError,
-                     document_from, get_example, parse, serialize)
+                     document_from, get_example, list_examples, parse,
+                     serialize)
+from liegeom import io as documents
 from liegeom.cli import run_command
 
 Q = Fraction
@@ -315,3 +322,159 @@ def test_document_from_filters_redundant_entries():
     assert len(doc.brackets) == 3
     rebuilt = doc.to_algebra()
     assert rebuilt == entry.algebra
+
+
+# -- a block is checked a column at a time ---------------------------------
+#
+# _entry_list accepts a well-formed block in bulk and hands any other to
+# _entry_loop, the entry-at-a-time loop that names the first fault; the
+# two must agree on every block, and a valid block must not reach the loop.
+
+ORDER_RULES = {
+    None: lambda idx: True,
+    "strict_first_two": lambda idx: idx[0] < idx[1],
+    "weak_pair": lambda idx: idx[0] <= idx[1],
+    "increasing": lambda idx: all(a < b for a, b in zip(idx, idx[1:])),
+}
+BLOCKS = (("brackets", 3, "strict_first_two"), ("connection", 3, None),
+          ("metric", 2, "weak_pair"), ("complex_structure", 2, None),
+          ("forms[0].entries", 1, "increasing"),
+          ("forms[0].entries", 2, "increasing"),
+          ("forms[0].entries", 3, "increasing"))
+COEFFICIENTS = ("0", "1", "-1", "2/3", "-4/6", "+5", "007", "1/-2", "3/+4",
+                "0/5", "-0")
+FAULTS = ("bool", "float", "negative", "out-of-range", "short", "long",
+          "no-list", "duplicate", "duplicate-zero", "unordered",
+          "non-string", "empty", "zero-denominator", "non-ascii")
+
+
+def _outcome(read, *args):
+    """What reading a block gives: its pairs, or a refusal's str and
+    field."""
+    try:
+        return "ok", read(*args)
+    except ValidationError as exc:
+        return "refused", str(exc), exc.field
+
+
+@st.composite
+def entry_blocks(draw):
+    """(block, dim, raw entries, whether a fault was planted): mostly
+    valid entries with at most one fault."""
+    block = draw(st.sampled_from(BLOCKS))
+    _, arity, ordered = block
+    dim = draw(st.integers(1, 4))
+    tuples = list(itertools.product(range(dim), repeat=arity))
+    valid = [t for t in tuples if ORDER_RULES[ordered](t)]
+    unordered = [t for t in tuples if not ORDER_RULES[ordered](t)]
+    coefficient = st.sampled_from(COEFFICIENTS)
+    idxs = draw(st.lists(st.sampled_from(valid), unique=True, max_size=10)
+                if valid else st.just([]))
+    raw = [[*idx, draw(coefficient)] for idx in idxs]
+    fault = draw(st.sampled_from((None,) * 5 + FAULTS))
+    template = list(draw(st.sampled_from(valid)) if valid else (0,) * arity)
+    at = draw(st.integers(0, arity - 1))
+    bad = [*template, draw(coefficient)]
+    if fault in ("bool", "float", "negative", "out-of-range"):
+        bad[at] = {"bool": bool(bad[at]), "float": float(bad[at]),
+                   "negative": -1, "out-of-range": dim}[fault]
+    elif fault == "short":
+        del bad[at]
+    elif fault == "long":
+        bad.insert(at, 0)
+    elif fault == "no-list":
+        bad = " ".join(map(str, bad))
+    elif fault in ("duplicate", "duplicate-zero") and raw:
+        bad = [*draw(st.sampled_from(raw))[:arity],
+               "0" if fault == "duplicate-zero" else draw(coefficient)]
+    elif fault == "unordered" and unordered:
+        bad = [*draw(st.sampled_from(unordered)), draw(coefficient)]
+    elif fault in ("non-string", "empty", "zero-denominator", "non-ascii"):
+        bad[arity] = {"non-string": draw(st.sampled_from((1, None, 0.5))),
+                      "empty": "", "zero-denominator": "1/0",
+                      "non-ascii": "\u0661"}[fault]
+    else:
+        return block, dim, raw, False
+    raw.insert(draw(st.integers(0, len(raw))), bad)
+    return block, dim, raw, True
+
+
+@settings(max_examples=300)
+@given(entry_blocks())
+def test_bulk_check_agrees_with_the_entry_loop(drawn):
+    (name, arity, ordered), dim, raw, planted = drawn
+    loop = documents._entry_loop
+    want = _outcome(loop, raw, name, arity, dim, ordered)
+    assert (want[0] == "refused") == planted
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return loop(*args)
+
+    values = {}     # the second read finds its coefficients converted
+    with mock.patch.object(documents, "_entry_loop", counted):
+        for _ in range(2):
+            got = _outcome(documents._entry_list, raw, name, arity, dim,
+                           ordered, values)
+            assert got == want
+    assert len(calls) == (2 if planted else 0)
+
+
+def _loop_calls(monkeypatch):
+    """The blocks handed to the entry loop from now on, by name."""
+    calls = []
+    loop = documents._entry_loop
+
+    def counted(raw, name, *rest):
+        calls.append(name)
+        return loop(raw, name, *rest)
+
+    monkeypatch.setattr(documents, "_entry_loop", counted)
+    return calls
+
+
+def _dense_text(n, rng):
+    """A document with every block dense, coefficients p/q strings."""
+    def q():
+        return str(Q(rng.randint(-3, 3) or 1, rng.randint(1, 3)))
+
+    cube = list(itertools.product(range(n), repeat=3))
+    return json.dumps({
+        "format_version": 1, "dim": n,
+        "basis": [f"e{i}" for i in range(n)],
+        "brackets": [[i, j, k, q()] for i, j, k in cube if i < j],
+        "connection": [[*idx, q()] for idx in cube],
+        "metric": [[i, j, q()] for i in range(n) for j in range(i, n)],
+        "complex_structure": [[i, j, q()] for i in range(n)
+                              for j in range(n)],
+        "forms": [{"name": "omega", "degree": 2, "entries": [
+            [i, j, q()] for i in range(n) for j in range(i + 1, n)]}],
+        "parameters": {"t": q()}})
+
+
+def test_valid_documents_never_reach_the_entry_loop(monkeypatch):
+    golden = json.loads((Path(__file__).parent / "golden"
+                         / "cli_transcript.json").read_text(encoding="utf-8"))
+    texts = [r["stdout"] for r in golden if r["argv"][0] == "construct"]
+    for name, _, _ in list_examples():
+        out = io.StringIO()
+        run_command(["construct", "lck", f"catalog:{name}"], out,
+                    io.StringIO())
+        texts.append(out.getvalue())
+    # a construction refused on its input prints no document
+    texts = [text for text in texts if text]
+    assert len(texts) == 18 + 5
+    rng = random.Random(4)
+    dense = [_dense_text(n, rng) for n in (2, 4, 6)]
+    calls = _loop_calls(monkeypatch)
+    for text in texts + dense:
+        parse(text)
+    assert calls == []
+
+    # one malformed block, the metric's, reaches the loop once
+    raw = json.loads(dense[-1])
+    raw["metric"][3][:2] = raw["metric"][3][1::-1]
+    with pytest.raises(ValidationError) as info:
+        parse(json.dumps(raw))
+    assert (info.value.field, calls) == ("metric[3]", ["metric"])
