@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .algebra import LieAlgebra, jacobi_check
 from .constructions import double
@@ -62,6 +63,16 @@ class CatalogEntry:
     admissible: str
     expected: tuple
     notes: tuple
+
+    @cached_property
+    def _report(self):
+        """classify of the base with its connection and metric."""
+        return classify(self.algebra, connection=self.connection,
+                        metric=self.metric)
+
+    @cached_property
+    def _double(self):
+        return double(self.algebra, self.connection)
 
 
 def _expected(*rows):
@@ -262,19 +273,19 @@ def run_check(entry, check):
 
     check is a report flag, a claim name standing for the flag it backs
     (positive_definite for metric_positive), constant_curvature, or one
-    of the double_* checks.
+    of the double_* checks.  The entry keeps its classify report and
+    its double, so each is computed once however many checks read it.
     """
-    L = entry.algebra
     if check == "jacobi":
-        return "pass" if jacobi_check(L) is None else "fail"
+        return "pass" if jacobi_check(entry.algebra) is None else "fail"
     if check == "double_jacobi":
-        dbl = double(L, entry.connection)
+        dbl = entry._double
         return "pass" if jacobi_check(dbl.algebra) is None else "fail"
     if check == "double_integrable":
-        dbl = double(L, entry.connection)
+        dbl = entry._double
         n = nijenhuis(dbl.algebra, dbl.complex_structure)
         return "pass" if n.is_zero() else "fail"
-    report = classify(L, connection=entry.connection, metric=entry.metric)
+    report = entry._report
     if check == "constant_curvature":
         fit = report.constant_curvature
         if fit.kind == "constant":

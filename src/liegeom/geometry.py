@@ -525,9 +525,13 @@ def _lee_system(L, omega, d_omega):
     row_of = {t: r for r, t in enumerate(triples)}
     entries = {}
     for (a, b), value in omega.components():
-        for m in set(range(n)) - {a, b}:
-            entries[row_of[tuple(sorted((a, b, m)))], m] = (
-                -value if a < m < b else value)
+        neg = -value    # at column m of row (m, a, b), (a, m, b), (a, b, m)
+        for m in range(a):
+            entries[row_of[m, a, b], m] = value
+        for m in range(a + 1, b):
+            entries[row_of[a, m, b], m] = neg
+        for m in range(b + 1, n):
+            entries[row_of[a, b, m], m] = value
     rhs = [Fraction(0)] * len(triples)
     for idx, value in d_omega.components():
         rhs[row_of[idx]] = value

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter, le, lt
 
@@ -54,7 +54,12 @@ class FormBlock:
 
 @dataclass(frozen=True)
 class AlgebraDocument:
-    """Parsed, validated document contents in canonical order."""
+    """Parsed, validated document contents in canonical order.
+
+    parse marks what it returns, whose pieces skip a second index scan;
+    one built by hand or by dataclasses.replace, which drops the mark,
+    is checked as the public Tensor constructor checks.
+    """
 
     dim: int
     basis: tuple
@@ -64,34 +69,38 @@ class AlgebraDocument:
     complex_structure: tuple | None = None
     forms: tuple = ()
     parameters: tuple = ()
+    _parsed: bool = field(default=False, init=False, compare=False,
+                          repr=False)
 
     # -- materialisation ---------------------------------------------------
 
+    def _tensor(self, rank, entries):
+        """The Tensor of a block, of shape dim^rank."""
+        build = Tensor._trusted if self._parsed else Tensor
+        return build((self.dim,) * rank, entries)
+
     def to_algebra(self):
-        n = self.dim
-        return LieAlgebra(n, self.basis, Tensor((n, n, n), self.brackets))
+        return LieAlgebra(self.dim, self.basis, self._tensor(3, self.brackets))
 
     def to_connection(self, algebra):
         if self.connection is None:
             return None
-        n = self.dim
-        return Connection(algebra, Tensor((n, n, n), self.connection))
+        return Connection(algebra, self._tensor(3, self.connection))
 
     def to_metric(self, algebra):
         if self.metric is None:
             return None
         n = self.dim
-        half = Tensor((n, n), self.metric).entries  # checks every index
+        half = self._tensor(2, self.metric).entries
         return Metric(algebra, Tensor._trusted((n, n), {
             **dict(half), **{idx[::-1]: v for idx, v in half}}.items()))
 
     def to_complex_structure(self, algebra):
         if self.complex_structure is None:
             return None
-        n = self.dim
         try:
             return ComplexStructure(
-                algebra, Tensor((n, n), self.complex_structure))
+                algebra, self._tensor(2, self.complex_structure))
         except NotAlmostComplex as exc:
             # a J that does not square to -1 is not a complex structure
             # at all, so the document is unusable rather than refuted
@@ -109,8 +118,7 @@ class AlgebraDocument:
         block = self.form_block(name)
         if block is None:
             return None
-        return KForm(block.degree,
-                     Tensor((self.dim,) * block.degree, block.entries))
+        return KForm(block.degree, self._tensor(block.degree, block.entries))
 
     def parameter(self, name):
         for key, value in self.parameters:
@@ -185,8 +193,10 @@ def parse(text):
         parameters.append((key, _rational(raw_params[key],
                                           f"parameters.{key}")))
 
-    return AlgebraDocument(dim, tuple(basis), brackets, forms=tuple(forms),
-                           parameters=tuple(parameters), **pieces)
+    doc = AlgebraDocument(dim, tuple(basis), brackets, forms=tuple(forms),
+                          parameters=tuple(parameters), **pieces)
+    object.__setattr__(doc, "_parsed", True)
+    return doc
 
 
 def _rational(value, where):

@@ -21,14 +21,16 @@ entry of its result.
 
 A matrix is a rank-2 Tensor too.  det, leading_minors, solve_linear and
 null_vector read their answers off one integer-preserving, left-looking
-pass (Bareiss 1968) over its nonzero entries, which reduces a row only
-when the pivot search or a minor reads it.  The determinant and the
-leading principal minors behind Sylvester's test come off the pivots,
-the minors up to the first zero one, where leading_minors stops; the
-canonical solution with free variables zero and a kernel vector come off
-the pivot rows by integer back-substitution.  Rows off the pivots are
-checked against that solution; when A x = b has none, the certificate is
-solved afterwards from the pivot block.
+pass (Bareiss 1968) from the matrix's cached int numerators, each row
+divided by its content, the gcd of its entries.  It reduces a row only
+when the pivot search or a minor reads it, and never one with no entry
+in A or b.  The determinant and the leading principal minors behind
+Sylvester's test come off the pivots and the contents, the minors up to
+the first zero one, where leading_minors stops; the canonical solution
+with free variables zero and a kernel vector come off the pivot rows by
+integer back-substitution.  Rows off the pivots are checked against that
+solution; when A x = b has none, the certificate is solved afterwards
+from the pivot block.
 """
 
 from __future__ import annotations
@@ -263,8 +265,11 @@ def _eliminate(matrix, rhs=None, minors_only=False):
     """One fraction-free, left-looking pass over A x = b, b = 0 if rhs is
     None; minors_only stops it at the first zero leading minor.
 
-    Row i of [A | b], read off the nonzero entries of A, is cleared of
-    its denominators by its own s and kept as one dict of nonzero ints.
+    Row i of [A | b], from A's cached int numerators and b's, is divided
+    by its content, the gcd of its entries: a primitive int row, no
+    larger than the row cleared of its own denominators.  It is kept as
+    one dict of nonzero ints; an empty one keeps its position, so the
+    swaps stay, but the pivot search and the residual check pass it by.
     Left to right, the pivot is the first row at or below the current
     position with the column set, recorded as a step (column, pivot p,
     pivot row).  A row takes the steps it missed only when the pivot
@@ -272,28 +277,35 @@ def _eliminate(matrix, rhs=None, minors_only=False):
     last step: one at a column it holds makes it (p a_r - a_rc top) / e,
     exact, the others cost nothing.  Pivot and minor rows are scaled to
     the last pivot, so pivots, swaps and minors are the right-looking
-    pass's.  With d the last pivot, the pivot rows back-substitute X_k =
-    (d b_k - sum over m > k of a_{k, p_m} X_m) / a_{k, p_k} exactly, and
-    x = X / d.  A row off the pivots would reduce to a nonzero multiple
-    of b_r - A_r x: it is consistent iff A_r X = d b_r, as it stands.
+    pass's; the minors and det then undo each row's scaling.  With d the
+    last pivot, the pivot rows back-substitute X_k = (d b_k - sum over
+    m > k of a_{k, p_m} X_m) / a_{k, p_k} exactly, and x = X / d.  A row
+    off the pivots would reduce to a nonzero multiple of b_r - A_r x: it
+    is consistent iff A_r X = d b_r, as it stands.
     """
     if not isinstance(matrix, Tensor) or matrix.rank != 2:
         raise ShapeMismatch("expected a matrix: a rank-2 Tensor")
     nrows, ncols = matrix.shape
-    b = [_ZERO] * nrows if rhs is None else [_as_q(x) for x in rhs]
+    b = [_ZERO] * nrows if rhs is None else [
+        x if type(x) is Fraction else _as_q(x) for x in rhs]
     if len(b) != nrows:
         raise ShapeMismatch("right-hand side length mismatch")
-    rows = [{ncols: x} if x else {} for x in b]
-    for (i, j), value in matrix.entries:
-        rows[i][j] = value
-    scales = [math.lcm(*(x.denominator for x in row.values()))
-              for row in rows]
-    rows = [{j: x.numerator * (s // x.denominator) for j, x in row.items()}
-            for row, s in zip(rows, scales)]
+    den, ints = matrix._ints
+    db, b_ints = _numerators([(i, x) for i, x in enumerate(b) if x])
+    rows = [{} for _ in b]
+    for (i, j), v in ints:
+        rows[i][j] = v * db
+    for i, v in b_ints:
+        rows[i][ncols] = v * den
+    contents = [math.gcd(*row.values()) or 1 for row in rows]
+    rows = [{j: v // g for j, v in row.items()} if g > 1 else row
+            for row, g in zip(rows, contents)]
+    den *= db   # row i is the row of [A | b] times den / contents[i]
     levels, taken = [1] * nrows, [0] * nrows
     order = list(range(nrows))      # order[position] = row
     steps, pivots, minors = [], [], []
     sign = prev = 1
+    num = dnm = 1   # the rows the minors read are scaled by num / dnm
 
     def reduced(r, scaled=False):   # row r through its missed steps,
         row, e = rows[r], levels[r]     # scaled to the level prev
@@ -309,12 +321,14 @@ def _eliminate(matrix, rhs=None, minors_only=False):
     for col in range(ncols):
         rank = len(pivots)
         if col < nrows and (not minors or minors[-1]):
-            minors.append(Fraction(reduced(order[col], True).get(col, 0),
-                                   math.prod(scales[:col + 1])))
+            r = order[col]
+            q = math.gcd(den, contents[r])
+            num, dnm = num * (den // q), dnm * (contents[r] // q)
+            minors.append(Fraction(reduced(r, True).get(col, 0) * dnm, num))
             if minors_only and not minors[-1]:
                 return _Elimination(None, None, tuple(minors), None)
-        at = next((k for k in range(rank, nrows)
-                   if col in reduced(order[k])), None)
+        at = next((k for k in range(rank, nrows) if rows[order[k]]
+                   and col in reduced(order[k])), None)
         if at is None:
             continue
         if at != rank:
@@ -338,8 +352,8 @@ def _eliminate(matrix, rhs=None, minors_only=False):
 
     rank = len(pivots)
     dx = back(ncols) if rhs is not None else {}
-    bad = next((r for r in order[rank:] if prev * rows[r].get(ncols, 0)
-                != sum(v * dx[c] for c, v in rows[r].items() if c in dx)),
+    bad = next((r for r in order[rank:] if rows[r] and prev * rows[r].get(
+        ncols, 0) != sum(v * dx[c] for c, v in rows[r].items() if c in dx)),
                None)
     free = tuple(c for c in range(ncols) if c not in pivots)
     if bad is None:
@@ -348,8 +362,8 @@ def _eliminate(matrix, rhs=None, minors_only=False):
         outcome = _infeasible(matrix, b, order[:rank], pivots, bad)
     kernel = tuple(Fraction(c == free[0]) - v for c, v in
                    enumerate(over_d(back(free[0])))) if free else None
-    determinant = Fraction(sign * prev if rank == ncols else 0,
-                           math.prod(scales)) if nrows == ncols else None
+    determinant = None if nrows != ncols else _ZERO if rank < ncols else (
+        Fraction(sign * prev * math.prod(contents), den ** nrows))
     return _Elimination(outcome, determinant, tuple(minors), kernel)
 
 
@@ -381,10 +395,8 @@ def _infeasible(matrix, b, tops, pivots, bad):
 
 def _combine(p, x, f, y, e):
     """(p x - f y) / e on sparse rows, zeros dropped."""
-    out = {i: p * v for i, v in x.items()}
-    for i, v in y.items():
-        out[i] = out.get(i, 0) - f * v
-    return {i: v // e for i, v in out.items() if v}
+    return {i: v // e for i in {**x, **y}
+            if (v := p * x.get(i, 0) - f * y.get(i, 0))}
 
 
 def _square(matrix):

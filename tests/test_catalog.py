@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from liegeom import (BadParameters, UnknownExample, get_example,
+from liegeom import (BadParameters, UnknownExample, catalog, get_example,
                      list_examples, run_check)
 
 Q = Fraction
@@ -102,6 +102,24 @@ def test_every_expected_outcome_is_reproducible(name, params):
     for expectation in entry.expected:
         assert run_check(entry, expectation.check) == expectation.outcome, \
             expectation.check
+
+
+def test_run_check_classifies_and_doubles_each_entry_once(monkeypatch):
+    # an entry keeps its classify report and its double, so its expected
+    # checks, read in turn, run each at most once, to the same outcomes
+    calls = []
+    for name in ("classify", "double"):
+        def counted(*args, _name=name, _run=getattr(catalog, name), **kw):
+            calls.append(_name)
+            return _run(*args, **kw)
+        monkeypatch.setattr(catalog, name, counted)
+    for name, _, _ in list_examples():
+        entry = get_example(name)
+        calls.clear()
+        assert [run_check(entry, e.check) for e in entry.expected] == [
+            e.outcome for e in entry.expected], name
+        assert calls.count("classify") <= 1, name
+        assert calls.count("double") <= 1, name
 
 
 def test_provenance_vocabulary():

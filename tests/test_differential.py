@@ -463,18 +463,27 @@ def test_contract_reads_each_tensors_cached_numerators(p):
 
 @st.composite
 def tall_systems(draw):
-    """Far more equations than unknowns, most of them zero rows, with a
-    right-hand side that is usually outside the column space."""
+    """Far more equations than unknowns, most of them zero rows and about
+    one in four zero in b too, with a right-hand side that is usually
+    outside the column space."""
     ncols = draw(st.integers(1, 4))
     nrows = draw(st.integers(7, 40))
-    rows = [[draw(values) if draw(st.booleans()) else Q(0)
-             for _ in range(ncols)] for _ in range(nrows)]
-    rhs = [draw(values) for _ in range(nrows)]
+    rows, rhs = [], []
+    for _ in range(nrows):
+        empty = draw(st.integers(0, 3)) == 0    # no entry in A or b
+        rows.append([draw(values) if not empty and draw(st.booleans())
+                     else Q(0) for _ in range(ncols)])
+        rhs.append(Q(0) if empty else draw(values))
     return rows, rhs
 
 
 @settings(max_examples=60, phases=UNSHRUNK)
 @given(tall_systems())
+# [empty, R1, R2, P]: P alone holds column 0, so its swap moves the empty
+# row to the bottom, and R1, above R2, is column 1's pivot; R2 is the bad
+# row, so the certificate names the rows in that order
+@example(([[Q(0), Q(0)], [Q(0), Q(1)], [Q(0), Q(2)], [Q(3), Q(0)]],
+          [Q(0), Q(1), Q(3), Q(1)]))
 def test_tall_certificates_match_the_reference(system):
     rows, rhs = system
     outcome = solve_linear(as_matrix(rows), rhs)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from decimal import Decimal
@@ -12,7 +13,8 @@ from liegeom import (AlgebraDocument, Connection, FormBlock, InexactValue,
                      Infeasible, InputError, KForm, LieAlgebra, LieGeomError,
                      LinearSolution, Metric, ShapeMismatch, Tensor, as_vector,
                      ce_d, classify, cone_extend, get_example, lck_family,
-                     list_examples, solve_lambda, solve_linear, wedge)
+                     document_from, list_examples, parse, serialize,
+                     solve_lambda, solve_linear, wedge)
 from liegeom.constructions import _pairing_form, double
 from liegeom.geometry import lee_form_system
 from liegeom import tensors
@@ -489,6 +491,31 @@ def test_leading_minors_stop_at_a_zero_first_minor(monkeypatch):
     assert det(matrix(g)) == reference.det(g) and calls
 
 
+def test_the_pass_keeps_each_row_as_small_as_its_own_denominators_make_it(
+        monkeypatch):
+    # D^-1 G D^-1, G = A^T A + I, with one prime of 101..227 per row of D:
+    # a row cleared of the common denominator carries every prime squared,
+    # and its ints double; divided by its content it carries its own prime
+    # and the others once, as clearing each row of its own denominators
+    # does, whose largest int in the pass is 4102 bits
+    rng = random.Random(3)
+    n = 24
+    a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+    primes = [p for p in range(101, 228) if all(p % q for q in range(2, 16))]
+    g = [[Q(sum(a[k][i] * a[k][j] for k in range(n)) + (i == j),
+            primes[i] * primes[j]) for j in range(n)] for i in range(n)]
+    bits = []
+
+    def recorded(*args, combine=tensors._combine):
+        row = combine(*args)
+        bits.extend(v.bit_length() for v in row.values())
+        return row
+
+    monkeypatch.setattr(tensors, "_combine", recorded)
+    assert leading_minors(matrix(g)) == reference_minors(g)
+    assert 0 < max(bits) <= 4102
+
+
 @pytest.mark.parametrize("positive", [True, False],
                          ids=["positive-definite", "indefinite"])
 def test_minors_at_positivity_sizes_match_the_reference(positive):
@@ -694,6 +721,36 @@ def test_a_hand_built_document_with_a_bad_index_is_refused(entries):
     forms = (FormBlock("omega", 2, matrix_entries),)
     with pytest.raises(ShapeMismatch):
         document(forms=forms).to_form("omega")
+
+
+def test_a_parsed_document_is_not_validated_again(monkeypatch):
+    # parse has checked every index of a document, so its pieces take the
+    # trusted path; a copy made by dataclasses.replace loses parse's mark
+    # and is checked again, to the same pieces
+    scans = []
+    validate = Tensor.__post_init__
+
+    def counted(self):
+        scans.append(self.shape)
+        validate(self)
+
+    texts = []
+    for name, L, given in catalog_pieces():
+        forms = [("omega", given.pop("omega"))] if "omega" in given else []
+        texts.append(serialize(document_from(L, forms=forms, **given)))
+    monkeypatch.setattr(Tensor, "__post_init__", counted)
+
+    def pieces(doc):
+        L = doc.to_algebra()
+        return (L, doc.to_connection(L), doc.to_metric(L),
+                doc.to_complex_structure(L), doc.to_form("omega"))
+
+    for text in texts:
+        doc = parse(text)
+        scans.clear()
+        parsed = pieces(doc)
+        assert scans == []
+        assert pieces(dataclasses.replace(doc)) == parsed and scans
 
 
 def test_the_public_constructors_refuse_a_bad_index():
