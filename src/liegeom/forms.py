@@ -62,7 +62,7 @@ class KForm:
         signs = [(perm, _perm_sign(perm))
                  for perm in itertools.permutations(range(self.degree))]
         return Tensor._trusted(self.half.shape, tuple(
-            (tuple(idx[p] for p in perm), sign * value)
+            (tuple(idx[p] for p in perm), value if sign > 0 else -value)
             for idx, value in self.half.entries for perm, sign in signs))
 
     @classmethod

@@ -30,8 +30,8 @@ from .algebra import (LieAlgebra, Witness, _bracket_row, jacobi_check,
 from .errors import (DimensionMismatch, InputError, MissingPieces, NoLeeForm,
                      NotAlmostComplex, ShapeMismatch, UnsupportedDegree)
 from .forms import KForm, ce_d
-from .tensors import (Infeasible, Tensor, _as_q, _eliminate, contract, det,
-                      leading_minors, null_vector, solve_linear)
+from .tensors import (Infeasible, Tensor, _as_q, _bareiss, _eliminate,
+                      contract, det, leading_minors, null_vector)
 
 _ZERO = Fraction(0)
 
@@ -507,53 +507,65 @@ def lee_form_system(L, omega):
     Returns (matrix, rhs, triples): one equation per basis triple
     i < j < k in lexicographic order, one column per dual basis covector.
     The row of i < j < k is w[j, k] theta_i - w[i, k] theta_j
-    + w[i, j] theta_k, so a component w[a, b] lands at column m of the
-    row of {a, b, m}, negated when a < m < b.
+    + w[i, j] theta_k.
     """
-    if omega.degree != 2:
-        raise UnsupportedDegree("the Lee equation needs a 2-form")
-    if omega.dim != L.dim:
-        raise DimensionMismatch("form and algebra dimensions differ")
-    return _lee_system(L, omega, ce_d(L, omega))
-
-
-def _lee_system(L, omega, d_omega):
-    """lee_form_system of a 2-form omega on L whose differential d_omega
-    the caller has already computed."""
     n = L.dim
     triples = list(itertools.combinations(range(n), 3))
-    row_of = {t: r for r, t in enumerate(triples)}
-    entries = {}
-    for (a, b), value in omega.components():
-        neg = -value    # at column m of row (m, a, b), (a, m, b), (a, b, m)
-        for m in range(a):
-            entries[row_of[m, a, b], m] = value
-        for m in range(a + 1, b):
-            entries[row_of[a, m, b], m] = neg
-        for m in range(b + 1, n):
-            entries[row_of[a, b, m], m] = value
-    rhs = [Fraction(0)] * len(triples)
-    for idx, value in d_omega.components():
-        rhs[row_of[idx]] = value
-    return Tensor._trusted((len(rhs), n), entries.items()), rhs, triples
+    rows = _lee_rows(L, omega)[:len(triples)]
+    # each distinct int once as a Fraction: w has few values
+    q = {v: d for row, d in rows for v in row.values()}
+    q = {v: Fraction(v, d) for v, d in q.items()} | {0: _ZERO}
+    return Tensor._trusted((len(rows), n), [
+        ((r, j), q[v]) for r, (row, _) in enumerate(rows)
+        for j, v in row.items() if j < n]), [
+            q[row.get(n, 0)] for row, _ in rows], triples
 
 
-def _closed_system(L, system):
-    """A Lee system with one row theta([e_i, e_j]) = 0 per pair i < j,
-    i.e. d(theta) = 0, appended below its rows."""
-    matrix, rhs, triples = system
-    pairs = {p: r for r, p in enumerate(
-        itertools.combinations(range(L.dim), 2), len(rhs))}
-    entries = dict(matrix.entries)
-    entries.update(((pairs[i, j], k), value)
-                   for (i, j, k), value in L.half.entries)
-    rhs = list(rhs) + [Fraction(0)] * len(pairs)
-    return Tensor._trusted((len(rhs), L.dim), entries.items()), rhs, triples
+def _lee_rows(L, omega, d_omega=None):
+    """The Lee system's rows (ints, d) as _bareiss reads them, then those
+    the closed system adds; without d_omega, omega is checked first.
+
+    Row r < C(n, 3), the r-th triple i < j < k, holds w[j, k], -w[i, k],
+    w[i, j] at columns i, j, k and (d omega)(e_i, e_j, e_k) at column n,
+    over d the lcm of omega's and d omega's denominators; the s-th pair
+    i < j then gives theta([e_i, e_j]) = 0, c[i, j, .] over c's.
+    """
+    if d_omega is None:
+        if omega.degree != 2:
+            raise UnsupportedDegree("the Lee equation needs a 2-form")
+        if omega.dim != L.dim:
+            raise DimensionMismatch("form and algebra dimensions differ")
+        d_omega = ce_d(L, omega)
+    n = L.dim
+    (dw, ws), (db, bs) = omega.half._ints, d_omega.half._ints
+    d = math.lcm(dw, db)
+    w = [[0] * n for _ in range(n)]
+    for (a, b), v in ws:
+        w[a][b] = v * (d // dw)
+    rhs = {t: v * (d // db) for t, v in bs}
+    rows = []
+    for t in itertools.combinations(range(n), 3):
+        i, j, k = t
+        row = {}
+        if x := w[j][k]:
+            row[i] = x
+        if x := w[i][k]:
+            row[j] = -x
+        if x := w[i][j]:
+            row[k] = x
+        if x := rhs.get(t):
+            row[n] = x
+        rows.append((row, d))
+    dc, half = L.half._ints
+    pairs = {pair: {} for pair in itertools.combinations(range(n), 2)}
+    for (i, j, k), v in half:
+        pairs[i, j][k] = v
+    return rows + [(row, dc) for row in pairs.values()]
 
 
-def _lee_solve(L, system):
-    """(theta, None) for the canonical solution, (None, certificate) if none."""
-    solved = solve_linear(*system[:2])
+def _lee_form(L, rows):
+    """(theta, None) off the rows' solution, else (None, certificate)."""
+    solved = _bareiss(rows.__getitem__, len(rows), L.dim).outcome
     if isinstance(solved, Infeasible):
         return None, solved
     values = (((i,), v) for i, v in enumerate(solved.values))
@@ -567,8 +579,7 @@ def lee_form_solve(L, omega):
     order, so the answer is deterministic.  Returns None when the system
     is inconsistent.
     """
-    theta, _ = _lee_solve(L, lee_form_system(L, omega))
-    return theta
+    return _lee_form(L, _lee_rows(L, omega)[:math.comb(L.dim, 3)])[0]
 
 
 # -- the claims ------------------------------------------------------------
@@ -1052,15 +1063,15 @@ def classify(L, connection=None, metric=None, complex_structure=None,
         d_omega = ce_d(L, omega)
         witnesses.append(_nonzero("d_omega", d_omega.half))
 
-        system = _lee_system(L, omega, d_omega)
-        lee_form, certificate = _lee_solve(L, system)
+        rows = _lee_rows(L, omega, d_omega)
+        lee_form, certificate = _lee_form(L, rows[:math.comb(L.dim, 3)])
         if lee_form is None:
             witnesses.append(Witness("lee_system", (), certificate.residual,
                                      certificate.combination))
         else:
             d_theta = ce_d(L, lee_form).half
             if not d_theta.is_zero():
-                closed, joint_cert = _lee_solve(L, _closed_system(L, system))
+                closed, joint_cert = _lee_form(L, rows)
                 if closed is None:
                     witnesses += [_nonzero("d_lee", d_theta), Witness(
                         "lee_closed_system", (), joint_cert.residual,

@@ -21,16 +21,17 @@ entry of its result.
 
 A matrix is a rank-2 Tensor too.  det, leading_minors, solve_linear and
 null_vector read their answers off one integer-preserving, left-looking
-pass (Bareiss 1968) from the matrix's cached int numerators, each row
-divided by its content, the gcd of its entries.  It reduces a row only
-when the pivot search or a minor reads it, and never one with no entry
-in A or b.  The determinant and the leading principal minors behind
-Sylvester's test come off the pivots and the contents, the minors up to
-the first zero one, where leading_minors stops; the canonical solution
-with free variables zero and a kernel vector come off the pivot rows by
-integer back-substitution.  Rows off the pivots are checked against that
-solution; when A x = b has none, the certificate is solved afterwards
-from the pivot block.
+pass (Bareiss 1968) over int rows, to which geometry hands the Lee rows
+straight from int numerators; a Tensor's row is cleared of its own
+denominators when the pass first reads it.  Each row is divided by its
+content, the gcd of its entries, and reduced only when the pivot search
+or a minor reads it, never when it has no entry in A or b.  det and the
+leading minors behind Sylvester's test, up to the first zero one, come
+off the pivots and each row's content and denominator; the canonical
+solution with free variables zero and a kernel vector off the pivot rows
+by integer back-substitution.  Rows off the pivots are checked against
+that solution; when A x = b has none, the certificate is solved on ints
+from the pivot block of the rows as first read.
 """
 
 from __future__ import annotations
@@ -256,33 +257,14 @@ class Infeasible:
     residual: Fraction
 
 
-# One pass over A x = b yields a LinearSolution or Infeasible, det (None
-# unless A is square), the minors up to the first zero one and a kernel.
+# One pass over A x = b yields a LinearSolution or Infeasible; one that
+# does not solve, det (if A is square), the minors and a kernel vector.
 _Elimination = namedtuple("_Elimination", "outcome det minors kernel")
 
 
 def _eliminate(matrix, rhs=None, minors_only=False):
-    """One fraction-free, left-looking pass over A x = b, b = 0 if rhs is
-    None; minors_only stops it at the first zero leading minor.
-
-    Row i of [A | b], from A's cached int numerators and b's, is divided
-    by its content, the gcd of its entries: a primitive int row, no
-    larger than the row cleared of its own denominators.  It is kept as
-    one dict of nonzero ints; an empty one keeps its position, so the
-    swaps stay, but the pivot search and the residual check pass it by.
-    Left to right, the pivot is the first row at or below the current
-    position with the column set, recorded as a step (column, pivot p,
-    pivot row).  A row takes the steps it missed only when the pivot
-    search or a minor reads it, from its own level e, the pivot of its
-    last step: one at a column it holds makes it (p a_r - a_rc top) / e,
-    exact, the others cost nothing.  Pivot and minor rows are scaled to
-    the last pivot, so pivots, swaps and minors are the right-looking
-    pass's; the minors and det then undo each row's scaling.  With d the
-    last pivot, the pivot rows back-substitute X_k = (d b_k - sum over
-    m > k of a_{k, p_m} X_m) / a_{k, p_k} exactly, and x = X / d.  A row
-    off the pivots would reduce to a nonzero multiple of b_r - A_r x: it
-    is consistent iff A_r X = d b_r, as it stands.
-    """
+    """_bareiss on a rank-2 Tensor A and b = rhs (b = 0 if None), row i
+    of [A | b] cleared of its own denominators when the pass reads it."""
     if not isinstance(matrix, Tensor) or matrix.rank != 2:
         raise ShapeMismatch("expected a matrix: a rank-2 Tensor")
     nrows, ncols = matrix.shape
@@ -290,25 +272,65 @@ def _eliminate(matrix, rhs=None, minors_only=False):
         x if type(x) is Fraction else _as_q(x) for x in rhs]
     if len(b) != nrows:
         raise ShapeMismatch("right-hand side length mismatch")
-    den, ints = matrix._ints
-    db, b_ints = _numerators([(i, x) for i, x in enumerate(b) if x])
-    rows = [{} for _ in b]
-    for (i, j), v in ints:
-        rows[i][j] = v * db
-    for i, v in b_ints:
-        rows[i][ncols] = v * den
-    contents = [math.gcd(*row.values()) or 1 for row in rows]
-    rows = [{j: v // g for j, v in row.items()} if g > 1 else row
-            for row, g in zip(rows, contents)]
-    den *= db   # row i is the row of [A | b] times den / contents[i]
+    rows = [[(ncols, x)] if x else [] for x in b]
+    for (i, j), value in matrix.entries:
+        rows[i].append((j, value))
+
+    def load(i):
+        d = math.lcm(*[v.denominator for _, v in rows[i]])
+        return {j: v.numerator * (d // v.denominator) for j, v in rows[i]}, d
+
+    return _bareiss(load, nrows, ncols, rhs is not None, minors_only)
+
+
+def _bareiss(load, nrows, ncols, solve=True, minors_only=False):
+    """The one fraction-free, left-looking pass over A x = b.  With solve
+    it gives only the outcome; without, b = 0 and it reads det, a kernel
+    vector and the leading minors, up to the first zero one, where
+    minors_only stops it.
+
+    load(r) is row r of [A | b] as (ints, d): its nonzero entries times
+    d > 0, b_r at column ncols.  First read, a row is divided by its
+    content g: a primitive row P_r, whatever d, with row r = (g / d) P_r.
+    An empty row keeps its position, so the swaps stay, but the pivot
+    search and the residual check pass it by.  Left to right, the pivot
+    is the first row at or below the current position with the column
+    set, recorded as a step (column, pivot p, pivot row).  A row takes
+    the steps it missed only when the pivot search or a minor reads it,
+    from its own level e, the pivot of its last step: one at a column it
+    holds makes it (p a_r - a_rc top) / e, exact, the others cost
+    nothing.  Pivot and minor rows are scaled to the last pivot, so
+    pivots, swaps and minors are the right-looking pass's; the minors
+    and det undo that and take each row's g / d back.  With d the last
+    pivot, the pivot rows back-substitute X_k = (d b_k - sum over m > k
+    of a_{k, p_m} X_m) / a_{k, p_k} exactly, and x = X / d.  A row off
+    the pivots would reduce to a nonzero multiple of b_r - A_r x: it is
+    consistent iff A_r X = d b_r, as it stands.  For the first that is
+    not, z solves sum_k z_k P_{tops[k]} = -P_bad on the pivot columns, an
+    invertible block: P_bad + sum_k z_k P_{tops[k]} clears A, and scaled
+    to the rows of [A | b] with y_bad = 1 it is the only such certificate.
+    """
+    rows = [None] * nrows       # row r as reduced so far, once read
+    firsts, scales = [None] * nrows, [None] * nrows     # P_r, (g, d)
     levels, taken = [1] * nrows, [0] * nrows
     order = list(range(nrows))      # order[position] = row
     steps, pivots, minors = [], [], []
     sign = prev = 1
     num = dnm = 1   # the rows the minors read are scaled by num / dnm
 
+    def read(r):    # row r as it stands; P_r and its scale when first read
+        if rows[r] is None:
+            ints, d = load(r)
+            g = math.gcd(*ints.values()) or 1
+            rows[r] = firsts[r] = {j: v // g for j, v in ints.items()
+                                   } if g > 1 else ints
+            scales[r] = g, d
+        return rows[r]
+
     def reduced(r, scaled=False):   # row r through its missed steps,
-        row, e = rows[r], levels[r]     # scaled to the level prev
+        row, e = read(r), levels[r]     # scaled to the level prev
+        if not row:
+            return row
         for col, p, top in steps[taken[r]:]:
             f = row.get(col)
             if f:
@@ -320,14 +342,17 @@ def _eliminate(matrix, rhs=None, minors_only=False):
 
     for col in range(ncols):
         rank = len(pivots)
-        if col < nrows and (not minors or minors[-1]):
+        if not solve and col < nrows and (not minors or minors[-1]):
             r = order[col]
-            q = math.gcd(den, contents[r])
-            num, dnm = num * (den // q), dnm * (contents[r] // q)
-            minors.append(Fraction(reduced(r, True).get(col, 0) * dnm, num))
+            entry = reduced(r, True).get(col, 0)
+            g, d = scales[r]
+            q = math.gcd(d, g)
+            num, dnm = num * (d // q), dnm * (g // q)
+            minors.append(Fraction(entry * dnm, num))
             if minors_only and not minors[-1]:
                 return _Elimination(None, None, tuple(minors), None)
-        at = next((k for k in range(rank, nrows) if rows[order[k]]
+        at = next((k for k in range(rank, nrows) if (
+            (row := rows[order[k]]) is None or row)
                    and col in reduced(order[k])), None)
         if at is None:
             continue
@@ -351,46 +376,31 @@ def _eliminate(matrix, rhs=None, minors_only=False):
                 for c in range(ncols)]
 
     rank = len(pivots)
-    dx = back(ncols) if rhs is not None else {}
-    bad = next((r for r in order[rank:] if rows[r] and prev * rows[r].get(
-        ncols, 0) != sum(v * dx[c] for c, v in rows[r].items() if c in dx)),
-               None)
+    dx = back(ncols) if solve else {}
+    bad = next((r for r in order[rank:] if solve and (row := read(r))
+                and prev * row.get(ncols, 0) != sum(
+                    v * dx[c] for c, v in row.items() if c in dx)), None)
     free = tuple(c for c in range(ncols) if c not in pivots)
     if bad is None:
         outcome = LinearSolution(tuple(over_d(dx)), tuple(pivots), free)
     else:
-        outcome = _infeasible(matrix, b, order[:rank], pivots, bad)
-    kernel = tuple(Fraction(c == free[0]) - v for c, v in
-                   enumerate(over_d(back(free[0])))) if free else None
-    determinant = None if nrows != ncols else _ZERO if rank < ncols else (
-        Fraction(sign * prev * math.prod(contents), den ** nrows))
+        tops = order[:rank] + [bad]     # the pivot block, transposed
+        block = [({k: v if k < rank else -v for k, r in enumerate(tops)
+                   if (v := firsts[r].get(j))}, 1) for j in pivots]
+        z = _bareiss(block.__getitem__, rank, rank).outcome.values + (1,)
+        g, d = scales[bad]
+        y = [_ZERO] * nrows
+        for r, v in zip(tops, z):
+            y[r] = v * Fraction(g * scales[r][1], d * scales[r][0])
+        outcome = Infeasible(tuple(y), Fraction(g, d) * sum(
+            v * firsts[r].get(ncols, 0) for r, v in zip(tops, z)))
+    kernel = tuple(Fraction(c == free[0]) - v for c, v in enumerate(
+        over_d(back(free[0])))) if free and not solve else None
+    determinant = None if solve or nrows != ncols else (
+        _ZERO if rank < ncols else Fraction(
+            sign * prev * math.prod(g for g, _ in scales),
+            math.prod(d for _, d in scales)))
     return _Elimination(outcome, determinant, tuple(minors), kernel)
-
-
-def _infeasible(matrix, b, tops, pivots, bad):
-    """The Infeasible of A x = b for a row bad off the pivots that the
-    pivot solution does not satisfy: y is 1 at bad, 0 off bad and the
-    pivot rows tops, and on tops the solution z of the transposed pivot
-    block system sum_k z_k A[tops[k], pivots[c]] = -A[bad, pivots[c]],
-    and the residual is y . b.  The pivot block is invertible, so this y
-    is the only combination of these rows with y_bad = 1 that clears A."""
-    at_top = {r: k for k, r in enumerate(tops)}
-    at_col = {j: c for c, j in enumerate(pivots)}
-    block, minus = {}, [_ZERO] * len(tops)
-    for (i, j), value in matrix.entries:
-        if j in at_col:
-            if i in at_top:
-                block[at_col[j], at_top[i]] = value
-            elif i == bad:
-                minus[at_col[j]] = -value
-    z = _eliminate(Tensor._trusted((len(tops), len(tops)), block.items()),
-                   minus).outcome.values
-    y = [_ZERO] * len(b)
-    y[bad] = Fraction(1)
-    for r, v in zip(tops, z):
-        y[r] = v
-    return Infeasible(tuple(y), b[bad] + sum(
-        (v * b[r] for r, v in zip(tops, z) if b[r]), _ZERO))
 
 
 def _combine(p, x, f, y, e):

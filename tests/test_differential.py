@@ -5,8 +5,9 @@ algebras (some failing Jacobi), connections, metrics (some degenerate or
 indefinite), complex structures and 2-forms both must give equal
 tensors, equal witnesses and equal classify reports, the reference
 report scanning blocks cut from the dense tensors.  The Lee system,
-built from the nonzero components of omega and c, must equal the dense
-one row for row, and both must solve to the same theta or certificate.
+built as int rows from the numerators of omega, d omega and c, must
+equal the dense one row for row, closedness rows included, and classify
+must report the theta or the certificates of the dense solves.
 A witness recheck, summed from the raw pieces, must equal the entry or
 slice of the tensor the library builds at every index, and reproduce
 the residual of every witness classify records.
@@ -28,7 +29,7 @@ from liegeom import (ComplexStructure, Connection, Infeasible, KForm,
                      wedge, witness_residual)
 from liegeom.geometry import (codazzi_check, comparison_tensor,
                               lee_form_system, pairing_rows)
-from liegeom.tensors import _numerators, contract, leading_minors
+from liegeom.tensors import _bareiss, _numerators, contract, leading_minors
 
 Q = Fraction
 
@@ -516,14 +517,101 @@ def lee_inputs(draw):
 @given(lee_inputs())
 def test_lee_system_matches_the_dense_reference(p):
     L, omega = p
+    n = L.dim
     matrix, rhs, triples = lee_form_system(L, omega)
     rows, ref_rhs, ref_triples = reference.lee_form_system(L, omega)
     assert (reference.to_nested(matrix), rhs, triples) == (
         rows, ref_rhs, ref_triples)
     assert solve_linear(matrix, rhs) == reference.solve_linear(rows, ref_rhs)
-    closed = geometry._closed_system(L, (matrix, rhs, triples))
+    # the rows the pass solves: the Lee system, then the closedness rows
+    lee_rows = geometry._lee_rows(L, omega, ce_d(L, omega))
+    dense = [[Q(row.get(j, 0), d) for j in range(n + 1)]
+             for row, d in lee_rows]
     extra = reference.closedness_rows(L)
-    assert reference.to_nested(closed[0]) == rows + extra
-    assert closed[1] == ref_rhs + [Q(0)] * len(extra)
-    assert solve_linear(*closed[:2]) == reference.solve_linear(
-        rows + extra, closed[1])
+    assert [row[:n] for row in dense] == rows + extra
+    assert [row[n] for row in dense] == ref_rhs + [Q(0)] * len(extra)
+    assert _bareiss(lee_rows.__getitem__, len(lee_rows), n).outcome == (
+        reference.solve_linear(rows + extra, ref_rhs + [Q(0)] * len(extra)))
+
+
+def _lee_reference(L, omega):
+    """(theta's values or None, {claim: (residual, combination)}) of the
+    Lee claims, as classify should report them, from the dense reference
+    solves of the Lee system and of the system with closedness rows."""
+    rows, rhs, _ = reference.lee_form_system(L, omega)
+    plain = reference.solve_linear(rows, rhs)
+    if isinstance(plain, Infeasible):
+        return None, {"lee_system": (plain.residual, plain.combination)}
+    extra = reference.closedness_rows(L)
+    if all(sum(a * x for a, x in zip(row, plain.values)) == 0
+           for row in extra):
+        return plain.values, {}
+    closed = reference.solve_linear(rows + extra, rhs + [Q(0)] * len(extra))
+    if isinstance(closed, Infeasible):
+        return plain.values, {
+            "lee_closed_system": (closed.residual, closed.combination)}
+    return closed.values, {}
+
+
+@settings(max_examples=60, phases=UNSHRUNK)
+@given(lee_inputs())
+# a Lee form that is not closed, where the closedness rows over c's
+# denominator 15 make the joint system infeasible, its rows over omega's
+# scale 14 each with a content of its own
+@example((LieAlgebra.from_brackets(("e1", "e2", "e3", "e4"), {
+    (0, 1): {2: Q(1, 3)}, (0, 2): {0: Q(2, 5)}}),
+          KForm.from_components(4, 2, {(0, 1): Q(1, 2), (2, 3): Q(3, 7),
+                                       (1, 2): Q(1)})))
+def test_classify_lee_forms_and_certificates_match_the_dense_reference(p):
+    L, omega = p
+    report = classify(L, omega=omega)
+    values, certificates = _lee_reference(L, omega)
+    assert report.lee_form == (None if values is None else KForm(
+        1, Tensor.from_entries((L.dim,), {
+            (i,): v for i, v in enumerate(values)})))
+    assert {w.claim: (w.residual, w.detail) for w in report.witnesses
+            if w.claim in ("lee_system", "lee_closed_system")
+            } == certificates
+
+
+def _small_lee_pairs(n):
+    """(L, omega) at dimension n < 4: an abelian algebra and one with
+    every bracket dense, each with omega = 0 and with omega dense over
+    denominators other than the bracket's."""
+    labels = tuple(f"e{i}" for i in range(n))
+    pairs = list(itertools.combinations(range(n), 2))
+    algebras = [LieAlgebra.abelian(labels), LieAlgebra.from_brackets(
+        labels, {(i, j): {k: Q(1 + i + j * k + k * k, 3) for k in range(n)}
+                 for i, j in pairs})]
+    omegas = [KForm.zero(n, 2), KForm.from_components(n, 2, {
+        (i, j): Q(3 * (i + j) - 2, 2 + i + j) for i, j in pairs})]
+    return [(L, omega) for L in algebras for omega in omegas]
+
+
+def _one_form(values):
+    return None if values is None else KForm(1, Tensor.from_entries(
+        (len(values),), {(i,): v for i, v in enumerate(values)}))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_the_lee_solve_with_at_most_one_triple_row_matches_the_reference(n):
+    # below dimension 3 the Lee system has no rows and every theta_i is
+    # free, so theta = 0, which stands in for the reference's solve: it
+    # cannot size a matrix without rows.  At dimension 3 the one row has
+    # a solution whenever omega is not 0, but on the dense bracket it is
+    # not closed and the closedness rows refute it
+    claims = set()
+    for L, omega in _small_lee_pairs(n):
+        rows, rhs, _ = reference.lee_form_system(L, omega)
+        plain = (reference.solve_linear(rows, rhs).values if rows
+                 else (Q(0),) * n)
+        values, certificates = (_lee_reference(L, omega) if rows
+                                else (plain, {}))
+        report = classify(L, omega=omega)
+        assert report.lee_form == _one_form(values)
+        assert {w.claim: (w.residual, w.detail) for w in report.witnesses
+                if w.claim in ("lee_system", "lee_closed_system")
+                } == certificates
+        assert geometry.lee_form_solve(L, omega) == _one_form(plain)
+        claims |= set(certificates)
+    assert claims == ({"lee_closed_system"} if n == 3 else set())

@@ -829,7 +829,7 @@ def test_rechecks_do_not_call_the_kernels_behind_the_verdict(monkeypatch):
                  "pairing_rows", "comparison_tensor", "ce_d",
                  "_torsion_blocks", "_curvature_blocks", "_nabla_g_blocks",
                  "_comparison_blocks", "_nijenhuis_blocks",
-                 "lee_form_system", "_lee_system", "_closed_system"):
+                 "lee_form_system", "_lee_rows", "_bareiss"):
         monkeypatch.setattr(geometry, name, _raise)
     for witness, pieces in witnesses:
         assert witness_residual(witness, **pieces) == witness.residual

@@ -16,7 +16,7 @@ from liegeom import (AlgebraDocument, Connection, FormBlock, InexactValue,
                      document_from, list_examples, parse, serialize,
                      solve_lambda, solve_linear, wedge)
 from liegeom.constructions import _pairing_form, double
-from liegeom.geometry import lee_form_system
+from liegeom.geometry import lee_form_solve, lee_form_system
 from liegeom import tensors
 from liegeom.tensors import (_eliminate, _numerators, det, leading_minors,
                              null_vector)
@@ -472,6 +472,52 @@ def test_a_tall_lee_system_combines_few_rows(monkeypatch):
         *reference.lee_form_system(L, omega)[:2])
 
 
+def _count_tensor_builds(monkeypatch):
+    """Wrap both ways a Tensor is made; the list collects their shapes."""
+    shapes = []
+    trusted, post_init = Tensor._trusted.__func__, Tensor.__post_init__
+
+    def counted_trusted(cls, shape, pairs):
+        shapes.append(tuple(shape))
+        return trusted(cls, shape, pairs)
+
+    def counted_post_init(self):
+        post_init(self)
+        shapes.append(self.shape)
+
+    monkeypatch.setattr(Tensor, "_trusted", classmethod(counted_trusted))
+    monkeypatch.setattr(Tensor, "__post_init__", counted_post_init)
+    return shapes
+
+
+@pytest.mark.parametrize("feasible", [False, True],
+                         ids=["infeasible", "feasible"])
+def test_the_lee_solve_builds_no_tensor_of_its_system(monkeypatch, feasible):
+    # on the dense R x h(9) pair, classify and lee_form_solve hand the
+    # Lee rows to the pass as ints: no 120 x 10 Tensor of the Lee system
+    # and no 165 x 10 one of the closed system is made
+    L, omega = _heisenberg_line_pair(4, feasible, random.Random(4))
+    expected = reference.solve_linear(
+        *reference.lee_form_system(L, omega)[:2])
+    a, rhs = lee_form_system(L, omega)[:2]
+    shapes = _count_tensor_builds(monkeypatch)
+    if not feasible:    # a Tensor's certificate comes off the pass's rows
+        assert solve_linear(a, rhs) == expected
+        assert shapes == []
+    report = classify(L, omega=omega)
+    theta = lee_form_solve(L, omega)
+    assert shapes and not {(120, 10), (165, 10)} & set(shapes)
+    if feasible:
+        assert report.lee_form == theta
+        assert theta.half.entries == tuple(
+            ((i,), v) for i, v in enumerate(expected.values) if v)
+    else:
+        assert report.lee_form is theta is None
+        (witness,) = [w for w in report.witnesses if w.claim == "lee_system"]
+        assert (witness.residual, witness.detail) == (
+            expected.residual, expected.combination)
+
+
 def _metric_rows(n, positive, rng):
     """g = a^T diag(1, ..., 1, s) a + I with s = 1 or -1."""
     a = [[_random_q(rng) for _ in range(n)] for _ in range(n)]
@@ -489,6 +535,28 @@ def test_leading_minors_stop_at_a_zero_first_minor(monkeypatch):
     assert leading_minors(matrix(g)) == [Q(0)]
     assert calls == []
     assert det(matrix(g)) == reference.det(g) and calls
+
+
+def test_leading_minors_convert_only_the_rows_they_read(monkeypatch):
+    # the zero g[0, 0] of a 24 x 24 metric decides Sylvester's test: the
+    # pass clears row 0, its 23 nonzero entries, of their denominators and
+    # reads no other entry's; neither the whole matrix's numerators nor
+    # its cached _ints are made
+    g = _metric_rows(24, True, random.Random(24))
+    g[0][0] = Q(0)
+    a = matrix(g)
+    read, whole = [], []
+    denominator = Fraction.denominator.fget
+    monkeypatch.setattr(Fraction, "denominator", property(
+        lambda q: read.append(q) or denominator(q)))
+    monkeypatch.setattr(tensors, "_numerators", lambda pairs: whole.append(
+        len(pairs)) or _numerators(pairs))
+    monkeypatch.setattr(Tensor, "_ints", property(
+        lambda t: whole.append(t.shape) or _numerators(t.entries)))
+    minors = leading_minors(a)
+    assert {id(q) for q in read} == {
+        id(v) for (i, _), v in a.entries if i == 0}
+    assert (whole, minors) == ([], [Q(0)])
 
 
 def test_the_pass_keeps_each_row_as_small_as_its_own_denominators_make_it(
