@@ -2,10 +2,11 @@
 
 [e_i, e_j] is sum_k c[i, j, k] e_k.  An algebra holds the half of c a
 document lists, its nonzero entries with i < j, so the bracket is
-antisymmetric by construction; the kernels derive the full tensor c on
-first read, while a recheck reads a row c[x, y, .] off the half.  The
-Jacobi identity deliberately is not enforced, so a candidate bracket
-can be built first and judged afterwards with jacobi_check.
+antisymmetric by construction.  The kernels and the rechecks read the
+half, c[y, x, .] as minus c[x, y, .]; the full tensor c is derived on
+first read, for a caller that asks for it.  The Jacobi identity
+deliberately is not enforced, so a candidate bracket can be built first
+and judged afterwards with jacobi_check.
 """
 
 from __future__ import annotations
@@ -93,14 +94,16 @@ def as_vector(L, x):
 
 
 def bracket(L, x, y):
-    """[x, y] in coordinates, bilinear and antisymmetric."""
-    x = as_vector(L, x)
-    y = as_vector(L, y)
-    n = L.dim
-    out = [Fraction(0)] * n
-    for (i, j, k), value in L.c.entries:
-        if x[i] and y[j]:
-            out[k] += value * x[i] * y[j]
+    """[x, y] in coordinates, bilinear and antisymmetric: the sum over
+    i < j of c[i, j, k] (x_i y_j - x_j y_i), read off half as x
+    contracted with its first slot, then y, minus the same at its second."""
+    x, y = as_vector(L, x), as_vector(L, y)
+    out = [Fraction(0)] * L.dim
+    vector = Tensor._trusted((L.dim,), (((i,), v) for i, v in enumerate(x)))
+    for axis, s in ((0, 1), (1, -1)):
+        d, sums = contract(L.half, axis, vector, 0)
+        for (j, k), v in sums.items():
+            out[k] += Fraction(s * v, d) * y[j]
     return tuple(out)
 
 
@@ -144,36 +147,19 @@ def jacobi_residual(L, i, j, k):
     return tuple(Fraction(t, d * d) for t in total)
 
 
-def cyclic_sum(L, t):
-    """The nonzero values of t([e_i, e_j], e_k, ...) + t([e_j, e_k], e_i, ...)
-    + t([e_k, e_i], e_j, ...) as (d, {(i, j, k, ...): d value}), i < j < k.
-
-    t([e_x, e_y], e_z, ...) is the contraction of c's last axis with t's
-    first.  As c is antisymmetric in x, y, its half (x < y) suffices: a
-    term with z between x and y is minus the cyclic term at (z, x, y),
-    and one with z equal to x or y belongs to no triple.
-    """
-    d, sums = contract(L.half, 2, t, 0)
-    out = {}
-    for (x, y, z, *rest), v in sums.items():
-        if z != x and z != y:
-            key = tuple(sorted((x, y, z)) + rest)
-            out[key] = out.get(key, 0) + (v if z < x or z > y else -v)
-    return d, {key: v for key, v in out.items() if v}
-
-
 def _jacobi_blocks(L):
     """block(i): the cyclic bracket sums at the triples i < j < k as (d,
-    {(j, k): {l: the e_l part times d}}).  As in cyclic_sum, the term
-    [[e_x, e_y], e_z], x < y, the sum over m of c[x, y, m] c[m, z, l]
-    on c's int numerators, belongs to sorted(x, y, z), negated when z
-    lies between x and y: to block x when z > x, else to block z."""
-    (d, half), (_, c) = L.half._ints, L.c._ints
+    {(j, k): {l: the e_l part times d}}).  The term [[e_x, e_y], e_z],
+    x < y, the sum over m of c[x, y, m] c[m, z, l] on the int numerators
+    of c's half, belongs to sorted(x, y, z), negated when z lies between
+    x and y: to block x when z > x, else to block z.  c[m, z, l] is half
+    at (m, z, l), each entry filed again, negated, under (z, m)."""
+    d, half = L.half._ints
     pairs, rows = {}, {}    # c[x, y, m] by x < y; c[m, z, l] by m, z
     for (x, y, m), v in half:
         pairs.setdefault(x, []).append((y, m, v))
-    for (m, z, l), w in c:
-        rows.setdefault(m, {}).setdefault(z, []).append((l, w))
+        rows.setdefault(x, {}).setdefault(y, []).append((m, v))
+        rows.setdefault(y, {}).setdefault(x, []).append((m, -v))
 
     def block(i):
         sums = {}

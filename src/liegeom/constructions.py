@@ -282,10 +282,10 @@ def extract_statistical(algebra, nabla, base_metric, rho_index):
     rho_label = algebra.basis_labels[r]
 
     names = algebra.basis_labels
-    for (i, j, k), _ in algebra.c.entries:
-        if i == r:
-            raise NotConical(f"[{rho_label}, {names[j]}] is nonzero")
-    for (i, j, k), _ in algebra.c.entries:
+    for (i, j, k), _ in algebra.half.entries:
+        if r in (i, j):
+            raise NotConical(f"[{rho_label}, {names[i + j - r]}] is nonzero")
+    for (i, j, k), _ in algebra.half.entries:
         if k == r and r not in (i, j):
             raise NotConical("a base bracket leaves the base subspace at "
                              f"({names[i]}, {names[j]})")

@@ -2,9 +2,11 @@
 
 Degrees 1 through 3 are supported; that is all the constructions here
 ever need.  A form is held as the half a document lists, its nonzero
-values at strictly increasing indices; the full alternating tensor is
-derived, only where a contraction reads it.  The wedge product uses the
-shuffle convention without factorial normalisation:
+values at strictly increasing indices.  The differential and the
+pairing read that half, w[z, m] as minus w[m, z]; the full alternating
+tensor, coefficients, is derived on first read for a caller that asks
+for it.  The wedge product uses the shuffle convention without
+factorial normalisation:
 
     (a ^ b)(X, Y) = a(X) b(Y) - a(Y) b(X)
     (a ^ w)(X, Y, Z) = a(X) w(Y, Z) - a(Y) w(X, Z) + a(Z) w(X, Y)
@@ -22,7 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .algebra import cyclic_sum
 from .errors import DimensionMismatch, ShapeMismatch, UnsupportedDegree
 from .tensors import Tensor, contract
 
@@ -141,8 +142,24 @@ def ce_d(L, form):
         d, sums = contract(L.half, 2, form.half, 0)
         return KForm(2, Tensor._over((L.dim,) * 2, -d, sums))
     if form.degree == 2:
-        # (d w)(X, Y, Z) = -(w([X, Y], Z) + w([Y, Z], X) + w([Z, X], Y))
-        d, cyclic = cyclic_sum(L, form.coefficients)
-        return KForm(3, Tensor._over((L.dim,) * 3, -d, cyclic))
+        # (d w)(X, Y, Z) = -(w([X, Y], Z) + w([Y, Z], X) + w([Z, X], Y)):
+        # w([e_x, e_y], e_z), x < y, the sum over m of c[x, y, m] w[m, z],
+        # belongs to sorted(x, y, z), negated when z lies between x and y
+        (dc, half), (dw, ws) = L.half._ints, form.half._ints
+        rows = {}   # w[m, z]: half[m, z] for m < z, -half[z, m] for z < m
+        for (m, z), v in ws:
+            rows.setdefault(m, []).append((z, v))
+            rows.setdefault(z, []).append((m, -v))
+        sums = {}
+        for (x, y, m), v in half:
+            for z, w in rows.get(m, ()):
+                if z > y or z < x:
+                    key = (x, y, z) if z > y else (z, x, y)
+                elif z != x and z != y:
+                    key, w = (x, z, y), -w
+                else:
+                    continue
+                sums[key] = sums.get(key, 0) + v * w
+        return KForm(3, Tensor._over((L.dim,) * 3, -dc * dw, sums))
     raise UnsupportedDegree(
         f"differential of degree {form.degree} exceeds degree {MAX_DEGREE}")

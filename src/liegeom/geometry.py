@@ -450,12 +450,14 @@ def _nijenhuis_blocks(L, J):
     """
     _same_base(L, J.base)
     n = L.dim
-    dj, j_ints = J.j._ints
-    dc, c_ints = L.c._ints
+    (dj, j_ints), (dc, half) = J.j._ints, L.half._ints
     s = dj * dj
     d = dc * s
     cols = _grouped((((b, a), v) for (a, b), v in j_ints), 1)
-    j_rows, c_rows = _grouped(j_ints, 1), _grouped(c_ints, 1)
+    j_rows, c_rows = _grouped(j_ints, 1), {}    # c_rows: C_x by x
+    for (x, y, z), v in half:
+        c_rows.setdefault(x, []).append(((y, z), v))
+        c_rows.setdefault(y, []).append(((x, z), -v))
 
     def row(i):
         a = {}      # A_i as {y: {z: int}}
@@ -494,9 +496,16 @@ def nijenhuis(L, J):
 
 def pairing_rows(omega, J):
     """The matrix omega(e_i, J e_j), as a rank-2 Tensor: the sum over m
-    of omega[i, m] J[m, j]."""
-    d, sums = contract(omega.coefficients, 1, J.j, 0)
-    return Tensor._over(omega.coefficients.shape, d, sums)
+    of omega[i, m] J[m, j], omega[i, m] read off omega's half as
+    half[i, m] for i < m and -half[m, i] for m < i."""
+    n = J.base.dim
+    (dw, ws), (dj, js) = _form_on(omega, 2, n).half._ints, J.j._ints
+    rows, sums = _grouped(js, 1), {}    # J[m, j] by m
+    for (a, b), v in ws:
+        for i, m, w in ((a, b, v), (b, a, -v)):
+            for j, x in rows.get(m, ()):
+                sums[i, j] = sums.get((i, j), 0) + w * x
+    return Tensor._over((n, n), dw * dj, sums)
 
 
 # -- the Lee form equation -------------------------------------------------

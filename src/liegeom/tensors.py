@@ -11,13 +11,14 @@ takes one private path from int sums, with no scan.
 Structure constants, connections and forms are almost all zero, so
 reading an entry is a dictionary lookup, built on first use, and
 contract walks only these pairs.  contract sums two tensors over a
-shared axis for Jacobi, the differential, J squared, the pairing and the
-Lee certificate checks; the block kernels of geometry (T, R, nabla g,
-N) group the same cached numerators by leading index and sum one block
-at a time instead.  contract reads each Tensor's int numerators, cached
-on first use, and returns int sums over one common denominator; each
-caller adds them up as it rearranges their indices and divides once per
-entry of its result.
+shared axis for the bracket of two vectors, the differential of a
+1-form and J squared; the Jacobi sums, the differential of a 2-form,
+the pairing and the block kernels of geometry (T, R, nabla g, N) group
+the same cached numerators of the stored halves by leading index and
+sum them themselves.  contract reads each Tensor's int numerators,
+cached on first use, and returns int sums over one common denominator;
+each caller adds them up as it rearranges their indices and divides
+once per entry of its result.
 
 A matrix is a rank-2 Tensor too.  det, leading_minors, solve_linear and
 null_vector read their answers off one integer-preserving, left-looking
@@ -202,16 +203,13 @@ def contract(a, axis_a, b, axis_b):
     of a and at axis_b of b, as (d, {a's index without axis_a + b's
     index without axis_b: the sum times d}) over its nonzero sums.
 
-    a and b are Tensors, whose cached _ints are read, or sequences of
-    (index, rational) pairs, as the Lee certificate check hands in a
-    combination vector.  b is grouped by axis_b and a's pairs walked
-    against the groups; the products run on int numerators over each
-    side's lcm denominator, and d is their product: the caller adds the
-    ints up as it scatters them and divides once per entry of its
-    result, as _eliminate does.
+    a and b are Tensors, whose cached _ints are read.  b is grouped by
+    axis_b and a's entries walked against the groups; the products run
+    on int numerators over each side's lcm denominator, and d is their
+    product: the caller adds the ints up as it scatters them and divides
+    once per entry of its result.
     """
-    (da, xs), (db, ys) = (t._ints if isinstance(t, Tensor) else
-                          _numerators(t) for t in (a, b))
+    (da, xs), (db, ys) = a._ints, b._ints
     ids, groups = {}, {}    # ids numbers b's indices without axis_b
     for idx, y in ys:
         t = ids.setdefault(idx[:axis_b] + idx[axis_b + 1:], len(ids))

@@ -388,9 +388,9 @@ def dense_pieces(draw):
 @given(dense_pieces())
 def test_dense_routines_match_the_reference_at_the_document_sizes(p):
     L, D, g, J, forms = p
-    gamma = D.gamma.entries
+    gamma = D.gamma
     assert (contract(gamma, 2, gamma, 1)[0]
-            != contract(L.c.entries, 2, gamma, 0)[0])
+            != contract(L.c, 2, gamma, 0)[0])
     assert curvature(D) == reference.curvature(D)
     assert nabla_g(D, g) == reference.nabla_g(D, g)
     for form in forms:
@@ -399,6 +399,32 @@ def test_dense_routines_match_the_reference_at_the_document_sizes(p):
         assert nijenhuis(L, J) == reference.nijenhuis(L, J)
         assert pairing_rows(forms[1], J) == as_matrix(
             reference.pairing_rows(forms[1], J))
+
+
+def test_the_halves_sum_over_the_lcm_of_unlike_denominators():
+    # c over 3, omega over 2 and J over 5 and 25: the differentials of
+    # omega and of a 1-form and the pairing read the halves of c and
+    # omega, with every sign of the cyclic sum taken, as the dense loops
+    # read the full tensors
+    L = LieAlgebra.from_brackets(("a", "b", "c", "d"), {
+        (0, 1): {2: Q(1, 3), 3: Q(-2, 3)}, (0, 2): {1: Q(4, 3)},
+        (0, 3): {0: Q(2, 3)}, (1, 3): {0: Q(-1, 3), 2: Q(2, 3)},
+        (2, 3): {1: Q(5, 3), 3: Q(1, 3)}})
+    omega = KForm.from_components(4, 2, {
+        (0, 1): Q(1, 2), (0, 2): Q(-3, 2), (0, 3): Q(1, 2), (1, 2): Q(5, 2),
+        (1, 3): Q(-1, 2), (2, 3): Q(3, 2)})
+    alpha = KForm.from_components(4, 1, {(0,): Q(1, 2), (2,): Q(-3, 2)})
+    J = ComplexStructure.from_rows(L, [
+        [0, 5, 0, 0], [Q(-1, 5), 0, 0, 0],
+        [0, 0, Q(2, 5), 1], [0, 0, Q(-29, 25), Q(-2, 5)]])
+    for piece, denominators in ((L.half, {3}), (omega.half, {2}),
+                                (J.j, {1, 5, 25})):
+        assert {v.denominator for _, v in piece.entries} == denominators
+    d_omega = ce_d(L, omega)
+    assert not d_omega.is_zero() and d_omega == reference.ce_d(L, omega)
+    assert ce_d(L, alpha) == reference.ce_d(L, alpha)
+    assert pairing_rows(omega, J) == as_matrix(
+        reference.pairing_rows(omega, J))
 
 
 @st.composite
@@ -435,7 +461,7 @@ def vector(n, values):
           0))                                             # 0 at 0, 2/9 at 1
 def test_contract_matches_the_dense_reference(p):
     a, axis_a, b, axis_b = p
-    d, sums = contract(a.entries, axis_a, b.entries, axis_b)
+    d, sums = contract(a, axis_a, b, axis_b)
     assert d == lcm(*(v.denominator for _, v in a.entries)) * lcm(
         *(v.denominator for _, v in b.entries))
     assert all(type(v) is int and v != 0 for v in sums.values())
@@ -446,20 +472,21 @@ def test_contract_matches_the_dense_reference(p):
 @settings(max_examples=200)
 @given(contractions())
 def test_contract_reads_each_tensors_cached_numerators(p):
-    # a Tensor contracts as its entries do, from the numerators it caches;
-    # the int-valued pairs nijenhuis hands on still go in as pairs
+    # a Tensor contracts from the numerators it caches as a fresh copy of
+    # it does, whose numerators are computed; an int-valued one too
     a, axis_a, b, axis_b = p
-    expected = contract(a.entries, axis_a, b.entries, axis_b)
+    fresh_a, fresh_b = (Tensor(t.shape, t.entries) for t in (a, b))
+    expected = contract(fresh_a, axis_a, fresh_b, axis_b)
     assert (a._ints, b._ints) == (_numerators(a.entries),
                                   _numerators(b.entries))
     with mock.patch("liegeom.tensors._numerators",
                     side_effect=AssertionError("recomputed")):
         assert contract(a, axis_a, b, axis_b) == expected
-    ints = tuple((idx, v.numerator) for idx, v in a.entries)
+    ints = Tensor(a.shape, [(idx, v.numerator) for idx, v in a.entries])
     assert contract(ints, axis_a, b, axis_b) == contract(
-        ints, axis_a, b.entries, axis_b)
+        ints, axis_a, fresh_b, axis_b)
     assert contract(b, axis_b, ints, axis_a) == contract(
-        b.entries, axis_b, ints, axis_a)
+        fresh_b, axis_b, ints, axis_a)
 
 
 @st.composite

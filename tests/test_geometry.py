@@ -1,3 +1,5 @@
+import functools
+import io
 import itertools
 import math
 import random
@@ -11,10 +13,11 @@ from liegeom import (ComplexStructure, Connection, CurvatureFit,
                      MissingPieces, NoLeeForm, NotAlmostComplex,
                      ShapeMismatch, Tensor, UnsupportedDegree, VerdictError,
                      Witness, classify, codazzi_check, cone_extend,
-                     constant_curvature, curvature, double, get_example,
-                     lck_family, nabla_g, nijenhuis, torsion,
-                     witness_residual)
+                     constant_curvature, curvature, document_from, double,
+                     get_example, lck_family, nabla_g, nijenhuis, parse,
+                     serialize, torsion, witness_residual)
 from liegeom import algebra, forms, geometry, tensors
+from liegeom.cli import run_command
 from liegeom.geometry import lee_form_solve, pairing_rows
 from liegeom.tensors import det
 
@@ -450,6 +453,22 @@ def test_classify_asymmetric_pairing():
     assert pairing[0, 3] - pairing[3, 0] == Q(-1)
 
 
+def test_pairing_rows_refuses_a_form_it_cannot_pair_with_j():
+    # omega must be a 2-form of J's dimension: a 1-form used to escape as
+    # IndexError, a 3-form to come back as a rank-3 "matrix", and a dim-4
+    # omega against a dim-6 J as a (4, 4) one
+    L6 = LieAlgebra.abelian(tuple("abcdef"))
+    J6 = ComplexStructure.from_rows(L6, [
+        [-1 if j == i + 3 else int(i == j + 3) for j in range(6)]
+        for i in range(6)])
+    with pytest.raises(UnsupportedDegree):
+        pairing_rows(KForm.from_components(6, 1, {(0,): Q(1)}), J6)
+    with pytest.raises(UnsupportedDegree):
+        pairing_rows(KForm.from_components(6, 3, {(0, 1, 2): Q(1)}), J6)
+    with pytest.raises(DimensionMismatch):
+        pairing_rows(KForm.from_components(4, 2, {(0, 1): Q(1)}), J6)
+
+
 def test_classify_nonclosed_lee_form():
     # the lee system pins theta uniquely but d theta != 0, and adding the
     # closedness rows makes the joint system infeasible
@@ -848,6 +867,45 @@ def test_rechecks_read_the_bracket_off_its_half():
                  else p for name, p in pieces.items()}
         assert witness_residual(witness, **fresh) == witness.residual
         assert "c" not in L.__dict__, witness.claim
+
+
+def test_the_verdict_path_reads_the_halves_alone(monkeypatch, tmp_path):
+    # classify with every piece of a dense dim-6 document, lck_family,
+    # the Lee solve and verify --as lck read the stored halves of c and
+    # omega: none derives LieAlgebra.c or KForm.coefficients
+    built = Counter()
+    for cls, name in ((LieAlgebra, "c"), (KForm, "coefficients")):
+        def counted(self, name=name, derive=getattr(cls, name).func):
+            built[name] += 1
+            return derive(self)
+
+        derived = functools.cached_property(counted)
+        derived.__set_name__(cls, name)
+        monkeypatch.setattr(cls, name, derived)
+    rng = random.Random(6)
+    L, D, g, J = _dense_pieces(6, rng)
+    path = tmp_path / "dense6.json"
+    path.write_text(serialize(document_from(
+        L, D, g, J, forms=(("omega", _dense_two_form(6, rng)),))))
+    doc = parse(path.read_text())
+    L, omega = doc.to_algebra(), doc.to_form("omega")
+    report = classify(L, doc.to_connection(L), doc.to_metric(L),
+                      doc.to_complex_structure(L), omega)
+    assert report.witnesses
+    solved = doc.to_algebra(), doc.to_form("omega")
+    assert lee_form_solve(*solved) == report.lee_form
+    A = LieAlgebra.abelian(("a", "b", "c"))
+    fam = lck_family(A, Connection.zero(A), Metric.identity(A), None, 2)
+    assert fam.report.is_lck is True
+    assert run_command(["verify", "--as", "lck", str(path)],
+                       stdout=io.StringIO(), stderr=io.StringIO()) == 1
+    assert built == Counter()
+    for algebra_, form in ((L, omega), solved, (fam.double.algebra,
+                                                 fam.omega)):
+        assert "c" not in algebra_.__dict__
+        assert "coefficients" not in form.__dict__
+    assert L.c[1, 0, 2] == -L.half[0, 1, 2]
+    assert built == Counter(c=1)     # the guard counts a derivation
 
 
 @pytest.mark.parametrize("n, size", [(3, 3), (5, 3), (7, 3), (5, 2), (8, 2)])

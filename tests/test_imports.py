@@ -1,11 +1,13 @@
-"""Every name a library module imports is used in that module, and
-every private module-level function, class or constant is used
-somewhere.
+"""Every name a library module imports is used in that module, every
+private module-level function, class or constant is used somewhere,
+and every public function or class is exported or read somewhere.
 
 No linter ships with the test extra, so this walks each module's syntax
 tree with the standard library: an imported name that no expression
 reads, or an underscore-named definition that no module reads, is dead
-weight, often left behind when a caller is deleted.
+weight, often left behind when a caller is deleted.  So is a public
+function or class that the package root does not export and that
+nothing in the library, the tests, the demos or the benchmark reads.
 """
 
 import ast
@@ -13,7 +15,9 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "liegeom"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "liegeom"
+READERS = ("src", "tests", "demos", "perfbench")
 SOURCES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -53,18 +57,24 @@ def defined_names(node):
             if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store)]
 
 
-def unread_private_definitions(trees):
-    """(module, line, name) of each underscore-named module-level
-    function, class or assigned constant, dunders aside, that no module
-    reads, by name or as an attribute."""
+def read_names(trees):
+    """Every name the trees read, by name or as an attribute."""
     read = set()
-    for tree in trees.values():
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif (isinstance(node, ast.Attribute)
                   and isinstance(node.ctx, ast.Load)):
                 read.add(node.attr)
+    return read
+
+
+def unread_private_definitions(trees):
+    """(module, line, name) of each underscore-named module-level
+    function, class or assigned constant, dunders aside, that no module
+    reads, by name or as an attribute."""
+    read = read_names(trees.values())
     return sorted((module, node.lineno, name)
                   for module, tree in trees.items() for node in tree.body
                   for name in defined_names(node)
@@ -88,3 +98,41 @@ def test_an_unread_private_definition_is_reported():
     assert unread_private_definitions(trees) == [
         ("a", 2, "_dead"), ("a", 3, "_Gone"), ("a", 5, "_LIMIT"),
         ("a", 6, "_UNREAD"), ("a", 7, "_TYPED")]
+
+
+def exported_names(tree):
+    """The names a package root imports, and so exports."""
+    return {alias.asname or alias.name for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names}
+
+
+def unread_public_definitions(modules, readers, exported):
+    """(module, line, name) of each public module-level function or
+    class of modules that exported does not hold and no reader reads,
+    by name or as an attribute."""
+    read = read_names(readers) | exported
+    return sorted((module, node.lineno, node.name)
+                  for module, tree in modules.items() for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and not node.name.startswith("_") and node.name not in read)
+
+
+def test_every_public_definition_is_exported_or_read():
+    modules = {p.stem: ast.parse(p.read_text()) for p in SOURCES}
+    readers = [ast.parse(p.read_text()) for folder in READERS
+               for p in sorted((ROOT / folder).rglob("*.py"))]
+    exported = exported_names(ast.parse((PACKAGE / "__init__.py").read_text()))
+    assert unread_public_definitions(modules, readers, exported) == []
+
+
+def test_an_unexported_unread_public_definition_is_reported():
+    modules = {"a": ast.parse("def used(): pass\ndef dead(): pass\n"
+                              "class Gone: pass\ndef shown(): pass\n"
+                              "def _private(): pass\nLIMIT = 3\n"
+                              "class Held: pass\n")}
+    readers = [ast.parse("import a\na.used()\nx: a.Held\n"),
+               ast.parse("from a import dead\n")]
+    exported = exported_names(ast.parse("from .a import shown as shown\n"))
+    assert unread_public_definitions(modules, readers, exported) == [
+        ("a", 2, "dead"), ("a", 3, "Gone")]
