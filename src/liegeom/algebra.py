@@ -152,29 +152,26 @@ def _jacobi_blocks(L):
     {(j, k): {l: the e_l part times d}}).  The term [[e_x, e_y], e_z],
     x < y, the sum over m of c[x, y, m] c[m, z, l] on the int numerators
     of c's half, belongs to sorted(x, y, z), negated when z lies between
-    x and y: to block x when z > x, else to block z.  c[m, z, l] is half
-    at (m, z, l), each entry filed again, negated, under (z, m)."""
-    d, half = L.half._ints
-    pairs, rows = {}, {}    # c[x, y, m] by x < y; c[m, z, l] by m, z
-    for (x, y, m), v in half:
-        pairs.setdefault(x, []).append((y, m, v))
-        rows.setdefault(x, {}).setdefault(y, []).append((m, v))
-        rows.setdefault(y, {}).setdefault(x, []).append((m, -v))
+    x and y: to block x when z > x, else to block z.  c[x, y, m] is read
+    off half's _rows, c[m, z, l] off its _mirrored."""
+    (d, pairs), rows = L.half._rows, L.half._mirrored[1]
 
     def block(i):
         sums = {}
-        for y, m, v in pairs.get(i, ()):        # x = i < z, z not y
-            for z, row in rows.get(m, {}).items():
-                if z > i and z != y:
-                    acc = sums.setdefault((y, z) if y < z else (z, y), {})
-                    x = v if z > y else -v
-                    for l, w in row:
-                        acc[l] = acc.get(l, 0) + x * w
+        for y, row in pairs.get(i, {}).items():     # x = i < z, z not y
+            for m, v in row:
+                for z, cs in rows.get(m, {}).items():
+                    if z > i and z != y:
+                        acc = sums.setdefault((y, z) if y < z else (z, y), {})
+                        x = v if z > y else -v
+                        for l, w in cs:
+                            acc[l] = acc.get(l, 0) + x * w
         for x in range(i + 1, L.dim):            # z = i < x < y
-            for y, m, v in pairs.get(x, ()):
+            for y, row in pairs.get(x, {}).items():
                 acc = sums.setdefault((x, y), {})
-                for l, w in rows.get(m, {}).get(i, ()):
-                    acc[l] = acc.get(l, 0) + v * w
+                for m, v in row:
+                    for l, w in rows.get(m, {}).get(i, ()):
+                        acc[l] = acc.get(l, 0) + v * w
         return d * d, sums
 
     return block

@@ -145,12 +145,8 @@ def ce_d(L, form):
         # (d w)(X, Y, Z) = -(w([X, Y], Z) + w([Y, Z], X) + w([Z, X], Y)):
         # w([e_x, e_y], e_z), x < y, the sum over m of c[x, y, m] w[m, z],
         # belongs to sorted(x, y, z), negated when z lies between x and y
-        (dc, half), (dw, ws) = L.half._ints, form.half._ints
-        rows = {}   # w[m, z]: half[m, z] for m < z, -half[z, m] for z < m
-        for (m, z), v in ws:
-            rows.setdefault(m, []).append((z, v))
-            rows.setdefault(z, []).append((m, -v))
-        sums = {}
+        (dc, half), (dw, rows) = L.half._ints, form.half._mirrored
+        sums = {}   # w[m, z] by m: half[m, z] if m < z, else -half[z, m]
         for (x, y, m), v in half:
             for z, w in rows.get(m, ()):
                 if z > y or z < x:

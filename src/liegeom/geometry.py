@@ -129,40 +129,28 @@ class ComplexStructure:
 
 # -- verdict computations --------------------------------------------------
 #
-# T, R, nabla g and N are summed one block at a time.  A kernel groups
-# the int numerators of its pieces (gamma, c, g, J) by leading index
-# once per call and returns block(*head), the block's nonzero int sums
-# over one denominator d as (d, {remaining indices: int}).  R has a
-# block per pair i < j, head (i, j).  T and N, whose pair blocks cost
-# less than the call that reads them, have one per row, head (i,),
-# holding every pair (i, j) with j > i.  nabla g, not antisymmetric,
-# has one per slab nabla_{e_i} g, which the Codazzi pair (i, j) reads
-# with slab j.  classify reads the blocks in lexicographic order and
-# stops a claim at the first block that decides it: a failing claim
-# costs its first failing block, a passing one the whole tensor.  The
-# public tensors are every block, each entry mirrored to minus itself
-# at (j, i, ...) where the tensor is antisymmetric in its first two
-# slots.
+# T, R, nabla g and N are summed one block at a time.  A kernel reads
+# its pieces (gamma, c, g, J) off the views each Tensor caches (_rows,
+# _mirrored for c's half) and returns block(*head), the block's nonzero
+# int sums over one denominator d as (d, {remaining indices: int}).  R
+# has a block per pair i < j, head (i, j).  T and N, whose pair blocks
+# cost less than the call that reads them, have one per row, head (i,),
+# holding every pair (i, j) with j > i.  nabla g, not antisymmetric, has
+# one per slab nabla_{e_i} g, which the Codazzi pair (i, j) reads with
+# slab j.  classify reads the blocks in lexicographic order and stops a
+# claim at the first block that decides it: a failing claim costs its
+# first failing block, a passing one the whole tensor.  The public
+# tensors are every block, each entry mirrored to minus itself at
+# (j, i, ...) where the tensor is antisymmetric in its first two slots.
 
 def _pairs(n):
     """The pair heads (i, j), i < j below n, in lexicographic order."""
     return itertools.combinations(range(n), 2)
 
 
-def _rows(n):
+def _row_heads(n):
     """The row heads (i,) below n that hold a pair (i, j) with i < j."""
     return ((i,) for i in range(n - 1))
-
-
-def _grouped(ints, lead):
-    """{index[:lead]: [(index[lead:], int)]} of (index, int) pairs; a
-    head or tail of one index is that index itself."""
-    groups = {}
-    for idx, v in ints:
-        head, tail = idx[:lead], idx[lead:]
-        groups.setdefault(head[0] if lead == 1 else head, []).append(
-            (tail[0] if len(tail) == 1 else tail, v))
-    return groups
 
 
 def _antisymmetric(n, rank, block, heads):
@@ -188,7 +176,7 @@ def _sliced(claim, head, d, b, n):
 
 def _first_nonzero(claim, n, block):
     """The witness in the first nonzero row block, None when all vanish."""
-    for head in _rows(n):
+    for head in _row_heads(n):
         d, b = block(*head)
         if b:
             return _sliced(claim, head, d, b, n)
@@ -198,23 +186,22 @@ def _first_nonzero(claim, n, block):
 def _torsion_blocks(connection):
     """row(i): T[i, j, k] = gamma[i, j, k] - gamma[j, i, k] - c[i, j, k]
     at each (j, k), j > i."""
-    dg, gamma = connection.gamma._ints
-    dc, half = connection.base.half._ints
+    n, (dg, gamma) = connection.base.dim, connection.gamma._rows
+    dc, brackets = connection.base.half._rows
     d = math.lcm(dg, dc)
     sg, sc = d // dg, d // dc
-    above, below, brackets = {}, {}, _grouped(half, 1)
-    for (i, j, k), v in gamma:
-        if i < j:
-            above.setdefault(i, []).append(((j, k), v * sg))
-        elif j < i:
-            below.setdefault(j, []).append(((i, k), v * sg))
 
     def row(i):
-        out = dict(above.get(i, ()))
-        for key, v in below.get(i, ()):
-            out[key] = out.get(key, 0) - v
-        for key, v in brackets.get(i, ()):
-            out[key] = out.get(key, 0) - v * sc
+        out = {}
+        for j, r in gamma.get(i, {}).items():
+            if j > i:
+                out.update(((j, k), v * sg) for k, v in r)
+        for j in range(i + 1, n):
+            for k, v in gamma.get(j, {}).get(i, ()):
+                out[j, k] = out.get((j, k), 0) - v * sg
+        for j, r in brackets.get(i, {}).items():
+            for k, v in r:
+                out[j, k] = out.get((j, k), 0) - v * sc
         return d, {key: v for key, v in out.items() if v}
 
     return row
@@ -223,7 +210,7 @@ def _torsion_blocks(connection):
 def torsion(connection):
     """T as a (1, 2) tensor: T[i, j, k] is the e_k part of T(e_i, e_j)."""
     n = connection.base.dim
-    return _antisymmetric(n, 3, _torsion_blocks(connection), _rows(n))
+    return _antisymmetric(n, 3, _torsion_blocks(connection), _row_heads(n))
 
 
 def _curvature_blocks(connection):
@@ -232,36 +219,30 @@ def _curvature_blocks(connection):
     With Gamma_i the matrix gamma[i, k, m], R(e_i, e_j) is the matrix
     Gamma_j Gamma_i - Gamma_i Gamma_j - the sum over m of c[i, j, m]
     Gamma_m, summed on int keys k n + l.  Each product is over dg^2 and
-    the bracket term over dc dg, so the left factors and c are scaled
-    once to land on the common d.
+    the bracket term over dc dg, so each left factor is scaled to the
+    common d as its row is read.
     """
-    n = connection.base.dim
-    dg, gamma = connection.gamma._ints
-    dc, half = connection.base.half._ints
+    n, (dg, gamma) = connection.base.dim, connection.gamma._rows
+    dc, brackets = connection.base.half._rows
     d = dg * math.lcm(dg, dc)
     s1, s2 = d // (dg * dg), d // (dc * dg)
-    left, right, flat = {}, {}, {}
-    for (i, k, m), v in gamma:
-        left.setdefault(i, []).append((k * n, m, v * s1))
-        right.setdefault(i, {}).setdefault(k, []).append((m, v))
-        flat.setdefault(i, []).append((k * n + m, v))
-    brackets = {}
-    for (i, j, m), v in half:
-        brackets.setdefault((i, j), []).append((m, v * s2))
 
     def block(i, j):
         acc = {}
-        for a, b, sign in ((j, i, 1), (i, j, -1)):
-            rows = right.get(b, {})
-            for kn, m, x in left.get(a, ()):
-                row = rows.get(m)
-                if row:
-                    x *= sign
-                    for l, y in row:
-                        acc[kn + l] = acc.get(kn + l, 0) + x * y
-        for m, x in brackets.get((i, j), ()):
-            for key, y in flat.get(m, ()):
-                acc[key] = acc.get(key, 0) - x * y
+        for a, b, s in ((j, i, s1), (i, j, -s1)):
+            rows = gamma.get(b, {})
+            for k, r in gamma.get(a, {}).items():
+                for m, x in r:
+                    if row := rows.get(m):
+                        x, kn = x * s, k * n
+                        for l, y in row:
+                            acc[kn + l] = acc.get(kn + l, 0) + x * y
+        for m, x in brackets.get(i, {}).get(j, ()):
+            x *= s2
+            for k, row in gamma.get(m, {}).items():
+                kn = k * n
+                for l, y in row:
+                    acc[kn + l] = acc.get(kn + l, 0) - x * y
         return d, {divmod(key, n): v for key, v in acc.items() if v}
 
     return block
@@ -285,15 +266,14 @@ def _nabla_g_blocks(connection, metric):
     gamma[i, j, m] g[m, k] over m, as g is symmetric.
     """
     n = connection.base.dim
-    dg, gamma = connection.gamma._ints
-    dm, g = metric.g._ints
-    lead, rows = _grouped(gamma, 1), _grouped(g, 1)
+    (dg, gamma), (dm, rows) = connection.gamma._rows, metric.g._rows
 
     def block(i):
         p = {}      # P_i on int keys j n + k
-        for (j, m), x in lead.get(i, ()):
-            for k, y in rows.get(m, ()):
-                p[j * n + k] = p.get(j * n + k, 0) + x * y
+        for j, r in gamma.get(i, {}).items():
+            for m, x in r:
+                for k, y in rows.get(m, ()):
+                    p[j * n + k] = p.get(j * n + k, 0) + x * y
         slab = {}
         for key, v in p.items():
             j, k = divmod(key, n)
@@ -370,8 +350,7 @@ class CurvatureFit:
 def _comparison_blocks(metric):
     """block(i, j): K[i, j, k, l] = g[j, k] [l == i] - g[i, k] [l == j]
     at each (k, l), from g alone."""
-    d, g = metric.g._ints
-    rows = _grouped(g, 1)
+    d, rows = metric.g._rows
 
     def block(i, j):
         out = {(k, i): v for k, v in rows.get(j, ())}
@@ -450,30 +429,30 @@ def _nijenhuis_blocks(L, J):
     """
     _same_base(L, J.base)
     n = L.dim
-    (dj, j_ints), (dc, half) = J.j._ints, L.half._ints
-    s = dj * dj
-    d = dc * s
-    cols = _grouped((((b, a), v) for (a, b), v in j_ints), 1)
-    j_rows, c_rows = _grouped(j_ints, 1), {}    # c_rows: C_x by x
-    for (x, y, z), v in half:
-        c_rows.setdefault(x, []).append(((y, z), v))
-        c_rows.setdefault(y, []).append(((x, z), -v))
+    (dj, j_rows), (dc, c_rows) = J.j._rows, L.half._mirrored  # C_x by x
+    s, d = dj * dj, dc * dj * dj
+    cols = {}   # J[m, x] by x
+    for m, r in j_rows.items():
+        for x, v in r:
+            cols.setdefault(x, []).append((m, v))
 
     def row(i):
         a = {}      # A_i as {y: {z: int}}
         for m, jv in cols.get(i, ()):
-            for (y, z), cv in c_rows.get(m, ()):
+            for y, cs in c_rows.get(m, {}).items():
                 r = a.setdefault(y, {})
-                r[z] = r.get(z, 0) + jv * cv
+                for z, cv in cs:
+                    r[z] = r.get(z, 0) + jv * cv
         inner = {j: dict(r) for j, r in a.items() if j > i}     # M_i
         out = {}
-        for (m, z), cv in c_rows.get(i, ()):
-            if m > i:
-                out[m * n + z] = cv * s
-            for j, jv in j_rows.get(m, ()):
-                if j > i:
-                    r = inner.setdefault(j, {})
-                    r[z] = r.get(z, 0) + jv * cv
+        for m, cs in c_rows.get(i, {}).items():
+            for z, cv in cs:
+                if m > i:
+                    out[m * n + z] = cv * s
+                for j, jv in j_rows.get(m, ()):
+                    if j > i:
+                        r = inner.setdefault(j, {})
+                        r[z] = r.get(z, 0) + jv * cv
         for j, r in inner.items():
             for z, x in r.items():
                 for k, jv in cols.get(z, ()):
@@ -491,18 +470,17 @@ def _nijenhuis_blocks(L, J):
 def nijenhuis(L, J):
     """N(X, Y) = [X, Y] + J([JX, Y] + [X, JY]) - [JX, JY] on basis pairs:
     N[i, j, k] is the e_k part of N(e_i, e_j)."""
-    return _antisymmetric(L.dim, 3, _nijenhuis_blocks(L, J), _rows(L.dim))
+    return _antisymmetric(L.dim, 3, _nijenhuis_blocks(L, J), _row_heads(L.dim))
 
 
 def pairing_rows(omega, J):
     """The matrix omega(e_i, J e_j), as a rank-2 Tensor: the sum over m
     of omega[i, m] J[m, j], omega[i, m] read off omega's half as
     half[i, m] for i < m and -half[m, i] for m < i."""
-    n = J.base.dim
-    (dw, ws), (dj, js) = _form_on(omega, 2, n).half._ints, J.j._ints
-    rows, sums = _grouped(js, 1), {}    # J[m, j] by m
-    for (a, b), v in ws:
-        for i, m, w in ((a, b, v), (b, a, -v)):
+    n, sums = J.base.dim, {}
+    (dw, ws), (dj, rows) = _form_on(omega, 2, n).half._mirrored, J.j._rows
+    for i, r in ws.items():
+        for m, w in r:
             for j, x in rows.get(m, ()):
                 sums[i, j] = sums.get((i, j), 0) + w * x
     return Tensor._over((n, n), dw * dj, sums)
@@ -565,11 +543,9 @@ def _lee_rows(L, omega, d_omega=None):
         if x := rhs.get(t):
             row[n] = x
         rows.append((row, d))
-    dc, half = L.half._ints
-    pairs = {pair: {} for pair in itertools.combinations(range(n), 2)}
-    for (i, j, k), v in half:
-        pairs[i, j][k] = v
-    return rows + [(row, dc) for row in pairs.values()]
+    dc, half = L.half._rows
+    return rows + [(dict(half.get(i, {}).get(j, ())), dc)
+                   for i, j in itertools.combinations(range(n), 2)]
 
 
 def _lee_form(L, rows):

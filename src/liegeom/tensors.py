@@ -12,13 +12,13 @@ Structure constants, connections and forms are almost all zero, so
 reading an entry is a dictionary lookup, built on first use, and
 contract walks only these pairs.  contract sums two tensors over a
 shared axis for the bracket of two vectors, the differential of a
-1-form and J squared; the Jacobi sums, the differential of a 2-form,
-the pairing and the block kernels of geometry (T, R, nabla g, N) group
-the same cached numerators of the stored halves by leading index and
-sum them themselves.  contract reads each Tensor's int numerators,
-cached on first use, and returns int sums over one common denominator;
-each caller adds them up as it rearranges their indices and divides
-once per entry of its result.
+1-form and J squared.  A Tensor caches its int numerators over one
+denominator and two views of them, built once and never written:
+_rows groups them by leading index, _mirrored does so for the
+antisymmetric tensor a stored half stands for.  The Jacobi sums, the
+differential of a 2-form, the pairing, the Lee closedness rows and the
+block kernels of geometry (T, R, nabla g, N) sum off these views; they
+and contract return int sums, divided once per entry of a result.
 
 A matrix is a rank-2 Tensor too.  det, leading_minors, solve_linear and
 null_vector read their answers off one integer-preserving, left-looking
@@ -160,6 +160,36 @@ class Tensor:
     @cached_property
     def _ints(self):
         return _numerators(self.entries)
+
+    @cached_property
+    def _rows(self):
+        """_ints grouped by leading index: (d, {i: [(j, int)]}) for a
+        matrix, (d, {i: {j: [(k, int)]}}) for a rank-3 tensor."""
+        d, ints = self._ints
+        rows = {}
+        if self.rank == 2:
+            for (i, j), v in ints:
+                rows.setdefault(i, []).append((j, v))
+        else:
+            for (i, j, k), v in ints:
+                rows.setdefault(i, {}).setdefault(j, []).append((k, v))
+        return d, rows
+
+    @cached_property
+    def _mirrored(self):
+        """_rows of the antisymmetric tensor this i < j half stands for:
+        each entry filed again, negated, under (j, i, ...)."""
+        d, ints = self._ints
+        rows = {}
+        if self.rank == 2:
+            for (i, j), v in ints:
+                rows.setdefault(i, []).append((j, v))
+                rows.setdefault(j, []).append((i, -v))
+        else:
+            for (i, j, k), v in ints:
+                rows.setdefault(i, {}).setdefault(j, []).append((k, v))
+                rows.setdefault(j, {}).setdefault(i, []).append((k, -v))
+        return d, rows
 
     def is_zero(self):
         return not self.entries

@@ -1,3 +1,4 @@
+import copy
 import functools
 import io
 import itertools
@@ -854,19 +855,46 @@ def test_rechecks_do_not_call_the_kernels_behind_the_verdict(monkeypatch):
         assert witness_residual(witness, **pieces) == witness.residual
 
 
+VIEWS = ("_rows", "_mirrored")
+
+
+def _fresh(t):
+    """A new Tensor equal to t, none of its caches built yet."""
+    return Tensor._trusted(t.shape, t.entries)
+
+
 def test_rechecks_read_the_bracket_off_its_half():
-    # on pieces rebuilt on a new algebra, as a parsed document gives them,
-    # no recheck derives the full structure tensor c
+    # on every piece rebuilt on fresh Tensors, as a parsed document gives
+    # them (classify already built the views of the old ones), no recheck
+    # derives the full structure tensor c or a view the kernels read
     held = {Connection: "gamma", Metric: "g", ComplexStructure: "j"}
     for witness, pieces in _every_claim_witnessed():
         old = pieces.get("algebra") or next(
             p.base for p in pieces.values() if type(p) in held)
-        L = LieAlgebra(old.dim, old.basis_labels, old.half)
+        L = LieAlgebra(old.dim, old.basis_labels, _fresh(old.half))
         fresh = {name: L if name == "algebra" else
-                 type(p)(L, getattr(p, held[type(p)])) if type(p) in held
-                 else p for name, p in pieces.items()}
+                 type(p)(L, _fresh(getattr(p, held[type(p)])))
+                 if type(p) in held else KForm(p.degree, _fresh(p.half))
+                 for name, p in pieces.items()}
         assert witness_residual(witness, **fresh) == witness.residual
         assert "c" not in L.__dict__, witness.claim
+        read = [L.half] + [getattr(p, held[type(p)]) if type(p) in held
+                           else p.half for p in fresh.values() if p is not L]
+        assert not [view for t in read for view in VIEWS
+                    if view in t.__dict__], witness.claim
+
+
+def _record_builds(monkeypatch, cls, name, record):
+    """Stand a cached_property in for cls.name that builds its value as
+    before and hands record the instance and the value each time."""
+    def recorded(self, build=getattr(cls, name).func):
+        value = build(self)
+        record(self, value)
+        return value
+
+    stand_in = functools.cached_property(recorded)
+    stand_in.__set_name__(cls, name)
+    monkeypatch.setattr(cls, name, stand_in)
 
 
 def test_the_verdict_path_reads_the_halves_alone(monkeypatch, tmp_path):
@@ -875,13 +903,8 @@ def test_the_verdict_path_reads_the_halves_alone(monkeypatch, tmp_path):
     # omega: none derives LieAlgebra.c or KForm.coefficients
     built = Counter()
     for cls, name in ((LieAlgebra, "c"), (KForm, "coefficients")):
-        def counted(self, name=name, derive=getattr(cls, name).func):
-            built[name] += 1
-            return derive(self)
-
-        derived = functools.cached_property(counted)
-        derived.__set_name__(cls, name)
-        monkeypatch.setattr(cls, name, derived)
+        _record_builds(monkeypatch, cls, name,
+                       lambda _, value, name=name: built.update([name]))
     rng = random.Random(6)
     L, D, g, J = _dense_pieces(6, rng)
     path = tmp_path / "dense6.json"
@@ -906,6 +929,67 @@ def test_the_verdict_path_reads_the_halves_alone(monkeypatch, tmp_path):
         assert "coefficients" not in form.__dict__
     assert L.c[1, 0, 2] == -L.half[0, 1, 2]
     assert built == Counter(c=1)     # the guard counts a derivation
+
+
+def _watch_views(monkeypatch):
+    """(tensor, view name, view, a deep copy of the view taken as it was
+    built) for every view of a Tensor built from now on."""
+    built = []
+    for name in VIEWS:
+        _record_builds(monkeypatch, Tensor, name, lambda t, view, name=name:
+                       built.append((t, name, view, copy.deepcopy(view))))
+    return built
+
+
+def _views_read(L, D, g, J, omega):
+    """(id of a Tensor, view name) of each view classify reads with every
+    piece: c's half by rows and mirrored, gamma, g and J by rows, omega's
+    half mirrored."""
+    return {(id(t), name) for t, name in (
+        (L.half, "_rows"), (L.half, "_mirrored"), (D.gamma, "_rows"),
+        (g.g, "_rows"), (J.j, "_rows"), (omega.half, "_mirrored"))}
+
+
+def test_each_view_of_a_tensor_is_built_once(monkeypatch, tmp_path):
+    # classify with every piece of a dense dim-6 document, then verify
+    # --as lck of it: every kernel reads the views its pieces cache, and
+    # no view of a Tensor is built twice
+    built = _watch_views(monkeypatch)
+    rng = random.Random(6)
+    path = tmp_path / "dense6.json"
+    path.write_text(serialize(document_from(
+        *_dense_pieces(6, rng), forms=(("omega", _dense_two_form(6, rng)),))))
+    doc = parse(path.read_text())
+    L = doc.to_algebra()
+    pieces = (L, doc.to_connection(L), doc.to_metric(L),
+              doc.to_complex_structure(L), doc.to_form("omega"))
+    expected = _views_read(*pieces)
+    assert classify(*pieces).witnesses
+    assert {(id(t), name) for t, name, _, _ in built} == expected
+    assert run_command(["verify", "--as", "lck", str(path)],
+                       stdout=io.StringIO(), stderr=io.StringIO()) == 1
+    counts = Counter((id(t), name) for t, name, _, _ in built)
+    assert len(counts) == 2 * len(expected)
+    assert set(counts.values()) == {1}
+
+
+def test_the_kernels_leave_the_shared_views_as_built(monkeypatch):
+    # classify twice on the same dense dim-6 pieces, every public kernel
+    # run in between: the reports agree, and each view still equals the
+    # deep copy taken as it was built, so no kernel wrote into one
+    built = _watch_views(monkeypatch)
+    rng = random.Random(6)
+    L, D, g, J = _dense_pieces(6, rng)
+    omega = _dense_two_form(6, rng)
+    first = classify(L, D, g, J, omega)
+    expected = _views_read(L, D, g, J, omega)
+    assert {(id(t), name) for t, name, _, _ in built} == expected
+    torsion(D), curvature(D), nabla_g(D, g), nijenhuis(L, J)
+    forms.ce_d(L, omega), pairing_rows(omega, J), lee_form_solve(L, omega)
+    assert classify(L, D, g, J, omega) == first
+    assert len(built) == len(expected)
+    for t, name, view, kept in built:
+        assert view == kept, name
 
 
 @pytest.mark.parametrize("n, size", [(3, 3), (5, 3), (7, 3), (5, 2), (8, 2)])

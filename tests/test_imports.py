@@ -1,11 +1,14 @@
 """Every name a library module imports is used in that module, every
-private module-level function, class or constant is used somewhere,
-and every public function or class is exported or read somewhere.
+private module-level function, class or constant and every private
+method of a library class is used somewhere, and every public function
+or class is exported or read somewhere.
 
 No linter ships with the test extra, so this walks each module's syntax
 tree with the standard library: an imported name that no expression
 reads, or an underscore-named definition that no module reads, is dead
-weight, often left behind when a caller is deleted.  So is a public
+weight, often left behind when a caller is deleted.  So is an
+underscore-named method or cached property, such as a view a Tensor
+caches, that nothing in the library reads as an attribute, and a public
 function or class that the package root does not export and that
 nothing in the library, the tests, the demos or the benchmark reads.
 """
@@ -98,6 +101,45 @@ def test_an_unread_private_definition_is_reported():
     assert unread_private_definitions(trees) == [
         ("a", 2, "_dead"), ("a", 3, "_Gone"), ("a", 5, "_LIMIT"),
         ("a", 6, "_UNREAD"), ("a", 7, "_TYPED")]
+
+
+def unread_private_members(trees):
+    """(module, line, "Class.name") of each underscore-named method or
+    (cached) property of a module-level class, dunders aside, that no
+    module reads as an attribute; a function of the same name read by
+    name does not count."""
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    return sorted((module, node.lineno, f"{cls.name}.{node.name}")
+                  for module, tree in trees.items() for cls in tree.body
+                  if isinstance(cls, ast.ClassDef) for node in cls.body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name.startswith("_")
+                  and not node.name.endswith("__") and node.name not in read)
+
+
+def test_package_reads_every_private_member():
+    trees = {p.stem: ast.parse(p.read_text())
+             for p in sorted(PACKAGE.glob("*.py"))}
+    assert unread_private_members(trees) == []
+
+
+def test_an_unread_private_member_is_reported():
+    trees = {"a": ast.parse("class Box:\n"
+                            "    def _used(self): pass\n"
+                            "    def _dead(self): pass\n"
+                            "    @cached_property\n"
+                            "    def _view(self): pass\n"
+                            "    @property\n"
+                            "    def _shown(self): pass\n"
+                            "    def __len__(self): return 0\n"
+                            "    def public(self): pass\n"
+                            "def _view(): pass\n"),
+             "b": ast.parse("from a import Box, _view\nBox()._used()\n"
+                            "size = Box()._shown\n_view()\n")}
+    assert unread_private_members(trees) == [
+        ("a", 3, "Box._dead"), ("a", 5, "Box._view")]
 
 
 def exported_names(tree):
