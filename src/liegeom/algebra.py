@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import DimensionMismatch, ShapeMismatch
-from .tensors import Tensor, _as_q, contract
+from .tensors import Tensor, _as_q
 
 
 @dataclass(frozen=True)
@@ -95,15 +95,11 @@ def as_vector(L, x):
 
 def bracket(L, x, y):
     """[x, y] in coordinates, bilinear and antisymmetric: the sum over
-    i < j of c[i, j, k] (x_i y_j - x_j y_i), read off half as x
-    contracted with its first slot, then y, minus the same at its second."""
+    i < j of c[i, j, k] (x_i y_j - x_j y_i), read off half."""
     x, y = as_vector(L, x), as_vector(L, y)
     out = [Fraction(0)] * L.dim
-    vector = Tensor._trusted((L.dim,), (((i,), v) for i, v in enumerate(x)))
-    for axis, s in ((0, 1), (1, -1)):
-        d, sums = contract(L.half, axis, vector, 0)
-        for (j, k), v in sums.items():
-            out[k] += Fraction(s * v, d) * y[j]
+    for (i, j, k), v in L.half.entries:
+        out[k] += v * (x[i] * y[j] - x[j] * y[i])
     return tuple(out)
 
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import DimensionMismatch, ShapeMismatch, UnsupportedDegree
-from .tensors import Tensor, contract
+from .tensors import Tensor
 
 MAX_DEGREE = 3
 
@@ -138,9 +138,14 @@ def ce_d(L, form):
     if form.dim != L.dim:
         raise DimensionMismatch("form and algebra dimensions differ")
     # each differential is minus int sums over d: the sums over -d
-    if form.degree == 1:    # the half of a 1-form is the whole form
-        d, sums = contract(L.half, 2, form.half, 0)
-        return KForm(2, Tensor._over((L.dim,) * 2, -d, sums))
+    if form.degree == 1:
+        # (d a)(e_i, e_j) = -(the sum over k of c[i, j, k] a_k), i < j
+        (dc, half), (da, a) = L.half._ints, form.half._ints
+        a, sums = {k: v for (k,), v in a}, {}
+        for (i, j, k), v in half:
+            if k in a:
+                sums[i, j] = sums.get((i, j), 0) + v * a[k]
+        return KForm(2, Tensor._over((L.dim,) * 2, -dc * da, sums))
     if form.degree == 2:
         # (d w)(X, Y, Z) = -(w([X, Y], Z) + w([Y, Z], X) + w([Z, X], Y)):
         # w([e_x, e_y], e_z), x < y, the sum over m of c[x, y, m] w[m, z],

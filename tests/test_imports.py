@@ -5,12 +5,13 @@ or class is exported or read somewhere.
 
 No linter ships with the test extra, so this walks each module's syntax
 tree with the standard library: an imported name that no expression
-reads, or an underscore-named definition that no module reads, is dead
-weight, often left behind when a caller is deleted.  So is an
-underscore-named method or cached property, such as a view a Tensor
-caches, that nothing in the library reads as an attribute, and a public
-function or class that the package root does not export and that
-nothing in the library, the tests, the demos or the benchmark reads.
+reads, or an underscore-named definition that no module reads by name
+or through the module, is dead weight, often left behind when a caller
+is deleted.  So is an underscore-named method or cached property, such
+as a view a Tensor caches, that nothing in the library reads as an
+attribute, and a public function or class that the package root does
+not export and that nothing in the library, the tests, the demos or the
+benchmark reads.
 """
 
 import ast
@@ -73,11 +74,34 @@ def read_names(trees):
     return read
 
 
+def module_reads(trees):
+    """Every name the trees read by name, or as an attribute of a name
+    that an import in the same tree binds to a module: a._f after
+    import a, but not t._f on a value t."""
+    read = set()
+    for tree in trees.values():
+        modules = {alias.asname or alias.name.split(".")[0]
+                   for node in ast.walk(tree) if isinstance(node, ast.Import)
+                   for alias in node.names}
+        modules |= {alias.asname or alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom)
+                    for alias in node.names if alias.name in trees}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in modules):
+                read.add(node.attr)
+    return read
+
+
 def unread_private_definitions(trees):
     """(module, line, name) of each underscore-named module-level
     function, class or assigned constant, dunders aside, that no module
-    reads, by name or as an attribute."""
-    read = read_names(trees.values())
+    reads, by name or as an attribute of the module."""
+    read = module_reads(trees)
     return sorted((module, node.lineno, name)
                   for module, tree in trees.items() for node in tree.body
                   for name in defined_names(node)
@@ -96,11 +120,12 @@ def test_an_unread_private_definition_is_reported():
                             "class _Gone: pass\ndef public(): pass\n"
                             "_LIMIT = 3\n_READ, _UNREAD = 1, 2\n"
                             "_TYPED: int = 4\nPUBLIC = _READ\n"
-                            "__all__ = []\n"),
-             "b": ast.parse("import a\na._used()\n")}
+                            "__all__ = []\ndef _mirrored(n): pass\n"),
+             "b": ast.parse("import a\na._used()\n"
+                            "t = a.public()\nt._mirrored\n")}
     assert unread_private_definitions(trees) == [
         ("a", 2, "_dead"), ("a", 3, "_Gone"), ("a", 5, "_LIMIT"),
-        ("a", 6, "_UNREAD"), ("a", 7, "_TYPED")]
+        ("a", 6, "_UNREAD"), ("a", 7, "_TYPED"), ("a", 10, "_mirrored")]
 
 
 def unread_private_members(trees):
