@@ -30,8 +30,8 @@ from .algebra import (LieAlgebra, Witness, _bracket_row, jacobi_check,
 from .errors import (DimensionMismatch, InputError, MissingPieces, NoLeeForm,
                      NotAlmostComplex, ShapeMismatch, UnsupportedDegree)
 from .forms import KForm, ce_d
-from .tensors import (Infeasible, Tensor, _as_q, _bareiss, _eliminate, det,
-                      leading_minors, null_vector)
+from .tensors import (Infeasible, Tensor, _as_q, _bareiss, _symmetric_minors,
+                      det, leading_minors, null_vector)
 
 _ZERO = Fraction(0)
 
@@ -93,7 +93,7 @@ class Metric:
                                     for i in range(n)])
 
     def is_positive_definite(self):
-        return all(m > 0 for m in leading_minors(self.g))
+        return all(m > 0 for m in _symmetric_minors(self.g))
 
 
 @dataclass(frozen=True)
@@ -375,9 +375,14 @@ def comparison_tensor(metric):
 def constant_curvature(connection, metric):
     """Fit one exact c with R = c K, "degenerate" on a singular metric."""
     _same_base(connection.base, metric.base)
-    if det(metric.g) == 0:
+    if _degenerate(metric.g, _symmetric_minors(metric.g)):
         return CurvatureFit("degenerate")
     return _curvature_scan(connection, metric)[1]
+
+
+def _degenerate(g, minors):
+    """det g == 0: the last of a full list of leading minors, else det."""
+    return (minors[-1] if 0 < len(minors) == g.shape[0] else det(g)) == 0
 
 
 def _curvature_scan(connection, metric=None):
@@ -589,9 +594,10 @@ def lee_form_solve(L, omega):
 # an output, subtracts them as they are).  So an entry costs O(n) and a
 # slice O(n^2) (a Nijenhuis slice O(n^3) for a dense J and c) where the
 # whole tensor costs up to O(n^5).  A minor is eliminated again from its
-# leading block, and a Lee certificate y is checked on the rows where it
-# is nonzero alone, each rebuilt from omega's half, c's half and the
-# d omega recheck, so y . A = 0 and y . b cost O(n) a nonzero entry.
+# leading block by the general pass, not the verdict's symmetric one, and
+# a Lee certificate y is checked on the rows where it is nonzero alone,
+# each rebuilt from omega's half, c's half and the d omega recheck, so
+# y . A = 0 and y . b cost O(n) a nonzero entry.
 
 def _basis_indices(idx, arity, dim):
     """idx as arity int basis positions below dim, else ShapeMismatch."""
@@ -1014,7 +1020,7 @@ def classify(L, connection=None, metric=None, complex_structure=None,
 
     if metric is not None:
         _same_base(L, metric.base)
-        g_elim = _eliminate(metric.g)   # minors and det g from one pass
+        g_minors = _symmetric_minors(metric.g)
 
     if connection is not None:
         _same_base(L, connection.base)
@@ -1022,7 +1028,7 @@ def classify(L, connection=None, metric=None, complex_structure=None,
                                         _torsion_blocks(connection)))
         fitted = None
         if metric is not None:
-            if g_elim.det == 0:
+            if _degenerate(metric.g, g_minors):
                 fit = CurvatureFit("degenerate")
             else:
                 fitted = metric
@@ -1032,7 +1038,7 @@ def classify(L, connection=None, metric=None, complex_structure=None,
 
     if metric is not None:
         witnesses.append(_positive("positive_definite", metric.g,
-                                   g_elim.minors, kernel=True))
+                                   g_minors, kernel=True))
 
     if connection is not None and metric is not None:
         witnesses += [codazzi_check(connection, metric), fit.witness]
@@ -1067,7 +1073,7 @@ def classify(L, connection=None, metric=None, complex_structure=None,
             witnesses.append(
                 _asymmetry("pairing_symmetry", pairing)
                 or _positive("pairing_positive", pairing,
-                             leading_minors(pairing)))
+                             _symmetric_minors(pairing)))
 
     witnesses = tuple(w for w in witnesses if w is not None)
     refuted = {CLAIMS[w.claim].flag for w in witnesses}

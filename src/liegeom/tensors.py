@@ -32,6 +32,10 @@ solution with free variables zero and a kernel vector off the pivot rows
 by integer back-substitution.  Rows off the pivots are checked against
 that solution; when A x = b has none, the certificate is solved on ints
 from the pivot block of the rows as first read.
+
+The positivity verdicts read their minors off _symmetric_minors, a
+fraction-free LDL^T on the lower triangle alone, half the work; the
+public routines and the rechecks of those verdicts keep the general pass.
 """
 
 from __future__ import annotations
@@ -251,7 +255,7 @@ class Infeasible:
 
 
 # One pass over A x = b yields a LinearSolution or Infeasible; one that
-# does not solve, det (if A is square), the minors and a kernel vector.
+# does not solve, det (if A is square), a kernel vector, or the minors.
 _Elimination = namedtuple("_Elimination", "outcome det minors kernel")
 
 
@@ -268,19 +272,22 @@ def _eliminate(matrix, rhs=None, minors_only=False):
     rows = [[(ncols, x)] if x else [] for x in b]
     for (i, j), value in matrix.entries:
         rows[i].append((j, value))
+    return _bareiss(lambda i: _cleared(rows[i]), nrows, ncols,
+                    rhs is not None, minors_only)
 
-    def load(i):
-        d = math.lcm(*[v.denominator for _, v in rows[i]])
-        return {j: v.numerator * (d // v.denominator) for j, v in rows[i]}, d
 
-    return _bareiss(load, nrows, ncols, rhs is not None, minors_only)
+def _cleared(row):
+    """({j: int}, d): a row's (j, Fraction) pairs times d, the lcm of
+    their denominators."""
+    d = math.lcm(*[v.denominator for _, v in row])
+    return {j: v.numerator * (d // v.denominator) for j, v in row}, d
 
 
 def _bareiss(load, nrows, ncols, solve=True, minors_only=False):
     """The one fraction-free, left-looking pass over A x = b.  With solve
-    it gives only the outcome; without, b = 0 and it reads det, a kernel
-    vector and the leading minors, up to the first zero one, where
-    minors_only stops it.
+    it gives only the outcome; without, b = 0 and it reads det and a
+    kernel vector, or with minors_only the leading minors, up to the
+    first zero one, where it stops.
 
     load(r) is row r of [A | b] as (ints, d): its nonzero entries times
     d > 0, b_r at column ncols.  First read, a row is divided by its
@@ -335,14 +342,14 @@ def _bareiss(load, nrows, ncols, solve=True, minors_only=False):
 
     for col in range(ncols):
         rank = len(pivots)
-        if not solve and col < nrows and (not minors or minors[-1]):
+        if minors_only and col < nrows:
             r = order[col]
             entry = reduced(r, True).get(col, 0)
             g, d = scales[r]
             q = math.gcd(d, g)
             num, dnm = num * (d // q), dnm * (g // q)
             minors.append(Fraction(entry * dnm, num))
-            if minors_only and not minors[-1]:
+            if not minors[-1]:
                 return _Elimination(None, None, tuple(minors), None)
         at = next((k for k in range(rank, nrows) if (
             (row := rows[order[k]]) is None or row)
@@ -425,6 +432,43 @@ def leading_minors(matrix):
     stops there.
     """
     return list(_eliminate(_square(matrix), minors_only=True).minors)
+
+
+def _symmetric_minors(matrix):
+    """leading_minors of a symmetric matrix by a left-looking, fraction-
+    free LDL^T.  Row r, read whole and cleared of its denominators and
+    content (sigma_r = d_r / g_r), keeps its lower part as a dense int
+    list at a level e, which a zero multiplier leaves as it is.  At step
+    s a multiplier f stands for f p_{s-1} / e, so pivot row s's entry at
+    column r is, by symmetry, f p_{s-1} / e sigma_s / sigma_r, exact."""
+    rows = [[] for _ in range(matrix.shape[0])]
+    for (i, j), value in matrix.entries:
+        rows[i].append((j, value))
+    pivots, uppers, minors = [1], [], []
+    num = dnm = 1   # the products of the rows' d and g read so far
+    for r, row in enumerate(rows):
+        ints, d = _cleared(row)
+        g = math.gcd(*ints.values()) or 1
+        x, e = [0] * (r + 1), 1
+        for j, v in ints.items():
+            if j <= r:
+                x[j] = v // g
+        for s, (upper, gs, ds) in enumerate(uppers):
+            f = x[s]
+            upper.append(f and f * pivots[s] * ds * g // (e * gs * d))
+            if f:
+                p = pivots[s + 1]
+                x[s + 1:] = [(p * a - f * b) // e
+                             for a, b in zip(x[s + 1:], upper)]
+                e = p
+        q = math.gcd(d, g)
+        num, dnm = num * (d // q), dnm * (g // q)
+        pivots.append(x[r] * pivots[r] // e)
+        minors.append(Fraction(pivots[-1] * dnm, num))
+        if not pivots[-1]:
+            break
+        uppers.append(([], g, d))
+    return minors
 
 
 def null_vector(matrix):

@@ -17,7 +17,7 @@ from liegeom import (ComplexStructure, Connection, CurvatureFit,
                      constant_curvature, curvature, document_from, double,
                      get_example, lck_family, nabla_g, nijenhuis, parse,
                      serialize, torsion, witness_residual)
-from liegeom import algebra, forms, geometry
+from liegeom import forms, geometry, tensors
 from liegeom.cli import run_command
 from liegeom.geometry import lee_form_solve, pairing_rows
 from liegeom.tensors import det
@@ -391,7 +391,9 @@ def test_degeneracy_is_read_from_the_determinant():
 
 
 def test_classify_reads_det_off_a_full_list_of_leading_minors(monkeypatch):
-    # the last of n leading minors is det g, so no second elimination runs
+    # the last of n leading minors is det g, so no second elimination runs,
+    # in classify and in constant_curvature; det runs only when the list
+    # stops short
     calls = []
 
     def counted(matrix):
@@ -408,7 +410,13 @@ def test_classify_reads_det_off_a_full_list_of_leading_minors(monkeypatch):
     report = classify(entry.algebra, connection=entry.connection,
                       metric=singular)
     assert report.constant_curvature.kind == "degenerate"
+    assert constant_curvature(entry.connection, entry.metric) == CurvatureFit(
+        "constant", Q(-1))
+    assert constant_curvature(entry.connection, singular).kind == "degenerate"
     assert calls == []
+    swapped = Metric.from_rows(entry.algebra, [[0, 1], [1, 0]])
+    assert constant_curvature(entry.connection, swapped).kind != "degenerate"
+    assert calls == [swapped.g]
 
 
 def test_classify_kahler_on_abelian_plane():
@@ -837,17 +845,19 @@ def _every_claim_witnessed():
 
 def test_rechecks_do_not_call_the_kernels_behind_the_verdict(monkeypatch):
     # one witness of every claim, found by classify first; the rechecks
-    # then run with the bracket, the tensor builders, the Lee system
-    # builders and their block kernels disabled
+    # then run with the tensor builders, the Lee system builders, their
+    # block kernels and the symmetric minors pass of the positivity
+    # verdicts disabled, so a minor is rechecked by the general pass
     witnesses = _every_claim_witnessed()
     assert any(w.claim == "positive_definite" and w.detail
                for w, _ in witnesses)
-    monkeypatch.setattr(algebra, "bracket", _raise)
+    monkeypatch.setattr(tensors, "_symmetric_minors", _raise)
     for name in ("curvature", "nabla_g", "nijenhuis", "torsion",
                  "pairing_rows", "comparison_tensor", "ce_d",
                  "_torsion_blocks", "_curvature_blocks", "_nabla_g_blocks",
                  "_comparison_blocks", "_nijenhuis_blocks",
-                 "lee_form_system", "_lee_rows", "_bareiss"):
+                 "lee_form_system", "_lee_rows", "_bareiss",
+                 "_symmetric_minors"):
         monkeypatch.setattr(geometry, name, _raise)
     for witness, pieces in witnesses:
         assert witness_residual(witness, **pieces) == witness.residual
@@ -998,15 +1008,15 @@ def test_lee_rows_unrank_in_lexicographic_order(n, size):
 
 # -- classify judges each matrix once ---------------------------------------
 
-def _count_calls(monkeypatch, *names):
-    """Wrap each named geometry function so that its calls are counted."""
+def _count_calls(monkeypatch, *names, module=geometry):
+    """Wrap each named function of module so that its calls are counted."""
     calls = Counter()
     for name in names:
-        def counted(*args, name=name, f=getattr(geometry, name), **kwargs):
+        def counted(*args, name=name, f=getattr(module, name), **kwargs):
             calls[name] += 1
             return f(*args, **kwargs)
 
-        monkeypatch.setattr(geometry, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -1020,10 +1030,13 @@ def test_classify_reads_a_minor_off_its_one_elimination(monkeypatch):
     L = LieAlgebra.abelian(tuple(f"e{i}" for i in range(n)))
     g = Metric.from_rows(L, [[sum(P[i][m] * D[m] * P[j][m] for m in range(n))
                               for j in range(n)] for i in range(n)])
-    calls = _count_calls(monkeypatch, "_eliminate", "leading_minors",
-                         "_minor")
+    # that one elimination is the symmetric pass: the general one, behind
+    # det, leading_minors and the recheck _minor, does not run
+    calls = _count_calls(monkeypatch, "_symmetric_minors", "det",
+                         "leading_minors", "_minor")
+    general = _count_calls(monkeypatch, "_eliminate", module=tensors)
     (witness,) = classify(L, metric=g).witnesses
-    assert calls == Counter({"_eliminate": 1})
+    assert calls == Counter({"_symmetric_minors": 1}) and not general
     assert (witness.claim, witness.indices, witness.residual) == (
         "positive_definite", (n,), -1)
     assert witness_residual(witness, metric=g) == -1

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -18,8 +19,8 @@ from liegeom import (AlgebraDocument, Connection, FormBlock, InexactValue,
 from liegeom.constructions import _pairing_form, double
 from liegeom.geometry import lee_form_solve, lee_form_system
 from liegeom import tensors
-from liegeom.tensors import (_eliminate, _numerators, det, leading_minors,
-                             null_vector)
+from liegeom.tensors import (_eliminate, _numerators, _symmetric_minors, det,
+                             leading_minors, null_vector)
 
 Q = Fraction
 
@@ -594,6 +595,119 @@ def test_minors_at_positivity_sizes_match_the_reference(positive):
     assert minors == reference_minors(g)
     assert all(m > 0 for m in minors) == positive
     assert det(matrix(g)) == reference.det(g)
+
+
+# -- the symmetric pass behind the positivity verdicts ----------------------
+
+small = st.sampled_from([Q(0), Q(1), Q(-1), Q(2), Q(-3), Q(1, 2), Q(-5, 4)])
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric rows, dims 0 to 8: D^-1 G D^-1 with one prime or 1 per
+    row of D, G either drawn entry by entry, sparse or dense, or built as
+    U diag(h) U^T with U unit lower triangular, so that a zero h_k makes
+    the leading block of size k + 1 singular, and a zero or negative h_0
+    the first minor."""
+    n = draw(st.integers(0, 8))
+    zero_share = draw(st.sampled_from([0, 1, 2, 3]))   # in quarters
+    entry = st.one_of(st.just(Q(0)), small) if zero_share < 3 else (
+        st.sampled_from([Q(0)] * 3 + [Q(1), Q(-2), Q(1, 3)]))
+    if draw(st.booleans()):
+        g = [[Q(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1):
+                g[i][j] = g[j][i] = (draw(entry) if draw(st.integers(0, 3))
+                                     >= zero_share else Q(0))
+    else:
+        u = [[draw(entry) if j < i else Q(i == j) for j in range(n)]
+             for i in range(n)]
+        h = [draw(small) for _ in range(n)]
+        g = [[sum((u[i][k] * h[k] * u[j][k] for k in range(n)), Q(0))
+              for j in range(n)] for i in range(n)]
+    p = [draw(st.sampled_from([1, 2, 3, 5, 7, 11])) for _ in range(n)]
+    return [[g[i][j] / (p[i] * p[j]) for j in range(n)] for i in range(n)]
+
+
+@ORACLE
+@given(symmetric_matrices())
+@example([])
+@example(_q_rows([[0, 1], [1, 0]]))                   # a zero first minor
+@example(_q_rows([[-2, 1], [1, 3]]))                  # a negative one
+@example(_q_rows([[1, 1, 0], [1, 1, 2], [0, 2, 1]]))  # singular 2 x 2 block
+# row 2 skips step 0 and is combined at step 1 from level 1, not p_0 = 2
+@example(_q_rows([[2, 3, 0], [3, 7, 1], [0, 1, 5]]))
+# rows of coprime denominators and contents: sigma differs row by row
+@example([[Q(1, 4), Q(1, 6), Q(2, 10)], [Q(1, 6), Q(3, 9), Q(1, 15)],
+          [Q(2, 10), Q(1, 15), Q(7, 25)]])
+def test_the_symmetric_pass_matches_the_reference(rows):
+    # equal to the dense reference, cut after its first zero minor, and
+    # to the general pass that leading_minors runs
+    a = matrix(rows)
+    assert _symmetric_minors(a) == reference_minors(rows) == leading_minors(a)
+
+
+def _bits_held_in_lists(f, *args):
+    """f(*args) and the largest bit length of any int that f's own frame
+    holds in a list, nested up to three deep, at each line it runs."""
+    bits = [0]
+
+    def scan(value, depth=0):
+        if type(value) is int:
+            bits[0] = max(bits[0], value.bit_length())
+        elif isinstance(value, (list, tuple)) and depth < 3:
+            for item in value:
+                scan(item, depth + 1)
+
+    def local(frame, event, arg):
+        for value in frame.f_locals.values():
+            if isinstance(value, list):
+                scan(value)
+        return local
+
+    outer = sys.gettrace()
+    sys.settrace(lambda frame, event, arg:
+                 local if frame.f_code is f.__code__ else None)
+    try:
+        result = f(*args)
+    finally:
+        sys.settrace(outer)
+    return result, bits[0]
+
+
+def test_the_symmetric_pass_keeps_its_ints_as_small_as_the_general_pass():
+    # the per-row-prime 24 x 24 metric of the general pass's size guard:
+    # the symmetric pass's rows, pivots and symmetric entries stay within
+    # the 4102 bits of the general pass's largest row entry
+    rng = random.Random(3)
+    n = 24
+    a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+    primes = [p for p in range(101, 228) if all(p % q for q in range(2, 16))]
+    g = [[Q(sum(a[k][i] * a[k][j] for k in range(n)) + (i == j),
+            primes[i] * primes[j]) for j in range(n)] for i in range(n)]
+    minors, bits = _bits_held_in_lists(_symmetric_minors, matrix(g))
+    assert minors == reference_minors(g)
+    assert 0 < bits <= 4102
+
+
+def test_the_symmetric_pass_converts_only_the_rows_it_reads(monkeypatch):
+    # as leading_minors does: a zero g[0, 0] ends the pass after row 0,
+    # whose entries alone have their denominators read
+    g = _metric_rows(24, True, random.Random(24))
+    g[0][0] = Q(0)
+    a = matrix(g)
+    read, whole = [], []
+    denominator = Fraction.denominator.fget
+    monkeypatch.setattr(Fraction, "denominator", property(
+        lambda q: read.append(q) or denominator(q)))
+    monkeypatch.setattr(tensors, "_numerators", lambda pairs: whole.append(
+        len(pairs)) or _numerators(pairs))
+    monkeypatch.setattr(Tensor, "_ints", property(
+        lambda t: whole.append(t.shape) or _numerators(t.entries)))
+    minors = _symmetric_minors(a)
+    assert {id(q) for q in read} == {
+        id(v) for (i, _), v in a.entries if i == 0}
+    assert (whole, minors) == ([], [Q(0)])
 
 
 def test_elimination_shape_errors(monkeypatch):
