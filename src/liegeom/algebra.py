@@ -2,11 +2,11 @@
 
 [e_i, e_j] is sum_k c[i, j, k] e_k.  An algebra holds the half of c a
 document lists, its nonzero entries with i < j, so the bracket is
-antisymmetric by construction.  The kernels and the rechecks read the
-half, c[y, x, .] as minus c[x, y, .]; the full tensor c is derived on
-first read, for a caller that asks for it.  The Jacobi identity
-deliberately is not enforced, so a candidate bracket can be built first
-and judged afterwards with jacobi_check.
+antisymmetric by construction.  The kernels here and the rechecks in
+check read the half, c[y, x, .] as minus c[x, y, .]; the full tensor c
+is derived on first read, for a caller that asks for it.  The Jacobi
+identity deliberately is not enforced, so a candidate bracket can be
+built first and judged afterwards with jacobi_check.
 """
 
 from __future__ import annotations
@@ -116,31 +116,6 @@ class Witness:
     indices: tuple
     residual: object
     detail: tuple = ()
-
-
-def _bracket_row(half, x, y, n):
-    """c[x, y, m] at each m < n, None where zero, read off half, a dict
-    of c's entries at i < j: negated when x > y, zero when x = y."""
-    if x < y:
-        return [half.get((x, y, m)) for m in range(n)]
-    return [-v if x > y and (v := half.get((y, x, m))) else None
-            for m in range(n)]
-
-
-def jacobi_residual(L, i, j, k):
-    """[[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j] for basis
-    positions i, j, k, read off the int numerators of c's half over d: at
-    each l, the sum over m of c[x, y, m] c[m, z, l] over the cyclic
-    orders (x, y, z) of (i, j, k), over d^2."""
-    (d, half), n = L.half._ints, L.dim
-    half, total = dict(half), [0] * n
-    for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-        for m, v in enumerate(_bracket_row(half, x, y, n)):
-            if v:
-                for l, w in enumerate(_bracket_row(half, m, z, n)):
-                    if w:
-                        total[l] += v * w
-    return tuple(Fraction(t, d * d) for t in total)
 
 
 def _jacobi_blocks(L):

@@ -19,9 +19,10 @@ from fractions import Fraction
 from functools import cached_property
 
 from .algebra import LieAlgebra, jacobi_check
+from .check import CLAIMS
 from .constructions import double
 from .errors import BadParameters, InexactValue, UnknownExample
-from .geometry import CLAIMS, FLAGS, Connection, Metric, classify, nijenhuis
+from .geometry import FLAGS, Connection, Metric, classify, nijenhuis
 from .rationals import format_rational
 from .tensors import _as_q
 

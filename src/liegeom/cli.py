@@ -26,12 +26,13 @@ from fractions import Fraction
 
 from .algebra import jacobi_check
 from .catalog import get_example, list_examples
+from .check import CLAIMS
 from .constructions import (SurdPair, cone_extend, double,
                             kahler_form_from_hessian, lck_family,
                             solve_lambda)
 from .errors import (BadParameters, InputError, LieGeomError, MissingPieces,
                      NoRealSolution, ValidationError, VerdictError)
-from .geometry import CLAIMS, classify
+from .geometry import classify
 from .io import document_from, parse, serialize
 from .rationals import format_rational, parse_rational
 

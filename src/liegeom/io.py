@@ -264,14 +264,8 @@ def _entry_loop(raw, name, arity, dim, ordered):
             _refuse("{} must have strictly increasing indices", name, pos)
         if idx in seen:
             _refuse(f"duplicate index {idx} at {{}}", name, pos)
-        # a zero is recorded too, so a duplicate is caught in either order;
-        # what the one match cannot read, _rational refuses with its reason
-        text = item[arity]
-        match = type(text) is str and _RATIONAL_RE.fullmatch(text)
-        try:
-            seen[idx] = Fraction(int(match[1]), int(match[2] or 1))
-        except (TypeError, ValueError, ZeroDivisionError):
-            seen[idx] = _rational(text, f"{name}[{pos}]")
+        # a zero is recorded too, so a duplicate is caught in either order
+        seen[idx] = _rational(item[arity], f"{name}[{pos}]")
     return tuple(sorted((idx, v) for idx, v in seen.items() if v))
 
 

@@ -85,12 +85,12 @@ class Tensor:
             raise ShapeMismatch(f"negative axis in {shape}")
         pairs = tuple(self.entries)
         values = {tuple(idx): value for idx, value in pairs}
-        # arity, range and repeats column by column; the scan per pair,
-        # values included, runs only to raise the first fault in order
+        # arity, int type, range and repeats column by column; the scan
+        # per pair, values included, runs only to raise the first fault
         if len(values) < len(pairs) or not (
                 set(map(len, values)) <= {len(shape)} and all(
-                    0 <= min(col) and max(col) < n
-                    for col, n in zip(zip(*values), shape))):
+                    set(map(type, col)) == {int} and 0 <= min(col)
+                    and max(col) < n for col, n in zip(zip(*values), shape))):
             seen = set()
             for idx, value in pairs:
                 idx = tuple(idx)
@@ -120,9 +120,12 @@ class Tensor:
     def _check_index(self, idx):
         if len(idx) != len(self.shape):
             raise ShapeMismatch(f"index {idx} for shape {self.shape}")
-        if not all(0 <= i < n for i, n in zip(idx, self.shape)):
+        # exact types: a bool or a float equal to an int is no index
+        if not all(type(i) is int and 0 <= i < n
+                   for i, n in zip(idx, self.shape)):
             raise ShapeMismatch(
-                f"index {idx} out of range for shape {self.shape}")
+                f"index {idx} is not all ints" if set(map(type, idx)) - {int}
+                else f"index {idx} out of range for shape {self.shape}")
 
     # -- construction ------------------------------------------------------
 

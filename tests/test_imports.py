@@ -11,7 +11,8 @@ is deleted.  So is an underscore-named method or cached property, such
 as a view a Tensor caches, that nothing in the library reads as an
 attribute, and a public function or class that the package root does
 not export and that nothing in the library, the tests, the demos or the
-benchmark reads.
+benchmark reads.  The checker, check.py, imports from the package only
+what its import rule allows, so no recheck can call a verdict kernel.
 """
 
 import ast
@@ -203,3 +204,61 @@ def test_an_unexported_unread_public_definition_is_reported():
     exported = exported_names(ast.parse("from .a import shown as shown\n"))
     assert unread_public_definitions(modules, readers, exported) == [
         ("a", 2, "dead"), ("a", 3, "Gone")]
+
+
+# What check.py may import from the package: errors, and three names of
+# tensors.  leading_minors is allowed because it is the general Bareiss
+# pass, a second formula beside the symmetric pass (_symmetric_minors)
+# that the positivity verdicts read their minors off, so a minor recheck
+# does not repeat the computation it checks.
+CHECK_IMPORTS = {"errors": None,
+                 "tensors": {"Tensor", "_as_q", "leading_minors"}}
+
+
+def package_imports(tree):
+    """(line, module, name) of each import from the package anywhere in
+    a tree: from .m import name, from liegeom.m import name, import
+    liegeom.m (name None) and from . import m (module "")."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "liegeom"):
+            module = (node.module or "").removeprefix("liegeom")
+            out += [(node.lineno, module.lstrip("."), alias.name)
+                    for alias in node.names]
+        elif isinstance(node, ast.Import):
+            out += [(node.lineno, alias.name.removeprefix("liegeom."), None)
+                    for alias in node.names
+                    if alias.name.split(".")[0] == "liegeom"]
+    return sorted(out, key=lambda x: x[0])
+
+
+def forbidden_check_imports(tree):
+    """The package imports of a tree that CHECK_IMPORTS does not allow."""
+    return [(line, module, name)
+            for line, module, name in package_imports(tree)
+            if module not in CHECK_IMPORTS or (
+                CHECK_IMPORTS[module] is not None
+                and name not in CHECK_IMPORTS[module])]
+
+
+def test_the_checker_imports_no_verdict_kernel():
+    from liegeom.check import CLAIMS
+
+    tree = ast.parse((PACKAGE / "check.py").read_text())
+    assert forbidden_check_imports(tree) == []
+    assert {name: claim.recheck.__module__ for name, claim in CLAIMS.items()
+            } == dict.fromkeys(CLAIMS, "liegeom.check")
+
+
+def test_a_forbidden_checker_import_is_reported():
+    tree = ast.parse("from .errors import ShapeMismatch\n"
+                     "from .tensors import Tensor, det\n"
+                     "def _torsion_at(p, idx, detail):\n"
+                     "    from .geometry import _torsion_blocks\n"
+                     "import liegeom.forms\n"
+                     "from . import algebra\n"
+                     "from liegeom.tensors import leading_minors\n")
+    assert forbidden_check_imports(tree) == [
+        (2, "tensors", "det"), (4, "geometry", "_torsion_blocks"),
+        (5, "forms", None), (6, "", "algebra")]

@@ -81,6 +81,21 @@ def test_first_fault_in_input_order_is_reported(indices, message):
     assert str(caught.value) == message
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Tensor((2,), [((0.5,), 1)]),
+    lambda: LieAlgebra.from_brackets(("a", "b", "c"), {(0, 1): {1.5: 1}}),
+    lambda: Tensor((2,), [(("a",), 1)]),
+    lambda: Tensor((2, 2), [((0, True), 1)]),
+    lambda: matrix([[1, 2], [3, 4]])[0.5, 1],
+    lambda: matrix([[1, 2], [3, 4]])[True, 0],
+], ids=["float", "float-bracket", "str", "bool", "read-float", "read-bool"])
+def test_a_non_int_index_is_refused(build):
+    # neither stored nor read as the int it compares equal to, and a str
+    # raises no bare TypeError from the range check
+    with pytest.raises(ShapeMismatch, match="not all ints"):
+        build()
+
+
 def test_symmetry_tag_validated():
     # a Metric refuses an entry whose mirror image differs or is missing
     with pytest.raises(ShapeMismatch, match="not symmetric"):
