@@ -25,13 +25,14 @@ pass (Bareiss 1968) over int rows, to which geometry hands the Lee rows
 straight from int numerators; a Tensor's row is cleared of its own
 denominators when the pass first reads it.  Each row is divided by its
 content, the gcd of its entries, and reduced only when the pivot search
-or a minor reads it, never when it has no entry in A or b.  det and the
-leading minors behind Sylvester's test, up to the first zero one, come
-off the pivots and each row's content and denominator; the canonical
-solution with free variables zero and a kernel vector off the pivot rows
-by integer back-substitution.  Rows off the pivots are checked against
-that solution; when A x = b has none, the certificate is solved on ints
-from the pivot block of the rows as first read.
+or a minor reads it, never when it has no entry in A or b, nor when a
+search dearer than a back-substitution tests it by its residual.  det
+and the leading minors behind Sylvester's test, up to the first zero
+one, come off the pivots and each row's content and denominator; the
+canonical solution with free variables zero and a kernel vector off the
+pivot rows by integer back-substitution.  Rows off the pivots are
+checked against that solution; when A x = b has none, the certificate is
+solved on ints from the pivot block of the rows as first read.
 
 The positivity verdicts read their minors off _symmetric_minors, a
 fraction-free LDL^T on the lower triangle alone, half the work; the
@@ -306,12 +307,17 @@ def _bareiss(load, nrows, ncols, solve=True, minors_only=False):
     pivots, swaps and minors are the right-looking pass's; the minors
     and det undo that and take each row's g / d back.  With d the last
     pivot, the pivot rows back-substitute X_k = (d b_k - sum over m > k
-    of a_{k, p_m} X_m) / a_{k, p_k} exactly, and x = X / d.  A row off
-    the pivots would reduce to a nonzero multiple of b_r - A_r x: it is
-    consistent iff A_r X = d b_r, as it stands.  For the first that is
-    not, z solves sum_k z_k P_{tops[k]} = -P_bad on the pivot columns, an
-    invertible block: P_bad + sum_k z_k P_{tops[k]} clears A, and scaled
-    to the rows of [A | b] with y_bad = 1 it is the only such certificate.
+    of a_{k, p_m} X_m) / a_{k, p_k} exactly, and x = X / d.  So does
+    back(j) for column j of A mid-pass: the steps so far are the whole
+    pass over the pivot rows alone, d their block's determinant.  Row r
+    holds j once reduced iff its residual d a_rj - A_r X is nonzero, on
+    r as it stands, as pivot rows give 0; a search that has paid more
+    combines than back walks rows tests the rest so, reducing only the
+    pivot.  A row off the pivots is consistent iff it holds no b.  For
+    the first that is not, z solves sum_k z_k P_{tops[k]} = -P_bad on
+    the pivot columns, an invertible block: P_bad + sum_k z_k P_{tops[k]}
+    clears A, and scaled to the rows of [A | b] with y_bad = 1 it is the
+    only such certificate.
     """
     rows = [None] * nrows       # row r as reduced so far, once read
     firsts, scales = [None] * nrows, [None] * nrows     # P_r, (g, d)
@@ -319,6 +325,7 @@ def _bareiss(load, nrows, ncols, solve=True, minors_only=False):
     order = list(range(nrows))      # order[position] = row
     steps, pivots, minors = [], [], []
     sign = prev = 1
+    combines = 0    # _combine calls so far
     num = dnm = 1   # the rows the minors read are scaled by num / dnm
 
     def read(r):    # row r as it stands; P_r and its scale when first read
@@ -334,14 +341,28 @@ def _bareiss(load, nrows, ncols, solve=True, minors_only=False):
         row, e = read(r), levels[r]     # scaled to the level prev
         if not row:
             return row
+        nonlocal combines
         for col, p, top in steps[taken[r]:]:
             f = row.get(col)
             if f:
                 row, e = _combine(p, row, f, top, e), p
+                combines += 1
         if scaled and e != prev:
             row, e = {j: v * prev // e for j, v in row.items()}, prev
         rows[r], levels[r], taken[r] = row, e, len(steps)
         return row
+
+    def back(j):    # X = d x on the pivots, A x = column j of [A | b]
+        dx = {}
+        for col, p, top in reversed(steps):
+            later = sum(v * dx[c] for c, v in top.items() if c in dx)
+            dx[col] = (prev * top.get(j, 0) - later) // p
+        return dx
+
+    def holding(j, X, at):  # first k >= at whose row, reduced, holds j
+        return next((k for k in range(at, nrows) if (row := read(order[k]))
+                     and prev * row.get(j, 0) != sum(
+                         v * X[c] for c, v in row.items() if c in X)), nrows)
 
     for col in range(ncols):
         rank = len(pivots)
@@ -354,10 +375,13 @@ def _bareiss(load, nrows, ncols, solve=True, minors_only=False):
             minors.append(Fraction(entry * dnm, num))
             if not minors[-1]:
                 return _Elimination(None, None, tuple(minors), None)
+        budget = combines + rank    # a back-substitution walks rank rows
         at = next((k for k in range(rank, nrows) if (
-            (row := rows[order[k]]) is None or row)
-                   and col in reduced(order[k])), None)
-        if at is None:
+            (row := rows[order[k]]) is None or row) and (
+                col in reduced(order[k]) or combines > budget)), nrows)
+        if at < nrows and col not in rows[order[at]]:   # over budget
+            at = holding(col, back(col), at + 1)
+        if at == nrows:
             continue
         if at != rank:
             order[rank], order[at] = order[at], order[rank]
@@ -367,31 +391,22 @@ def _bareiss(load, nrows, ncols, solve=True, minors_only=False):
         steps.append((col, prev, top))
         pivots.append(col)
 
-    def back(j):    # X = d x on the pivots, A x = column j of [A | b]
-        dx = {}
-        for col, p, top in reversed(steps):
-            later = sum(v * dx[c] for c, v in top.items() if c in dx)
-            dx[col] = (prev * top.get(j, 0) - later) // p
-        return dx
-
     def over_d(dx):
         return [Fraction(dx[c], prev) if c in dx else _ZERO
                 for c in range(ncols)]
 
     rank = len(pivots)
     dx = back(ncols) if solve else {}
-    bad = next((r for r in order[rank:] if solve and (row := read(r))
-                and prev * row.get(ncols, 0) != sum(
-                    v * dx[c] for c, v in row.items() if c in dx)), None)
+    at = holding(ncols, dx, rank) if solve else nrows
     free = tuple(c for c in range(ncols) if c not in pivots)
-    if bad is None:
+    if at == nrows:
         outcome = LinearSolution(tuple(over_d(dx)), tuple(pivots), free)
     else:
-        tops = order[:rank] + [bad]     # the pivot block, transposed
+        tops = order[:rank] + [order[at]]   # the pivot block, transposed
         block = [({k: v if k < rank else -v for k, r in enumerate(tops)
                    if (v := firsts[r].get(j))}, 1) for j in pivots]
         z = _bareiss(block.__getitem__, rank, rank).outcome.values + (1,)
-        g, d = scales[bad]
+        g, d = scales[tops[-1]]
         y = [_ZERO] * nrows
         for r, v in zip(tops, z):
             y[r] = v * Fraction(g * scales[r][1], d * scales[r][0])

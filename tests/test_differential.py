@@ -30,7 +30,8 @@ from liegeom import (ComplexStructure, Connection, Infeasible, KForm,
                      witness_residual)
 from liegeom.geometry import (codazzi_check, comparison_tensor,
                               lee_form_system, pairing_rows)
-from liegeom.tensors import _bareiss, _numerators, leading_minors
+from liegeom.tensors import (_bareiss, _numerators, det, leading_minors,
+                             null_vector)
 
 Q = Fraction
 
@@ -574,6 +575,65 @@ def test_tall_certificates_match_the_reference(system):
         assert all(sum(a * b for a, b in zip(y, col)) == 0
                    for col in zip(*rows))
         assert sum(a * b for a, b in zip(y, rhs)) == outcome.residual != 0
+
+
+@st.composite
+def residual_systems(draw):
+    """(rows, rhs): k independent rows, then many rational combinations of
+    them, each with the same combination of b or with b pushed off it,
+    then rows that hold the columns the k rows leave free.  The search
+    for such a column reduces dependent rows until it has paid more
+    combines than a back-substitution walks, and then tests the rest by
+    their residual against a back-substitution with fewer than ncols
+    steps."""
+    ncols = draw(st.integers(2, 6))
+    k = draw(st.integers(1, ncols - 1))
+    leads = sorted(draw(st.lists(st.integers(0, ncols - 1), min_size=k,
+                                 max_size=k, unique=True)))
+    rest = [c for c in range(ncols) if c not in leads]
+    nonzero = values.filter(bool)
+    rows = []
+    for lead in leads:      # echelon rows, each mixed with those above
+        row = [draw(nonzero) if c == lead else
+               draw(values) if c > lead else Q(0) for c in range(ncols)]
+        for above in rows:
+            c = draw(values)
+            row = [x + c * y for x, y in zip(row, above)]
+        rows.append(row)
+    rhs = [draw(values) for _ in rows]
+    for _ in range(draw(st.integers(ncols, 12))):
+        coefficients = [draw(values) for _ in range(k)]
+        rows.append([sum((c * row[j] for c, row in zip(coefficients, rows)),
+                         Q(0)) for j in range(ncols)])
+        rhs.append(sum((c * b for c, b in zip(coefficients, rhs)), Q(0))
+                   + draw(st.sampled_from([Q(0)] * 3 + [Q(1), Q(-2, 3)])))
+    for _ in range(draw(st.integers(1, len(rest)))):
+        held = draw(st.sampled_from(rest))
+        rows.append([draw(nonzero) if c == held else draw(values)
+                     for c in range(ncols)])
+        rhs.append(draw(values))
+    return rows, rhs
+
+
+@settings(max_examples=100, phases=UNSHRUNK)
+@given(residual_systems())
+# x + y, its multiples, one of them off in b, then y + z: column 1's
+# search reduces two multiples, tests the rest by their residual and
+# takes y + z; the row off in b is the certificate's
+@example(([[Q(1), Q(1), Q(0)], [Q(2), Q(2), Q(0)], [Q(1), Q(1), Q(0)],
+           [Q(3), Q(3), Q(0)], [Q(1), Q(1), Q(0)], [Q(0), Q(1), Q(1)]],
+          [Q(1), Q(2), Q(1), Q(3), Q(2), Q(1)]))
+def test_systems_decided_by_residual_match_the_reference(system):
+    rows, rhs = system
+    a = as_matrix(rows)
+    assert solve_linear(a, rhs) == reference.solve_linear(rows, rhs)
+    assert null_vector(a) == reference.null_vector(rows)
+    ncols = len(rows[0])
+    head = as_matrix(rows[:ncols])
+    assert det(head) == reference.det(rows[:ncols])
+    minors = reference.leading_minors(rows[:ncols])
+    zero = next((i for i, m in enumerate(minors) if not m), len(minors))
+    assert leading_minors(head) == minors[:zero + 1]
 
 
 @st.composite

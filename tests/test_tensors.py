@@ -415,8 +415,13 @@ def _in_a_random_basis(L, omega, rng):
     brackets, components = {}, {}
     for a, b in itertools.combinations(range(n), 2):
         image = pulled(L.c, a, b)       # [f_a, f_b] in the basis e
-        brackets[a, b] = dict(enumerate(reference.solve_linear(
-            transposed, [image.get((k,), Q(0)) for k in range(n)]).values))
+        # p^T is unit upper triangular: solve p^T x = image from the last
+        # row up, the one solution reference.solve_linear would return
+        x = [Q(0)] * n
+        for k in reversed(range(n)):
+            x[k] = image.get((k,), Q(0)) - sum(
+                (transposed[k][c] * x[c] for c in range(k + 1, n)), Q(0))
+        brackets[a, b] = dict(enumerate(x))
         components[a, b] = pulled(omega.coefficients, a, b).get((), Q(0))
     return (LieAlgebra.from_brackets(L.basis_labels, brackets),
             KForm.from_components(n, 2, components))
@@ -486,6 +491,26 @@ def test_a_tall_lee_system_combines_few_rows(monkeypatch):
     assert rank == 10 and len(calls) < rows * rank // 3
     assert outcome == reference.solve_linear(
         *reference.lee_form_system(L, omega)[:2])
+
+
+@pytest.mark.parametrize("m", [4, 15], ids=["dim10", "dim32"])
+def test_dependent_lee_rows_are_decided_by_their_residual(monkeypatch, m):
+    # the infeasible Lee systems on R x h(9) and R x h(31), 120 x 10 and
+    # 4960 x 32: the rows (0, j, k) have rank at most n - 1, so the last
+    # column's search would reduce every one of them in full to find it
+    # dependent; once it has paid more combines than a back-substitution
+    # walks, it tests the rest by residual, and the pass, the
+    # certificate's solve included, combines at most rank^2 rows
+    L, omega = _heisenberg_line_pair(m, False, random.Random(m))
+    a, rhs = lee_form_system(L, omega)[:2]
+    calls = _count_combinations(monkeypatch)
+    outcome = solve_linear(a, rhs)
+    assert isinstance(outcome, Infeasible)
+    rank = a.shape[1]
+    assert len(calls) <= rank * rank
+    if m == 4:
+        assert outcome == reference.solve_linear(
+            *reference.lee_form_system(L, omega)[:2])
 
 
 def _count_tensor_builds(monkeypatch):
