@@ -18,8 +18,8 @@ Jacobi read the int numerators c's half and J cache; T, three entries
 an output, subtracts them as they are).  So an entry costs O(n) and a
 slice O(n^2) (a Nijenhuis slice O(n^3) for a dense J and c) where the
 whole tensor costs up to O(n^5).  A minor is eliminated again from its
-leading block by the general pass, not the verdict's symmetric one, and
-a Lee certificate y is checked on the rows where it is nonzero alone,
+leading block by leading_minors, which shares no elimination with the
+verdict's, and a Lee certificate y is checked only on its nonzero rows,
 each rebuilt from omega's half, c's half and the d omega recheck, so
 y . A = 0 and y . b cost O(n) a nonzero entry.  From liegeom it imports
 errors and tensors' Tensor, _as_q and leading_minors, nothing else.

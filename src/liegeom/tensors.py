@@ -19,24 +19,24 @@ N) sum off these views; the differential of a 1-form and J squared sum
 off the numerators themselves.  Each returns int sums, divided once
 per entry of a result.
 
-A matrix is a rank-2 Tensor too.  det, leading_minors, solve_linear and
-null_vector read their answers off one integer-preserving, left-looking
-pass (Bareiss 1968) over int rows, to which geometry hands the Lee rows
+A matrix is a rank-2 Tensor too.  det, solve_linear and null_vector
+read their answers off one integer-preserving, left-looking pass
+(Bareiss 1968) over int rows, to which geometry hands the Lee rows
 straight from int numerators; a Tensor's row is cleared of its own
 denominators when the pass first reads it.  Each row is divided by its
 content, the gcd of its entries, and reduced only when the pivot search
-or a minor reads it, never when it has no entry in A or b, nor when a
-search dearer than a back-substitution tests it by its residual.  det
-and the leading minors behind Sylvester's test, up to the first zero
-one, come off the pivots and each row's content and denominator; the
-canonical solution with free variables zero and a kernel vector off the
-pivot rows by integer back-substitution.  Rows off the pivots are
-checked against that solution; when A x = b has none, the certificate is
-solved on ints from the pivot block of the rows as first read.
+reads it, never when it has no entry in A or b, nor when a search
+dearer than a back-substitution tests it by its residual.  det comes
+off the pivots and each row's content and denominator; the canonical
+solution with free variables zero and a kernel vector off the pivot
+rows by integer back-substitution.  Rows off the pivots are checked
+against that solution; when A x = b has none, the certificate is solved
+on ints from the pivot block of the rows as first read.
 
-The positivity verdicts read their minors off _symmetric_minors, a
-fraction-free LDL^T on the lower triangle alone, half the work; the
-public routines and the rechecks of those verdicts keep the general pass.
+The leading minors behind Sylvester's test come off two passes that
+share no code: the positivity verdicts read them off _symmetric_minors,
+a fraction-free LDL^T on the lower triangle alone, and their rechecks
+off leading_minors, a plain Bareiss pass with no row swaps.
 """
 
 from __future__ import annotations
@@ -259,11 +259,11 @@ class Infeasible:
 
 
 # One pass over A x = b yields a LinearSolution or Infeasible; one that
-# does not solve, det (if A is square), a kernel vector, or the minors.
-_Elimination = namedtuple("_Elimination", "outcome det minors kernel")
+# does not solve, det (if A is square) and a kernel vector.
+_Elimination = namedtuple("_Elimination", "outcome det kernel")
 
 
-def _eliminate(matrix, rhs=None, minors_only=False):
+def _eliminate(matrix, rhs=None):
     """_bareiss on a rank-2 Tensor A and b = rhs (b = 0 if None), row i
     of [A | b] cleared of its own denominators when the pass reads it."""
     if not isinstance(matrix, Tensor) or matrix.rank != 2:
@@ -276,8 +276,7 @@ def _eliminate(matrix, rhs=None, minors_only=False):
     rows = [[(ncols, x)] if x else [] for x in b]
     for (i, j), value in matrix.entries:
         rows[i].append((j, value))
-    return _bareiss(lambda i: _cleared(rows[i]), nrows, ncols,
-                    rhs is not None, minors_only)
+    return _bareiss(lambda i: _cleared(rows[i]), nrows, ncols, rhs is not None)
 
 
 def _cleared(row):
@@ -287,11 +286,9 @@ def _cleared(row):
     return {j: v.numerator * (d // v.denominator) for j, v in row}, d
 
 
-def _bareiss(load, nrows, ncols, solve=True, minors_only=False):
-    """The one fraction-free, left-looking pass over A x = b.  With solve
-    it gives only the outcome; without, b = 0 and it reads det and a
-    kernel vector, or with minors_only the leading minors, up to the
-    first zero one, where it stops.
+def _bareiss(load, nrows, ncols, solve=True):
+    """The one fraction-free, left-looking pass over A x = b: with solve
+    only its outcome, without it b = 0 and det and a kernel vector.
 
     load(r) is row r of [A | b] as (ints, d): its nonzero entries times
     d > 0, b_r at column ncols.  First read, a row is divided by its
@@ -300,33 +297,31 @@ def _bareiss(load, nrows, ncols, solve=True, minors_only=False):
     search and the residual check pass it by.  Left to right, the pivot
     is the first row at or below the current position with the column
     set, recorded as a step (column, pivot p, pivot row).  A row takes
-    the steps it missed only when the pivot search or a minor reads it,
-    from its own level e, the pivot of its last step: one at a column it
-    holds makes it (p a_r - a_rc top) / e, exact, the others cost
-    nothing.  Pivot and minor rows are scaled to the last pivot, so
-    pivots, swaps and minors are the right-looking pass's; the minors
-    and det undo that and take each row's g / d back.  With d the last
-    pivot, the pivot rows back-substitute X_k = (d b_k - sum over m > k
-    of a_{k, p_m} X_m) / a_{k, p_k} exactly, and x = X / d.  So does
-    back(j) for column j of A mid-pass: the steps so far are the whole
-    pass over the pivot rows alone, d their block's determinant.  Row r
-    holds j once reduced iff its residual d a_rj - A_r X is nonzero, on
-    r as it stands, as pivot rows give 0; a search that has paid more
-    combines than back walks rows tests the rest so, reducing only the
-    pivot.  A row off the pivots is consistent iff it holds no b.  For
-    the first that is not, z solves sum_k z_k P_{tops[k]} = -P_bad on
-    the pivot columns, an invertible block: P_bad + sum_k z_k P_{tops[k]}
-    clears A, and scaled to the rows of [A | b] with y_bad = 1 it is the
-    only such certificate.
+    the steps it missed only when the pivot search reads it, from its
+    own level e, the pivot of its last step: one at a column it holds
+    makes it (p a_r - a_rc top) / e, exact, the others cost nothing.
+    Pivot rows are scaled to the last pivot, so pivots and swaps are the
+    right-looking pass's; det undoes that and takes each row's g / d
+    back.  With d the last pivot, the pivot rows back-substitute X_k =
+    (d b_k - sum over m > k of a_{k, p_m} X_m) / a_{k, p_k} exactly, and
+    x = X / d.  So does back(j) for column j of A mid-pass: the steps so
+    far are the whole pass over the pivot rows alone, d their block's
+    determinant.  Row r holds j once reduced iff its residual d a_rj -
+    A_r X is nonzero, on r as it stands, as pivot rows give 0; a search
+    that has paid more combines than back walks rows tests the rest so,
+    reducing only the pivot.  A row off the pivots is consistent iff it
+    holds no b.  For the first that is not, z solves sum_k z_k
+    P_{tops[k]} = -P_bad on the pivot columns, an invertible block: P_bad
+    + sum_k z_k P_{tops[k]} clears A, and scaled to the rows of [A | b]
+    with y_bad = 1 it is the only such certificate.
     """
     rows = [None] * nrows       # row r as reduced so far, once read
     firsts, scales = [None] * nrows, [None] * nrows     # P_r, (g, d)
     levels, taken = [1] * nrows, [0] * nrows
     order = list(range(nrows))      # order[position] = row
-    steps, pivots, minors = [], [], []
+    steps, pivots = [], []
     sign = prev = 1
     combines = 0    # _combine calls so far
-    num = dnm = 1   # the rows the minors read are scaled by num / dnm
 
     def read(r):    # row r as it stands; P_r and its scale when first read
         if rows[r] is None:
@@ -366,15 +361,6 @@ def _bareiss(load, nrows, ncols, solve=True, minors_only=False):
 
     for col in range(ncols):
         rank = len(pivots)
-        if minors_only and col < nrows:
-            r = order[col]
-            entry = reduced(r, True).get(col, 0)
-            g, d = scales[r]
-            q = math.gcd(d, g)
-            num, dnm = num * (d // q), dnm * (g // q)
-            minors.append(Fraction(entry * dnm, num))
-            if not minors[-1]:
-                return _Elimination(None, None, tuple(minors), None)
         budget = combines + rank    # a back-substitution walks rank rows
         at = next((k for k in range(rank, nrows) if (
             (row := rows[order[k]]) is None or row) and (
@@ -418,7 +404,7 @@ def _bareiss(load, nrows, ncols, solve=True, minors_only=False):
         _ZERO if rank < ncols else Fraction(
             sign * prev * math.prod(g for g, _ in scales),
             math.prod(d for _, d in scales)))
-    return _Elimination(outcome, determinant, tuple(minors), kernel)
+    return _Elimination(outcome, determinant, kernel)
 
 
 def _combine(p, x, f, y, e):
@@ -428,9 +414,9 @@ def _combine(p, x, f, y, e):
 
 
 def _square(matrix):
-    """matrix, refused before the pass when it is a non-square one."""
-    if (isinstance(matrix, Tensor) and matrix.rank == 2
-            and matrix.shape[0] != matrix.shape[1]):
+    """matrix, refused before any pass unless it is a square matrix."""
+    if not (isinstance(matrix, Tensor) and matrix.rank == 2
+            and matrix.shape[0] == matrix.shape[1]):
         raise ShapeMismatch("expected a square matrix")
     return matrix
 
@@ -441,15 +427,29 @@ def det(matrix):
 
 
 def leading_minors(matrix):
-    """Leading principal minors of a square matrix, from size 1 up to
-    the first zero one.
-
-    A symmetric matrix is positive definite exactly when all the listed
-    minors are positive (Sylvester).  Past a zero minor the elimination
-    swaps rows, so the later minors cannot be read off it, and the pass
-    stops there.
-    """
-    return list(_eliminate(_square(matrix), minors_only=True).minors)
+    """Leading principal minors of a square matrix, up to the first zero
+    one; a symmetric one is positive definite iff all are positive
+    (Sylvester).  Bareiss, no row swaps: row r, times d_r, the lcm of its
+    denominators, takes x = (p_s x - x_s top_s) / p_{s-1} from each pivot
+    row s < r (p_{-1} = 1); p_r is A's minor r + 1 times d_0 ... d_r."""
+    rows = [[] for _ in range(_square(matrix).shape[0])]
+    for (i, j), value in matrix.entries:
+        rows[i].append((j, value))
+    pivots, tops, minors, scale = [1], [], [], 1
+    for row in rows:
+        d = math.lcm(*[v.denominator for _, v in row])
+        x = [0] * len(rows)
+        for j, v in row:
+            x[j] = v.numerator * (d // v.denominator)
+        for e, p, top in zip(pivots, pivots[1:], tops):
+            f = x[0]    # x from column s on, top_s past column s
+            x = [(p * a - f * b) // e for a, b in zip(x[1:], top)]
+        minors.append(Fraction(x[0], scale := scale * d))
+        if not x[0]:
+            break
+        pivots.append(x[0])
+        tops.append(x[1:])
+    return minors
 
 
 def _symmetric_minors(matrix):

@@ -846,12 +846,15 @@ def _every_claim_witnessed():
 def test_rechecks_do_not_call_the_kernels_behind_the_verdict(monkeypatch):
     # one witness of every claim, found by classify first; the rechecks
     # then run with the tensor builders, the Lee system builders, their
-    # block kernels and the symmetric minors pass of the positivity
-    # verdicts disabled, so a minor is rechecked by the general pass
+    # block kernels, the symmetric minors pass of the positivity verdicts
+    # and the general elimination disabled, so a minor is rechecked by
+    # leading_minors alone, a pass of its own
     witnesses = _every_claim_witnessed()
     assert any(w.claim == "positive_definite" and w.detail
                for w, _ in witnesses)
-    monkeypatch.setattr(tensors, "_symmetric_minors", _raise)
+    for name in ("_symmetric_minors", "_bareiss", "_eliminate", "_combine",
+                 "_cleared"):
+        monkeypatch.setattr(tensors, name, _raise)
     for name in ("curvature", "nabla_g", "nijenhuis", "torsion",
                  "pairing_rows", "comparison_tensor", "ce_d",
                  "_torsion_blocks", "_curvature_blocks", "_nabla_g_blocks",
@@ -1031,8 +1034,9 @@ def test_classify_reads_a_minor_off_its_one_elimination(monkeypatch):
     L = LieAlgebra.abelian(tuple(f"e{i}" for i in range(n)))
     g = Metric.from_rows(L, [[sum(P[i][m] * D[m] * P[j][m] for m in range(n))
                               for j in range(n)] for i in range(n)])
-    # that one elimination is the symmetric pass: the general one, behind
-    # det, leading_minors and the recheck _minor, does not run
+    # that one elimination is the symmetric pass: det and the general
+    # elimination behind it do not run, nor leading_minors, the separate
+    # pass behind the recheck _minor
     calls = _count_calls(monkeypatch, "_symmetric_minors", "det")
     _count_calls(monkeypatch, "leading_minors", "_minor", module=check,
                  calls=calls)

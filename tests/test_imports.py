@@ -207,10 +207,11 @@ def test_an_unexported_unread_public_definition_is_reported():
 
 
 # What check.py may import from the package: errors, and three names of
-# tensors.  leading_minors is allowed because it is the general Bareiss
-# pass, a second formula beside the symmetric pass (_symmetric_minors)
-# that the positivity verdicts read their minors off, so a minor recheck
-# does not repeat the computation it checks.
+# tensors.  leading_minors is allowed because it is its own pass, sharing
+# no code with the verdict side: neither the symmetric pass
+# (_symmetric_minors) that the positivity verdicts read their minors off
+# nor the general elimination (_bareiss), so a minor recheck does not
+# repeat the computation it checks.
 CHECK_IMPORTS = {"errors": None,
                  "tensors": {"Tensor", "_as_q", "leading_minors"}}
 

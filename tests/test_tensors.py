@@ -606,7 +606,7 @@ def test_the_pass_keeps_each_row_as_small_as_its_own_denominators_make_it(
     # a row cleared of the common denominator carries every prime squared,
     # and its ints double; divided by its content it carries its own prime
     # and the others once, as clearing each row of its own denominators
-    # does, whose largest int in the pass is 4102 bits
+    # does, whose largest int in det's pass is 4102 bits
     rng = random.Random(3)
     n = 24
     a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
@@ -621,7 +621,7 @@ def test_the_pass_keeps_each_row_as_small_as_its_own_denominators_make_it(
         return row
 
     monkeypatch.setattr(tensors, "_combine", recorded)
-    assert leading_minors(matrix(g)) == reference_minors(g)
+    assert det(matrix(g)) == reference.det(g)
     assert 0 < max(bits) <= 4102
 
 
@@ -682,7 +682,7 @@ def symmetric_matrices(draw):
           [Q(2, 10), Q(1, 15), Q(7, 25)]])
 def test_the_symmetric_pass_matches_the_reference(rows):
     # equal to the dense reference, cut after its first zero minor, and
-    # to the general pass that leading_minors runs
+    # to leading_minors, the separate pass that rechecks its minors
     a = matrix(rows)
     assert _symmetric_minors(a) == reference_minors(rows) == leading_minors(a)
 
@@ -768,6 +768,8 @@ def test_elimination_shape_errors(monkeypatch):
         leading_minors(matrix([[1], [2]]))
     with pytest.raises(ShapeMismatch):
         leading_minors(matrix([[1, 2]]))
+    with pytest.raises(ShapeMismatch):
+        leading_minors(vec(1, 2))
     assert calls == []
 
 
