@@ -147,20 +147,27 @@ def ce_d(L, form):
                 sums[i, j] = sums.get((i, j), 0) + v * a[k]
         return KForm(2, Tensor._over((L.dim,) * 2, -dc * da, sums))
     if form.degree == 2:
-        # (d w)(X, Y, Z) = -(w([X, Y], Z) + w([Y, Z], X) + w([Z, X], Y)):
-        # w([e_x, e_y], e_z), x < y, the sum over m of c[x, y, m] w[m, z],
-        # belongs to sorted(x, y, z), negated when z lies between x and y
-        (dc, half), (dw, rows) = L.half._ints, form.half._mirrored
-        sums = {}   # w[m, z] by m: half[m, z] if m < z, else -half[z, m]
-        for (x, y, m), v in half:
-            for z, w in rows.get(m, ()):
-                if z > y or z < x:
-                    key = (x, y, z) if z > y else (z, x, y)
-                elif z != x and z != y:
-                    key, w = (x, z, y), -w
-                else:
-                    continue
-                sums[key] = sums.get(key, 0) + v * w
-        return KForm(3, Tensor._over((L.dim,) * 3, -dc * dw, sums))
+        return KForm(3, Tensor._over((L.dim,) * 3, *_d_sums(L, form)))
     raise UnsupportedDegree(
         f"differential of degree {form.degree} exceeds degree {MAX_DEGREE}")
+
+
+def _d_sums(L, w):
+    """(d, sums): the differential of a 2-form w as {(x, y, z): int} sums
+    over d, x < y < z, zero sums kept, d < 0 (see ce_d); ce_d and the
+    Lee rows read it."""
+    # (d w)(X, Y, Z) = -(w([X, Y], Z) + w([Y, Z], X) + w([Z, X], Y)):
+    # w([e_x, e_y], e_z), x < y, the sum over m of c[x, y, m] w[m, z],
+    # belongs to sorted(x, y, z), negated when z lies between x and y
+    (dc, half), (dw, rows) = L.half._ints, w.half._mirrored
+    sums = {}   # w[m, z] by m: half[m, z] if m < z, else -half[z, m]
+    for (x, y, m), v in half:
+        for z, u in rows.get(m, ()):
+            if z > y or z < x:
+                key = (x, y, z) if z > y else (z, x, y)
+            elif z != x and z != y:
+                key, u = (x, z, y), -u
+            else:
+                continue
+            sums[key] = sums.get(key, 0) + v * u
+    return -dc * dw, sums

@@ -30,7 +30,7 @@ from .algebra import LieAlgebra, Witness, jacobi_check
 from .check import CLAIMS, _form_on, _leading_block, _Pieces, _same_base
 from .errors import (InputError, MissingPieces, NoLeeForm, NotAlmostComplex,
                      ShapeMismatch)
-from .forms import KForm, ce_d
+from .forms import KForm, _d_sums, ce_d
 from .tensors import (Infeasible, Tensor, _bareiss, _symmetric_minors, det,
                       null_vector)
 
@@ -510,55 +510,67 @@ def lee_form_system(L, omega):
     """
     n = L.dim
     triples = list(itertools.combinations(range(n), 3))
-    rows = _lee_rows(L, omega)[:len(triples)]
+    rows = {r: x for r, x in _lee_rows(L, omega).items()
+            if r < len(triples)}
     # each distinct int once as a Fraction: w has few values
-    q = {v: d for row, d in rows for v in row.values()}
+    q = {v: d for row, d in rows.values() for v in row.values()}
     q = {v: Fraction(v, d) for v, d in q.items()} | {0: _ZERO}
-    return Tensor._trusted((len(rows), n), [
-        ((r, j), q[v]) for r, (row, _) in enumerate(rows)
+    return Tensor._trusted((len(triples), n), [
+        ((r, j), q[v]) for r, (row, _) in rows.items()
         for j, v in row.items() if j < n]), [
-            q[row.get(n, 0)] for row, _ in rows], triples
+            q[rows[r][0].get(n, 0)] if r in rows else _ZERO
+            for r in range(len(triples))], triples
 
 
 def _lee_rows(L, omega, d_omega=None):
-    """The Lee system's rows (ints, d) as _bareiss reads them, then those
-    the closed system adds; without d_omega, omega is checked first.
+    """The rows of the Lee system that hold an entry, {r: (ints, d)} in
+    row order as _bareiss reads them, then those the closed system adds;
+    d_omega is d omega as (denominator, [(triple, int)]), summed here
+    from omega, checked first, when not given.
 
     Row r < C(n, 3), the r-th triple i < j < k, holds w[j, k], -w[i, k],
     w[i, j] at columns i, j, k and (d omega)(e_i, e_j, e_k) at column n,
-    over d the lcm of omega's and d omega's denominators; the s-th pair
-    i < j then gives theta([e_i, e_j]) = 0, c[i, j, .] over c's.
+    over d the lcm of omega's and d omega's denominators, so each w[a, b]
+    lands in the n - 2 triples through a and b; the s-th pair i < j then
+    gives theta([e_i, e_j]) = 0, c[i, j, .] over c's.
     """
     if d_omega is None:
-        d_omega = ce_d(L, _form_on(omega, 2, L.dim))
-    n = L.dim
-    (dw, ws), (db, bs) = omega.half._ints, d_omega.half._ints
+        d, sums = _d_sums(L, _form_on(omega, 2, L.dim))
+        d_omega = d, sums.items()
+    n, triples = L.dim, math.comb(L.dim, 3)
+    (dw, ws), (db, bs) = omega.half._ints, d_omega
     d = math.lcm(dw, db)
-    w = [[0] * n for _ in range(n)]
+    # the triple i < j < k is row lead[i] - tail[j] + k
+    lead = [triples - math.comb(n - i, 3) + math.comb(n - i - 1, 2)
+            for i in range(n)]
+    tail = [math.comb(n - j, 2) + j + 1 for j in range(n)]
+    rows = {}
     for (a, b), v in ws:
-        w[a][b] = v * (d // dw)
-    rhs = {t: v * (d // db) for t, v in bs}
-    rows = []
-    for t in itertools.combinations(range(n), 3):
-        i, j, k = t
-        row = {}
-        if x := w[j][k]:
-            row[i] = x
-        if x := w[i][k]:
-            row[j] = -x
-        if x := w[i][j]:
-            row[k] = x
-        if x := rhs.get(t):
-            row[n] = x
-        rows.append((row, d))
+        v *= d // dw
+        for k in range(n):
+            if k < a:
+                rows.setdefault(lead[k] - tail[a] + b, {})[k] = v
+            elif a < k < b:
+                rows.setdefault(lead[a] - tail[k] + b, {})[k] = -v
+            elif k > b:
+                rows.setdefault(lead[a] - tail[b] + k, {})[k] = v
+    for (i, j, k), v in bs:
+        if v:
+            rows.setdefault(lead[i] - tail[j] + k, {})[n] = v * (d // db)
+    rows = {r: (row, d) for r, row in sorted(rows.items())}
     dc, half = L.half._rows
-    return rows + [(dict(half.get(i, {}).get(j, ())), dc)
-                   for i, j in itertools.combinations(range(n), 2)]
+    pairs = triples + math.comb(n, 2)
+    for i, by_j in half.items():
+        for j, row in by_j.items():
+            rows[pairs - math.comb(n - i, 2) + j - i - 1] = dict(row), dc
+    return rows
 
 
-def _lee_form(L, rows):
-    """(theta, None) off the rows' solution, else (None, certificate)."""
-    solved = _bareiss(rows.__getitem__, len(rows), L.dim).outcome
+def _lee_form(L, rows, nrows):
+    """(theta, None) off the solution of the first nrows rows, else
+    (None, certificate)."""
+    solved = _bareiss(rows.__getitem__, [r for r in rows if r < nrows],
+                      nrows, L.dim).outcome
     if isinstance(solved, Infeasible):
         return None, solved
     values = (((i,), v) for i, v in enumerate(solved.values))
@@ -572,7 +584,7 @@ def lee_form_solve(L, omega):
     order, so the answer is deterministic.  Returns None when the system
     is inconsistent.
     """
-    return _lee_form(L, _lee_rows(L, omega)[:math.comb(L.dim, 3)])[0]
+    return _lee_form(L, _lee_rows(L, omega), math.comb(L.dim, 3))[0]
 
 
 # -- the witnesses classify records ----------------------------------------
@@ -733,15 +745,16 @@ def classify(L, connection=None, metric=None, complex_structure=None,
         d_omega = ce_d(L, _form_on(omega, 2, L.dim))
         witnesses.append(_nonzero("d_omega", d_omega.half))
 
-        rows = _lee_rows(L, omega, d_omega)
-        lee_form, certificate = _lee_form(L, rows[:math.comb(L.dim, 3)])
+        rows = _lee_rows(L, omega, d_omega.half._ints)
+        lee_form, certificate = _lee_form(L, rows, math.comb(L.dim, 3))
         if lee_form is None:
             witnesses.append(Witness("lee_system", (), certificate.residual,
                                      certificate.combination))
         else:
             d_theta = ce_d(L, lee_form).half
             if not d_theta.is_zero():
-                closed, joint_cert = _lee_form(L, rows)
+                closed, joint_cert = _lee_form(
+                    L, rows, math.comb(L.dim, 3) + math.comb(L.dim, 2))
                 if closed is None:
                     witnesses += [_nonzero("d_lee", d_theta), Witness(
                         "lee_closed_system", (), joint_cert.residual,

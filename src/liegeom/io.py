@@ -34,6 +34,8 @@ FORMAT_VERSION = 1
 MAX_DIM = 64
 
 _LABEL_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+# json.dumps(x, sort_keys=True), without building an encoder per call
+_DUMP = json.JSONEncoder(sort_keys=True).encode
 
 _TOP_KEYS = {"format_version", "dim", "basis", "brackets", "connection",
              "metric", "complex_structure", "forms", "parameters"}
@@ -335,12 +337,10 @@ def serialize(doc):
             lines.append(f'  "{key}": [')
             for ipos, item in enumerate(value):
                 itail = "," if ipos < len(value) - 1 else ""
-                lines.append("    " + json.dumps(item, sort_keys=True)
-                             + itail)
+                lines.append("    " + _DUMP(item) + itail)
             lines.append(f"  ]{tail}")
         else:
-            lines.append(f'  "{key}": '
-                         + json.dumps(value, sort_keys=True) + tail)
+            lines.append(f'  "{key}": ' + _DUMP(value) + tail)
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -21,17 +21,18 @@ per entry of a result.
 
 A matrix is a rank-2 Tensor too.  det, solve_linear and null_vector
 read their answers off one integer-preserving, left-looking pass
-(Bareiss 1968) over int rows, to which geometry hands the Lee rows
-straight from int numerators; a Tensor's row is cleared of its own
-denominators when the pass first reads it.  Each row is divided by its
-content, the gcd of its entries, and reduced only when the pivot search
-reads it, never when it has no entry in A or b, nor when a search
-dearer than a back-substitution tests it by its residual.  det comes
-off the pivots and each row's content and denominator; the canonical
-solution with free variables zero and a kernel vector off the pivot
-rows by integer back-substitution.  Rows off the pivots are checked
-against that solution; when A x = b has none, the certificate is solved
-on ints from the pivot block of the rows as first read.
+(Bareiss 1968) over the live int rows, those with an entry in A or b,
+to which geometry hands the Lee rows straight from int numerators; a
+Tensor's row is cleared of its own denominators when the pass first
+reads it.  A row read before the last check is divided by its content,
+the gcd of its entries, and reduced only when the pivot search reads
+it, never when a search dearer than a back-substitution tests it by its
+residual.  det comes off the pivots and each row's content and
+denominator; the canonical solution with free variables zero and a
+kernel vector off the pivot rows by integer back-substitution.  Rows
+off the pivots are checked against that solution; when A x = b has
+none, the certificate is solved on ints from the pivot block of the
+rows as first read.
 
 The leading minors behind Sylvester's test come off two passes that
 share no code: the positivity verdicts read them off _symmetric_minors,
@@ -46,7 +47,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from .errors import InexactValue, ShapeMismatch
 
@@ -276,7 +277,8 @@ def _eliminate(matrix, rhs=None):
     rows = [[(ncols, x)] if x else [] for x in b]
     for (i, j), value in matrix.entries:
         rows[i].append((j, value))
-    return _bareiss(lambda i: _cleared(rows[i]), nrows, ncols, rhs is not None)
+    return _bareiss(lambda i: _cleared(rows[i]), [
+        i for i, row in enumerate(rows) if row], nrows, ncols, rhs is not None)
 
 
 def _cleared(row):
@@ -286,50 +288,54 @@ def _cleared(row):
     return {j: v.numerator * (d // v.denominator) for j, v in row}, d
 
 
-def _bareiss(load, nrows, ncols, solve=True):
+def _bareiss(load, live, nrows, ncols, solve=True):
     """The one fraction-free, left-looking pass over A x = b: with solve
     only its outcome, without it b = 0 and det and a kernel vector.
 
-    load(r) is row r of [A | b] as (ints, d): its nonzero entries times
-    d > 0, b_r at column ncols.  First read, a row is divided by its
-    content g: a primitive row P_r, whatever d, with row r = (g / d) P_r.
-    An empty row keeps its position, so the swaps stay, but the pivot
-    search and the residual check pass it by.  Left to right, the pivot
-    is the first row at or below the current position with the column
-    set, recorded as a step (column, pivot p, pivot row).  A row takes
-    the steps it missed only when the pivot search reads it, from its
-    own level e, the pivot of its last step: one at a column it holds
-    makes it (p a_r - a_rc top) / e, exact, the others cost nothing.
-    Pivot rows are scaled to the last pivot, so pivots and swaps are the
-    right-looking pass's; det undoes that and takes each row's g / d
-    back.  With d the last pivot, the pivot rows back-substitute X_k =
-    (d b_k - sum over m > k of a_{k, p_m} X_m) / a_{k, p_k} exactly, and
-    x = X / d.  So does back(j) for column j of A mid-pass: the steps so
-    far are the whole pass over the pivot rows alone, d their block's
-    determinant.  Row r holds j once reduced iff its residual d a_rj -
-    A_r X is nonzero, on r as it stands, as pivot rows give 0; a search
-    that has paid more combines than back walks rows tests the rest so,
-    reducing only the pivot.  A row off the pivots is consistent iff it
-    holds no b.  For the first that is not, z solves sum_k z_k
-    P_{tops[k]} = -P_bad on the pivot columns, an invertible block: P_bad
-    + sum_k z_k P_{tops[k]} clears A, and scaled to the rows of [A | b]
-    with y_bad = 1 it is the only such certificate.
+    live lists, increasing, the rows of [A | b] with an entry; the pass
+    never visits the others.  load(r) is live row r as (ints, d): its
+    nonzero entries times d > 0, b_r at column ncols.  First read, a row
+    is divided by its content g: a primitive row P_r, whatever d, with
+    row r = (g / d) P_r.  Left to right, the pivot is the first row
+    at or below the current position with the column set, recorded as a
+    step (column, pivot p, pivot row).  An empty row keeps its position
+    until a pivot takes it: the pivot swaps with the row at the current
+    position, so with an empty row there, which the search passed by,
+    the pivot rotates to the front of the live rows left, their order
+    kept.  A row takes the steps it missed only when the pivot search
+    reads it, from its own level e, the pivot of its last step: one at a
+    column it holds makes it (p a_r - a_rc top) / e, exact, the others
+    cost nothing.  Pivot rows are scaled to the last pivot, so pivots
+    and swaps are the right-looking pass's; det undoes that and takes
+    each row's g / d back.  With d the last pivot, the pivot rows back-
+    substitute X_k = (d b_k - sum over m > k of a_{k, p_m} X_m) / a_{k,
+    p_k} exactly, and x = X / d.  So does back(j) for column j of A mid-
+    pass: the steps so far are the whole pass over the pivot rows alone,
+    d their block's determinant.  Row r holds j once reduced iff its
+    residual d a_rj - A_r X is nonzero, on r as it stands, as pivot rows
+    give 0; a search that has paid more combines than back walks rows
+    tests the rest so, reducing only the pivot.  A row off the pivots is
+    consistent iff it holds no b, tested as it stands or, not yet read,
+    as loaded.  For the first that is not, z solves
+    sum_k z_k P_{tops[k]} = -P_bad on the pivot columns, an invertible
+    block: P_bad + sum_k z_k P_{tops[k]} clears A, and scaled to the rows
+    of [A | b] with y_bad = 1 it is the only such certificate.
     """
-    rows = [None] * nrows       # row r as reduced so far, once read
-    firsts, scales = [None] * nrows, [None] * nrows     # P_r, (g, d)
-    levels, taken = [1] * nrows, [0] * nrows
-    order = list(range(nrows))      # order[position] = row
+    rows, firsts, scales = {}, {}, {}   # as reduced so far, P_r, (g, d)
+    levels, taken = {}, {}
+    order, place = list(live), list(live)   # live rows, their positions
+    nlive = len(order)
     steps, pivots = [], []
     sign = prev = 1
     combines = 0    # _combine calls so far
 
     def read(r):    # row r as it stands; P_r and its scale when first read
-        if rows[r] is None:
+        if r not in rows:
             ints, d = load(r)
-            g = math.gcd(*ints.values()) or 1
+            g = math.gcd(*ints.values())
             rows[r] = firsts[r] = {j: v // g for j, v in ints.items()
                                    } if g > 1 else ints
-            scales[r] = g, d
+            scales[r], levels[r], taken[r] = (g, d), 1, 0
         return rows[r]
 
     def reduced(r, scaled=False):   # row r through its missed steps,
@@ -354,22 +360,28 @@ def _bareiss(load, nrows, ncols, solve=True):
             dx[col] = (prev * top.get(j, 0) - later) // p
         return dx
 
-    def holding(j, X, at):  # first k >= at whose row, reduced, holds j
-        return next((k for k in range(at, nrows) if (row := read(order[k]))
-                     and prev * row.get(j, 0) != sum(
-                         v * X[c] for c, v in row.items() if c in X)), nrows)
+    def holding(j, X, at, get=read):    # first k >= at whose row holds j
+        x = [X.get(c, 0) for c in range(ncols + 1)]     # once reduced:
+        x[j] = -prev    # the residual, negated, one dot product a row
+        return next((k for k in range(at, nlive) if (row := get(order[k]))
+                     and sum(map(mul, row.values(), map(x.__getitem__, row)))
+                     ), nlive)
 
     for col in range(ncols):
         rank = len(pivots)
         budget = combines + rank    # a back-substitution walks rank rows
-        at = next((k for k in range(rank, nrows) if (
-            (row := rows[order[k]]) is None or row) and (
-                col in reduced(order[k]) or combines > budget)), nrows)
-        if at < nrows and col not in rows[order[at]]:   # over budget
+        at = next((k for k in range(rank, nlive) if (
+            (row := rows.get(order[k])) is None or row) and (
+                col in reduced(order[k]) or combines > budget)), nlive)
+        if at < nlive and col not in rows[order[at]]:   # over budget
             at = holding(col, back(col), at + 1)
-        if at == nrows:
+        if at == nlive:
             continue
-        if at != rank:
+        if place[rank] != rank:     # an empty row at position rank
+            order[rank:at + 1] = [order[at]] + order[rank:at]
+            place[rank:at + 1] = [rank] + place[rank:at]
+            sign = -sign
+        elif at != rank:
             order[rank], order[at] = order[at], order[rank]
             sign = -sign
         top = reduced(order[rank], True)
@@ -383,15 +395,18 @@ def _bareiss(load, nrows, ncols, solve=True):
 
     rank = len(pivots)
     dx = back(ncols) if solve else {}
-    at = holding(ncols, dx, rank) if solve else nrows
+    at = holding(ncols, dx, rank, lambda r: rows[r] if r in rows
+                 else load(r)[0]) if solve else nlive
     free = tuple(c for c in range(ncols) if c not in pivots)
-    if at == nrows:
+    if at == nlive:
         outcome = LinearSolution(tuple(over_d(dx)), tuple(pivots), free)
     else:
         tops = order[:rank] + [order[at]]   # the pivot block, transposed
+        read(tops[-1])
         block = [({k: v if k < rank else -v for k, r in enumerate(tops)
                    if (v := firsts[r].get(j))}, 1) for j in pivots]
-        z = _bareiss(block.__getitem__, rank, rank).outcome.values + (1,)
+        z = _bareiss(block.__getitem__, range(rank), rank, rank
+                     ).outcome.values + (1,)
         g, d = scales[tops[-1]]
         y = [_ZERO] * nrows
         for r, v in zip(tops, z):
@@ -402,8 +417,8 @@ def _bareiss(load, nrows, ncols, solve=True):
         over_d(back(free[0])))) if free and not solve else None
     determinant = None if solve or nrows != ncols else (
         _ZERO if rank < ncols else Fraction(
-            sign * prev * math.prod(g for g, _ in scales),
-            math.prod(d for _, d in scales)))
+            sign * prev * math.prod(g for g, _ in scales.values()),
+            math.prod(d for _, d in scales.values())))
     return _Elimination(outcome, determinant, kernel)
 
 

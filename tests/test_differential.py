@@ -663,15 +663,20 @@ def test_lee_system_matches_the_dense_reference(p):
     assert (reference.to_nested(matrix), rhs, triples) == (
         rows, ref_rhs, ref_triples)
     assert solve_linear(matrix, rhs) == reference.solve_linear(rows, ref_rhs)
-    # the rows the pass solves: the Lee system, then the closedness rows
-    lee_rows = geometry._lee_rows(L, omega, ce_d(L, omega))
-    dense = [[Q(row.get(j, 0), d) for j in range(n + 1)]
-             for row, d in lee_rows]
+    # the rows the pass solves: the Lee system, then the closedness rows,
+    # those that hold an entry in row order, the others zero
+    lee_rows = geometry._lee_rows(L, omega, ce_d(L, omega).half._ints)
     extra = reference.closedness_rows(L)
+    nrows = len(rows) + len(extra)
+    assert list(lee_rows) == sorted(lee_rows) and all(
+        row for row, _ in lee_rows.values())
+    dense = [[Q(row.get(j, 0), d) for j in range(n + 1)] for row, d in (
+        lee_rows.get(r, ({}, 1)) for r in range(nrows))]
     assert [row[:n] for row in dense] == rows + extra
     assert [row[n] for row in dense] == ref_rhs + [Q(0)] * len(extra)
-    assert _bareiss(lee_rows.__getitem__, len(lee_rows), n).outcome == (
-        reference.solve_linear(rows + extra, ref_rhs + [Q(0)] * len(extra)))
+    assert _bareiss(lee_rows.__getitem__, list(lee_rows), nrows, n
+                    ).outcome == reference.solve_linear(
+        rows + extra, ref_rhs + [Q(0)] * len(extra))
 
 
 def _lee_reference(L, omega):

@@ -1,7 +1,10 @@
 import dataclasses
+import inspect
 import itertools
+import math
 import random
 import sys
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 
@@ -18,7 +21,7 @@ from liegeom import (AlgebraDocument, Connection, FormBlock, InexactValue,
                      solve_lambda, solve_linear, wedge)
 from liegeom.constructions import _pairing_form, double
 from liegeom.geometry import lee_form_solve, lee_form_system
-from liegeom import tensors
+from liegeom import geometry, tensors
 from liegeom.tensors import (_eliminate, _numerators, _symmetric_minors, det,
                              leading_minors, null_vector)
 
@@ -394,6 +397,70 @@ def test_tall_sparse_elimination_matches_the_reference(system):
     assert null_vector(a) == reference.null_vector(rows)
 
 
+@st.composite
+def hollow_systems(draw):
+    """(rows, rhs): up to 10 x 5 with most rows empty in A, one in five of
+    them holding b alone, the others with 1 to 3 nonzeros."""
+    ncols, nrows = draw(st.integers(1, 5)), draw(st.integers(1, 10))
+    rows, rhs = [], []
+    for _ in range(nrows):
+        kind = draw(st.integers(0, 4))
+        row = draw(st.dictionaries(st.integers(0, ncols - 1), nonzero,
+                                   min_size=1, max_size=3)) if kind > 2 else {}
+        rows.append([row.get(col, Q(0)) for col in range(ncols)])
+        rhs.append(draw(nonzero) if kind == 2 else draw(
+            st.one_of(st.just(Q(0)), nonzero)) if kind > 2 else Q(0))
+    if draw(st.booleans()):     # b in the column space
+        x = draw(st.lists(nonzero, min_size=ncols, max_size=ncols))
+        rhs = [sum((a * v for a, v in zip(row, x)), Q(0)) for row in rows]
+    return rows, rhs
+
+
+def _line_runs(f, marker):
+    """(runs, tracer): a sys.settrace tracer counting in runs each run of
+    the line after the one of f's source that holds marker."""
+    lines, first = inspect.getsourcelines(f)
+    line = first + 1 + next(k for k, text in enumerate(lines) if marker in text)
+    runs = Counter()
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno == line:
+            runs[f.__name__] += 1
+        return local
+
+    return runs, lambda frame, event, arg: (
+        local if frame.f_code is f.__code__ else None)
+
+
+def test_systems_of_mostly_empty_rows_match_the_reference():
+    # the pass never visits an empty row; one still keeps its position
+    # until a pivot takes it, so the pivot rotates to the front of the
+    # live rows left, which keeps the reference's choice of bad row and
+    # pivot block behind a certificate; the rotation must run
+    runs, tracer = _line_runs(tensors._bareiss,
+                              "an empty row at position rank")
+
+    @ORACLE
+    @given(hollow_systems())
+    # row 3's pivot takes the empty row 0's place, so row 1, not row 2,
+    # is column 1's pivot, and row 2 is the bad row
+    @example((_q_rows([[0, 0], [0, 1], [0, 2], [1, 0]]),
+              [Q(0), Q(1), Q(3), Q(1)]))
+    def check(system):
+        rows, rhs = system
+        a, previous = matrix(rows), sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            got = solve_linear(a, rhs), null_vector(a), outcome(det, a)
+        finally:
+            sys.settrace(previous)
+        assert got == (reference.solve_linear(rows, rhs),
+                       reference.null_vector(rows), outcome(reference.det, rows))
+
+    check()
+    assert runs["_bareiss"]
+
+
 def _random_q(rng):
     return Q(rng.randint(-3, 3), rng.randint(1, 3))
 
@@ -557,6 +624,32 @@ def test_the_lee_solve_builds_no_tensor_of_its_system(monkeypatch, feasible):
         (witness,) = [w for w in report.witnesses if w.claim == "lee_system"]
         assert (witness.residual, witness.detail) == (
             expected.residual, expected.combination)
+
+
+def test_the_lee_solve_loads_only_the_live_rows_of_a_sparse_double(
+        monkeypatch):
+    # on the abelian-16 double (dim 34) omega has 17 entries, each in 32
+    # triples, so 544 of the 5984 triple rows hold an entry: _lee_rows
+    # returns those alone, no empty one, and the pass loads each once
+    entry = get_example("abelian-n", {"n": 16})
+    family = lck_family(entry.algebra, entry.connection, entry.metric, 0,
+                        Q(3, 2))
+    L, omega = family.double.algebra, family.omega
+    rows = geometry._lee_rows(L, omega)
+    live = [r for r in rows if r < math.comb(L.dim, 3)]
+    assert L.dim == 34 and len(live) == 544
+    assert all(row for row, _ in rows.values())
+    loads, bareiss = Counter(), geometry._bareiss
+
+    def counted(load, *args):
+        def counted_load(r):
+            loads[r] += 1
+            return load(r)
+        return bareiss(counted_load, *args)
+
+    monkeypatch.setattr(geometry, "_bareiss", counted)
+    assert lee_form_solve(L, omega) == family.lee_form
+    assert sorted(loads) == live and set(loads.values()) == {1}
 
 
 def _metric_rows(n, positive, rng):
