@@ -78,12 +78,6 @@ class LieAlgebra:
     def label(self, i):
         return self.basis_labels[i]
 
-    def basis_vector(self, i):
-        if type(i) is not int or not 0 <= i < self.dim:
-            raise DimensionMismatch(
-                f"basis index {i!r} for dimension {self.dim}")
-        return tuple(Fraction(1 if j == i else 0) for j in range(self.dim))
-
 
 def as_vector(L, x):
     coords = tuple(_as_q(v) for v in x)

@@ -82,17 +82,6 @@ class KForm:
     def is_zero(self):
         return self.half.is_zero()
 
-    def __add__(self, other):
-        if not isinstance(other, KForm) or other.degree != self.degree:
-            raise ShapeMismatch("can only add forms of equal degree")
-        return KForm(self.degree, self.half + other.half)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return KForm(self.degree, -self.half)
-
     def scale(self, factor):
         return KForm(self.degree, self.half.scale(factor))
 

@@ -367,12 +367,6 @@ def _comparison_blocks(metric):
     return block
 
 
-def comparison_tensor(metric):
-    """K[i, j, k, l] = g[j, k] [l == i] - g[i, k] [l == j], from g alone."""
-    n = metric.base.dim
-    return _antisymmetric(n, 4, _comparison_blocks(metric), _pairs(n))
-
-
 def constant_curvature(connection, metric):
     """Fit one exact c with R = c K, "degenerate" on a singular metric."""
     _same_base(connection.base, metric.base)

@@ -135,10 +135,13 @@ def parse(text):
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentSyntaxError(str(exc), exc.lineno, exc.colno) from exc
-    except (RecursionError, ValueError) as exc:
-        # nesting too deep for the decoder, or an int literal past the
-        # interpreter's digit limit; neither carries a position
+    except RecursionError as exc:   # nesting too deep for the decoder
         raise DocumentSyntaxError(str(exc)) from exc
+    except ValueError:  # an int past the digit limit, in Python's words:
+        try:            # read again, parse_rational names its digits
+            raw = json.loads(text, parse_int=parse_rational)
+        except ValueError as exc:
+            raise DocumentSyntaxError(str(exc)) from exc
     if not isinstance(raw, dict):
         raise ValidationError("top level must be an object", field="document")
     unknown = set(raw) - _TOP_KEYS

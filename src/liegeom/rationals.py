@@ -39,9 +39,14 @@ def parse_rational(text):
     if not match:
         raise ValueError(f"not a rational literal: {text!r}")
     num, den = match.groups()
-    if den is None:
-        return Fraction(int(num))
-    return make_rational(int(num), int(den))
+    try:
+        return make_rational(int(num), int(den or 1))
+    except ValueError:      # an int past the interpreter's digit limit
+        digits = max(len(num.lstrip("+-")), len((den or "").lstrip("+-")))
+        raise ValueError(f"an integer literal has {digits} digits, past the "
+                         "interpreter's limit of "
+                         f"{sys.get_int_max_str_digits()} on reading an int"
+                         ) from None
 
 
 def format_rational(value):

@@ -202,31 +202,10 @@ class Tensor:
     def is_zero(self):
         return not self.entries
 
-    # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other):
-        self._require_same(other)
-        total = dict(self.entries)
-        for idx, value in other.entries:    # spares a 0 + Fraction sum
-            total[idx] = total[idx] + value if idx in total else value
-        return Tensor._trusted(self.shape, total.items())
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return Tensor._trusted(self.shape, ((i, -v) for i, v in self.entries))
-
     def scale(self, factor):
         q = _as_q(factor)
         return Tensor._trusted(self.shape,
                                ((i, q * v) for i, v in self.entries))
-
-    def _require_same(self, other):
-        if not isinstance(other, Tensor):
-            raise ShapeMismatch("tensor arithmetic needs two tensors")
-        if self.shape != other.shape:
-            raise ShapeMismatch(f"shape {self.shape} vs {other.shape}")
 
 
 def _numerators(pairs):
@@ -302,7 +281,8 @@ def _bareiss(load, live, nrows, ncols, solve=True):
     until a pivot takes it: the pivot swaps with the row at the current
     position, so with an empty row there, which the search passed by,
     the pivot rotates to the front of the live rows left, their order
-    kept.  A row takes the steps it missed only when the pivot search
+    kept, and det's sign ignores it: a square matrix with an empty row
+    has det 0.  A row takes the steps it missed only when the pivot search
     reads it, from its own level e, the pivot of its last step: one at a
     column it holds makes it (p a_r - a_rc top) / e, exact, the others
     cost nothing.  Pivot rows are scaled to the last pivot, so pivots
@@ -380,7 +360,6 @@ def _bareiss(load, live, nrows, ncols, solve=True):
         if place[rank] != rank:     # an empty row at position rank
             order[rank:at + 1] = [order[at]] + order[rank:at]
             place[rank:at + 1] = [rank] + place[rank:at]
-            sign = -sign
         elif at != rank:
             order[rank], order[at] = order[at], order[rank]
             sign = -sign

@@ -285,6 +285,14 @@ def ce_d(L, form):
     raise UnsupportedDegree(f"differential of degree {form.degree}")
 
 
+def add(a, b):
+    """a + b, two forms of one degree, summed at every increasing index."""
+    n = a.dim
+    return KForm.from_components(n, a.degree, _nonzero(
+        itertools.combinations(range(n), a.degree),
+        lambda *idx: a.half[idx] + b.half[idx]))
+
+
 def wedge(a, b):
     n = a.dim
     degree = a.degree + b.degree

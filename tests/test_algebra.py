@@ -34,8 +34,7 @@ def test_duplicate_labels_rejected():
 
 def test_bracket_clan():
     L = clan()
-    u = L.basis_vector(0)
-    v = L.basis_vector(1)
+    u, v = (1, 0), (0, 1)
     assert bracket(L, u, v) == (Q(0), Q(2))
 
 
@@ -46,9 +45,10 @@ def test_bracket_abelian_vanishes():
 
 def test_bracket_su2():
     L = su2()
-    assert bracket(L, L.basis_vector(0), L.basis_vector(1)) == (0, 0, 2)
-    assert bracket(L, L.basis_vector(1), L.basis_vector(2)) == (2, 0, 0)
-    assert bracket(L, L.basis_vector(2), L.basis_vector(0)) == (0, 2, 0)
+    u, v, w = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    assert bracket(L, u, v) == (0, 0, 2)
+    assert bracket(L, v, w) == (2, 0, 0)
+    assert bracket(L, w, u) == (0, 2, 0)
 
 
 def test_bracket_bilinear():

@@ -465,6 +465,30 @@ def test_lambda_refuses_a_surd_too_long_to_print():
         assert err.startswith("error: a computed value has 6001 digits")
 
 
+@pytest.mark.parametrize("where", ["dim", "coefficient", "lambda-c"])
+def test_a_literal_past_the_digit_limit_is_refused_in_liegeoms_words(
+        tmp_path, where):
+    # a 5001-digit JSON int, coefficient string and --c denominator; the
+    # message names the digits and the limit, not the interpreter's remedy
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("this interpreter has no digit limit")
+    digits = "3" * 5001
+    path = tmp_path / "doc.json"
+    if where == "dim":
+        path.write_text(f'{{"format_version": 1, "dim": {digits}}}')
+    else:
+        path.write_text(json.dumps({"format_version": 1, "dim": 2,
+                                    "basis": ["u", "v"],
+                                    "brackets": [[0, 1, 1, digits]]}))
+    code, out, err = run(["lambda", "--c", f"1/{digits}"]
+                         if where == "lambda-c" else ["verify", str(path)])
+    assert (code, out) == (2, "")
+    assert ("an integer literal has 5001 digits, past the interpreter's "
+            f"limit of {limit} on reading an int") in err
+    assert "set_int_max_str_digits" not in err
+
+
 # -- harness behaviour -----------------------------------------------------
 
 def test_usage_errors_exit_two():

@@ -856,7 +856,7 @@ def test_rechecks_do_not_call_the_kernels_behind_the_verdict(monkeypatch):
                  "_cleared"):
         monkeypatch.setattr(tensors, name, _raise)
     for name in ("curvature", "nabla_g", "nijenhuis", "torsion",
-                 "pairing_rows", "comparison_tensor", "ce_d",
+                 "pairing_rows", "ce_d",
                  "_torsion_blocks", "_curvature_blocks", "_nabla_g_blocks",
                  "_comparison_blocks", "_nijenhuis_blocks",
                  "lee_form_system", "_lee_rows", "_bareiss",

@@ -10,9 +10,10 @@ or through the module, is dead weight, often left behind when a caller
 is deleted.  So is an underscore-named method or cached property, such
 as a view a Tensor caches, that nothing in the library reads as an
 attribute, and a public function or class that the package root does
-not export and that nothing in the library, the tests, the demos or the
-benchmark reads.  The checker, check.py, imports from the package only
-what its import rule allows, so no recheck can call a verdict kernel.
+not export and that nothing in the library, the demos or the benchmark
+reads; a test alone does not keep it.  The checker, check.py, imports
+from the package only what its import rule allows, so no recheck can
+call a verdict kernel.
 """
 
 import ast
@@ -22,7 +23,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "liegeom"
-READERS = ("src", "tests", "demos", "perfbench")
+# the tests are no reader: a public name only a test calls is dead weight
+READERS = ("src", "demos", "perfbench")
 SOURCES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 

@@ -2,6 +2,7 @@ import io
 import itertools
 import json
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -239,12 +240,13 @@ def test_duplicate_index_refused_in_either_order(block, entry, zero_first,
 
 
 def _over_digit_limit():
-    """The message int() gives for a literal past the digit limit."""
-    try:
-        int("1" * 5000)
-    except ValueError as exc:
-        return str(exc)
-    pytest.skip("this interpreter has no digit limit")
+    """The message parse gives for a 5000-digit literal, past the digit
+    limit: the digit count and the limit, in liegeom's words."""
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("this interpreter has no digit limit")
+    return ("an integer literal has 5000 digits, past the interpreter's "
+            f"limit of {limit} on reading an int")
 
 
 @pytest.mark.parametrize("block, entries, where, message", [

@@ -164,15 +164,8 @@ def test_from_entries_sparse():
 
 def test_arithmetic():
     a = vec(1, 2)
-    b = vec(3, -1)
-    assert (a + b).entries == (((0,), Q(4)), ((1,), Q(1)))
-    assert (a - b).entries == (((0,), Q(-2)), ((1,), Q(3)))
-    assert (-a).entries == (((0,), Q(-1)), ((1,), Q(-2)))
     assert a.scale(Q(1, 2)).entries == (((0,), Q(1, 2)), ((1,), Q(1)))
-    assert (a + vec(-1, 0)).entries == (((1,), Q(2)),)   # zeros drop out
-    assert a.scale(0).is_zero()
-    with pytest.raises(ShapeMismatch):
-        a + Tensor.zero((3,))
+    assert a.scale(0).is_zero()     # zeros drop out
 
 
 def positive(rows):
@@ -508,10 +501,12 @@ def _heisenberg_line_pair(m, feasible, rng):
         theta = KForm.from_components(n, 1, {(t,): Q(1)})
         beta = KForm.from_components(n, 1, {(k,): _random_q(rng)
                                             for k in range(n)})
-        vaisman = {(i, m + i): Q(1) for i in range(m)}
-        vaisman[z, t] = Q(-1)
-        omega = (KForm.from_components(n, 2, vaisman) + ce_d(L, beta)
-                 - wedge(theta, beta))
+        sums = {(i, m + i): Q(1) for i in range(m)}     # the Vaisman form
+        sums[z, t] = Q(-1)
+        for sign, form in ((1, ce_d(L, beta)), (-1, wedge(theta, beta))):
+            for idx, value in form.components():
+                sums[idx] = sums.get(idx, 0) + sign * value
+        omega = KForm.from_components(n, 2, sums)
     else:
         omega = KForm.from_components(n, 2, {
             pair: _random_q(rng)
