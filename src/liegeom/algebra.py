@@ -112,13 +112,32 @@ class Witness:
     detail: tuple = ()
 
 
+def _sliced(claim, head, d, b, n):
+    """The witness in the nonzero block b at head: the head, then the
+    leading indices of b's first entry, with the last-axis slice there
+    as residual."""
+    lead = min(b)[:-1]
+    return Witness(claim, head + lead, tuple(
+        Fraction(b.get(lead + (m,), 0), d) for m in range(n)))
+
+
+def _first_nonzero(claim, n, rows, block):
+    """The witness in the first nonzero row block i < rows, None when all
+    vanish."""
+    for i in range(rows):
+        d, b = block(i)
+        if b:
+            return _sliced(claim, (i,), d, b, n)
+    return None
+
+
 def _jacobi_blocks(L):
     """block(i): the cyclic bracket sums at the triples i < j < k as (d,
-    {(j, k): {l: the e_l part times d}}).  The term [[e_x, e_y], e_z],
-    x < y, the sum over m of c[x, y, m] c[m, z, l] on the int numerators
-    of c's half, belongs to sorted(x, y, z), negated when z lies between
-    x and y: to block x when z > x, else to block z.  c[x, y, m] is read
-    off half's _rows, c[m, z, l] off its _mirrored."""
+    {(j, k, l): the e_l part times d}), nonzero entries only.  The term
+    [[e_x, e_y], e_z], x < y, the sum over m of c[x, y, m] c[m, z, l] on
+    the int numerators of c's half, belongs to sorted(x, y, z), negated
+    when z lies between x and y: to block x when z > x, else to block z.
+    c[x, y, m] is read off half's _rows, c[m, z, l] off its _mirrored."""
     (d, pairs), rows = L.half._rows, L.half._mirrored[1]
 
     def block(i):
@@ -137,7 +156,8 @@ def _jacobi_blocks(L):
                 for m, v in row:
                     for l, w in rows.get(m, {}).get(i, ()):
                         acc[l] = acc.get(l, 0) + v * w
-        return d * d, sums
+        return d * d, {(j, k, l): v for (j, k), acc in sums.items()
+                       for l, v in acc.items() if v}
 
     return block
 
@@ -146,13 +166,6 @@ def jacobi_check(L):
     """None when the Jacobi identity holds, else a "jacobi" Witness at
     the lexicographically first triple i < j < k whose cyclic bracket sum
     fails to vanish, with that sum as residual.  The triples are summed
-    a block of leading index i at a time, up to the first failing one."""
-    block = _jacobi_blocks(L)
-    for i in range(L.dim - 2):
-        d, sums = block(i)
-        failing = [jk for jk, acc in sums.items() if any(acc.values())]
-        if failing:
-            j, k = min(failing)
-            return Witness("jacobi", (i, j, k), tuple(
-                Fraction(sums[j, k].get(l, 0), d) for l in range(L.dim)))
-    return None
+    a block of leading index i < n - 2 at a time, up to the first failing
+    one."""
+    return _first_nonzero("jacobi", L.dim, L.dim - 2, _jacobi_blocks(L))

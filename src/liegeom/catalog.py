@@ -18,11 +18,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .algebra import LieAlgebra, jacobi_check
+from .algebra import LieAlgebra
 from .check import CLAIMS
 from .constructions import double
 from .errors import BadParameters, InexactValue, UnknownExample
-from .geometry import FLAGS, Connection, Metric, classify, nijenhuis
+from .geometry import FLAGS, Connection, Metric, classify
 from .rationals import format_rational
 from .tensors import _as_q
 
@@ -72,8 +72,10 @@ class CatalogEntry:
                         metric=self.metric)
 
     @cached_property
-    def _double(self):
-        return double(self.algebra, self.connection)
+    def _double_report(self):
+        """classify of the double with its complex structure."""
+        dbl = double(self.algebra, self.connection)
+        return classify(dbl.algebra, complex_structure=dbl.complex_structure)
 
 
 def _expected(*rows):
@@ -273,20 +275,15 @@ def run_check(entry, check):
     """Re-derive one expected outcome string from the bundle itself.
 
     check is a report flag, a claim name standing for the flag it backs
-    (positive_definite for metric_positive), constant_curvature, or one
-    of the double_* checks.  The entry keeps its classify report and
+    (positive_definite for metric_positive), constant_curvature, or
+    double_jacobi or double_integrable, the flag read off the report of
+    the double.  The entry keeps the classify reports of its base and of
     its double, so each is computed once however many checks read it.
     """
-    if check == "jacobi":
-        return "pass" if jacobi_check(entry.algebra) is None else "fail"
-    if check == "double_jacobi":
-        dbl = entry._double
-        return "pass" if jacobi_check(dbl.algebra) is None else "fail"
-    if check == "double_integrable":
-        dbl = entry._double
-        n = nijenhuis(dbl.algebra, dbl.complex_structure)
-        return "pass" if n.is_zero() else "fail"
-    report = entry._report
+    if check in ("double_jacobi", "double_integrable"):
+        report, check = entry._double_report, check[len("double_"):]
+    else:
+        report = entry._report
     if check == "constant_curvature":
         fit = report.constant_curvature
         if fit.kind == "constant":

@@ -67,10 +67,6 @@ class KForm:
             for idx, value in self.half.entries for perm, sign in signs))
 
     @classmethod
-    def zero(cls, dim, degree):
-        return cls(degree, Tensor.zero((dim,) * degree))
-
-    @classmethod
     def from_components(cls, dim, degree, components):
         """Build from {strictly increasing index tuple: value}."""
         return cls(degree, Tensor.from_entries((dim,) * degree, components))

@@ -26,7 +26,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import LieAlgebra, Witness, jacobi_check
+from .algebra import (LieAlgebra, Witness, _first_nonzero, _sliced,
+                      jacobi_check)
 from .check import CLAIMS, _form_on, _leading_block, _Pieces, _same_base
 from .errors import (InputError, MissingPieces, NoLeeForm, NotAlmostComplex,
                      ShapeMismatch)
@@ -146,7 +147,8 @@ class ComplexStructure:
 # one per slab nabla_{e_i} g, which the Codazzi pair (i, j) reads with
 # slab j.  classify reads the blocks in lexicographic order and stops a
 # claim at the first block that decides it: a failing claim costs its
-# first failing block, a passing one the whole tensor.  The public
+# first failing block, a passing one the whole tensor; T's and N's rows
+# go through algebra's _first_nonzero, as Jacobi's do.  The public
 # tensors are every block, each entry mirrored to minus itself at
 # (j, i, ...) where the tensor is antisymmetric in its first two slots.
 
@@ -155,14 +157,10 @@ def _pairs(n):
     return itertools.combinations(range(n), 2)
 
 
-def _row_heads(n):
-    """The row heads (i,) below n that hold a pair (i, j) with i < j."""
-    return ((i,) for i in range(n - 1))
-
-
 def _antisymmetric(n, rank, block, heads):
     """The Tensor whose blocks at heads are block's, each entry mirrored
-    to minus itself at (j, i, ...)."""
+    to minus itself at (j, i, ...); zip(range(n - 1)) gives the row
+    heads (i,)."""
     entries = []
     for head in heads:
         d, b = block(*head)
@@ -170,24 +168,6 @@ def _antisymmetric(n, rank, block, heads):
             idx, q = head + tail, Fraction(v, d)
             entries += ((idx, q), ((idx[1], idx[0]) + idx[2:], -q))
     return Tensor._trusted((n,) * rank, entries)
-
-
-def _sliced(claim, head, d, b, n):
-    """The witness in the nonzero block b at head: the head, then the
-    leading indices of b's first entry, with the last-axis slice there
-    as residual."""
-    lead = min(b)[:-1]
-    return Witness(claim, head + lead, tuple(
-        Fraction(b.get(lead + (m,), 0), d) for m in range(n)))
-
-
-def _first_nonzero(claim, n, block):
-    """The witness in the first nonzero row block, None when all vanish."""
-    for head in _row_heads(n):
-        d, b = block(*head)
-        if b:
-            return _sliced(claim, head, d, b, n)
-    return None
 
 
 def _torsion_blocks(connection):
@@ -217,7 +197,7 @@ def _torsion_blocks(connection):
 def torsion(connection):
     """T as a (1, 2) tensor: T[i, j, k] is the e_k part of T(e_i, e_j)."""
     n = connection.base.dim
-    return _antisymmetric(n, 3, _torsion_blocks(connection), _row_heads(n))
+    return _antisymmetric(n, 3, _torsion_blocks(connection), zip(range(n - 1)))
 
 
 def _curvature_blocks(connection):
@@ -476,7 +456,8 @@ def _nijenhuis_blocks(L, J):
 def nijenhuis(L, J):
     """N(X, Y) = [X, Y] + J([JX, Y] + [X, JY]) - [JX, JY] on basis pairs:
     N[i, j, k] is the e_k part of N(e_i, e_j)."""
-    return _antisymmetric(L.dim, 3, _nijenhuis_blocks(L, J), _row_heads(L.dim))
+    n = L.dim
+    return _antisymmetric(n, 3, _nijenhuis_blocks(L, J), zip(range(n - 1)))
 
 
 def pairing_rows(omega, J):
@@ -711,7 +692,7 @@ def classify(L, connection=None, metric=None, complex_structure=None,
 
     if connection is not None:
         _same_base(L, connection.base)
-        witnesses.append(_first_nonzero("torsion", L.dim,
+        witnesses.append(_first_nonzero("torsion", L.dim, L.dim - 1,
                                         _torsion_blocks(connection)))
         fitted = None
         if metric is not None:
@@ -733,7 +714,8 @@ def classify(L, connection=None, metric=None, complex_structure=None,
     if complex_structure is not None:
         _same_base(L, complex_structure.base)
         witnesses.append(_first_nonzero(
-            "nijenhuis", L.dim, _nijenhuis_blocks(L, complex_structure)))
+            "nijenhuis", L.dim, L.dim - 1,
+            _nijenhuis_blocks(L, complex_structure)))
 
     if omega is not None:
         d_omega = ce_d(L, _form_on(omega, 2, L.dim))

@@ -19,20 +19,21 @@ N) sum off these views; the differential of a 1-form and J squared sum
 off the numerators themselves.  Each returns int sums, divided once
 per entry of a result.
 
-A matrix is a rank-2 Tensor too.  det, solve_linear and null_vector
-read their answers off one integer-preserving, left-looking pass
-(Bareiss 1968) over the live int rows, those with an entry in A or b,
-to which geometry hands the Lee rows straight from int numerators; a
-Tensor's row is cleared of its own denominators when the pass first
-reads it.  A row read before the last check is divided by its content,
-the gcd of its entries, and reduced only when the pivot search reads
-it, never when a search dearer than a back-substitution tests it by its
-residual.  det comes off the pivots and each row's content and
-denominator; the canonical solution with free variables zero and a
-kernel vector off the pivot rows by integer back-substitution.  Rows
-off the pivots are checked against that solution; when A x = b has
-none, the certificate is solved on ints from the pivot block of the
-rows as first read.
+A matrix is a rank-2 Tensor too.  det, solve_linear and null_vector read
+a field each of one integer-preserving, left-looking pass (Bareiss
+1968), which returns A x = b's outcome, det when A is square and a
+kernel vector when a column is free.  It runs over the live int rows,
+those with an entry in A or b, to which geometry hands the Lee rows
+straight from int numerators; a Tensor's row is cleared of its own
+denominators when the pass first reads it.  A row read before the last
+check is divided by its content, the gcd of its entries, and reduced
+only when the pivot search reads it, never when a search dearer than a
+back-substitution tests it by its residual.  det comes off the pivots
+and each row's content and denominator; the canonical solution with free
+variables zero and a kernel vector off the pivot rows by integer
+back-substitution.  Rows off the pivots are checked against that
+solution; when A x = b has none, the certificate is solved on ints from
+the pivot block of the rows as first read.
 
 The leading minors behind Sylvester's test come off two passes that
 share no code: the positivity verdicts read them off _symmetric_minors,
@@ -238,8 +239,8 @@ class Infeasible:
     residual: Fraction
 
 
-# One pass over A x = b yields a LinearSolution or Infeasible; one that
-# does not solve, det (if A is square) and a kernel vector.
+# One pass over A x = b yields a LinearSolution or an Infeasible, det
+# when A is square and a kernel vector when a column is free.
 _Elimination = namedtuple("_Elimination", "outcome det kernel")
 
 
@@ -257,7 +258,7 @@ def _eliminate(matrix, rhs=None):
     for (i, j), value in matrix.entries:
         rows[i].append((j, value))
     return _bareiss(lambda i: _cleared(rows[i]), [
-        i for i, row in enumerate(rows) if row], nrows, ncols, rhs is not None)
+        i for i, row in enumerate(rows) if row], nrows, ncols)
 
 
 def _cleared(row):
@@ -267,17 +268,18 @@ def _cleared(row):
     return {j: v.numerator * (d // v.denominator) for j, v in row}, d
 
 
-def _bareiss(load, live, nrows, ncols, solve=True):
-    """The one fraction-free, left-looking pass over A x = b: with solve
-    only its outcome, without it b = 0 and det and a kernel vector.
+def _bareiss(load, live, nrows, ncols):
+    """The one fraction-free, left-looking pass over A x = b: its outcome,
+    det when A is square and a kernel vector when a column is free.
 
     live lists, increasing, the rows of [A | b] with an entry; the pass
     never visits the others.  load(r) is live row r as (ints, d): its
-    nonzero entries times d > 0, b_r at column ncols.  First read, a row
-    is divided by its content g: a primitive row P_r, whatever d, with
-    row r = (g / d) P_r.  Left to right, the pivot is the first row
-    at or below the current position with the column set, recorded as a
-    step (column, pivot p, pivot row).  An empty row keeps its position
+    nonzero entries, at least one, times d > 0, b_r at column ncols; the
+    search passes a row reduced to {} by, so reduced meets no empty row.
+    First read, a row is divided by its content g: a primitive row P_r,
+    whatever d, with row r = (g / d) P_r.  Left to right, the pivot is
+    the first row at or below the current position with the column set,
+    recorded as a step (column, pivot p, pivot row).  An empty row keeps its position
     until a pivot takes it: the pivot swaps with the row at the current
     position, so with an empty row there, which the search passed by,
     the pivot rotates to the front of the live rows left, their order
@@ -320,8 +322,6 @@ def _bareiss(load, live, nrows, ncols, solve=True):
 
     def reduced(r, scaled=False):   # row r through its missed steps,
         row, e = read(r), levels[r]     # scaled to the level prev
-        if not row:
-            return row
         nonlocal combines
         for col, p, top in steps[taken[r]:]:
             f = row.get(col)
@@ -373,9 +373,9 @@ def _bareiss(load, live, nrows, ncols, solve=True):
                 for c in range(ncols)]
 
     rank = len(pivots)
-    dx = back(ncols) if solve else {}
+    dx = back(ncols)
     at = holding(ncols, dx, rank, lambda r: rows[r] if r in rows
-                 else load(r)[0]) if solve else nlive
+                 else load(r)[0])
     free = tuple(c for c in range(ncols) if c not in pivots)
     if at == nlive:
         outcome = LinearSolution(tuple(over_d(dx)), tuple(pivots), free)
@@ -393,8 +393,8 @@ def _bareiss(load, live, nrows, ncols, solve=True):
         outcome = Infeasible(tuple(y), Fraction(g, d) * sum(
             v * firsts[r].get(ncols, 0) for r, v in zip(tops, z)))
     kernel = tuple(Fraction(c == free[0]) - v for c, v in enumerate(
-        over_d(back(free[0])))) if free and not solve else None
-    determinant = None if solve or nrows != ncols else (
+        over_d(back(free[0])))) if free else None
+    determinant = None if nrows != ncols else (
         _ZERO if rank < ncols else Fraction(
             sign * prev * math.prod(g for g, _ in scales.values()),
             math.prod(d for _, d in scales.values())))

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 import reference
-from liegeom import (DimensionMismatch, LieAlgebra, Witness, algebra,
-                     as_vector, bracket, get_example, jacobi_check,
+from liegeom import (DimensionMismatch, LieAlgebra, ShapeMismatch, Witness,
+                     algebra, as_vector, bracket, get_example, jacobi_check,
                      lck_family)
 
 Q = Fraction
@@ -30,6 +30,22 @@ def test_from_brackets_fills_antisymmetric_half():
 def test_duplicate_labels_rejected():
     with pytest.raises(DimensionMismatch):
         LieAlgebra.abelian(("e", "e"))
+
+
+def test_label_count_must_match_the_dimension():
+    with pytest.raises(DimensionMismatch, match="2 labels for dimension 3"):
+        LieAlgebra(3, ("u", "v"), clan().half)
+
+
+def test_half_must_have_the_algebra_shape():
+    with pytest.raises(ShapeMismatch, match=r"need shape \(3, 3, 3\)"):
+        LieAlgebra(3, ("u", "v", "w"), clan().half)
+
+
+@pytest.mark.parametrize("pair", [(1, 0), (1, 1), (-1, 1), (0, 2)])
+def test_from_brackets_refuses_a_pair_outside_the_half(pair):
+    with pytest.raises(DimensionMismatch, match="must satisfy 0 <= i < j < 2"):
+        LieAlgebra.from_brackets(("u", "v"), {pair: {0: 1}})
 
 
 def test_bracket_clan():

@@ -105,12 +105,13 @@ def test_every_expected_outcome_is_reproducible(name, params):
 
 
 def test_run_check_classifies_and_doubles_each_entry_once(monkeypatch):
-    # an entry keeps its classify report and its double, so its expected
-    # checks, read in turn, run each at most once, to the same outcomes
+    # an entry keeps the classify reports of its base and of its double,
+    # so its expected checks, read in turn, classify no algebra twice and
+    # double at most once, to the same outcomes
     calls = []
     for name in ("classify", "double"):
         def counted(*args, _name=name, _run=getattr(catalog, name), **kw):
-            calls.append(_name)
+            calls.append((_name, args[0]) if _name == "classify" else _name)
             return _run(*args, **kw)
         monkeypatch.setattr(catalog, name, counted)
     for name, _, _ in list_examples():
@@ -118,7 +119,8 @@ def test_run_check_classifies_and_doubles_each_entry_once(monkeypatch):
         calls.clear()
         assert [run_check(entry, e.check) for e in entry.expected] == [
             e.outcome for e in entry.expected], name
-        assert calls.count("classify") <= 1, name
+        classified = [call for call in calls if call != "double"]
+        assert len(classified) == len(set(classified)), name
         assert calls.count("double") <= 1, name
 
 
@@ -182,3 +184,12 @@ def test_run_check_rejects_unknown_checks():
     entry = get_example("su2")
     with pytest.raises(UnknownExample):
         run_check(entry, "sparkles")
+
+
+@pytest.mark.parametrize("check", [
+    "double_torsion_free", "double_constant_curvature", "double_nijenhuis",
+    "double_", "double_double_jacobi"])
+def test_run_check_refuses_every_other_double_check(check):
+    # only double_jacobi and double_integrable read the double's report
+    with pytest.raises(UnknownExample, match=f"no check named '{check}'"):
+        run_check(get_example("su2"), check)

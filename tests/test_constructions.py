@@ -193,6 +193,13 @@ def test_solve_lambda_inverts_the_curvature_formula():
 
 # -- cone extension --------------------------------------------------------
 
+@pytest.mark.parametrize("taken, label", [
+    (set(), "rho"), ({"u", "v"}, "rho"), ({"rho"}, "rho0"),
+    ({"rho", "rho0"}, "rho1"), ({"rho", "rho0", "rho1", "rho3"}, "rho2")])
+def test_fresh_label_skips_every_taken_name(taken, label):
+    assert constructions._fresh_label(taken) == label
+
+
 def test_cone_extend_clan():
     entry, ext = clan_cone()
     assert ext.algebra.basis_labels == ("u", "v", "rho")

@@ -731,7 +731,7 @@ def _small_lee_pairs(n):
     algebras = [LieAlgebra.abelian(labels), LieAlgebra.from_brackets(
         labels, {(i, j): {k: Q(1 + i + j * k + k * k, 3) for k in range(n)}
                  for i, j in pairs})]
-    omegas = [KForm.zero(n, 2), KForm.from_components(n, 2, {
+    omegas = [KForm.from_components(n, 2, {}), KForm.from_components(n, 2, {
         (i, j): Q(3 * (i + j) - 2, 2 + i + j) for i, j in pairs})]
     return [(L, omega) for L in algebras for omega in omegas]
 

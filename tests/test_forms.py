@@ -73,9 +73,9 @@ def test_the_full_tensor_follows_from_the_stored_half(p):
 
 def test_degree_bounds():
     with pytest.raises(UnsupportedDegree):
-        KForm.zero(3, 0)
+        KForm(0, Tensor.zero(()))
     with pytest.raises(UnsupportedDegree):
-        KForm.zero(5, 4)
+        KForm(4, Tensor.zero((5,) * 4))
 
 
 def test_evaluation_is_alternating():
@@ -130,6 +130,12 @@ def test_ce_d_rejects_top_degree():
         ce_d(L, w)
 
 
+def test_ce_d_refuses_a_form_of_another_dimension():
+    L = LieAlgebra.abelian(("a", "b", "c"))
+    with pytest.raises(DimensionMismatch, match="dimensions differ"):
+        ce_d(L, KForm.from_components(4, 1, {(0,): Q(1)}))
+
+
 def test_wedge_dual_pair():
     dbl = su2_double()
     rho_1 = dual_form(dbl.algebra, 3)
@@ -162,6 +168,15 @@ def test_wedge_dimension_mismatch():
     b = KForm.from_components(4, 1, {(0,): Q(1)})
     with pytest.raises(DimensionMismatch):
         wedge(a, b)
+
+
+@pytest.mark.parametrize("other", [Tensor.zero((3,)), (Q(1), Q(0), Q(0))],
+                         ids=["tensor", "tuple"])
+def test_wedge_refuses_a_non_form(other):
+    a = KForm.from_components(3, 1, {(0,): Q(1)})
+    for left, right in ((a, other), (other, a)):
+        with pytest.raises(ShapeMismatch, match="wedge needs two forms"):
+            wedge(left, right)
 
 
 def test_wedge_anticommutes_for_one_forms():

@@ -698,6 +698,22 @@ def test_witness_residual_rejects_stale_certificate():
                 assert value != witness.residual
 
 
+def test_a_lee_certificate_spelled_as_ints_and_strings_rechecks():
+    # a combination typed by hand, ints and "p/q" strings, rechecks to
+    # the residual of the Fractions it spells
+    H = _heisenberg_line(2)
+    dense = _dense_two_form(H.dim, random.Random(1))
+    (witness,) = [w for w in classify(H, omega=dense).witnesses
+                  if w.claim == "lee_system"]
+    typed = tuple(int(y) if y.denominator == 1
+                  else f"{y.numerator}/{y.denominator}"
+                  for y in witness.detail)
+    assert set(map(type, typed)) == {int, str}
+    spelled = Witness("lee_system", (), witness.residual, typed)
+    assert witness_residual(spelled, algebra=H, omega=dense) == (
+        witness.residual)
+
+
 def test_witness_residual_checks_the_lee_form_degree_and_dimension():
     # the Lee system is rebuilt from the pieces, so a 1-form omega or one
     # on another algebra is refused before any row is built

@@ -50,6 +50,12 @@ def test_entry_count_checked():
         Tensor((2, 2), (((0, 1, 0), Q(1)),))
 
 
+@pytest.mark.parametrize("shape", [(-1,), (2, -3), (0, -1, 2)])
+def test_a_negative_axis_is_refused(shape):
+    with pytest.raises(ShapeMismatch, match="negative axis"):
+        Tensor(shape, ())
+
+
 def test_entries_are_checked_and_canonical():
     with pytest.raises(ShapeMismatch):       # an index given twice
         Tensor((2,), (((1,), Q(1)), ((1,), Q(0))))
